@@ -595,9 +595,11 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
 /// tail is appended in O(1); everything else (short-delay events scheduled "under"
 /// the tail) goes to a small binary heap. `pop` compares the two heads.
 ///
-/// In the parcel models, in-flight round trips — thousands of pending events at the
-/// Figure 12 scale — ride the FIFO band, leaving the heap with only the handful of
-/// short-delay service events, so the `O(log n)` sift cost applies to a tiny `n`.
+/// In the parcel models' engine runs (mesh/torus networks and message-driven
+/// servicing; flat-network points use a per-node kernel instead), in-flight round
+/// trips — thousands of pending events — ride the FIFO band, leaving the heap with
+/// only the handful of short-delay service events, so the `O(log n)` sift cost
+/// applies to a tiny `n`.
 /// In the worst case (no monotone structure) every push lands in the heap and the
 /// queue degrades gracefully to [`BinaryHeapQueue`] behaviour.
 ///

@@ -29,10 +29,7 @@ pub struct ParcelAnalyticModel {
 impl ParcelAnalyticModel {
     /// Build the model.
     pub fn new(config: ParcelConfig) -> Self {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
+        config.assert_valid();
         ParcelAnalyticModel { config }
     }
 

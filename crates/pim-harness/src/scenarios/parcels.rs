@@ -245,11 +245,12 @@ fn network_cell_rows(parallelism: usize, latency: f64, seed: u64) -> Vec<Vec<Val
         horizon_cycles: 500_000.0,
         ..Default::default()
     };
+    // The control system is the same flat-network baseline for all four rows.
+    let control = run_control(config, seed.wrapping_add(1));
     let mut rows = Vec::with_capacity(4);
     let mut run_with =
         |kind: &str, network: Box<dyn NetworkModel + Send>, service: RemoteService| {
             let test = run_test_with_options(config, network, service, seed);
-            let control = run_control(config, seed.wrapping_add(1));
             rows.push(vec![
                 Value::Str(kind.to_string()),
                 Value::U64(config.parallelism as u64),

@@ -100,6 +100,14 @@ impl ParcelConfig {
         Ok(())
     }
 
+    /// Validate, panicking on an invalid configuration: the constructor contract of
+    /// every parcel model (an invalid config is a caller bug and fails loudly).
+    pub fn assert_valid(&self) {
+        self.validate()
+            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
+            .expect("invalid parcel-study configuration");
+    }
+
     /// Probability that one operation triggers a remote access.
     pub fn remote_prob_per_op(&self) -> f64 {
         self.mix.memory_fraction() * self.remote_fraction

@@ -13,7 +13,7 @@
 
 use crate::config::ParcelConfig;
 use crate::network::NetworkModel;
-use crate::outcome::{NodeOutcome, SystemOutcome};
+use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
 use crate::runs::RunSampler;
 use desim::prelude::*;
 
@@ -74,10 +74,7 @@ impl ControlSystem {
         network: Box<dyn NetworkModel + Send>,
         seed: u64,
     ) -> Self {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
+        config.assert_valid();
         ControlSystem {
             sampler: RunSampler::new(&config),
             network,
@@ -150,31 +147,25 @@ impl ControlSystem {
     /// Collect the outcome, pro-rating any period cut off by the horizon.
     pub fn outcome(&self) -> SystemOutcome {
         let horizon = self.config.horizon_cycles;
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let mut work = n.work_ops;
-            let mut busy = n.busy_cycles;
-            match n.phase {
-                Phase::Busy {
-                    started_cycles,
-                    ops,
-                    cycles,
-                } => {
-                    let elapsed = (horizon - started_cycles).max(0.0).min(cycles);
-                    busy += elapsed;
-                    if cycles > 0.0 {
-                        work += (ops as f64 * elapsed / cycles).floor() as u64;
-                    }
-                }
-                Phase::Waiting | Phase::Done => {}
-            }
-            nodes.push(NodeOutcome {
-                work_ops: work,
-                busy_cycles: busy.min(horizon),
-                idle_cycles: (horizon - busy).max(0.0),
-                remote_accesses: n.remote_accesses,
-            });
-        }
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let open = match n.phase {
+                    Phase::Busy {
+                        started_cycles,
+                        ops,
+                        cycles,
+                    } => Some(OpenJob {
+                        started_cycles,
+                        duration_cycles: cycles,
+                        ops,
+                    }),
+                    Phase::Waiting | Phase::Done => None,
+                };
+                NodeOutcome::at_horizon(horizon, n.work_ops, n.busy_cycles, n.remote_accesses, open)
+            })
+            .collect();
         SystemOutcome::from_nodes(horizon, nodes)
     }
 }
@@ -222,31 +213,18 @@ pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
 }
 
 /// Run the control system with an explicit network model.
+///
+/// Over a flat network no node's behaviour depends on another's, so it runs on
+/// the per-node kernel (bit-identical, no global event queue); other
+/// networks run the discrete-event [`ControlSystem`].
 pub fn run_control_with_network(
     config: ParcelConfig,
     network: Box<dyn NetworkModel + Send>,
     seed: u64,
 ) -> SystemOutcome {
-    if config.remote_prob_per_op() <= 0.0 {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
-        if let Some(out) = zero_remote_outcome(&config, network.as_ref(), seed) {
-            return out;
-        }
+    if let Some(cycles) = network.flat_cycles() {
+        return crate::kernel::run_control(&config, cycles, seed);
     }
-    run_control_des(config, network, seed)
-}
-
-/// Run the control system through the full discrete-event engine, without the
-/// zero-remote closed-form short-circuit. Kept as a separate entry point so the
-/// closed form can be checked against the engine bit-for-bit.
-fn run_control_des(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    seed: u64,
-) -> SystemOutcome {
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
     let model = ControlSystem::with_network(config, network, seed);
     let mut sim = Simulation::new(model);
@@ -254,83 +232,6 @@ fn run_control_des(
     sim.init(|m, sched| m.start(sched));
     sim.run();
     sim.model().outcome()
-}
-
-/// Closed-form outcome of a run whose remote probability per operation is zero.
-///
-/// Every node's single run fills the whole horizon (no RNG draws) and its
-/// `RunDone` lands exactly on the engine's horizon tick. Requantizing that tick
-/// back to cycles leaves a sub-tick residue `eps`:
-///
-/// * `eps <= 0`: the node goes straight to `Done` — its outcome is the run
-///   alone, with no remote access;
-/// * `eps > 0`: the node still issues one remote request (one busy cycle plus a
-///   destination draw, in node order), blocks, and the reply lands beyond the
-///   horizon — unless the reply delay itself rounds to zero ticks, in which
-///   case the node would start further runs and the pattern is no longer
-///   degenerate: return `None` and let the caller fall back to the engine.
-///
-/// All arithmetic replicates the engine path (same expressions, same
-/// accumulation order, same `dest_stream` draw sequence), so the result is
-/// bit-identical to [`run_control_des`] while costing O(nodes) instead of
-/// O(events).
-fn zero_remote_outcome(
-    config: &ParcelConfig,
-    network: &(dyn NetworkModel + Send),
-    seed: u64,
-) -> Option<SystemOutcome> {
-    let sampler = RunSampler::new(config);
-    let mean = sampler.mean_local_op_cycles();
-    let horizon = config.horizon_cycles;
-    let ops0 = if mean > 0.0 {
-        (horizon / mean).floor() as u64
-    } else {
-        0
-    };
-    // The run completes on the horizon tick; requantize it back to cycles
-    // exactly as `ControlSystem::cycles_of` does.
-    let done = SimDuration::from_ns_f64(horizon * config.cycle_ns);
-    let now_cycles = done.as_ns_f64() / config.cycle_ns;
-    let eps = horizon - now_cycles;
-
-    let n = config.nodes;
-    let mut dest_stream = RandomStream::new(seed, 0xDE57);
-    let mut nodes = Vec::with_capacity(n);
-    for src in 0..n {
-        let mut busy = 0.0;
-        busy += horizon;
-        let mut remote_accesses = 0;
-        if eps > 0.0 {
-            // The node issues its remote request at the horizon tick; the
-            // destination draws happen in node order, exactly as the engine
-            // dispatches the same-tick `RunDone` events.
-            let one_way = if n <= 1 {
-                config.latency_cycles
-            } else {
-                let mut d = dest_stream.below(n as u64 - 1) as usize;
-                if d >= src {
-                    d += 1;
-                }
-                network.latency_cycles(src, d)
-            };
-            let round_trip = 2.0 * one_way;
-            let delay = SimDuration::from_ns_f64((1.0 + round_trip) * config.cycle_ns);
-            if delay == SimDuration::ZERO {
-                // The reply would land inside the horizon tick and trigger
-                // further runs; not the degenerate pattern.
-                return None;
-            }
-            busy += 1.0;
-            remote_accesses = 1;
-        }
-        nodes.push(NodeOutcome {
-            work_ops: ops0,
-            busy_cycles: busy.min(horizon),
-            idle_cycles: (horizon - busy).max(0.0),
-            remote_accesses,
-        });
-    }
-    Some(SystemOutcome::from_nodes(horizon, nodes))
 }
 
 #[cfg(test)]
@@ -430,8 +331,9 @@ mod tests {
 
     #[test]
     fn zero_remote_closed_form_matches_the_engine_bitwise() {
-        // The short-circuit must reproduce the DES outcome exactly — including
-        // the destination-stream draws and the sub-tick quantization residue
+        // A never-remote run is a fixed event pattern; the per-node kernel that
+        // `run_control_with_network` takes for a flat network must reproduce the
+        // DES outcome exactly — including the sub-tick quantization residue
         // cases — across clock rates, horizons and node counts. Both a zero
         // remote fraction and a zero memory fraction make the remote
         // probability zero.
@@ -448,10 +350,17 @@ mod tests {
                         ..Default::default()
                     };
                     assert!(config.remote_prob_per_op() <= 0.0);
-                    let network = crate::network::FlatLatency::new(config.latency_cycles);
-                    let fast = zero_remote_outcome(&config, &network, 77)
-                        .expect("closed form applies to sane clock rates");
-                    let slow = run_control_des(config, Box::new(network), 77);
+                    let fast = crate::kernel::run_control(&config, config.latency_cycles, 77);
+                    let model = ControlSystem::with_network(
+                        config,
+                        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
+                        77,
+                    );
+                    let mut sim = Simulation::new(model);
+                    sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
+                    sim.init(|m, sched| m.start(sched));
+                    sim.run();
+                    let slow = sim.model().outcome();
                     assert_eq!(fast, slow, "config {config:?}");
                     for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
                         assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());

@@ -11,6 +11,8 @@
 //! * [`control`] is the blocking control system; [`test_system`] is the
 //!   split-transaction test system with configurable parallelism, parcel-handling
 //!   overhead, and an optional message-driven remote-servicing mode (Figure 9).
+//!   Under a flat network (memory-side servicing, for the test system) both run on
+//!   a per-node kernel that is bit-identical to their discrete-event models.
 //! * [`experiment`] sweeps the Figure 11 and Figure 12 grids; [`results`] renders the
 //!   corresponding tables.
 //!
@@ -37,6 +39,7 @@
 pub mod config;
 pub mod control;
 pub mod experiment;
+mod kernel;
 pub mod network;
 pub mod outcome;
 pub mod parcel;

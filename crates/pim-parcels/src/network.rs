@@ -30,6 +30,15 @@ pub trait NetworkModel {
         }
         total / count as f64
     }
+
+    /// The one-way latency between *every* pair of distinct nodes, when it does not
+    /// depend on the endpoints (`None` otherwise). A flat network cannot couple
+    /// nodes through the destination a remote access picks, which is what lets the
+    /// parcel models run each node on its own (see
+    /// [`crate::test_system::run_test_with_options`]).
+    fn flat_cycles(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// The paper's flat, fixed-delay network.
@@ -54,6 +63,10 @@ impl NetworkModel for FlatLatency {
         } else {
             self.cycles
         }
+    }
+
+    fn flat_cycles(&self) -> Option<f64> {
+        Some(self.cycles)
     }
 }
 
@@ -274,6 +287,13 @@ mod tests {
             assert_eq!(model.latency_cycles(3, 3), 0.0);
             assert!(model.latency_cycles(0, 9) > 0.0);
         }
+    }
+
+    #[test]
+    fn only_the_flat_network_reports_a_flat_latency() {
+        assert_eq!(FlatLatency::new(250.0).flat_cycles(), Some(250.0));
+        assert_eq!(MeshNetwork::for_nodes(16, 5.0, 2.0).flat_cycles(), None);
+        assert_eq!(TorusNetwork::for_nodes(16, 5.0, 2.0).flat_cycles(), None);
     }
 
     #[test]

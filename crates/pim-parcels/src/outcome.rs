@@ -19,6 +19,48 @@ pub struct NodeOutcome {
     pub remote_accesses: u64,
 }
 
+/// A job still running when the horizon cut the run off.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenJob {
+    /// Cycle at which the job started.
+    pub started_cycles: f64,
+    /// Full duration of the job in cycles.
+    pub duration_cycles: f64,
+    /// Operations the job completes if it runs to the end.
+    pub ops: u64,
+}
+
+impl NodeOutcome {
+    /// Close a node's books at the horizon, pro-rating the job cut off by it (if
+    /// any). Every parcel model — the discrete-event systems and the per-node
+    /// kernel — ends its run through this one function.
+    pub(crate) fn at_horizon(
+        horizon: f64,
+        work_ops: u64,
+        busy_cycles: f64,
+        remote_accesses: u64,
+        open: Option<OpenJob>,
+    ) -> Self {
+        let mut work = work_ops;
+        let mut busy = busy_cycles;
+        if let Some(job) = open {
+            let elapsed = (horizon - job.started_cycles)
+                .max(0.0)
+                .min(job.duration_cycles);
+            busy += elapsed;
+            if job.duration_cycles > 0.0 {
+                work += (job.ops as f64 * elapsed / job.duration_cycles).floor() as u64;
+            }
+        }
+        NodeOutcome {
+            work_ops: work,
+            busy_cycles: busy.min(horizon),
+            idle_cycles: (horizon - busy).max(0.0),
+            remote_accesses,
+        }
+    }
+}
+
 /// Whole-system accounting for one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemOutcome {

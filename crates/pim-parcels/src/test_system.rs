@@ -26,7 +26,7 @@
 
 use crate::config::ParcelConfig;
 use crate::network::NetworkModel;
-use crate::outcome::{NodeOutcome, SystemOutcome};
+use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
 use crate::runs::RunSampler;
 use desim::prelude::*;
 use std::collections::VecDeque;
@@ -118,10 +118,7 @@ impl TestSystem {
         remote_service: RemoteService,
         seed: u64,
     ) -> Self {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
+        config.assert_valid();
         TestSystem {
             sampler: RunSampler::new(&config),
             network,
@@ -260,26 +257,23 @@ impl TestSystem {
     /// Collect the outcome, pro-rating any job cut off by the horizon.
     pub fn outcome(&self) -> SystemOutcome {
         let horizon = self.config.horizon_cycles;
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let mut work = n.work_ops;
-            let mut busy = n.busy_cycles;
-            if let Some(run) = n.running {
-                let elapsed = (horizon - run.started_cycles)
-                    .max(0.0)
-                    .min(run.duration_cycles);
-                busy += elapsed;
-                if run.duration_cycles > 0.0 {
-                    work += (run.ops as f64 * elapsed / run.duration_cycles).floor() as u64;
-                }
-            }
-            nodes.push(NodeOutcome {
-                work_ops: work,
-                busy_cycles: busy.min(horizon),
-                idle_cycles: (horizon - busy).max(0.0),
-                remote_accesses: n.remote_accesses,
-            });
-        }
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| {
+                NodeOutcome::at_horizon(
+                    horizon,
+                    n.work_ops,
+                    n.busy_cycles,
+                    n.remote_accesses,
+                    n.running.map(|run| OpenJob {
+                        started_cycles: run.started_cycles,
+                        duration_cycles: run.duration_cycles,
+                        ops: run.ops,
+                    }),
+                )
+            })
+            .collect();
         SystemOutcome::from_nodes(horizon, nodes)
     }
 }
@@ -364,31 +358,19 @@ pub fn run_test(config: ParcelConfig, seed: u64) -> SystemOutcome {
 }
 
 /// Run the test system with an explicit network and remote-servicing mode.
+///
+/// A flat network with memory-side servicing never couples two nodes, so those
+/// inputs run on the per-node kernel (bit-identical, no global event
+/// queue); every other combination runs the discrete-event [`TestSystem`].
 pub fn run_test_with_options(
     config: ParcelConfig,
     network: Box<dyn NetworkModel + Send>,
     remote_service: RemoteService,
     seed: u64,
 ) -> SystemOutcome {
-    if config.remote_prob_per_op() <= 0.0 {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
-        return zero_remote_outcome(&config);
+    if let (Some(cycles), RemoteService::MemorySide) = (network.flat_cycles(), remote_service) {
+        return crate::kernel::run_test(&config, cycles, seed);
     }
-    run_test_des(config, network, remote_service, seed)
-}
-
-/// Run the test system through the full discrete-event engine, without the
-/// zero-remote closed-form short-circuit. Kept as a separate entry point so the
-/// closed form can be checked against the engine bit-for-bit.
-fn run_test_des(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    remote_service: RemoteService,
-    seed: u64,
-) -> SystemOutcome {
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
     let model = TestSystem::with_options(config, network, remote_service, seed);
     let mut sim = Simulation::new(model);
@@ -396,77 +378,6 @@ fn run_test_des(
     sim.init(|m, sched| m.start(sched));
     sim.run();
     sim.model().outcome()
-}
-
-/// Closed-form outcome of a run whose remote probability per operation is zero.
-///
-/// Without remote accesses the DES degenerates to a fixed event pattern: every
-/// node's first context fills the whole horizon with one run (no RNG draws),
-/// its `ServiceDone` lands exactly on the engine's horizon tick, and whatever
-/// happens next is fully determined by the sub-tick quantization residue `eps`
-/// between the configured horizon and that tick requantized to cycles:
-///
-/// * `eps <= 0`: the queued contexts never start — per node the outcome is the
-///   first run alone;
-/// * `eps > 0` and the follow-up run's duration rounds to zero ticks: each
-///   remaining context redispatches and completes at the same tick, adding
-///   `floor(eps / mean)` ops and `eps` busy cycles apiece;
-/// * `eps > 0` and the duration is at least one tick: exactly one follow-up
-///   job starts, is cut by the horizon and prorated by `outcome()`.
-///
-/// Every arithmetic step below replicates the engine path (same expressions,
-/// same accumulation order), so the result is bit-identical to [`run_test_des`]
-/// while costing O(nodes) instead of O(events).
-fn zero_remote_outcome(config: &ParcelConfig) -> SystemOutcome {
-    let sampler = RunSampler::new(config);
-    let mean = sampler.mean_local_op_cycles();
-    let horizon = config.horizon_cycles;
-    // First job: starts at cycle 0, fills the remaining horizon.
-    let ops0 = if mean > 0.0 {
-        (horizon / mean).floor() as u64
-    } else {
-        0
-    };
-    // Its completion lands on the horizon tick; requantize it back to cycles
-    // exactly as `TestSystem::cycles_of` does.
-    let done = SimDuration::from_ns_f64(horizon * config.cycle_ns);
-    let now_cycles = done.as_ns_f64() / config.cycle_ns;
-    let eps = horizon - now_cycles;
-
-    let mut work = ops0;
-    let mut busy = 0.0;
-    busy += horizon;
-    if eps > 0.0 && config.parallelism > 1 {
-        // `start_job` computes the remaining horizon the same way.
-        let remaining = (horizon - now_cycles).max(0.0);
-        let ops2 = if mean > 0.0 {
-            (remaining / mean).floor() as u64
-        } else {
-            0
-        };
-        let d2 = SimDuration::from_ns_f64(remaining * config.cycle_ns);
-        if d2 == SimDuration::ZERO {
-            // Sequential same-tick redispatch: every queued context completes.
-            for _ in 1..config.parallelism {
-                work += ops2;
-                busy += remaining;
-            }
-        } else {
-            // One follow-up job starts and is prorated at the horizon.
-            let elapsed = (horizon - now_cycles).max(0.0).min(remaining);
-            busy += elapsed;
-            if remaining > 0.0 {
-                work += (ops2 as f64 * elapsed / remaining).floor() as u64;
-            }
-        }
-    }
-    let node = NodeOutcome {
-        work_ops: work,
-        busy_cycles: busy.min(horizon),
-        idle_cycles: (horizon - busy).max(0.0),
-        remote_accesses: 0,
-    };
-    SystemOutcome::from_nodes(horizon, vec![node; config.nodes])
 }
 
 #[cfg(test)]
@@ -606,10 +517,13 @@ mod tests {
 
     #[test]
     fn zero_remote_closed_form_matches_the_engine_bitwise() {
-        // The short-circuit must reproduce the DES outcome exactly — including
-        // the sub-tick quantization residue cases — across clock rates,
-        // horizons, parallelism degrees and node counts. Both a zero remote
-        // fraction and a zero memory fraction make the remote probability zero.
+        // A never-remote run is a fixed event pattern; the per-node kernel that
+        // `run_test_with_options` takes for a flat network must reproduce the
+        // DES outcome exactly — including the sub-tick quantization residue
+        // cases — across clock rates, horizons, parallelism degrees and node
+        // counts, whichever remote-servicing mode the engine runs (no parcel is
+        // ever serviced). Both a zero remote fraction and a zero memory fraction
+        // make the remote probability zero.
         let mut checked = 0;
         for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
             for parallelism in [1usize, 4] {
@@ -628,13 +542,18 @@ mod tests {
                         };
                         assert!(config.remote_prob_per_op() <= 0.0);
                         for service in [RemoteService::MemorySide, RemoteService::OnCpu] {
-                            let fast = zero_remote_outcome(&config);
-                            let slow = run_test_des(
+                            let fast = crate::kernel::run_test(&config, config.latency_cycles, 91);
+                            let model = TestSystem::with_options(
                                 config,
                                 Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
                                 service,
                                 91,
                             );
+                            let mut sim = Simulation::new(model);
+                            sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
+                            sim.init(|m, sched| m.start(sched));
+                            sim.run();
+                            let slow = sim.model().outcome();
                             assert_eq!(fast, slow, "config {config:?} service {service:?}");
                             for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
                                 assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
