@@ -17,6 +17,10 @@ use serde::{Deserialize, Serialize};
 /// simulation inner loops.
 const RAW_BUF_LEN: usize = 32;
 
+/// Fewest words [`RandomStream::raw_window`] ever lends: enough for one
+/// decision that needs two draws.
+const MIN_WINDOW: usize = 2;
+
 /// A seeded, reproducible random stream.
 ///
 /// Streams created with different identifiers from the same experiment seed are
@@ -27,7 +31,7 @@ const RAW_BUF_LEN: usize = 32;
 ///
 /// Draws are served from a small prefetched buffer of raw generator words. The
 /// buffer is an internal detail: every consumer (single draws, [`Self::below`]'s
-/// rejection loop, the [`Self::fill_uniform01`] bulk path) takes words from it
+/// rejection loop, the [`Self::raw_window`] bulk path) takes words from it
 /// front-to-back, so the value sequence is bit-identical to drawing from the
 /// underlying generator one word at a time.
 #[derive(Debug, Clone)]
@@ -36,11 +40,57 @@ pub struct RandomStream {
     seed: u64,
     stream_id: u64,
     draws: u64,
-    /// Invariant: `buf[buf_pos..buf_len]` are exactly the next outputs of
-    /// `rng`'s pre-buffering word sequence, in order.
+    /// Invariant: `buf[buf_pos..]` are exactly the next outputs of `rng`'s
+    /// pre-buffering word sequence, in order.
     buf: [u64; RAW_BUF_LEN],
     buf_pos: usize,
-    buf_len: usize,
+}
+
+/// A Bernoulli(`p`) decision in integer form, for sampling loops that read raw
+/// generator words through [`RandomStream::raw_window`].
+///
+/// A uniform draw is `u = (raw >> 11) · 2⁻⁵³`, so `u < p` holds exactly when
+/// `raw >> 11 < ⌈p · 2⁵³⌉` (both sides are exact: scaling by a power of two
+/// loses nothing). [`Self::hit`] is therefore bit-for-bit the decision
+/// `uniform01() < p`, without the float conversion. As in
+/// [`RandomStream::bernoulli`], `p ≤ 0` and `p ≥ 1` are decided without a
+/// draw: [`Self::words`] is 0 and [`Self::hit`] ignores its word.
+#[derive(Debug, Clone, Copy)]
+pub struct BernoulliThreshold {
+    bound: u64,
+    words: usize,
+}
+
+impl BernoulliThreshold {
+    /// The threshold of success probability `p` (must lie in `[0, 1]`).
+    #[inline]
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        let (bound, words) = if p <= 0.0 {
+            (0, 0)
+        } else if p >= 1.0 {
+            (1 << 53, 0)
+        } else {
+            // ⌈p · 2⁵³⌉ in integer steps (`f64::ceil` is a libm call on the
+            // baseline x86-64 target); every conversion here is exact.
+            let scaled = p * (1u64 << 53) as f64;
+            let floor = scaled as u64;
+            (floor + u64::from(floor as f64 != scaled), 1)
+        };
+        BernoulliThreshold { bound, words }
+    }
+
+    /// Words one decision consumes: 1, or 0 when `p` is 0 or 1.
+    #[inline]
+    pub fn words(self) -> usize {
+        self.words
+    }
+
+    /// The decision on raw word `raw`: exactly `f64::from_raw(raw) < p`.
+    #[inline]
+    pub fn hit(self, raw: u64) -> bool {
+        raw >> 11 < self.bound
+    }
 }
 
 /// Mix a (seed, stream) pair into a single 64-bit seed using SplitMix64 steps.
@@ -66,29 +116,72 @@ impl RandomStream {
             stream_id,
             draws: 0,
             buf: [0; RAW_BUF_LEN],
-            buf_pos: 0,
-            buf_len: 0,
+            buf_pos: RAW_BUF_LEN,
         }
     }
 
-    /// Refill the prefetch buffer from the underlying generator.
+    /// Refill the prefetch buffer from the underlying generator, keeping the
+    /// unconsumed words at its front.
     fn refill(&mut self) {
-        for slot in self.buf.iter_mut() {
-            *slot = self.rng.next_u64();
+        let kept = RAW_BUF_LEN - self.buf_pos;
+        self.buf.copy_within(self.buf_pos.., 0);
+        // A local copy of the generator state stays in registers across the
+        // loop instead of being reloaded and stored for every word.
+        let mut rng = self.rng.clone();
+        for slot in &mut self.buf[kept..] {
+            *slot = rng.next_u64();
         }
+        self.rng = rng;
         self.buf_pos = 0;
-        self.buf_len = RAW_BUF_LEN;
     }
 
     /// The next raw 64-bit generator word, via the prefetch buffer.
     #[inline]
     fn next_raw(&mut self) -> u64 {
-        if self.buf_pos == self.buf_len {
+        if self.buf_pos == RAW_BUF_LEN {
             self.refill();
         }
         let x = self.buf[self.buf_pos];
         self.buf_pos += 1;
         x
+    }
+
+    /// Lend `f` the buffered raw generator words — always at least two — and
+    /// consume the first `n` of them, where `n` is what `f` returns.
+    ///
+    /// This is the bulk path for tight sampling loops: each consumed word is one
+    /// draw, taken in the same order as [`Self::uniform01`] would take it
+    /// (`f64::from_raw(word)` is that draw's value), so a loop that decides with
+    /// [`BernoulliThreshold::hit`] replays the sequential draws bit for bit.
+    #[inline]
+    pub fn raw_window(&mut self, f: impl FnOnce(&[u64]) -> usize) {
+        if RAW_BUF_LEN - self.buf_pos < MIN_WINDOW {
+            self.refill();
+        }
+        let window = &self.buf[self.buf_pos..];
+        let used = f(window);
+        assert!(used <= window.len(), "consumed more words than lent");
+        self.buf_pos += used;
+        self.draws += used as u64;
+    }
+
+    /// Fill `out` with Bernoulli decisions of `threshold` (1 = success), taking
+    /// the words from [`Self::raw_window`]: bit-identical to calling
+    /// [`Self::bernoulli`] once per slot, draw count included.
+    #[inline]
+    pub fn fill_bernoulli(&mut self, threshold: BernoulliThreshold, out: &mut [u8]) {
+        let mut n = 0;
+        while n < out.len() {
+            self.raw_window(|words| {
+                let mut i = 0;
+                while n < out.len() && i < words.len() {
+                    out[n] = threshold.hit(words[i]) as u8;
+                    i += threshold.words();
+                    n += 1;
+                }
+                i
+            });
+        }
     }
 
     /// The experiment seed this stream was created from.
@@ -111,26 +204,6 @@ impl RandomStream {
     pub fn uniform01(&mut self) -> f64 {
         self.draws += 1;
         f64::from_raw(self.next_raw())
-    }
-
-    /// Fill `out` with uniform draws in `[0, 1)` — the bulk path for tight
-    /// sampling loops. Bit-identical to calling [`Self::uniform01`] once per
-    /// slot, but converts whole runs of prefetched words at a time.
-    pub fn fill_uniform01(&mut self, out: &mut [f64]) {
-        self.draws += out.len() as u64;
-        let mut i = 0;
-        while i < out.len() {
-            if self.buf_pos == self.buf_len {
-                self.refill();
-            }
-            let take = (out.len() - i).min(self.buf_len - self.buf_pos);
-            let words = &self.buf[self.buf_pos..self.buf_pos + take];
-            for (dst, &raw) in out[i..i + take].iter_mut().zip(words) {
-                *dst = f64::from_raw(raw);
-            }
-            self.buf_pos += take;
-            i += take;
-        }
     }
 
     /// A uniform draw in `[lo, hi)`.
@@ -374,15 +447,32 @@ mod tests {
 
     #[test]
     fn fill_uniform01_is_bit_identical_to_sequential_draws() {
+        // Uniform draws filled in bulk through raw-word windows replay the
+        // sequential draws, whatever the window boundaries.
         let mut bulk = RandomStream::new(0x5EED, 4);
         let mut seq = RandomStream::new(0x5EED, 4);
-        // Warm the buffers unevenly so chunk boundaries differ between the two.
+        // Warm the buffers unevenly so window boundaries differ between the two.
         assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
-        for len in [0usize, 1, 7, RAW_BUF_LEN, RAW_BUF_LEN + 3, 100] {
-            let mut out = vec![0.0; len];
-            bulk.fill_uniform01(&mut out);
-            for x in out {
-                assert_eq!(x.to_bits(), seq.uniform01().to_bits());
+        for len in [
+            0usize,
+            1,
+            7,
+            RAW_BUF_LEN - 1,
+            RAW_BUF_LEN,
+            RAW_BUF_LEN + 3,
+            100,
+        ] {
+            let mut taken = Vec::new();
+            while taken.len() < len {
+                bulk.raw_window(|words| {
+                    assert!(words.len() >= MIN_WINDOW);
+                    let n = words.len().min(len - taken.len());
+                    taken.extend_from_slice(&words[..n]);
+                    n
+                });
+            }
+            for raw in taken {
+                assert_eq!(f64::from_raw(raw).to_bits(), seq.uniform01().to_bits());
             }
             assert_eq!(bulk.draws(), seq.draws());
         }

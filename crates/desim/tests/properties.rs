@@ -2,7 +2,9 @@
 
 use desim::event::{BinaryHeapQueue, CalendarQueue, EventId, EventQueue, ScheduledEvent};
 use desim::prelude::*;
+use desim::random::BernoulliThreshold;
 use proptest::prelude::*;
+use rand::Standard;
 
 fn drain<Q: EventQueue<u64>>(q: &mut Q) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
@@ -174,26 +176,92 @@ proptest! {
         prop_assert!(values.iter().all(|v| (0.0..=10.0).contains(v)));
     }
 
-    /// The bulk uniform path consumes exactly the sequential stream's values.
+    /// The raw-word path replays the sequential float draws exactly:
+    ///
+    /// * uniform draws and Bernoulli decisions filled in bulk through raw-word
+    ///   windows, mixed with single draws and `below`, consume exactly the
+    ///   sequential stream's words (the same values, the same draw count);
+    /// * the integer Bernoulli threshold `T = ⌈p·2⁵³⌉` decides as
+    ///   `f64::from_raw(raw) < p` — on those words, and on both sides of its
+    ///   boundary whatever the 11 low bits the conversion drops, for `p` on the
+    ///   2⁻⁵³ lattice, one ulp either side of it, far below it and just under 1.
     #[test]
     fn fill_uniform01_matches_sequential_draws(
         seed in any::<u64>(),
-        lens in proptest::collection::vec(0usize..100, 1..10),
+        steps in proptest::collection::vec((0usize..4, 0usize..100), 1..16),
         warmup in 0usize..40,
+        k in 1u64..(1 << 53),
+        low in 0u64..(1 << 11),
     ) {
+        let lattice = k as f64 / (1u64 << 53) as f64;
+        let tiny = 1.0 / (1u64 << 60) as f64;
+        let top = 1.0 - 1.0 / (1u64 << 53) as f64;
+        let ps = [lattice, lattice.next_up(), lattice.next_down(), tiny, top];
+        for p in ps {
+            let threshold = BernoulliThreshold::new(p);
+            // `p` reaches 1 only as the ulp above the top lattice point, where
+            // the decision is made without a draw, as in `bernoulli`.
+            prop_assert_eq!(threshold.words(), usize::from(p < 1.0));
+            let t = (p * (1u64 << 53) as f64).ceil() as u64;
+            for word in [t - 1, t] {
+                if word < 1 << 53 {
+                    let raw = word << 11 | low;
+                    prop_assert_eq!(threshold.hit(raw), f64::from_raw(raw) < p, "p={} raw={:#x}", p, raw);
+                }
+            }
+        }
+
         let mut bulk = RandomStream::new(seed, 7);
         let mut seq = RandomStream::new(seed, 7);
         for _ in 0..warmup {
             prop_assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
         }
-        for len in lens {
-            let mut out = vec![0.0; len];
-            bulk.fill_uniform01(&mut out);
-            for x in out {
-                prop_assert_eq!(x.to_bits(), seq.uniform01().to_bits());
+        for (kind, len) in steps {
+            match kind {
+                // `len` words through as many windows as it takes; the last one
+                // is consumed only in part, and one consumes nothing.
+                0 => {
+                    bulk.raw_window(|_| 0);
+                    let mut taken = Vec::new();
+                    while taken.len() < len {
+                        bulk.raw_window(|words| {
+                            prop_assert!(words.len() >= 2);
+                            let n = words.len().min(len - taken.len());
+                            taken.extend_from_slice(&words[..n]);
+                            n
+                        });
+                    }
+                    for raw in taken {
+                        let u = seq.uniform01();
+                        prop_assert_eq!(f64::from_raw(raw).to_bits(), u.to_bits());
+                        for p in ps {
+                            prop_assert_eq!(BernoulliThreshold::new(p).hit(raw), u < p);
+                        }
+                    }
+                }
+                // `len` Bernoulli decisions, including the drawless p = 0 and 1.
+                1 => {
+                    let p = [0.0, 1.0, lattice, tiny, top][len % 5];
+                    let mut decisions = vec![0u8; len];
+                    bulk.fill_bernoulli(BernoulliThreshold::new(p), &mut decisions);
+                    for hit in decisions {
+                        prop_assert_eq!(hit == 1, seq.bernoulli(p), "p={}", p);
+                    }
+                }
+                2 => {
+                    for _ in 0..len {
+                        prop_assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
+                    }
+                }
+                // `below` draws one or more words (its rejection loop).
+                _ => {
+                    let n = (len as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    prop_assert_eq!(bulk.below(n), seq.below(n));
+                }
             }
             prop_assert_eq!(bulk.draws(), seq.draws());
         }
+        prop_assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
     }
 
     /// Exponential samples are non-negative and their mean converges to the parameter.

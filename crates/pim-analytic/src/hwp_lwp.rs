@@ -26,8 +26,7 @@ pub struct AnalyticModel {
 impl AnalyticModel {
     /// Build the model from a system configuration.
     pub fn new(config: SystemConfig) -> Self {
-        // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-        config.validate().expect("invalid system configuration");
+        config.assert_valid();
         AnalyticModel { config }
     }
 

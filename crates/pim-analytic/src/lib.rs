@@ -1,7 +1,7 @@
 //! # pim-analytic — closed-form models of the PIM design tradeoffs
 //!
 //! The paper pairs every simulation study with an analytical model. This crate holds
-//! those closed forms and their validation against the discrete-event simulations:
+//! those closed forms and their validation against the simulations:
 //!
 //! * [`hwp_lwp::AnalyticModel`] — `Time_relative = 1 − %WL·(1 − NB/N)` and the
 //!   break-even parameter `NB` (Section 3.1.2, Figure 7);

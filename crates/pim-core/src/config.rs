@@ -85,6 +85,14 @@ impl SystemConfig {
         Ok(())
     }
 
+    /// Validate, panicking on an invalid configuration: the constructor contract of
+    /// every study-1 model (an invalid config is a caller bug and fails loudly).
+    pub fn assert_valid(&self) {
+        self.validate()
+            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
+            .expect("invalid system configuration");
+    }
+
     /// Expected time for one operation on the heavyweight processor, in nanoseconds:
     /// `[1 + mix · (TCH − 1 + Pmiss · TMH)] · THcycle` — the denominator of the paper's
     /// `NB` expression.

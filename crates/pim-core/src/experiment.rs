@@ -4,7 +4,7 @@
 //! [`run_sweep`] evaluates every `(N, %WL)` point, spreading the work across OS threads
 //! via the shared work-stealing map in [`desim::par`] (each point is an independent
 //! simulation, so the sweep is embarrassingly parallel — this is where the workspace
-//! gets its multi-core speedup, not inside a single discrete-event run). Callers that
+//! gets its multi-core speedup, not inside a single simulated run). Callers that
 //! schedule points themselves (e.g. the `pim-harness` batch runner, which flattens
 //! every scenario's points into one global work list) use [`point_eval_mode`] to
 //! reproduce the per-point seed stream exactly.

@@ -75,10 +75,10 @@ impl PhasedResult {
 
 /// Execute `partition` on `nodes` LWPs under `options`, sampling every operation.
 ///
-/// The computation is equivalent to the discrete-event model of [`crate::queueing`]
-/// (there is no cross-phase resource contention, so phase lengths simply add); it is
-/// computed directly so that non-uniform thread partitions can be expressed without
-/// growing the core model.
+/// The computation follows the queuing model of [`crate::queueing`] (there is no
+/// cross-phase resource contention, so phase lengths simply add) without its
+/// per-batch tick quantization; it is separate so that rounds and non-uniform thread
+/// partitions can be expressed without growing the core model.
 pub fn run_phased(
     config: SystemConfig,
     partition: WorkPartition,
@@ -88,8 +88,7 @@ pub fn run_phased(
 ) -> PhasedResult {
     assert!(nodes > 0, "need at least one LWP node");
     assert!(options.rounds >= 1, "need at least one round");
-    // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-    config.validate().expect("invalid system configuration");
+    config.assert_valid();
 
     let mut hwp = HwpExecution::new(config, RandomStream::new(seed, 1));
     let mut lwps: Vec<LwpExecution> = (0..nodes)

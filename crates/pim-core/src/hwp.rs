@@ -2,17 +2,21 @@
 //!
 //! The HWP is a cache-based, high-clock-rate host. Every operation costs one issue
 //! cycle; load/store operations additionally access the cache (`TCH` cycles) and, on a
-//! miss (probability `Pmiss`), main memory (`TMH` cycles). Two evaluation modes are
-//! provided:
-//!
-//! * [`HwpExecution::expected_op_time_ns`] — the closed-form expectation used by the
-//!   analytical model;
-//! * [`HwpExecution::sample_op_time_ns`] — a stochastic per-operation draw used by the
-//!   queuing simulation, which reproduces the same mean with sampling noise.
+//! miss (probability `Pmiss`), main memory (`TMH` cycles). The closed-form expectation
+//! is [`SystemConfig::hwp_op_time_ns`]; [`HwpExecution`] draws the stochastic
+//! per-operation times the queuing simulation uses, which reproduce the same mean
+//! with sampling noise.
 
 use crate::config::SystemConfig;
-use desim::random::RandomStream;
+use desim::random::{BernoulliThreshold, RandomStream};
 use serde::{Deserialize, Serialize};
+
+/// Length of the outcome-code buffer of [`HwpExecution::run_ops`] and
+/// [`crate::lwp::LwpExecution::run_ops`]: the most operations decided before
+/// their times are summed. It is a bound of its own because a window of raw
+/// words decides any number of operations when probabilities of 0 or 1 consume
+/// no words.
+pub(crate) const WINDOW_OPS: usize = 64;
 
 /// Counters describing what an HWP executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -73,11 +77,6 @@ impl HwpExecution {
         }
     }
 
-    /// Closed-form expected time per operation (ns): `1 + mix·(TCH − 1 + Pmiss·TMH)`.
-    pub fn expected_op_time_ns(config: &SystemConfig) -> f64 {
-        config.hwp_op_time_ns()
-    }
-
     /// Draw the service time of one operation (ns) and update the counters.
     pub fn sample_op_time_ns(&mut self) -> f64 {
         self.stats.ops += 1;
@@ -99,38 +98,54 @@ impl HwpExecution {
     /// Execute `ops` operations back-to-back and return the total busy time (ns).
     ///
     /// This is the batched form of calling [`Self::sample_op_time_ns`] `ops`
-    /// times: constants are hoisted, counters accumulate in locals, degenerate
-    /// probabilities (0 or 1) draw nothing — all with the identical draw
-    /// sequence and the identical left-to-right float accumulation, so results
-    /// are bit-for-bit the same.
+    /// times, with the identical draw sequence and the identical left-to-right
+    /// float accumulation, so results are bit-for-bit the same. It works through
+    /// the stream's raw words a window at a time in two branch-free passes:
+    /// integer outcome codes first (0 compute, 1 cache hit, 2 miss), then a
+    /// table load of each code's time. A memory operation reads a second word
+    /// for its miss decision, so the word index advances by the decisions
+    /// themselves; a probability of 0 or 1 advances it by nothing, exactly as
+    /// `bernoulli` draws nothing for it.
     pub fn run_ops(&mut self, ops: u64) -> f64 {
-        let p_mem = self.config.mix.memory_fraction();
-        let p_miss = self.config.p_miss;
-        assert!(
-            (0.0..=1.0).contains(&p_mem) && (0.0..=1.0).contains(&p_miss),
-            "probability out of range"
-        );
+        let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
+        let miss = BernoulliThreshold::new(self.config.p_miss);
+        // Summed in the order `sample_op_time_ns` adds them.
         let t_issue = self.config.hwp_cycle_ns;
-        let t_cache = (self.config.hwp_cache_cycles - 1.0) * self.config.hwp_cycle_ns;
-        let t_mem = self.config.hwp_memory_cycles * self.config.hwp_cycle_ns;
+        let t_hit = t_issue + (self.config.hwp_cache_cycles - 1.0) * self.config.hwp_cycle_ns;
+        let t_miss = t_hit + self.config.hwp_memory_cycles * self.config.hwp_cycle_ns;
+        let op_ns = [t_issue, t_hit, t_miss];
         let mut busy = self.stats.busy_ns;
         let mut total = 0.0;
         let mut memory_ops = 0u64;
         let mut misses = 0u64;
-        for _ in 0..ops {
-            let mut t = t_issue;
-            // Same decision procedure as `bernoulli`: p >= 1 is true and p <= 0
-            // is false without consuming a draw.
-            if p_mem >= 1.0 || (p_mem > 0.0 && self.stream.uniform01() < p_mem) {
-                memory_ops += 1;
-                t += t_cache;
-                if p_miss >= 1.0 || (p_miss > 0.0 && self.stream.uniform01() < p_miss) {
-                    misses += 1;
-                    t += t_mem;
+        let mut codes = [0u8; WINDOW_OPS];
+        let mut left = ops;
+        while left > 0 {
+            let cap = left.min(WINDOW_OPS as u64) as usize;
+            let mut n = 0;
+            self.stream.raw_window(|words| {
+                let mut i = 0;
+                // With two words left, both reads below stay inside the window.
+                while n < cap && i + 2 <= words.len() {
+                    let is_mem = mem.hit(words[i]);
+                    i += mem.words();
+                    let is_miss = is_mem & miss.hit(words[i]);
+                    // Kept a `cmov`: LLVM otherwise turns this select into a
+                    // branch that mispredicts on the random memory decisions.
+                    i += std::hint::select_unpredictable(is_mem, miss.words(), 0);
+                    codes[n] = is_mem as u8 + is_miss as u8;
+                    n += 1;
                 }
+                i
+            });
+            for &code in &codes[..n] {
+                let t = op_ns[code as usize];
+                busy += t;
+                total += t;
+                memory_ops += (code != 0) as u64;
+                misses += (code >> 1) as u64;
             }
-            busy += t;
-            total += t;
+            left -= n as u64;
         }
         self.stats.ops += ops;
         self.stats.memory_ops += memory_ops;
@@ -152,7 +167,7 @@ mod tests {
     #[test]
     fn expected_op_time_matches_config() {
         let c = SystemConfig::table1();
-        assert!((HwpExecution::expected_op_time_ns(&c) - 4.0).abs() < 1e-12);
+        assert!((c.hwp_op_time_ns() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -210,21 +225,68 @@ mod tests {
 
     #[test]
     fn run_ops_matches_per_op_sampling_bitwise() {
-        let c = SystemConfig::table1();
-        let mut bulk = HwpExecution::new(c, RandomStream::new(42, 9));
-        let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
-        for ops in [0u64, 1, 7, 1000] {
-            let a = bulk.run_ops(ops);
-            let mut b = 0.0;
-            for _ in 0..ops {
-                b += seq.sample_op_time_ns();
+        // Table 1, a non-integer machine, and every exact-0/1 corner of the two
+        // probabilities (where decisions consume no words).
+        let fractional = SystemConfig {
+            hwp_cycle_ns: 0.7,
+            hwp_cache_cycles: 2.3,
+            hwp_memory_cycles: 91.7,
+            p_miss: 0.37,
+            mix: pim_workload::InstructionMix::with_memory_fraction(0.61),
+            ..SystemConfig::table1()
+        };
+        let mut configs = vec![SystemConfig::table1(), fractional];
+        for mix in [0.0, 0.3, 1.0] {
+            for p_miss in [0.0, 0.1, 1.0] {
+                configs.push(SystemConfig {
+                    p_miss,
+                    mix: pim_workload::InstructionMix::with_memory_fraction(mix),
+                    ..fractional
+                });
             }
-            assert_eq!(a.to_bits(), b.to_bits(), "ops={ops}");
         }
-        assert_eq!(bulk.stats(), seq.stats());
+        for c in configs {
+            // Batches straddling the 32-word buffer, each on fresh streams after
+            // an odd number of prior draws (so windows start unaligned), then
+            // all of them back to back on one pair of streams.
+            for prior in [1, 33] {
+                for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                    let mut bulk = HwpExecution::new(c, RandomStream::new(42, 9));
+                    let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
+                    for _ in 0..prior {
+                        bulk.stream.uniform01();
+                        seq.stream.uniform01();
+                    }
+                    assert_run_ops_matches(&mut bulk, &mut seq, ops);
+                }
+            }
+            let mut bulk = HwpExecution::new(c, RandomStream::new(42, 9));
+            let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
+            for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                assert_run_ops_matches(&mut bulk, &mut seq, ops);
+            }
+        }
+    }
+
+    fn assert_run_ops_matches(bulk: &mut HwpExecution, seq: &mut HwpExecution, ops: u64) {
+        let a = bulk.run_ops(ops);
+        let mut b = 0.0;
+        for _ in 0..ops {
+            b += seq.sample_op_time_ns();
+        }
+        let what = format!("{:?} ops={ops}", bulk.config);
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        assert_eq!(bulk.stats(), seq.stats(), "{what}");
         assert_eq!(
             bulk.stats().busy_ns.to_bits(),
-            seq.stats().busy_ns.to_bits()
+            seq.stats().busy_ns.to_bits(),
+            "{what}"
+        );
+        assert_eq!(bulk.stream.draws(), seq.stream.draws(), "{what}");
+        assert_eq!(
+            bulk.stream.uniform01().to_bits(),
+            seq.stream.uniform01().to_bits(),
+            "{what}: streams diverged"
         );
     }
 

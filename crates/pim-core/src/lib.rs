@@ -8,8 +8,8 @@
 //!
 //! * [`config::SystemConfig`] holds the Table 1 parametric assumptions.
 //! * [`hwp`] and [`lwp`] model the two processor classes (Figures 2 and 3).
-//! * [`queueing`] is the discrete-event transcription of the paper's SES/Workbench
-//!   queuing model, including the Figure 4 phase timeline.
+//! * [`queueing`] is the paper's SES/Workbench queuing model, including the Figure 4
+//!   phase timeline, run as a per-phase kernel over quantized operation batches.
 //! * [`system::PartitionStudy`] evaluates one `(N, %WL)` design point in either
 //!   expected-value or simulated mode.
 //! * [`experiment`] sweeps the design grid behind Figures 5, 6 and 7, and
@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use crate::hwp::{HwpExecution, HwpStats};
     pub use crate::lwp::{LwpExecution, LwpStats};
-    pub use crate::queueing::{run_queueing, QueueingModel, QueueingResult, RunMode};
+    pub use crate::queueing::{run_queueing, QueueingResult, RunMode};
     pub use crate::results::{
         csv_to_markdown, figure5_gain_table, figure6_response_table, figure7_relative_table,
     };

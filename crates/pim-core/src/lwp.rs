@@ -7,7 +7,8 @@
 //! instead.
 
 use crate::config::SystemConfig;
-use desim::random::RandomStream;
+use crate::hwp::WINDOW_OPS;
+use desim::random::{BernoulliThreshold, RandomStream};
 use serde::{Deserialize, Serialize};
 
 /// Counters describing what one LWP node executed.
@@ -57,11 +58,6 @@ impl LwpExecution {
         }
     }
 
-    /// Closed-form expected time per operation (ns): `TLcycle + mix·(TML − TLcycle)`.
-    pub fn expected_op_time_ns(config: &SystemConfig) -> f64 {
-        config.lwp_op_time_ns()
-    }
-
     /// Draw the service time of one operation (ns) and update the counters.
     pub fn sample_op_time_ns(&mut self) -> f64 {
         self.stats.ops += 1;
@@ -77,29 +73,32 @@ impl LwpExecution {
 
     /// Execute `ops` operations back-to-back and return the total busy time (ns).
     ///
-    /// Batched form of calling [`Self::sample_op_time_ns`] `ops` times:
-    /// constants hoisted, counters in locals, degenerate mixes (0 or 1) draw
-    /// nothing — with the identical draw sequence and the identical
-    /// left-to-right float accumulation, so results are bit-for-bit the same.
+    /// Batched form of calling [`Self::sample_op_time_ns`] `ops` times, with the
+    /// identical draw sequence and the identical left-to-right float
+    /// accumulation, so results are bit-for-bit the same. Like
+    /// [`crate::hwp::HwpExecution::run_ops`] it decides a chunk of operations
+    /// into outcome codes, then sums each code's time from a table.
     pub fn run_ops(&mut self, ops: u64) -> f64 {
-        let p_mem = self.config.mix.memory_fraction();
-        assert!((0.0..=1.0).contains(&p_mem), "probability out of range");
-        let t_mem = self.config.lwp_memory_cycles * self.config.hwp_cycle_ns;
-        let t_cycle = self.config.lwp_cycle_ns;
+        let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
+        let op_ns = [
+            self.config.lwp_cycle_ns,
+            self.config.lwp_memory_cycles * self.config.hwp_cycle_ns,
+        ];
         let mut busy = self.stats.busy_ns;
         let mut total = 0.0;
         let mut memory_ops = 0u64;
-        for _ in 0..ops {
-            // Same decision procedure as `bernoulli`: p >= 1 is true and p <= 0
-            // is false without consuming a draw.
-            let t = if p_mem >= 1.0 || (p_mem > 0.0 && self.stream.uniform01() < p_mem) {
-                memory_ops += 1;
-                t_mem
-            } else {
-                t_cycle
-            };
-            busy += t;
-            total += t;
+        let mut codes = [0u8; WINDOW_OPS];
+        let mut left = ops;
+        while left > 0 {
+            let n = left.min(WINDOW_OPS as u64) as usize;
+            self.stream.fill_bernoulli(mem, &mut codes[..n]);
+            for &code in &codes[..n] {
+                let t = op_ns[code as usize];
+                busy += t;
+                total += t;
+                memory_ops += code as u64;
+            }
+            left -= n as u64;
         }
         self.stats.ops += ops;
         self.stats.memory_ops += memory_ops;
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn expected_op_time_matches_config() {
         let c = SystemConfig::table1();
-        assert!((LwpExecution::expected_op_time_ns(&c) - 12.5).abs() < 1e-12);
+        assert!((c.lwp_op_time_ns() - 12.5).abs() < 1e-12);
     }
 
     #[test]
@@ -142,7 +141,7 @@ mod tests {
     fn lwp_is_slower_per_op_but_cheaper_per_memory_access() {
         let c = SystemConfig::table1();
         // Per generic operation the LWP is slower than the HWP (12.5 vs 4 ns)...
-        assert!(LwpExecution::expected_op_time_ns(&c) > c.hwp_op_time_ns());
+        assert!(c.lwp_op_time_ns() > c.hwp_op_time_ns());
         // ...but its memory access (30 cycles) is far cheaper than a host miss (90 cycles).
         assert!(c.lwp_memory_cycles < c.hwp_memory_cycles);
     }
@@ -169,21 +168,64 @@ mod tests {
 
     #[test]
     fn run_ops_matches_per_op_sampling_bitwise() {
-        let c = SystemConfig::table1();
-        let mut bulk = LwpExecution::new(c, RandomStream::new(42, 8));
-        let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
-        for ops in [0u64, 1, 7, 1000] {
-            let a = bulk.run_ops(ops);
-            let mut b = 0.0;
-            for _ in 0..ops {
-                b += seq.sample_op_time_ns();
-            }
-            assert_eq!(a.to_bits(), b.to_bits(), "ops={ops}");
+        // Table 1, a non-integer machine, and a mix of exactly 0 and 1 (where
+        // decisions consume no words).
+        let fractional = SystemConfig {
+            hwp_cycle_ns: 0.7,
+            lwp_cycle_ns: 4.3,
+            lwp_memory_cycles: 29.1,
+            mix: pim_workload::InstructionMix::with_memory_fraction(0.61),
+            ..SystemConfig::table1()
+        };
+        let mut configs = vec![SystemConfig::table1(), fractional];
+        for mix in [0.0, 1.0] {
+            configs.push(SystemConfig {
+                mix: pim_workload::InstructionMix::with_memory_fraction(mix),
+                ..fractional
+            });
         }
-        assert_eq!(bulk.stats(), seq.stats());
+        for c in configs {
+            // Batches straddling the 32-word buffer, each on fresh streams after
+            // an odd number of prior draws (so windows start unaligned), then
+            // all of them back to back on one pair of streams.
+            for prior in [1, 33] {
+                for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                    let mut bulk = LwpExecution::new(c, RandomStream::new(42, 8));
+                    let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
+                    for _ in 0..prior {
+                        bulk.stream.uniform01();
+                        seq.stream.uniform01();
+                    }
+                    assert_run_ops_matches(&mut bulk, &mut seq, ops);
+                }
+            }
+            let mut bulk = LwpExecution::new(c, RandomStream::new(42, 8));
+            let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
+            for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                assert_run_ops_matches(&mut bulk, &mut seq, ops);
+            }
+        }
+    }
+
+    fn assert_run_ops_matches(bulk: &mut LwpExecution, seq: &mut LwpExecution, ops: u64) {
+        let a = bulk.run_ops(ops);
+        let mut b = 0.0;
+        for _ in 0..ops {
+            b += seq.sample_op_time_ns();
+        }
+        let what = format!("{:?} ops={ops}", bulk.config);
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        assert_eq!(bulk.stats(), seq.stats(), "{what}");
         assert_eq!(
             bulk.stats().busy_ns.to_bits(),
-            seq.stats().busy_ns.to_bits()
+            seq.stats().busy_ns.to_bits(),
+            "{what}"
+        );
+        assert_eq!(bulk.stream.draws(), seq.stream.draws(), "{what}");
+        assert_eq!(
+            bulk.stream.uniform01().to_bits(),
+            seq.stream.uniform01().to_bits(),
+            "{what}: streams diverged"
         );
     }
 

@@ -1,4 +1,4 @@
-//! Discrete-event queuing model of the HWP + LWP-array system (Figures 2–4).
+//! The queuing model of the HWP + LWP-array system (Figures 2–4).
 //!
 //! The model reproduces the structure of the paper's SES/Workbench model:
 //!
@@ -16,10 +16,19 @@
 //! per-node completion times rather than at their mean; this is the behaviour the
 //! queuing simulation captures and the closed-form model of `pim-analytic` does not.
 //!
-//! Events are batched (`ops_per_event` operations per event) purely to keep the event
-//! count tractable when the full 10^8-operation workload is simulated; batching does
-//! not change any result because operations within a batch are executed back-to-back
-//! on the same processor.
+//! Operations run in batches of `ops_per_event`, and each batch's duration is
+//! quantized to whole simulation ticks (`SimDuration::from_ns_f64`), as when every
+//! batch was one event of a discrete-event model. Batching only keeps that event count
+//! tractable for the full 10^8-operation workload; it does not change the sampled
+//! operations, because a batch executes back-to-back on one processor.
+//!
+//! [`run_queueing`] is a phase kernel rather than an event loop: the HWP batches, then
+//! each node's batches. That is exact: every node draws from its own stream
+//! (`100 + i`, the HWP `1`), no event of one processor ever touches another, and a
+//! phase ends at the sum of its quantized batch durations — so the per-processor
+//! timelines an event queue would interleave are simply laid end to end. The
+//! differential suite `tests/phase_kernel_vs_des.rs` checks every result field, bit
+//! for bit, against a discrete-event reference run on `desim::engine`.
 
 use crate::config::SystemConfig;
 use crate::hwp::{HwpExecution, HwpStats};
@@ -41,15 +50,6 @@ pub enum RunMode {
     },
 }
 
-/// Events of the queuing model.
-#[derive(Debug, Clone, Copy)]
-pub enum PhaseEvent {
-    /// The HWP finished a batch of operations.
-    HwpBatchDone,
-    /// LWP node `i` finished a batch of operations.
-    LwpBatchDone(usize),
-}
-
 /// Result of one queuing-model run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueueingResult {
@@ -67,7 +67,7 @@ pub struct QueueingResult {
     pub lwp_busy_ns: Vec<f64>,
     /// Idle time of each LWP node while the parallel phase was still running (ns).
     pub lwp_idle_ns: Vec<f64>,
-    /// Number of events dispatched by the engine.
+    /// Number of operation batches run (one per event of the discrete-event form).
     pub events: u64,
 }
 
@@ -82,161 +82,30 @@ impl QueueingResult {
     }
 }
 
-/// The queuing model itself (a [`desim::engine::Model`]).
-pub struct QueueingModel {
-    config: SystemConfig,
-    hwp: HwpExecution,
-    lwps: Vec<LwpExecution>,
-    hwp_ops_remaining: u64,
-    lwp_ops_remaining: Vec<u64>,
+/// Run `ops` operations in batches of `ops_per_event` and return the phase length:
+/// the sum of the batch durations, each quantized to whole ticks. Counts the batches
+/// into `events`.
+fn run_batches(
+    ops: u64,
     ops_per_event: u64,
-    active_lwps: usize,
-    hwp_phase_end: Option<SimTime>,
-    lwp_node_end: Vec<Option<SimTime>>,
-    finish: Option<SimTime>,
+    events: &mut u64,
+    mut run_ops: impl FnMut(u64) -> f64,
+) -> SimDuration {
+    let mut elapsed = SimDuration::ZERO;
+    let mut left = ops;
+    while left > 0 {
+        let batch = left.min(ops_per_event);
+        elapsed += SimDuration::from_ns_f64(run_ops(batch));
+        left -= batch;
+        *events += 1;
+    }
+    elapsed
 }
 
-impl QueueingModel {
-    /// Build a model for `partition` of the configured work under `mode`.
-    ///
-    /// `ops_per_event` batches operations per engine event (1 = one event per
-    /// operation); `seed` drives all stochastic draws.
-    pub fn new(
-        config: SystemConfig,
-        partition: WorkPartition,
-        mode: RunMode,
-        ops_per_event: u64,
-        seed: u64,
-    ) -> Self {
-        assert!(ops_per_event > 0, "ops_per_event must be positive");
-        // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-        config.validate().expect("invalid system configuration");
-        let (hwp_ops, lwp_threads) = match mode {
-            RunMode::Control => (partition.total_ops, Vec::new()),
-            RunMode::Test { nodes } => {
-                assert!(nodes > 0, "test mode needs at least one LWP node");
-                let split =
-                    ThreadPartition::new(partition.lwp_ops(), nodes, ThreadBalance::Uniform);
-                (partition.hwp_ops(), split.ops_per_node().to_vec())
-            }
-        };
-        let lwps: Vec<LwpExecution> = (0..lwp_threads.len())
-            .map(|i| LwpExecution::new(config, RandomStream::new(seed, 100 + i as u64)))
-            .collect();
-        QueueingModel {
-            config,
-            hwp: HwpExecution::new(config, RandomStream::new(seed, 1)),
-            active_lwps: lwp_threads.iter().filter(|&&o| o > 0).count(),
-            lwp_node_end: vec![None; lwp_threads.len()],
-            lwps,
-            hwp_ops_remaining: hwp_ops,
-            lwp_ops_remaining: lwp_threads,
-            ops_per_event,
-            hwp_phase_end: None,
-            finish: None,
-        }
-    }
-
-    /// System configuration in use.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    fn schedule_hwp_batch(&mut self, sched: &mut Scheduler<PhaseEvent>) {
-        let batch = self.hwp_ops_remaining.min(self.ops_per_event);
-        let dur = self.hwp.run_ops(batch);
-        self.hwp_ops_remaining -= batch;
-        sched.schedule_in(SimDuration::from_ns_f64(dur), PhaseEvent::HwpBatchDone);
-    }
-
-    fn schedule_lwp_batch(&mut self, node: usize, sched: &mut Scheduler<PhaseEvent>) {
-        let batch = self.lwp_ops_remaining[node].min(self.ops_per_event);
-        let dur = self.lwps[node].run_ops(batch);
-        self.lwp_ops_remaining[node] -= batch;
-        sched.schedule_in(
-            SimDuration::from_ns_f64(dur),
-            PhaseEvent::LwpBatchDone(node),
-        );
-    }
-
-    fn start_lwp_phase(&mut self, now: SimTime, sched: &mut Scheduler<PhaseEvent>) {
-        self.hwp_phase_end = Some(now);
-        if self.active_lwps == 0 {
-            self.finish = Some(now);
-            return;
-        }
-        for node in 0..self.lwp_ops_remaining.len() {
-            if self.lwp_ops_remaining[node] > 0 {
-                self.schedule_lwp_batch(node, sched);
-            }
-        }
-    }
-
-    /// Start the run: schedules the first batch (or ends immediately for empty work).
-    pub fn start(&mut self, sched: &mut Scheduler<PhaseEvent>) {
-        if self.hwp_ops_remaining > 0 {
-            self.schedule_hwp_batch(sched);
-        } else {
-            self.start_lwp_phase(SimTime::ZERO, sched);
-        }
-    }
-
-    /// Extract the result after the run finished.
-    pub fn result(&self, events: u64) -> QueueingResult {
-        let finish = self.finish.unwrap_or(SimTime::ZERO);
-        let hwp_end = self.hwp_phase_end.unwrap_or(finish);
-        let lwp_phase_ns = finish.saturating_since(hwp_end).as_ns_f64();
-        let mut lwp_merged = LwpStats::default();
-        let mut busy = Vec::with_capacity(self.lwps.len());
-        let mut idle = Vec::with_capacity(self.lwps.len());
-        for (i, l) in self.lwps.iter().enumerate() {
-            let s = l.stats();
-            lwp_merged.merge(&s);
-            busy.push(s.busy_ns);
-            let node_end = self.lwp_node_end[i].unwrap_or(hwp_end);
-            idle.push(finish.saturating_since(node_end).as_ns_f64());
-        }
-        QueueingResult {
-            makespan_ns: finish.as_ns_f64(),
-            hwp_phase_ns: hwp_end.as_ns_f64(),
-            lwp_phase_ns,
-            hwp: self.hwp.stats(),
-            lwp: lwp_merged,
-            lwp_busy_ns: busy,
-            lwp_idle_ns: idle,
-            events,
-        }
-    }
-}
-
-impl Model for QueueingModel {
-    type Event = PhaseEvent;
-
-    fn handle(&mut self, now: SimTime, event: PhaseEvent, sched: &mut Scheduler<PhaseEvent>) {
-        match event {
-            PhaseEvent::HwpBatchDone => {
-                if self.hwp_ops_remaining > 0 {
-                    self.schedule_hwp_batch(sched);
-                } else {
-                    self.start_lwp_phase(now, sched);
-                }
-            }
-            PhaseEvent::LwpBatchDone(node) => {
-                if self.lwp_ops_remaining[node] > 0 {
-                    self.schedule_lwp_batch(node, sched);
-                } else {
-                    self.lwp_node_end[node] = Some(now);
-                    self.active_lwps -= 1;
-                    if self.active_lwps == 0 {
-                        self.finish = Some(now);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Run a queuing model to completion and return its result.
+/// Run the queuing model for `partition` of the configured work under `mode`.
+///
+/// `ops_per_event` batches operations (1 = every operation quantized on its own);
+/// `seed` drives all stochastic draws.
 pub fn run_queueing(
     config: SystemConfig,
     partition: WorkPartition,
@@ -244,12 +113,45 @@ pub fn run_queueing(
     ops_per_event: u64,
     seed: u64,
 ) -> QueueingResult {
-    let model = QueueingModel::new(config, partition, mode, ops_per_event, seed);
-    let mut sim = Simulation::new(model);
-    sim.init(|m, sched| m.start(sched));
-    let report = sim.run();
-    let events = report.events_processed;
-    sim.model().result(events)
+    assert!(ops_per_event > 0, "ops_per_event must be positive");
+    config.assert_valid();
+    let (hwp_ops, lwp_threads) = match mode {
+        RunMode::Control => (partition.total_ops, Vec::new()),
+        RunMode::Test { nodes } => {
+            assert!(nodes > 0, "test mode needs at least one LWP node");
+            let split = ThreadPartition::new(partition.lwp_ops(), nodes, ThreadBalance::Uniform);
+            (partition.hwp_ops(), split.ops_per_node().to_vec())
+        }
+    };
+    let mut events = 0;
+    let mut hwp = HwpExecution::new(config, RandomStream::new(seed, 1));
+    let hwp_end =
+        SimTime::ZERO + run_batches(hwp_ops, ops_per_event, &mut events, |b| hwp.run_ops(b));
+    // A node with no work ends with the HWP phase; the run ends with the last node.
+    let mut lwp = LwpStats::default();
+    let mut busy = Vec::with_capacity(lwp_threads.len());
+    let mut node_end = Vec::with_capacity(lwp_threads.len());
+    for (i, &ops) in lwp_threads.iter().enumerate() {
+        let mut node = LwpExecution::new(config, RandomStream::new(seed, 100 + i as u64));
+        node_end.push(hwp_end + run_batches(ops, ops_per_event, &mut events, |b| node.run_ops(b)));
+        let stats = node.stats();
+        lwp.merge(&stats);
+        busy.push(stats.busy_ns);
+    }
+    let finish = node_end.iter().copied().fold(hwp_end, SimTime::max);
+    QueueingResult {
+        makespan_ns: finish.as_ns_f64(),
+        hwp_phase_ns: hwp_end.as_ns_f64(),
+        lwp_phase_ns: finish.saturating_since(hwp_end).as_ns_f64(),
+        hwp: hwp.stats(),
+        lwp,
+        lwp_busy_ns: busy,
+        lwp_idle_ns: node_end
+            .iter()
+            .map(|&end| finish.saturating_since(end).as_ns_f64())
+            .collect(),
+        events,
+    }
 }
 
 #[cfg(test)]

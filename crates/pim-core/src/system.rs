@@ -69,8 +69,7 @@ pub struct PartitionStudy {
 impl PartitionStudy {
     /// Create a study over the given configuration.
     pub fn new(config: SystemConfig) -> Self {
-        // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-        config.validate().expect("invalid system configuration");
+        config.assert_valid();
         PartitionStudy { config }
     }
 

@@ -9,7 +9,7 @@
 //! how rare remote accesses are.
 
 use crate::config::ParcelConfig;
-use desim::random::RandomStream;
+use desim::random::{BernoulliThreshold, RandomStream};
 
 /// A sampled run of local work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,26 +89,15 @@ impl LocalOpDist {
         if ops <= 64 {
             // Bulk form of `(0..ops).map(|_| self.sample_op(stream)).sum()`:
             // same draws in the same order, same left-to-right summation, so the
-            // result is bit-identical — but the uniforms come in one batch.
-            let p = self.p_local_mem;
+            // result is bit-identical. The decisions come first, as codes, then a
+            // table sums them without a data-dependent branch.
+            let op_cycles = [1.0, self.mem_cycles];
+            let mut codes = [0u8; 64];
+            let codes = &mut codes[..ops as usize];
+            stream.fill_bernoulli(BernoulliThreshold::new(self.p_local_mem), codes);
             let mut total = 0.0;
-            if p <= 0.0 {
-                // bernoulli(p <= 0) consumes no draw: every op is pure compute.
-                for _ in 0..ops {
-                    total += 1.0;
-                }
-            } else if p >= 1.0 {
-                // bernoulli(p >= 1) consumes no draw: every op touches memory.
-                for _ in 0..ops {
-                    total += self.mem_cycles;
-                }
-            } else {
-                let mut us = [0.0f64; 64];
-                let us = &mut us[..ops as usize];
-                stream.fill_uniform01(us);
-                for &u in us.iter() {
-                    total += if u < p { self.mem_cycles } else { 1.0 };
-                }
+            for &code in codes.iter() {
+                total += op_cycles[code as usize];
             }
             total
         } else {
@@ -248,16 +237,29 @@ mod tests {
 
     #[test]
     fn sample_total_bulk_path_matches_per_op_draws() {
-        // The batched-uniform path must replay exactly the per-op draw
-        // sequence: same values, same draw count, bit-identical sum.
-        let d = LocalOpDist::from_config(&config(0.2));
-        let mut bulk = RandomStream::new(11, 1);
-        let mut seq = RandomStream::new(11, 1);
-        for ops in [1u64, 2, 5, 33, 64] {
-            let a = d.sample_total(ops, &mut bulk);
-            let b: f64 = (0..ops).map(|_| d.sample_op(&mut seq)).sum();
-            assert_eq!(a.to_bits(), b.to_bits(), "ops={ops}");
-            assert_eq!(bulk.draws(), seq.draws());
+        // The raw-window path must replay exactly the per-op draw sequence:
+        // same values, same draw count, bit-identical sum — also when the local
+        // memory probability is exactly 0 (no memory mix) or 1 (no compute).
+        let all_memory = ParcelConfig {
+            mix: InstructionMix::with_memory_fraction(1.0),
+            ..config(0.2)
+        };
+        let no_memory = ParcelConfig {
+            mix: InstructionMix::with_memory_fraction(0.0),
+            ..config(0.2)
+        };
+        for c in [config(0.2), all_memory, no_memory] {
+            let d = LocalOpDist::from_config(&c);
+            let mut bulk = RandomStream::new(11, 1);
+            let mut seq = RandomStream::new(11, 1);
+            bulk.uniform01();
+            seq.uniform01();
+            for ops in [1u64, 2, 5, 31, 32, 33, 64] {
+                let a = d.sample_total(ops, &mut bulk);
+                let b: f64 = (0..ops).map(|_| d.sample_op(&mut seq)).sum();
+                assert_eq!(a.to_bits(), b.to_bits(), "ops={ops}");
+                assert_eq!(bulk.draws(), seq.draws());
+            }
         }
     }
 
