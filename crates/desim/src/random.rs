@@ -93,6 +93,19 @@ impl BernoulliThreshold {
     }
 }
 
+/// `ln(1 − p)`, the argument [`RandomStream::geometric_with_ln`] takes. Where
+/// `1.0 - p` rounds to 1 (`p` ≤ 2⁻⁵⁴) it is `ln_1p(−p)`, so a tiny but nonzero
+/// `p` keeps a nonzero logarithm instead of collapsing every draw to 0; every
+/// other `p` gets `(1.0 - p).ln()` bit for bit.
+pub fn ln_one_minus(p: f64) -> f64 {
+    let q = 1.0 - p;
+    if q == 1.0 {
+        (-p).ln_1p()
+    } else {
+        q.ln()
+    }
+}
+
 /// Mix a (seed, stream) pair into a single 64-bit seed using SplitMix64 steps.
 ///
 /// Public because it is *the* seed-derivation primitive of the workspace: every
@@ -276,15 +289,16 @@ impl RandomStream {
 
     /// Geometric variate: number of Bernoulli(p) failures before the first success.
     pub fn geometric(&mut self, p: f64) -> u64 {
-        self.geometric_with_ln(p, (1.0 - p).ln())
+        self.geometric_with_ln(p, ln_one_minus(p))
     }
 
-    /// [`Self::geometric`] with `(1.0 - p).ln()` precomputed by the caller, so
-    /// hot loops drawing many geometrics with a fixed `p` hoist the `ln`. The
+    /// [`Self::geometric`] with [`ln_one_minus`]`(p)` precomputed by the caller,
+    /// so hot loops drawing many geometrics with a fixed `p` hoist the `ln`. The
     /// quotient is evaluated exactly as in the recomputing form, so results are
     /// bit-identical.
     #[inline]
     pub fn geometric_with_ln(&mut self, p: f64, ln_one_minus_p: f64) -> u64 {
+        const TWO_POW_63: f64 = (1u64 << 63) as f64;
         assert!(p > 0.0 && p <= 1.0, "geometric parameter out of range: {p}");
         if p >= 1.0 {
             return 0;
@@ -295,7 +309,16 @@ impl RandomStream {
                 break u;
             }
         };
-        (u.ln() / ln_one_minus_p).floor() as u64
+        let x = u.ln() / ln_one_minus_p;
+        // On `[0, 2⁶³)` truncation through `i64` is `x.floor() as u64` without the
+        // `floor` call (a libm call on the baseline x86-64 target) and the
+        // saturating conversion. Larger, negative (a zero `ln_one_minus_p` gives
+        // −∞) and NaN quotients go through `x.floor() as u64` itself.
+        if (0.0..TWO_POW_63).contains(&x) {
+            x as i64 as u64
+        } else {
+            x.floor() as u64
+        }
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s` (rejection-free inverse CDF
@@ -494,14 +517,59 @@ mod tests {
 
     #[test]
     fn geometric_with_ln_matches_geometric() {
-        let mut a = RandomStream::new(0x9E0, 1);
-        let mut b = RandomStream::new(0x9E0, 1);
-        let p = 0.37_f64;
-        let ln_q = (1.0 - p).ln();
-        for _ in 0..500 {
-            assert_eq!(a.geometric(p), b.geometric_with_ln(p, ln_q));
+        // The old expression, on a third stream, is the oracle for the integer
+        // truncation: `floor() as u64` of the same quotient.
+        let oracle = |s: &mut RandomStream, ln_q: f64| {
+            let u = loop {
+                let u = s.uniform01();
+                if u > 0.0 {
+                    break u;
+                }
+            };
+            (u.ln() / ln_q).floor() as u64
+        };
+        let one_ulp_below_1 = 1.0 - f64::EPSILON / 2.0;
+        // 2⁻⁶²: `1.0 - p` rounds to 1, and the quotient passes 2⁶³ whenever
+        // `u < e⁻²`. A zero `ln` (what `(1.0 - p).ln()` gives there) makes the
+        // quotient −∞.
+        let tiny = 2f64.powi(-62);
+        for (p, ln_q) in [
+            (0.37, (1.0 - 0.37f64).ln()),
+            (1e-12, (1.0 - 1e-12f64).ln()),
+            (one_ulp_below_1, (1.0 - one_ulp_below_1).ln()),
+            (tiny, (-tiny).ln_1p()),
+            (1e-18, (-1e-18f64).ln_1p()),
+            (tiny, 0.0),
+        ] {
+            let mut a = RandomStream::new(0x9E0, 1);
+            let mut b = RandomStream::new(0x9E0, 1);
+            let mut c = RandomStream::new(0x9E0, 1);
+            let mut passed_2_63 = 0;
+            for _ in 0..500 {
+                let want = oracle(&mut c, ln_q);
+                passed_2_63 += usize::from(want >= 1 << 63);
+                assert_eq!(b.geometric_with_ln(p, ln_q), want, "p = {p:e}");
+                if ln_q == ln_one_minus(p) {
+                    assert_eq!(a.geometric(p), want, "p = {p:e}");
+                }
+            }
+            assert_eq!(b.draws(), c.draws());
+            if ln_q == ln_one_minus(p) {
+                assert_eq!(a.draws(), b.draws());
+            }
+            if p == tiny && ln_q != 0.0 {
+                assert!(passed_2_63 > 0, "no quotient reached 2^63");
+            }
         }
-        assert_eq!(a.draws(), b.draws());
+        // Below 2⁻⁵⁴ a draw is a failure run of about 1/p, not the 0 that
+        // `(1.0 - p).ln() == 0` would force.
+        let mut s = RandomStream::new(0x9E1, 1);
+        let mean = (0..1000).map(|_| s.geometric(1e-18) as f64).sum::<f64>() / 1000.0;
+        assert!((0.8e18..1.2e18).contains(&mean), "mean {mean:e}");
+        // Every other p keeps the bits of the old `(1.0 - p).ln()`.
+        for p in [0.37, 1e-12, 2f64.powi(-53), one_ulp_below_1, 1.0] {
+            assert_eq!(ln_one_minus(p).to_bits(), (1.0 - p).ln().to_bits());
+        }
     }
 
     #[test]

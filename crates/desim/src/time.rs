@@ -129,7 +129,7 @@ impl SimDuration {
         if ns <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ns * TICKS_PER_NS as f64).round() as u64)
+        SimDuration(round_ticks(ns * TICKS_PER_NS as f64))
     }
 
     /// Construct from microseconds.
@@ -243,6 +243,23 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `ticks.round() as u64`, bit for bit, without the `round` call and the
+/// saturating conversion on the common path (on the baseline x86-64 target
+/// `f64::round` is a libm call). For `0 < ticks < 2⁵²` truncation is the floor
+/// and `ticks - floor` is exact, so adding one at a fraction of at least ½ is
+/// Rust's half-away-from-zero rounding. Every other value — larger, zero,
+/// negative, infinite or NaN — goes through `ticks.round() as u64` itself.
+#[inline]
+fn round_ticks(ticks: f64) -> u64 {
+    const TWO_POW_52: f64 = (1u64 << 52) as f64;
+    if ticks > 0.0 && ticks < TWO_POW_52 {
+        let floor = ticks as i64;
+        (floor + i64::from(ticks - floor as f64 >= 0.5)) as u64
+    } else {
+        ticks.round() as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +312,59 @@ mod tests {
         assert_eq!(SimDuration::from_ns_f64(0.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ns_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ns_f64(2.0), SimDuration::from_ns(2));
+
+        // The integer rounding must equal the float expressions, kept as oracles.
+        let old_from_ns = |ns: f64| {
+            if ns <= 0.0 {
+                0
+            } else {
+                (ns * TICKS_PER_NS as f64).round() as u64
+            }
+        };
+        let old_round = |ticks: f64| ticks.round() as u64;
+        // Log-uniform `ns` over 1e-12 ..= 1e20 from a pinned stream.
+        let mut s = crate::random::RandomStream::new(0x71C5, 1);
+        for _ in 0..200_000 {
+            let ns = 10f64.powf(s.uniform(-12.0, 20.0));
+            let got = SimDuration::from_ns_f64(ns).ticks();
+            assert_eq!(got, old_from_ns(ns), "ns = {ns:e}");
+        }
+        // Every small tie and its one-ulp neighbours, where the half-way rule decides.
+        for k in 0..4096u32 {
+            let tie = f64::from(k) + 0.5;
+            for ticks in [tie.next_down(), tie, tie.next_up()] {
+                assert_eq!(round_ticks(ticks), old_round(ticks), "ticks = {ticks:e}");
+            }
+        }
+        // Both sides of the switch to the float path at 2⁵², saturation, and the
+        // values the integer path must leave alone.
+        let p52 = (1u64 << 52) as f64;
+        for ticks in [
+            p52 - 1.0,
+            p52 - 0.5,
+            p52,
+            p52 + 1.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.0,
+            -0.0,
+            -0.5,
+            -2.5,
+            -1e300,
+            0.5f64.next_down(),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+        ] {
+            assert_eq!(round_ticks(ticks), old_round(ticks), "ticks = {ticks:e}");
+            let ns = ticks / TICKS_PER_NS as f64;
+            let got = SimDuration::from_ns_f64(ns).ticks();
+            assert_eq!(got, old_from_ns(ns), "ns = {ns:e}");
+        }
     }
 
     #[test]

@@ -70,29 +70,39 @@ pub fn validate(
     sim_mode: EvalMode,
     threads: usize,
 ) -> ValidationReport {
-    validation_from_sweep(config, &run_sweep(config, spec, sim_mode, threads))
+    let sweep = run_sweep(config, spec, sim_mode, threads);
+    let simulated: Vec<f64> = sweep.points.iter().map(|p| p.test_ns).collect();
+    validation_from_sweep(config, spec, &simulated)
 }
 
-/// The comparison half of [`validate`]: score an already-evaluated sweep against the
-/// closed form. Split out so callers that schedule the sweep's points themselves
-/// (e.g. the `pim-harness` batch runner) can reuse the identical error computation.
+/// The comparison half of [`validate`]: score simulated test-system times, one per
+/// point of `spec` in [`SweepSpec::points`] order, against the closed form. Split
+/// out so callers that schedule the sweep's points themselves (e.g. the
+/// `pim-harness` batch runner, which simulates only the test system) can reuse the
+/// identical error computation.
 pub fn validation_from_sweep(
     config: SystemConfig,
-    sweep: &pim_core::experiment::SweepResult,
+    spec: &SweepSpec,
+    simulated_ns: &[f64],
 ) -> ValidationReport {
+    assert_eq!(
+        simulated_ns.len(),
+        spec.len(),
+        "one simulated time per sweep point"
+    );
     let analytic = AnalyticModel::new(config);
-    let mut rows = Vec::with_capacity(sweep.points.len());
-    for p in &sweep.points {
-        let a = analytic.test_time_ns(p.nodes as f64, p.lwp_fraction);
-        let err = if p.test_ns > 0.0 {
-            (a - p.test_ns).abs() / p.test_ns
+    let mut rows = Vec::with_capacity(simulated_ns.len());
+    for ((nodes, wl), &simulated) in spec.points().into_iter().zip(simulated_ns) {
+        let a = analytic.test_time_ns(nodes as f64, wl);
+        let err = if simulated > 0.0 {
+            (a - simulated).abs() / simulated
         } else {
             0.0
         };
         rows.push(ValidationRow {
-            nodes: p.nodes,
-            lwp_fraction: p.lwp_fraction,
-            simulated_ns: p.test_ns,
+            nodes,
+            lwp_fraction: wl,
+            simulated_ns: simulated,
             analytic_ns: a,
             relative_error: err,
         });

@@ -136,23 +136,35 @@ impl PartitionStudy {
         }
     }
 
+    /// The test-system time (ns) of one `(nodes, %WL)` point under `mode`, without
+    /// the control system: bit for bit [`Self::evaluate`]`(nodes, wl, mode).test_ns`,
+    /// for callers that read only the test time.
+    pub fn evaluate_test_ns(&self, nodes: usize, wl: f64, mode: EvalMode) -> f64 {
+        match mode {
+            EvalMode::Expected => self.expected_test_ns(nodes, wl),
+            EvalMode::Simulated {
+                sim_ops,
+                ops_per_event,
+                seed,
+            } => self.simulate_test_ns(nodes, wl, sim_ops, ops_per_event, seed.wrapping_add(1)),
+        }
+    }
+
     /// Evaluate one `(nodes, %WL)` point under `mode`.
     ///
     /// `relative_time` is normalized to the *expected* control time (the paper's
     /// normalization for Figure 7: "time to solution normalized to that of the HWP
     /// alone performing only high temporal locality work").
     pub fn evaluate(&self, nodes: usize, wl: f64, mode: EvalMode) -> TradeoffPoint {
-        let (control_ns, test_ns) = match mode {
-            EvalMode::Expected => (self.expected_control_ns(), self.expected_test_ns(nodes, wl)),
+        let control_ns = match mode {
+            EvalMode::Expected => self.expected_control_ns(),
             EvalMode::Simulated {
                 sim_ops,
                 ops_per_event,
                 seed,
-            } => (
-                self.simulate_control_ns(sim_ops, ops_per_event, seed),
-                self.simulate_test_ns(nodes, wl, sim_ops, ops_per_event, seed.wrapping_add(1)),
-            ),
+            } => self.simulate_control_ns(sim_ops, ops_per_event, seed),
         };
+        let test_ns = self.evaluate_test_ns(nodes, wl, mode);
         TradeoffPoint {
             nodes,
             lwp_fraction: wl,
@@ -205,6 +217,10 @@ mod tests {
         let s = PartitionStudy::table1();
         let e = s.evaluate(16, 0.7, EvalMode::Expected);
         let m = s.evaluate(16, 0.7, EvalMode::sampled(99));
+        // The test-only entry is bit for bit the full point's test time.
+        let test_only = |mode| s.evaluate_test_ns(16, 0.7, mode).to_bits();
+        assert_eq!(test_only(EvalMode::Expected), e.test_ns.to_bits());
+        assert_eq!(test_only(EvalMode::sampled(99)), m.test_ns.to_bits());
         assert!(
             (m.gain - e.gain).abs() / e.gain < 0.05,
             "simulated gain {} vs expected {}",

@@ -44,8 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// unreachable rather than wrong. Independent of
 /// [`crate::report::MANIFEST_SCHEMA_VERSION`] (the manifest is about batch
 /// reporting, not entry semantics): manifest v3 added the shard block without
-/// touching unit outputs, so entries written at manifest v2 stay valid.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+/// touching unit outputs, so entries written at manifest v2 stay valid. v3: the
+/// `figure6` and `validation` units return the test-system time alone instead of
+/// a whole `TradeoffPoint`, under unchanged keys.
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// Name of the cache-format marker file at the cache root.
 const FORMAT_FILE: &str = "cache-format.json";

@@ -5,6 +5,11 @@
 //! replication), reproducing exactly the seed streams the in-crate sweeps
 //! (`pim_core::run_sweep`, `desim::replication::replicate`) would use — the golden
 //! files pin this equivalence.
+//!
+//! A unit simulates only what its report reads. Figure 5's gain needs the control and
+//! the test system (`PartitionStudy::evaluate`); Figure 6 and the validation compare
+//! test-system times only, so their units run `PartitionStudy::evaluate_test_ns` and
+//! return that one time — bit for bit the full point's `test_ns`.
 
 use crate::cache::UnitKeyer;
 use crate::report::{ScenarioReport, Table};
@@ -13,7 +18,7 @@ use desim::replication::{replication_seed, ReplicationSummary};
 use desim::stats::ConfidenceLevel;
 use pim_analytic::validation_from_sweep;
 use pim_core::prelude::*;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Operations actually simulated per design point (rescaled to the Table 1 total).
 const SIM_OPS: u64 = 400_000;
@@ -29,13 +34,22 @@ fn simulated_mode(seed: u64) -> EvalMode {
 }
 
 /// Build a per-point plan for a simulated `(N, %WL)` sweep: one unit per grid point
-/// (seeded exactly as `run_sweep` would via [`point_eval_mode`]), with `finish`
-/// turning the reassembled [`SweepResult`] into the scenario's report. Units are
-/// keyed by grid index under `keyer`, so batches with a `--cache` serve unchanged
-/// points from the unit-result cache.
-fn sweep_plan<'s, F>(keyer: UnitKeyer, seed: u64, spec: SweepSpec, finish: F) -> ScenarioPlan<'s>
+/// running `eval` on the Table 1 study (seeded exactly as `run_sweep` would via
+/// [`point_eval_mode`]), with `finish` turning the grid and the unit outputs, in
+/// [`SweepSpec::points`] order, into the scenario's report. Units are keyed by grid
+/// index under `keyer`, so batches with a `--cache` serve unchanged points from the
+/// unit-result cache.
+fn sweep_plan<'s, U, E, F>(
+    keyer: UnitKeyer,
+    seed: u64,
+    spec: SweepSpec,
+    eval: E,
+    finish: F,
+) -> ScenarioPlan<'s>
 where
-    F: FnOnce(SweepResult) -> ScenarioReport + Send + 's,
+    U: Serialize + Deserialize + Send + 'static,
+    E: Fn(&PartitionStudy, usize, f64, EvalMode) -> U + Copy + Send + 's,
+    F: FnOnce(SweepSpec, Vec<U>) -> ScenarioReport + Send + 's,
 {
     let mode = simulated_mode(seed);
     let units: Vec<_> = spec
@@ -44,17 +58,12 @@ where
         .enumerate()
         .map(|(i, (n, wl))| {
             (keyer.key(i, 0), move || {
-                PartitionStudy::new(SystemConfig::table1()).evaluate(
-                    n,
-                    wl,
-                    point_eval_mode(mode, i),
-                )
+                let study = PartitionStudy::new(SystemConfig::table1());
+                eval(&study, n, wl, point_eval_mode(mode, i))
             })
         })
         .collect();
-    ScenarioPlan::cached_map_reduce(units, move |points: Vec<TradeoffPoint>| {
-        finish(SweepResult { spec, points })
-    })
+    ScenarioPlan::cached_map_reduce(units, move |outputs| finish(spec, outputs))
 }
 
 fn sweep_params(spec: &SweepSpec) -> Value {
@@ -96,9 +105,9 @@ fn figure5_table(name: &str, sweep: &SweepResult) -> Table {
 }
 
 /// Figure 6's wide layout — one `nodes` row, one `rt_ns_wlP` column per `%WL` — built
-/// directly from the sweep points.
-fn figure6_table(name: &str, sweep: &SweepResult) -> Table {
-    let spec = &sweep.spec;
+/// directly from the test-system times, which come in row-major
+/// [`SweepSpec::points`] order: one chunk of `%WL` columns per node count.
+fn figure6_table(name: &str, spec: &SweepSpec, test_ns: &[f64]) -> Table {
     let mut columns = vec!["nodes".to_string()];
     columns.extend(
         spec.lwp_fractions
@@ -108,11 +117,10 @@ fn figure6_table(name: &str, sweep: &SweepResult) -> Table {
     let rows = spec
         .node_counts
         .iter()
-        .map(|&n| {
+        .zip(test_ns.chunks(spec.lwp_fractions.len()))
+        .map(|(&n, times)| {
             let mut row = vec![Value::U64(n as u64)];
-            for &wl in &spec.lwp_fractions {
-                row.push(Value::F64(point_value(sweep, n, wl, |p| p.test_ns)));
-            }
+            row.extend(times.iter().map(|&t| Value::F64(t)));
             row
         })
         .collect();
@@ -144,11 +152,18 @@ impl Scenario for Figure5 {
         let seed = seeds.scenario_seed(self.name());
         let keyer = UnitKeyer::for_scenario(self, seeds);
         let (name, description, params) = (self.name(), self.description(), self.params());
-        sweep_plan(keyer, seed, SweepSpec::extended(), move |sweep| {
-            ScenarioReport::new(name, description, seed, params)
-                .with_metric("max_gain", sweep.max_gain())
-                .with_table(figure5_table(name, &sweep))
-        })
+        sweep_plan(
+            keyer,
+            seed,
+            SweepSpec::extended(),
+            PartitionStudy::evaluate,
+            move |spec, points| {
+                let sweep = SweepResult { spec, points };
+                ScenarioReport::new(name, description, seed, params)
+                    .with_metric("max_gain", sweep.max_gain())
+                    .with_table(figure5_table(name, &sweep))
+            },
+        )
     }
 }
 
@@ -173,12 +188,23 @@ impl Scenario for Figure6 {
         let seed = seeds.scenario_seed(self.name());
         let keyer = UnitKeyer::for_scenario(self, seeds);
         let (name, description, params) = (self.name(), self.description(), self.params());
-        sweep_plan(keyer, seed, SweepSpec::figure5_6(), move |sweep| {
-            let worst = sweep.point(1, 1.0).map(|p| p.test_ns).unwrap_or(f64::NAN);
-            ScenarioReport::new(name, description, seed, params)
-                .with_metric("response_ns_n1_wl100", worst)
-                .with_table(figure6_table(name, &sweep))
-        })
+        sweep_plan(
+            keyer,
+            seed,
+            SweepSpec::figure5_6(),
+            PartitionStudy::evaluate_test_ns,
+            move |spec, test_ns| {
+                let worst = spec
+                    .points()
+                    .into_iter()
+                    .zip(&test_ns)
+                    .find(|&((n, wl), _)| n == 1 && (wl - 1.0).abs() < 1e-9)
+                    .map_or(f64::NAN, |(_, &t)| t);
+                ScenarioReport::new(name, description, seed, params)
+                    .with_metric("response_ns_n1_wl100", worst)
+                    .with_table(figure6_table(name, &spec, &test_ns))
+            },
+        )
     }
 }
 
@@ -244,37 +270,43 @@ impl Scenario for Validation {
         let seed = seeds.scenario_seed(self.name());
         let keyer = UnitKeyer::for_scenario(self, seeds);
         let (name, description, params) = (self.name(), self.description(), self.params());
-        sweep_plan(keyer, seed, SweepSpec::figure5_6(), move |sweep| {
-            let report = validation_from_sweep(SystemConfig::table1(), &sweep);
-            let rows = report
-                .rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        Value::U64(r.nodes as u64),
-                        Value::F64(r.lwp_fraction * 100.0),
-                        Value::F64(r.simulated_ns),
-                        Value::F64(r.analytic_ns),
-                        Value::F64(r.relative_error * 100.0),
-                    ]
-                })
-                .collect();
-            let table = Table {
-                name: name.to_string(),
-                columns: vec![
-                    "nodes".into(),
-                    "pct_lwp".into(),
-                    "simulated_ns".into(),
-                    "analytic_ns".into(),
-                    "rel_error_pct".into(),
-                ],
-                rows,
-            };
-            ScenarioReport::new(name, description, seed, params)
-                .with_metric("mean_relative_error", report.mean_relative_error)
-                .with_metric("max_relative_error", report.max_relative_error)
-                .with_table(table)
-        })
+        sweep_plan(
+            keyer,
+            seed,
+            SweepSpec::figure5_6(),
+            PartitionStudy::evaluate_test_ns,
+            move |spec, test_ns| {
+                let report = validation_from_sweep(SystemConfig::table1(), &spec, &test_ns);
+                let rows = report
+                    .rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            Value::U64(r.nodes as u64),
+                            Value::F64(r.lwp_fraction * 100.0),
+                            Value::F64(r.simulated_ns),
+                            Value::F64(r.analytic_ns),
+                            Value::F64(r.relative_error * 100.0),
+                        ]
+                    })
+                    .collect();
+                let table = Table {
+                    name: name.to_string(),
+                    columns: vec![
+                        "nodes".into(),
+                        "pct_lwp".into(),
+                        "simulated_ns".into(),
+                        "analytic_ns".into(),
+                        "rel_error_pct".into(),
+                    ],
+                    rows,
+                };
+                ScenarioReport::new(name, description, seed, params)
+                    .with_metric("mean_relative_error", report.mean_relative_error)
+                    .with_metric("max_relative_error", report.max_relative_error)
+                    .with_table(table)
+            },
+        )
     }
 }
 

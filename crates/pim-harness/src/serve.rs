@@ -32,7 +32,10 @@
 //! occupancy and closes the connection, so overload degrades into fast, honest
 //! rejections instead of unbounded thread growth. Every accepted socket carries a
 //! `--timeout-ms` read/write deadline — a client that connects and goes silent
-//! costs one worker for at most one deadline, then gets a `408`.
+//! costs one worker for at most one deadline, then gets a `408`. A failed
+//! `accept()` — descriptors exhausted by such a flood — is retried after a
+//! backoff (10 ms doubling to 1 s, reset by the next success) instead of ending
+//! the daemon.
 //!
 //! Shutdown is a **graceful drain**: a SIGTERM/SIGINT (when the embedder enables
 //! [`ServeOptions::handle_signals`]) or a [`DrainHandle::request_drain`] stops
@@ -91,6 +94,11 @@ pub const METRICS_SCHEMA_VERSION: u64 = 1;
 /// The internal status label for requests whose client vanished mid-run
 /// (nothing was written back). Follows nginx's convention for the same case.
 const STATUS_CLIENT_GONE: u16 = 499;
+
+/// First and longest pause before the acceptor retries a failed `accept()`; the
+/// pause doubles on each consecutive failure and resets on the next success.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Configuration for [`SweepServer::bind`].
 pub struct ServeOptions {
@@ -437,7 +445,9 @@ impl SweepServer {
     /// is requested (via [`DrainHandle::request_drain`] or, with
     /// [`ServeOptions::handle_signals`], SIGTERM/SIGINT), then let queued and
     /// in-flight requests finish up to the drain deadline and return the
-    /// [`DrainSummary`]. An `Err` is only a listener failure.
+    /// [`DrainSummary`]. A failed `accept()` is retried with a backoff of
+    /// 10 ms doubling to 1 s; an `Err` is only an `accept()` failure after a
+    /// drain was requested.
     pub fn serve_forever(&self) -> Result<DrainSummary, String> {
         let state = &self.state;
         // workers + the rejector: all must exit for a clean drain.
@@ -481,11 +491,26 @@ impl SweepServer {
             });
         }
 
+        let mut backoff = ACCEPT_BACKOFF_MIN;
         loop {
             let stream = match self.listener.accept() {
-                Ok(stream) => stream,
+                Ok(stream) => {
+                    backoff = ACCEPT_BACKOFF_MIN;
+                    stream
+                }
+                Err(e) if !state.draining.load(Ordering::SeqCst) => {
+                    // Running out of descriptors (EMFILE under a connection
+                    // flood) or an aborted handshake is transient: the
+                    // workers' deadlines free descriptors again. Back off and
+                    // retry instead of ending the daemon.
+                    if state.log {
+                        eprintln!("serve: accept: {e}; retrying in {backoff:?}");
+                    }
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                    continue;
+                }
                 Err(e) => {
-                    state.draining.store(true, Ordering::SeqCst);
                     state.queue.close();
                     state.reject.close();
                     return Err(format!("accept: {e}"));

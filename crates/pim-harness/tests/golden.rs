@@ -176,8 +176,18 @@ fn golden_figure5() {
 }
 
 #[test]
+fn golden_figure6() {
+    check_golden("figure6");
+}
+
+#[test]
 fn golden_figure11() {
     check_golden("figure11");
+}
+
+#[test]
+fn golden_figure12() {
+    check_golden("figure12");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! how rare remote accesses are.
 
 use crate::config::ParcelConfig;
-use desim::random::{BernoulliThreshold, RandomStream};
+use desim::random::{ln_one_minus, BernoulliThreshold, RandomStream};
 
 /// A sampled run of local work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +26,9 @@ pub struct Run {
 pub struct LocalOpDist {
     /// Probability that a local operation is a local memory access (vs pure compute).
     p_local_mem: f64,
+    /// `p_local_mem` as a raw-word threshold, for the bulk path of
+    /// [`Self::sample_total`].
+    local_mem: BernoulliThreshold,
     /// Cycles for a local memory access.
     mem_cycles: f64,
     /// Mean cycles per local operation.
@@ -44,6 +47,7 @@ impl LocalOpDist {
         if denom <= 0.0 {
             return LocalOpDist {
                 p_local_mem: 0.0,
+                local_mem: BernoulliThreshold::new(0.0),
                 mem_cycles: config.local_memory_cycles,
                 mean: 0.0,
                 std_dev: 0.0,
@@ -55,6 +59,7 @@ impl LocalOpDist {
         let var = (1.0 - p) * (1.0 - mean) * (1.0 - mean) + p * (m - mean) * (m - mean);
         LocalOpDist {
             p_local_mem: p,
+            local_mem: BernoulliThreshold::new(p),
             mem_cycles: m,
             mean,
             std_dev: var.sqrt(),
@@ -94,7 +99,7 @@ impl LocalOpDist {
             let op_cycles = [1.0, self.mem_cycles];
             let mut codes = [0u8; 64];
             let codes = &mut codes[..ops as usize];
-            stream.fill_bernoulli(BernoulliThreshold::new(self.p_local_mem), codes);
+            stream.fill_bernoulli(self.local_mem, codes);
             let mut total = 0.0;
             for &code in codes.iter() {
                 total += op_cycles[code as usize];
@@ -112,7 +117,7 @@ impl LocalOpDist {
 #[derive(Debug)]
 pub struct RunSampler {
     p_remote: f64,
-    /// `(1 - p_remote).ln()`, hoisted out of the per-run geometric draw.
+    /// [`ln_one_minus`]`(p_remote)`, hoisted out of the per-run geometric draw.
     ln_one_minus_p: f64,
     local: LocalOpDist,
 }
@@ -123,7 +128,7 @@ impl RunSampler {
         let p_remote = config.remote_prob_per_op();
         RunSampler {
             p_remote,
-            ln_one_minus_p: (1.0 - p_remote).ln(),
+            ln_one_minus_p: ln_one_minus(p_remote),
             local: LocalOpDist::from_config(config),
         }
     }
@@ -304,13 +309,18 @@ mod tests {
 
     #[test]
     fn zero_remote_probability_fills_the_horizon() {
-        let c = config(0.0);
-        let r = RunSampler::new(&c);
-        let mut s = RandomStream::new(5, 1);
-        let (run, ended_remote) = r.sample_run(10_000.0, &mut s);
-        assert!(!ended_remote);
-        assert!((run.cycles - 10_000.0).abs() < 1e-9);
-        assert!(run.ops > 0);
+        // A remote fraction of 1e-18 puts `p_remote` below 2⁻⁵⁴, where
+        // `1.0 - p` rounds to 1: its runs must still fill the horizon, not
+        // collapse to zero-length runs that end in a remote access.
+        for remote in [0.0, 1e-18] {
+            let c = config(remote);
+            let r = RunSampler::new(&c);
+            let mut s = RandomStream::new(5, 1);
+            let (run, ended_remote) = r.sample_run(10_000.0, &mut s);
+            assert!(!ended_remote, "remote = {remote:e}");
+            assert!((run.cycles - 10_000.0).abs() < 1e-9, "remote = {remote:e}");
+            assert!(run.ops > 0, "remote = {remote:e}");
+        }
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! real sockets: a served preset spec is byte-identical to `run --spec` output
 //! (cold and warm), and SIGKILLing the daemon mid-request leaves the shared
 //! cache unpoisoned — a subsequent CLI run over the same directory completes
-//! with zero recomputations and byte-identical artifacts.
+//! with zero recomputations and byte-identical artifacts. A daemon that runs out
+//! of file descriptors keeps serving once its deadlines free some.
 
 use std::io::BufRead;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 use tiny_http::client;
 
 fn bin() -> Command {
@@ -44,6 +47,13 @@ fn preset_spec() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs/node_scaling.json")
 }
 
+/// The `serve` arguments of a test daemon: an OS-assigned port, no request log.
+fn serve_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec!["serve", "--addr", "127.0.0.1:0", "--quiet", "1"];
+    args.extend_from_slice(extra);
+    args
+}
+
 /// The daemon under test; killed (and reaped) on drop so a failing assertion
 /// never leaks a listener.
 struct Daemon {
@@ -65,14 +75,15 @@ impl Daemon {
     }
 
     fn start_with(extra: &[&str], stderr: Stdio) -> Daemon {
-        let mut child = bin()
-            .arg("serve")
-            .args(["--addr", "127.0.0.1:0", "--quiet", "1"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(stderr)
-            .spawn()
-            .expect("daemon starts");
+        let mut cmd = bin();
+        cmd.args(serve_args(extra)).stderr(stderr);
+        Daemon::spawn(cmd)
+    }
+
+    /// Run `cmd`, which starts a daemon, and parse the bound address from its
+    /// first stdout line.
+    fn spawn(mut cmd: Command) -> Daemon {
+        let mut child = cmd.stdout(Stdio::piped()).spawn().expect("daemon starts");
         let stdout = child.stdout.take().expect("stdout piped");
         let mut line = String::new();
         std::io::BufReader::new(stdout)
@@ -91,6 +102,11 @@ impl Daemon {
 
     fn pid(&self) -> u32 {
         self.child.as_ref().expect("daemon alive").id()
+    }
+
+    fn is_running(&mut self) -> bool {
+        let child = self.child.as_mut().expect("daemon alive");
+        child.try_wait().expect("daemon status").is_none()
     }
 
     fn kill(&mut self) {
@@ -250,4 +266,43 @@ fn sigkill_mid_request_leaves_the_cache_unpoisoned() {
         "artifact over the interrupted cache differs from the cache-free reference"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn daemon_survives_descriptor_exhaustion() {
+    // 32 descriptors, and more idle connections than that: accept() fails with
+    // EMFILE until the 200 ms read deadline reaps idle sockets. The daemon must
+    // ride that out and answer again, not exit on the first failed accept.
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -n 32 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
+        .args(serve_args(&["--workers", "2", "--timeout-ms", "200"]))
+        .stderr(Stdio::null());
+    let mut daemon = Daemon::spawn(cmd);
+    // A daemon that dies of the first EMFILE refuses the later connections.
+    let idle: Vec<TcpStream> = (0..64)
+        .map_while(|_| TcpStream::connect(&daemon.addr).ok())
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(
+            daemon.is_running(),
+            "daemon exited while its descriptors were exhausted"
+        );
+        // Queued behind the idle connections, a probe may also get a 503
+        // (queue full) or a 408; only a 200 proves the daemon is serving.
+        let answered = client::request(&daemon.addr, "GET", "/healthz", &[], b"")
+            .is_ok_and(|r| r.status == 200);
+        if answered {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no /healthz 200 within 60 s of exhausting the daemon's descriptors"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(daemon.is_running());
+    drop(idle);
 }
