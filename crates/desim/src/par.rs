@@ -16,7 +16,15 @@
 //! the output is byte-identical for every thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{LockResult, Mutex};
+
+/// The guard (or value) of a lock or condition-variable wait. A poisoned lock
+/// means a thread already panicked while holding it; that panic is propagated
+/// here rather than recovered from. This is the workspace's one lock rule.
+pub fn unpoisoned<G>(result: LockResult<G>) -> G {
+    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+    result.expect("no worker panicked")
+}
 
 /// Number of worker threads to use when the caller does not care: one per available
 /// core (falling back to 4 when the parallelism cannot be queried).
@@ -78,10 +86,7 @@ where
             });
         }
     });
-    slots
-        .into_inner()
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        .expect("no worker panicked")
+    unpoisoned(slots.into_inner())
         .into_iter()
         // audit:allow(unwrap-in-library): the claim counter hands each index to exactly one worker
         .map(|slot| slot.expect("every index was claimed exactly once"))
@@ -93,8 +98,7 @@ fn flush<U>(slots: &Mutex<Vec<Option<U>>>, local: &mut Vec<(usize, U)>) {
     if local.is_empty() {
         return;
     }
-    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-    let mut guard = slots.lock().expect("no worker panicked");
+    let mut guard = unpoisoned(slots.lock());
     for (i, value) in local.drain(..) {
         debug_assert!(guard[i].is_none(), "index {i} claimed twice");
         guard[i] = Some(value);
@@ -142,6 +146,22 @@ mod tests {
         });
         assert_eq!(got[0], (0..50_000u64).sum::<u64>());
         assert_eq!(got[1..], items[1..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no worker panicked")]
+    fn a_poisoned_lock_propagates_the_panic() {
+        let lock = Mutex::new(0u32);
+        let worker = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = lock.lock();
+                    panic!("worker died holding the lock");
+                })
+                .join()
+        });
+        assert!(worker.is_err());
+        let _guard = unpoisoned(lock.lock());
     }
 
     #[test]

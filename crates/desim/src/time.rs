@@ -163,18 +163,21 @@ impl SimDuration {
     }
 }
 
+/// Additions saturate at `u64::MAX` ticks: a time or duration past the end of
+/// representable time stays there (beyond every horizon) instead of wrapping
+/// back to the start.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -199,14 +202,14 @@ impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -304,6 +307,20 @@ mod tests {
             SimDuration::from_ns(1) - SimDuration::from_ns(2),
             SimDuration::ZERO
         );
+        // Sums past the top of the range stay there instead of wrapping.
+        let near_end = SimTime::from_ticks(u64::MAX - 3);
+        let big = SimDuration::from_ticks(u64::MAX - 1);
+        assert_eq!(near_end + SimDuration::from_ticks(3), SimTime::MAX);
+        assert_eq!(near_end + big, SimTime::MAX);
+        let mut t = near_end;
+        t += big;
+        assert_eq!(t, SimTime::MAX);
+        assert_eq!(big + big, SimDuration::from_ticks(u64::MAX));
+        let mut d = big;
+        d += SimDuration::from_ticks(2);
+        assert_eq!(d, SimDuration::from_ticks(u64::MAX));
+        let total: SimDuration = [big, big, big].into_iter().sum();
+        assert_eq!(total, SimDuration::from_ticks(u64::MAX));
     }
 
     #[test]

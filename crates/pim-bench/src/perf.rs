@@ -248,7 +248,12 @@ fn bench_scenarios(opts: &PerfOptions) -> Value {
             let plan = scenario.plan(&seeds);
             let units = plan.unit_count();
             let start = Instant::now();
-            let report = run_plan(plan, opts.jobs);
+            let outcome = UnitPool::new(opts.jobs)
+                .run_plans_cached(vec![plan], None)
+                .ok()
+                .and_then(|mut outcomes| outcomes.pop());
+            // audit:allow(unwrap-in-library): a benchmark trajectory aborts on the first failed batch by design
+            let report = outcome.expect("per-scenario batch runs").report;
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(report.scenario, scenario.name());
             per_scenario.push(map(vec![

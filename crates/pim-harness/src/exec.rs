@@ -1,29 +1,30 @@
 //! The work-stealing plan executor.
 //!
-//! [`run_plans`] flattens the units of every requested [`ScenarioPlan`] into one
-//! global work list and lets up to `jobs` workers claim units from a shared atomic
-//! index. Scheduling *units* (grid points) rather than whole scenarios is what keeps
-//! every worker busy to the end of a batch: under the old scenario-granular runner
-//! the slowest scenario (Figure 12's 56-point grid) serialized the batch tail on a
-//! single worker while the rest sat idle.
+//! A [`UnitPool`] runs plans: it flattens the units of every requested
+//! [`ScenarioPlan`] into one global work list and lets up to `jobs` workers claim
+//! units from `desim::par`'s shared atomic index. Scheduling *units* (grid points)
+//! rather than whole scenarios is what keeps every worker busy to the end of a
+//! batch: under the old scenario-granular runner the slowest scenario (Figure 12's
+//! 56-point grid) serialized the batch tail on a single worker while the rest sat
+//! idle.
 //!
 //! Determinism: unit outputs are written back by flattened index and handed to each
 //! plan's assembly step in unit order, and every unit derives its randomness from
 //! plan-time values (scenario seed + grid index) — so reports are byte-identical for
 //! any `jobs` value, including `1`.
 //!
-//! Incremental execution: [`run_plans_cached`] additionally consults a persistent
-//! [`UnitCache`] *before* a worker runs a claimed unit and writes the result back on
-//! completion. Because a unit's cache key is derived entirely from plan-time values
-//! and entry publication is an atomic rename, hit/miss behaviour is independent of
-//! claim order and worker count — a warm batch produces byte-identical artifacts at
-//! any `--jobs`, only faster.
+//! Incremental execution: given a persistent [`UnitCache`],
+//! [`UnitPool::run_plans_cached`] consults it *before* a worker runs a claimed unit
+//! and writes the result back on completion. Because a unit's cache key is derived
+//! entirely from plan-time values and entry publication is an atomic rename,
+//! hit/miss behaviour is independent of claim order and worker count — a warm batch
+//! produces byte-identical artifacts at any `--jobs`, only faster.
 //!
 //! # The persistent pool
 //!
-//! All execution routes through a [`UnitPool`], whose lifetime is decoupled from any
-//! single batch. A batch (`run_batch`, the free functions here) is *one client* of
-//! an ephemeral pool; a long-lived service ([`crate::serve`]) keeps one pool across
+//! A pool's lifetime is decoupled from any single batch. A batch (`run_batch`,
+//! [`Scenario::run`](crate::scenario::Scenario::run)) is *one client* of an
+//! ephemeral pool; a long-lived service ([`crate::serve`]) keeps one pool across
 //! requests and gains three things batches cannot express alone:
 //!
 //! * a **compute-permit gate** — at most `jobs` units execute at any instant across
@@ -40,12 +41,14 @@
 
 use crate::cache::{CacheCounts, CacheEvent, CacheLookup, UnitCache};
 use crate::report::ScenarioReport;
-use crate::scenario::{PlanUnit, ScenarioPlan, UnitOutput};
+use crate::scenario::{PlanUnit, ScenarioPlan, UnitCodec, UnitOutput};
 use crate::shard::{ExecutedUnit, ShardSpec};
+use desim::par::unpoisoned;
 use serde::Value;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Resolve a user-facing `jobs` knob: `0` means one worker per available core.
@@ -64,25 +67,55 @@ pub type Progress<'p> = &'p (dyn Fn(usize, usize) + Sync);
 
 /// A cancellation probe for one executor call: polled between units and while
 /// queued on the compute gate or a foreign flight; returning `true` makes the
-/// call abandon its remaining work and fail with [`CANCELLED_MSG`]. Called from
-/// worker threads, so it must be `Sync`; keep it cheap — the pool polls it
-/// every [`CANCEL_POLL`] while blocked and once per claimed unit.
+/// call abandon its remaining work and fail with [`RunError::Cancelled`]. Called
+/// from worker threads, so it must be `Sync`; keep it cheap — the pool polls it
+/// every 25 ms while blocked and once per claimed unit.
 ///
 /// Cancellation only abandons work *this* call uniquely owns: a flight it was
 /// computing resolves as failed, waking any foreign waiters to re-contest
 /// ownership, and results already published to the pool's caches stay valid.
 pub type Cancel<'c> = &'c (dyn Fn() -> bool + Sync);
 
-/// The error string a cancelled executor call fails with. Stable so callers
-/// (the serve layer) can distinguish "client gave up" from real failures.
-pub const CANCELLED_MSG: &str = "execution cancelled by caller";
+/// Why an executor call failed.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RunError {
+    /// The caller's cancellation probe fired.
+    Cancelled,
+    /// Storing a computed unit in the disk cache failed; the message names the
+    /// operation and the path. An unwritable cache mid-run is an environment
+    /// error the user must see, not a silent performance cliff.
+    Store(String),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Cancelled => f.write_str("execution cancelled by caller"),
+            RunError::Store(message) => f.write_str(message),
+        }
+    }
+}
 
 /// How often blocked waits (gate queue, foreign flights) poll a cancellation
 /// probe. Uncancellable waits (no probe) never wake early.
 const CANCEL_POLL: Duration = Duration::from_millis(25);
 
-/// Internal marker: the caller's cancellation probe fired.
-struct Cancelled;
+/// One step of a blocking wait on `cond`: without a probe, until notified; with
+/// one, for at most [`CANCEL_POLL`], failing with [`RunError::Cancelled`] instead
+/// if the probe has fired. Callers loop until their condition holds.
+fn wait_step<'g, T>(
+    cond: &Condvar,
+    guard: MutexGuard<'g, T>,
+    cancel: Option<Cancel<'_>>,
+) -> Result<MutexGuard<'g, T>, RunError> {
+    let Some(probe) = cancel else {
+        return Ok(unpoisoned(cond.wait(guard)));
+    };
+    if probe() {
+        return Err(RunError::Cancelled);
+    }
+    Ok(unpoisoned(cond.wait_timeout(guard, CANCEL_POLL)).0)
+}
 
 /// A plan's report plus its cache accounting (all-zero when uncached).
 pub struct PlanOutcome {
@@ -93,47 +126,10 @@ pub struct PlanOutcome {
     pub cache: CacheCounts,
 }
 
-/// Execute one plan across up to `jobs` workers (`0` = one per core).
-pub fn run_plan(plan: ScenarioPlan<'_>, jobs: usize) -> ScenarioReport {
-    run_plans(vec![plan], jobs)
-        .pop()
-        // audit:allow(unwrap-in-library): run_plans returns one report per input plan
-        .expect("one plan produces one report")
-}
-
-/// Execute every plan's units on a shared work-stealing pool and assemble one report
-/// per plan, in input order. No cache is consulted.
-pub fn run_plans(plans: Vec<ScenarioPlan<'_>>, jobs: usize) -> Vec<ScenarioReport> {
-    UnitPool::new(jobs)
-        .run_plans_cached(plans, None)
-        // audit:allow(unwrap-in-library): without a cache there is no store I/O, the only error source
-        .expect("uncached execution performs no fallible cache I/O")
-        .into_iter()
-        .map(|outcome| outcome.report)
-        .collect()
-}
-
-/// [`run_plans`] with an optional unit-result cache: workers consult `cache` before
-/// running a claimed unit and store results back on completion. Returns one
-/// [`PlanOutcome`] per plan, in input order.
-///
-/// Cache *reads* never fail the batch (a corrupt entry is evicted and recomputed);
-/// cache *writes* do — an unwritable cache directory mid-run is an environment
-/// error the user must see, not a silent performance cliff.
-///
-/// This is the one-shot form: it runs on an ephemeral [`UnitPool`] that dies with
-/// the call. Persistent clients construct their own pool.
-pub fn run_plans_cached(
-    plans: Vec<ScenarioPlan<'_>>,
-    jobs: usize,
-    cache: Option<&UnitCache>,
-) -> Result<Vec<PlanOutcome>, String> {
-    UnitPool::new(jobs).run_plans_cached(plans, cache)
-}
-
-/// The per-plan result of a sharded execution pass ([`run_plans_shard`]): no
-/// report — foreign units have no outputs, so nothing can assemble — just the
-/// partition accounting the shard's manifest and partial artifacts record.
+/// The per-plan result of a sharded execution pass
+/// ([`UnitPool::run_plans_shard`]): no report — foreign units have no outputs, so
+/// nothing can assemble — just the partition accounting the shard's manifest and
+/// partial artifacts record.
 pub struct ShardPlanOutcome {
     /// Cache accounting over the plan's *owned* units only.
     pub cache: CacheCounts,
@@ -142,68 +138,6 @@ pub struct ShardPlanOutcome {
     /// The owned (executed) units, in plan order.
     pub executed: Vec<ExecutedUnit>,
 }
-
-/// Execute only the units of each plan that `shard` owns under the deterministic
-/// [`UnitKey`](crate::cache::UnitKey)-digest partition, discarding their in-memory
-/// outputs (a shard's product is its cache entries, not a report). Returns one
-/// [`ShardPlanOutcome`] per plan, in input order.
-///
-/// Every unit must carry a cache key: a keyless unit has no digest to partition on
-/// and no way to meet the other shards in a cache, so plans with uncacheable units
-/// are rejected (the runner names the offending scenario before calling this).
-/// Owned units still consult `cache` before running — a warm shard run is all-hits,
-/// exactly like a warm unsharded one.
-pub fn run_plans_shard(
-    plans: Vec<ScenarioPlan<'_>>,
-    jobs: usize,
-    cache: Option<&UnitCache>,
-    shard: &ShardSpec,
-) -> Result<Vec<ShardPlanOutcome>, String> {
-    let pool = UnitPool::new(jobs);
-    let mut owned: Vec<PlanUnit<'_>> = Vec::new();
-    let mut spans = Vec::with_capacity(plans.len());
-    let mut outcomes: Vec<ShardPlanOutcome> = Vec::with_capacity(plans.len());
-    for (plan_idx, plan) in plans.into_iter().enumerate() {
-        let (units, _assemble) = plan.into_parts();
-        let start = owned.len();
-        let mut executed = Vec::new();
-        let units_total = units.len() as u64;
-        for unit in units {
-            let Some((key, _)) = &unit.cache else {
-                return Err(format!(
-                    "plan #{plan_idx} contains units without cache keys; \
-                     sharded execution requires every unit to be cacheable"
-                ));
-            };
-            if shard.owns(key) {
-                executed.push(ExecutedUnit {
-                    grid_index: key.grid_index,
-                    replication_index: key.replication_index,
-                    digest: key.digest(),
-                });
-                owned.push(unit);
-            }
-        }
-        spans.push(start..owned.len());
-        outcomes.push(ShardPlanOutcome {
-            cache: CacheCounts::default(),
-            units_total,
-            executed,
-        });
-    }
-
-    let events = pool.execute_units(owned, cache, None)?;
-    for (outcome, span) in outcomes.iter_mut().zip(spans) {
-        for (_output, event) in &events[span] {
-            outcome.cache.record(*event);
-        }
-    }
-    Ok(outcomes)
-}
-
-// ---------------------------------------------------------------------------
-// The persistent pool
-// ---------------------------------------------------------------------------
 
 /// The state of one in-flight unit computation, keyed by digest in
 /// [`UnitPool::flights`]. Waiters block on `done` until the owner publishes the
@@ -218,60 +152,36 @@ enum FlightState {
     Pending,
     /// The owner published the encoded payload.
     Done(Value),
-    /// The owner aborted (store error propagation or a panic unwound through
-    /// its guard); a waiter should retry ownership.
+    /// The owner aborted (a cancellation, or a panic unwound through its
+    /// guard); a waiter should retry ownership.
     Failed,
 }
 
 impl Flight {
-    fn new() -> Arc<Flight> {
-        Arc::new(Flight {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        })
-    }
-
     /// Block until the flight resolves; `Ok(Some(payload))` on success,
     /// `Ok(None)` when the owner failed and ownership should be re-contested,
     /// `Err(Cancelled)` when the caller's probe fired while waiting (the
     /// flight itself is untouched — its owner and other waiters are foreign).
-    fn wait(&self, cancel: Option<Cancel<'_>>) -> Result<Option<Value>, Cancelled> {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut state = self.state.lock().expect("no worker panicked");
+    fn wait(&self, cancel: Option<Cancel<'_>>) -> Result<Option<Value>, RunError> {
+        let mut state = unpoisoned(self.state.lock());
         loop {
             match &*state {
                 FlightState::Done(payload) => return Ok(Some(payload.clone())),
                 FlightState::Failed => return Ok(None),
-                FlightState::Pending => match cancel {
-                    None => {
-                        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                        state = self.done.wait(state).expect("no worker panicked");
-                    }
-                    Some(probe) => {
-                        if probe() {
-                            return Err(Cancelled);
-                        }
-                        let (next, _timed_out) = self
-                            .done
-                            .wait_timeout(state, CANCEL_POLL)
-                            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                            .expect("no worker panicked");
-                        state = next;
-                    }
-                },
+                FlightState::Pending => state = wait_step(&self.done, state, cancel)?,
             }
         }
     }
 
     fn resolve(&self, state: FlightState) {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        *self.state.lock().expect("no worker panicked") = state;
+        *unpoisoned(self.state.lock()) = state;
         self.done.notify_all();
     }
 }
 
-/// Removes the flight from the table on drop, failing it first unless the owner
-/// completed it — so a panicking unit closure can never strand waiters.
+/// The owner's handle on a flight. Removes the flight from the table on drop,
+/// failing it first unless the owner completed it — so a panicking unit closure
+/// can never strand waiters.
 struct FlightGuard<'p> {
     pool: &'p UnitPool,
     digest: u128,
@@ -292,16 +202,14 @@ impl Drop for FlightGuard<'_> {
         if !self.completed {
             self.flight.resolve(FlightState::Failed);
         }
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut flights = self.pool.flights.lock().expect("no worker panicked");
-        flights.remove(&self.digest);
+        unpoisoned(self.pool.flights.lock()).remove(&self.digest);
     }
 }
 
 /// What [`UnitPool::claim_flight`] handed this worker for a digest.
-enum FlightClaim {
-    /// This worker owns the computation (and must resolve the flight).
-    Owner,
+enum FlightClaim<'p> {
+    /// This worker owns the computation and must resolve the flight.
+    Owner(FlightGuard<'p>),
     /// Another worker owns it; wait on this flight.
     Waiter(Arc<Flight>),
 }
@@ -318,29 +226,12 @@ struct Gate {
 
 impl Gate {
     /// Take one compute permit, blocking while none are free. With a probe,
-    /// the queued wait polls it every [`CANCEL_POLL`] and gives up with
-    /// `Err(Cancelled)` instead of computing for a caller that is gone.
-    fn acquire(&self, cancel: Option<Cancel<'_>>) -> Result<GatePermit<'_>, Cancelled> {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut permits = self.permits.lock().expect("no worker panicked");
+    /// the queued wait gives up with `Err(Cancelled)` instead of computing for
+    /// a caller that is gone.
+    fn acquire(&self, cancel: Option<Cancel<'_>>) -> Result<GatePermit<'_>, RunError> {
+        let mut permits = unpoisoned(self.permits.lock());
         while *permits == 0 {
-            match cancel {
-                None => {
-                    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                    permits = self.freed.wait(permits).expect("no worker panicked");
-                }
-                Some(probe) => {
-                    if probe() {
-                        return Err(Cancelled);
-                    }
-                    let (next, _timed_out) = self
-                        .freed
-                        .wait_timeout(permits, CANCEL_POLL)
-                        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                        .expect("no worker panicked");
-                    permits = next;
-                }
-            }
+            permits = wait_step(&self.freed, permits, cancel)?;
         }
         *permits -= 1;
         Ok(GatePermit { gate: self })
@@ -348,8 +239,7 @@ impl Gate {
 
     /// Permits currently held by running unit closures.
     fn in_use(&self) -> usize {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let available = *self.permits.lock().expect("no worker panicked");
+        let available = *unpoisoned(self.permits.lock());
         self.total.saturating_sub(available)
     }
 }
@@ -361,8 +251,7 @@ struct GatePermit<'g> {
 
 impl Drop for GatePermit<'_> {
     fn drop(&mut self) {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        *self.gate.permits.lock().expect("no worker panicked") += 1;
+        *unpoisoned(self.gate.permits.lock()) += 1;
         self.gate.freed.notify_one();
     }
 }
@@ -373,12 +262,13 @@ impl Drop for GatePermit<'_> {
 /// keeps one for its whole life.
 pub struct UnitPool {
     /// The raw `jobs` knob (0 = one per core), resolved per call against the
-    /// actual unit count exactly like the one-shot executor always did.
+    /// actual unit count by `desim::par`'s claim loop.
     jobs: usize,
     gate: Gate,
     /// Digest → encoded payload for every completed cacheable unit whose payload
-    /// survives a JSON round trip (the same admission rule as the disk cache, so
-    /// memory and disk never disagree about which units are served warm).
+    /// survives a JSON round trip and, when the pool's caller has a disk cache,
+    /// was stored there (so memory and disk never disagree about which units are
+    /// served warm).
     mem: Mutex<HashMap<u128, Value>>,
     /// Digest → in-flight computation, for single-flight deduplication.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
@@ -403,8 +293,7 @@ impl UnitPool {
 
     /// Number of payloads currently held by the warm in-memory result map.
     pub fn mem_entries(&self) -> usize {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        self.mem.lock().expect("no worker panicked").len()
+        unpoisoned(self.mem.lock()).len()
     }
 
     /// The pool's full compute-permit budget (the resolved `jobs` knob).
@@ -421,36 +310,29 @@ impl UnitPool {
     /// Digests with a computation currently in flight (single-flight table
     /// occupancy): owners computing plus entries waiters are blocked on.
     pub fn flights_in_progress(&self) -> usize {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        self.flights.lock().expect("no worker panicked").len()
+        unpoisoned(self.flights.lock()).len()
     }
 
     /// Execute every plan's units and assemble one report per plan, in input
-    /// order — the pool-client form of [`run_plans_cached`] (same semantics,
-    /// plus this pool's memory cache, gate and deduplication).
+    /// order. Workers consult `cache` before running a claimed unit and store
+    /// results back on completion.
+    ///
+    /// Cache *reads* never fail the batch (a corrupt entry is evicted and
+    /// recomputed); cache *writes* do, with the store's message.
     pub fn run_plans_cached(
         &self,
         plans: Vec<ScenarioPlan<'_>>,
         cache: Option<&UnitCache>,
     ) -> Result<Vec<PlanOutcome>, String> {
-        self.run_plans_cached_with(plans, cache, None)
+        self.run_plans_cancellable(plans, cache, None, None)
+            .map_err(|err| err.to_string())
     }
 
     /// [`UnitPool::run_plans_cached`] with an optional per-unit progress
-    /// observer (used by the serve layer to stream progress events).
-    pub fn run_plans_cached_with(
-        &self,
-        plans: Vec<ScenarioPlan<'_>>,
-        cache: Option<&UnitCache>,
-        progress: Option<Progress<'_>>,
-    ) -> Result<Vec<PlanOutcome>, String> {
-        self.run_plans_cancellable(plans, cache, progress, None)
-    }
-
-    /// [`UnitPool::run_plans_cached_with`] plus an optional cancellation
-    /// probe. When the probe fires the call stops claiming units, abandons
+    /// observer and an optional cancellation probe (both used by the serve
+    /// layer). When the probe fires the call stops claiming units, abandons
     /// any gate/flight queue position it holds, and fails with
-    /// [`CANCELLED_MSG`]; flights this call owned resolve as failed so
+    /// [`RunError::Cancelled`]; flights this call owned resolve as failed so
     /// foreign waiters re-contest ownership, and everything already published
     /// to the pool's caches stays valid for future callers.
     pub fn run_plans_cancellable(
@@ -459,52 +341,98 @@ impl UnitPool {
         cache: Option<&UnitCache>,
         progress: Option<Progress<'_>>,
         cancel: Option<Cancel<'_>>,
-    ) -> Result<Vec<PlanOutcome>, String> {
+    ) -> Result<Vec<PlanOutcome>, RunError> {
+        let mut units = Vec::new();
         let mut assembles = Vec::with_capacity(plans.len());
-        let mut tasks = Vec::new();
-        let mut spans = Vec::with_capacity(plans.len());
         for plan in plans {
-            let (units, assemble) = plan.into_parts();
-            let start = tasks.len();
-            tasks.extend(units);
-            spans.push(start..tasks.len());
-            assembles.push(assemble);
+            let (plan_units, assemble) = plan.into_parts();
+            assembles.push((plan_units.len(), assemble));
+            units.extend(plan_units);
         }
-
-        let executed = self.execute_units_cancellable(tasks, cache, progress, cancel)?;
-
-        let mut executed: Vec<Option<(UnitOutput, CacheEvent)>> =
-            executed.into_iter().map(Some).collect();
+        let mut executed = self.execute(units, cache, progress, cancel)?.into_iter();
         Ok(assembles
             .into_iter()
-            .zip(spans)
-            .map(|(assemble, span)| {
+            .map(|(len, assemble)| {
                 let mut counts = CacheCounts::default();
-                let plan_outputs: Vec<UnitOutput> = executed[span]
-                    .iter_mut()
-                    .map(|slot| {
-                        // audit:allow(unwrap-in-library): each slot is filled by the pool and drained exactly once here
-                        let (output, event) = slot.take().expect("each unit output consumed once");
+                let outputs = executed
+                    .by_ref()
+                    .take(len)
+                    .map(|(output, event)| {
                         counts.record(event);
                         output
                     })
                     .collect();
                 PlanOutcome {
-                    report: assemble(plan_outputs),
+                    report: assemble(outputs),
                     cache: counts,
                 }
             })
             .collect())
     }
 
+    /// Execute only the units of each plan that `shard` owns under the
+    /// deterministic [`UnitKey`](crate::cache::UnitKey)-digest partition,
+    /// discarding their in-memory outputs (a shard's product is its cache
+    /// entries, not a report). Returns one [`ShardPlanOutcome`] per plan, in
+    /// input order.
+    ///
+    /// Every unit must carry a cache key: a keyless unit has no digest to
+    /// partition on and no way to meet the other shards in a cache, so plans
+    /// with uncacheable units are rejected (the runner names the offending
+    /// scenario before calling this). Owned units still consult `cache` before
+    /// running — a warm shard run is all-hits, exactly like a warm unsharded one.
+    pub fn run_plans_shard(
+        &self,
+        plans: Vec<ScenarioPlan<'_>>,
+        cache: Option<&UnitCache>,
+        shard: &ShardSpec,
+    ) -> Result<Vec<ShardPlanOutcome>, String> {
+        let mut owned: Vec<PlanUnit<'_>> = Vec::new();
+        let mut outcomes: Vec<ShardPlanOutcome> = Vec::with_capacity(plans.len());
+        for (plan_idx, plan) in plans.into_iter().enumerate() {
+            let (units, _assemble) = plan.into_parts();
+            let mut executed = Vec::new();
+            let units_total = units.len() as u64;
+            for unit in units {
+                let Some((key, _)) = &unit.cache else {
+                    return Err(format!(
+                        "plan #{plan_idx} contains units without cache keys; \
+                         sharded execution requires every unit to be cacheable"
+                    ));
+                };
+                if shard.owns(key) {
+                    executed.push(ExecutedUnit {
+                        grid_index: key.grid_index,
+                        replication_index: key.replication_index,
+                        digest: key.digest(),
+                    });
+                    owned.push(unit);
+                }
+            }
+            outcomes.push(ShardPlanOutcome {
+                cache: CacheCounts::default(),
+                units_total,
+                executed,
+            });
+        }
+
+        let mut events = self
+            .execute(owned, cache, None, None)
+            .map_err(|err| err.to_string())?
+            .into_iter()
+            .map(|(_output, event)| event);
+        for outcome in &mut outcomes {
+            for event in events.by_ref().take(outcome.executed.len()) {
+                outcome.cache.record(event);
+            }
+        }
+        Ok(outcomes)
+    }
+
     /// A payload from the warm map, decoded; `None` on absence (or on a decode
     /// mismatch, which sends the caller down the normal compute path).
-    fn load_mem(&self, digest: u128, codec: &crate::scenario::UnitCodec) -> Option<UnitOutput> {
-        let payload = {
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            let mem = self.mem.lock().expect("no worker panicked");
-            mem.get(&digest).cloned()
-        }?;
+    fn load_mem(&self, digest: u128, codec: &UnitCodec) -> Option<UnitOutput> {
+        let payload = unpoisoned(self.mem.lock()).get(&digest).cloned()?;
         (codec.decode)(&payload)
     }
 
@@ -513,59 +441,49 @@ impl UnitPool {
         if !crate::cache::json_round_trips(payload) {
             return;
         }
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut mem = self.mem.lock().expect("no worker panicked");
-        mem.insert(digest, payload.clone());
+        unpoisoned(self.mem.lock()).insert(digest, payload.clone());
     }
 
-    /// Register interest in a digest: either this worker becomes the owner (and
-    /// must resolve the flight through a [`FlightGuard`]) or it gets the
+    /// Register interest in a digest: either this worker becomes the owner
+    /// (and resolves the flight through the returned guard) or it gets the
     /// existing flight to wait on.
-    fn claim_flight(&self, digest: u128) -> FlightClaim {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut flights = self.flights.lock().expect("no worker panicked");
-        match flights.get(&digest) {
-            Some(flight) => FlightClaim::Waiter(Arc::clone(flight)),
-            None => {
-                flights.insert(digest, Flight::new());
-                FlightClaim::Owner
-            }
+    fn claim_flight(&self, digest: u128) -> FlightClaim<'_> {
+        let mut flights = unpoisoned(self.flights.lock());
+        if let Some(flight) = flights.get(&digest) {
+            return FlightClaim::Waiter(Arc::clone(flight));
         }
-    }
-
-    fn flight_guard(&self, digest: u128) -> FlightGuard<'_> {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let flights = self.flights.lock().expect("no worker panicked");
-        // audit:allow(unwrap-in-library): claim_flight inserted this digest for the owning worker
-        let flight = Arc::clone(flights.get(&digest).expect("owner's flight is registered"));
-        drop(flights);
-        FlightGuard {
+        let flight = Arc::new(Flight {
+            state: Mutex::new(FlightState::Pending),
+            done: Condvar::new(),
+        });
+        flights.insert(digest, Arc::clone(&flight));
+        FlightClaim::Owner(FlightGuard {
             pool: self,
             digest,
             flight,
             completed: false,
-        }
+        })
     }
 
     /// Run one claimed unit through memory cache → single-flight → disk cache →
-    /// gated computation. Returns the output, the cache event, and any store
-    /// error — or `Err(Cancelled)` when the caller's probe fired while queued
-    /// (a flight this worker owned resolves as failed via its guard, waking
-    /// foreign waiters to re-contest).
-    #[allow(clippy::type_complexity)]
+    /// gated computation, returning its output and cache event. Fails with
+    /// [`RunError::Cancelled`] when the caller's probe fired while queued (a
+    /// flight this worker owned resolves as failed via its guard, waking foreign
+    /// waiters to re-contest) and with [`RunError::Store`] when the disk cache
+    /// refused the computed payload.
     fn run_unit(
         &self,
         unit: PlanUnit<'_>,
         cache: Option<&UnitCache>,
         cancel: Option<Cancel<'_>>,
-    ) -> Result<(UnitOutput, CacheEvent, Option<String>), Cancelled> {
+    ) -> Result<(UnitOutput, CacheEvent), RunError> {
         let Some((key, codec)) = &unit.cache else {
             let _permit = self.gate.acquire(cancel)?;
-            return Ok(((unit.run)(), CacheEvent::Uncached, None));
+            return Ok(((unit.run)(), CacheEvent::Uncached));
         };
         let digest = key.digest_u128();
         if let Some(output) = self.load_mem(digest, codec) {
-            return Ok((output, CacheEvent::Hit, None));
+            return Ok((output, CacheEvent::Hit));
         }
         // Plain batches over a fresh pool keep the historical accounting: with no
         // disk cache configured, computed units are uncached, not misses.
@@ -574,178 +492,116 @@ impl UnitPool {
         } else {
             CacheEvent::Uncached
         };
-        loop {
+        let guard = loop {
             match self.claim_flight(digest) {
+                FlightClaim::Owner(guard) => break guard,
                 FlightClaim::Waiter(flight) => match flight.wait(cancel)? {
                     Some(payload) => match (codec.decode)(&payload) {
                         // Deduplicated: another client computed this unit while
                         // we waited. Byte-identical by the purity contract.
-                        Some(output) => return Ok((output, CacheEvent::Hit, None)),
+                        Some(output) => return Ok((output, CacheEvent::Hit)),
                         // A payload this codec cannot read (digest collision
                         // across incompatible unit types — not constructible
                         // from well-formed scenarios). Compute it directly.
                         None => {
                             let _permit = self.gate.acquire(cancel)?;
-                            return Ok(((unit.run)(), base_event, None));
+                            return Ok(((unit.run)(), base_event));
                         }
                     },
                     // The owner failed; contest ownership again.
                     None => continue,
                 },
-                FlightClaim::Owner => {
-                    let guard = self.flight_guard(digest);
-                    let mut event = base_event;
-                    if let Some(cache) = cache {
-                        match cache.load(key) {
-                            CacheLookup::Hit(payload) => match (codec.decode)(&payload) {
-                                Some(output) => {
-                                    self.store_mem(digest, &payload);
-                                    guard.complete(payload);
-                                    return Ok((output, CacheEvent::Hit, None));
-                                }
-                                None => {
-                                    // Checksum-intact but shape-incompatible
-                                    // payload (e.g. a unit output type changed
-                                    // without a schema bump): evict, recompute.
-                                    cache.evict(key);
-                                    event = CacheEvent::Recomputed;
-                                }
-                            },
-                            CacheLookup::Corrupt => event = CacheEvent::Recomputed,
-                            CacheLookup::Miss => {}
-                        }
+            }
+        };
+        let mut event = base_event;
+        if let Some(cache) = cache {
+            match cache.load(key) {
+                CacheLookup::Hit(payload) => match (codec.decode)(&payload) {
+                    Some(output) => {
+                        self.store_mem(digest, &payload);
+                        guard.complete(payload);
+                        return Ok((output, CacheEvent::Hit));
                     }
-                    let output = {
-                        // A cancelled gate wait drops `guard` un-completed:
-                        // the flight resolves Failed and waiters re-contest.
-                        let _permit = self.gate.acquire(cancel)?;
-                        (unit.run)()
-                    };
-                    let payload = (codec.encode)(&*output);
-                    let store_err = cache.and_then(|c| c.store(key, &payload).err());
-                    self.store_mem(digest, &payload);
-                    guard.complete(payload);
-                    return Ok((output, event, store_err));
-                }
+                    None => {
+                        // Checksum-intact but shape-incompatible payload (e.g. a
+                        // unit output type changed without a schema bump):
+                        // evict, recompute.
+                        cache.evict(key);
+                        event = CacheEvent::Recomputed;
+                    }
+                },
+                CacheLookup::Corrupt => event = CacheEvent::Recomputed,
+                CacheLookup::Miss => {}
             }
         }
+        let output = {
+            // A cancelled gate wait drops `guard` un-completed: the flight
+            // resolves Failed and waiters re-contest.
+            let _permit = self.gate.acquire(cancel)?;
+            (unit.run)()
+        };
+        let payload = (codec.encode)(&*output);
+        let stored = cache.map_or(Ok(()), |c| c.store(key, &payload));
+        // Only a payload the disk cache holds (or a pool without one) becomes
+        // memory-warm; waiters on this flight get the payload either way.
+        if stored.is_ok() {
+            self.store_mem(digest, &payload);
+        }
+        guard.complete(payload);
+        stored.map_err(RunError::Store)?;
+        Ok((output, event))
     }
 
-    /// Run the flattened unit list, returning (output, cache event) by unit
-    /// index. Spawns up to `jobs` claim-loop workers for this call; the pool's
-    /// gate additionally bounds *computation* across every concurrent call.
-    fn execute_units(
+    /// Run a flattened unit list on `desim::par`'s claim loop, returning each
+    /// unit's output and cache event in unit order. Up to `jobs` workers claim
+    /// units for this call; the pool's gate additionally bounds *computation*
+    /// across every concurrent call.
+    fn execute(
         &self,
-        tasks: Vec<PlanUnit<'_>>,
-        cache: Option<&UnitCache>,
-        progress: Option<Progress<'_>>,
-    ) -> Result<Vec<(UnitOutput, CacheEvent)>, String> {
-        self.execute_units_cancellable(tasks, cache, progress, None)
-    }
-
-    /// [`UnitPool::execute_units`] with an optional cancellation probe (see
-    /// [`UnitPool::run_plans_cancellable`] for the abort semantics).
-    fn execute_units_cancellable(
-        &self,
-        tasks: Vec<PlanUnit<'_>>,
+        units: Vec<PlanUnit<'_>>,
         cache: Option<&UnitCache>,
         progress: Option<Progress<'_>>,
         cancel: Option<Cancel<'_>>,
-    ) -> Result<Vec<(UnitOutput, CacheEvent)>, String> {
-        let total = tasks.len();
+    ) -> Result<Vec<(UnitOutput, CacheEvent)>, RunError> {
+        let total = units.len();
+        // The claim loop lends each worker a shared reference; the slot lets the
+        // claiming worker take its `FnOnce` unit by value.
+        let slots: Vec<Mutex<Option<PlanUnit<'_>>>> = units
+            .into_iter()
+            .map(|unit| Mutex::new(Some(unit)))
+            .collect();
         let completed = AtomicUsize::new(0);
-        let report_progress = |n: usize| {
-            if let Some(progress) = progress {
-                progress(n, total);
+        // The call's first failure; once set, its outputs are discarded, so
+        // later claims return at once.
+        let failure = OnceLock::new();
+        let results = desim::par::work_steal_map(&slots, self.jobs, |_, slot| {
+            if failure.get().is_some() {
+                return None;
             }
-        };
-        let probe_cancel = || cancel.is_some_and(|probe| probe());
-        // Same jobs-resolution rules as every other work-stealing layer. The claim
-        // loop below is not `work_steal_map` itself only because plan units are
-        // `FnOnce` (consumed on execution), which that Fn-based API cannot express.
-        let jobs = desim::par::resolve_threads(self.jobs, total);
-        if jobs <= 1 || total <= 1 {
-            let mut out = Vec::with_capacity(total);
-            for unit in tasks {
-                if probe_cancel() {
-                    return Err(CANCELLED_MSG.to_string());
-                }
-                let Ok((output, event, store_err)) = self.run_unit(unit, cache, cancel) else {
-                    return Err(CANCELLED_MSG.to_string());
-                };
-                if let Some(err) = store_err {
-                    return Err(err);
-                }
-                out.push((output, event));
-                report_progress(completed.fetch_add(1, Ordering::Relaxed) + 1);
+            if cancel.is_some_and(|probe| probe()) {
+                let _ = failure.set(RunError::Cancelled);
+                return None;
             }
-            return Ok(out);
-        }
-
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let tasks: Mutex<Vec<Option<PlanUnit<'_>>>> =
-            Mutex::new(tasks.into_iter().map(Some).collect());
-        let slots: Mutex<Vec<Option<(UnitOutput, CacheEvent)>>> =
-            Mutex::new((0..total).map(|_| None).collect());
-        let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    if probe_cancel() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        next.store(total, Ordering::Relaxed);
-                        break;
+            let unit = unpoisoned(slot.lock()).take();
+            // audit:allow(unwrap-in-library): the claim loop hands each index to exactly one worker
+            match self.run_unit(unit.expect("each unit claimed once"), cache, cancel) {
+                Ok(done) => {
+                    if let Some(progress) = progress {
+                        progress(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                    let unit = tasks.lock().expect("no worker panicked")[i]
-                        .take()
-                        // audit:allow(unwrap-in-library): the claim counter hands each index to exactly one worker
-                        .expect("each unit claimed once");
-                    let Ok((output, event, store_err)) = self.run_unit(unit, cache, cancel) else {
-                        // The batch is abandoned: stop every worker and let the
-                        // cancelled flag (checked before slots) carry the error.
-                        cancelled.store(true, Ordering::Relaxed);
-                        next.store(total, Ordering::Relaxed);
-                        break;
-                    };
-                    if let Some(err) = store_err {
-                        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                        store_errors.lock().expect("no worker panicked").push(err);
-                        // The batch is already doomed (its outputs will be discarded):
-                        // exhaust the claim counter so no worker pays for more units.
-                        next.store(total, Ordering::Relaxed);
-                    }
-                    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-                    slots.lock().expect("no worker panicked")[i] = Some((output, event));
-                    report_progress(completed.fetch_add(1, Ordering::Relaxed) + 1);
-                });
+                    Some(done)
+                }
+                Err(err) => {
+                    let _ = failure.set(err);
+                    None
+                }
             }
         });
-        if cancelled.load(Ordering::Relaxed) {
-            return Err(CANCELLED_MSG.to_string());
+        match failure.into_inner() {
+            Some(err) => Err(err),
+            // Without a failure no claim returned early: every unit has an output.
+            None => Ok(results.into_iter().flatten().collect()),
         }
-        if let Some(err) = store_errors
-            .into_inner()
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            .expect("no worker panicked")
-            .into_iter()
-            .next()
-        {
-            return Err(err);
-        }
-        Ok(slots
-            .into_inner()
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            .expect("no worker panicked")
-            .into_iter()
-            // audit:allow(unwrap-in-library): the loop above claimed and filled every slot
-            .map(|slot| slot.expect("every unit ran"))
-            .collect())
     }
 }
 
@@ -755,7 +611,7 @@ mod tests {
     use crate::cache::UnitKeyer;
     use crate::report::ScenarioReport;
     use serde::Value;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn plan_squaring<'s>(name: &'s str, n: usize) -> ScenarioPlan<'s> {
         let units: Vec<_> = (0..n).map(|i| move || i * i).collect();
@@ -793,10 +649,20 @@ mod tests {
         })
     }
 
+    /// Run plans on a fresh pool without a disk cache, keeping only the reports.
+    fn run_uncached(plans: Vec<ScenarioPlan<'_>>, jobs: usize) -> Vec<ScenarioReport> {
+        UnitPool::new(jobs)
+            .run_plans_cached(plans, None)
+            .unwrap()
+            .into_iter()
+            .map(|outcome| outcome.report)
+            .collect()
+    }
+
     #[test]
     fn outputs_arrive_in_unit_order_for_any_job_count() {
         for jobs in [1, 2, 8] {
-            let report = run_plan(plan_squaring("sq", 40), jobs);
+            let report = run_uncached(vec![plan_squaring("sq", 40)], jobs).remove(0);
             for i in 0..40 {
                 assert_eq!(
                     report.metric(&format!("sq{i}")),
@@ -809,7 +675,7 @@ mod tests {
 
     #[test]
     fn plans_keep_their_outputs_separate() {
-        let reports = run_plans(vec![plan_squaring("a", 7), plan_squaring("b", 13)], 4);
+        let reports = run_uncached(vec![plan_squaring("a", 7), plan_squaring("b", 13)], 4);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].scenario, "a");
         assert_eq!(reports[0].metrics.len(), 7);
@@ -824,7 +690,7 @@ mod tests {
         });
         assert_eq!(plan.unit_count(), 1);
         assert_eq!(plan.cacheable_unit_count(), 0);
-        let report = run_plan(plan, 8);
+        let report = run_uncached(vec![plan], 8).remove(0);
         assert_eq!(report.scenario, "one");
         assert_eq!(report.metric("x"), Some(1.0));
     }
@@ -842,7 +708,8 @@ mod tests {
         let cache = UnitCache::open(&root).unwrap();
         let runs = AtomicUsize::new(0);
 
-        let cold = run_plans_cached(vec![plan_squaring_cached("sq", 20, &runs)], 4, Some(&cache))
+        let cold = UnitPool::new(4)
+            .run_plans_cached(vec![plan_squaring_cached("sq", 20, &runs)], Some(&cache))
             .unwrap()
             .pop()
             .unwrap();
@@ -859,14 +726,11 @@ mod tests {
         // Warm: every unit hits, no closure runs, report is identical — at a
         // different job count, so hit behaviour is claim-order independent.
         for jobs in [1, 8] {
-            let warm = run_plans_cached(
-                vec![plan_squaring_cached("sq", 20, &runs)],
-                jobs,
-                Some(&cache),
-            )
-            .unwrap()
-            .pop()
-            .unwrap();
+            let warm = UnitPool::new(jobs)
+                .run_plans_cached(vec![plan_squaring_cached("sq", 20, &runs)], Some(&cache))
+                .unwrap()
+                .pop()
+                .unwrap();
             assert_eq!(
                 runs.load(Ordering::Relaxed),
                 20,
@@ -884,7 +748,8 @@ mod tests {
         }
 
         // Without the cache handle the same plan runs everything again.
-        let uncached = run_plans_cached(vec![plan_squaring_cached("sq", 20, &runs)], 2, None)
+        let uncached = UnitPool::new(2)
+            .run_plans_cached(vec![plan_squaring_cached("sq", 20, &runs)], None)
             .unwrap()
             .pop()
             .unwrap();
@@ -913,15 +778,60 @@ mod tests {
                 ScenarioReport::new("sq", "d", 0, Value::Map(vec![]))
             })
         }
-        run_plans_cached(vec![plan_with_seed(1, &runs)], 2, Some(&cache)).unwrap();
+        UnitPool::new(2)
+            .run_plans_cached(vec![plan_with_seed(1, &runs)], Some(&cache))
+            .unwrap();
         assert_eq!(runs.load(Ordering::Relaxed), 4);
         // A different seed addresses different entries: all units run again.
-        let other = run_plans_cached(vec![plan_with_seed(2, &runs)], 2, Some(&cache))
+        let other = UnitPool::new(2)
+            .run_plans_cached(vec![plan_with_seed(2, &runs)], Some(&cache))
             .unwrap()
             .pop()
             .unwrap();
         assert_eq!(runs.load(Ordering::Relaxed), 8);
         assert_eq!(other.cache.misses, 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_failed_store_fails_the_call_and_leaves_nothing_memory_warm() {
+        let root = std::env::temp_dir().join(format!("pim-exec-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = UnitCache::open(&root).unwrap();
+        // A regular file where the entry directory must be: every store fails,
+        // even for root-privileged test runners.
+        let units = root.join("units");
+        std::fs::remove_dir_all(&units).unwrap();
+        std::fs::write(&units, "x").unwrap();
+        let pool = UnitPool::new(2);
+        let runs = AtomicUsize::new(0);
+        let Err(RunError::Store(message)) = pool.run_plans_cancellable(
+            vec![plan_squaring_cached("sq", 6, &runs)],
+            Some(&cache),
+            None,
+            None,
+        ) else {
+            panic!("a failed store did not fail the call");
+        };
+        assert!(message.contains("units"), "{message}");
+        assert_eq!(
+            pool.mem_entries(),
+            0,
+            "a refused payload became memory-warm"
+        );
+        assert_eq!(pool.flights_in_progress(), 0);
+
+        // With the directory back, the same pool computes and stores every unit:
+        // nothing from the failed call is served as a hit.
+        std::fs::remove_file(&units).unwrap();
+        std::fs::create_dir(&units).unwrap();
+        let outcome = pool
+            .run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], Some(&cache))
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(outcome.cache.misses, 6);
+        assert_eq!(pool.mem_entries(), 6);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1006,7 +916,7 @@ mod tests {
         ) else {
             panic!("cancelled call succeeded");
         };
-        assert_eq!(err, CANCELLED_MSG);
+        assert_eq!(err, RunError::Cancelled);
         assert_eq!(runs.load(Ordering::Relaxed), 0, "cancelled call ran units");
         assert_eq!(pool.flights_in_progress(), 0);
         assert_eq!(pool.permits_in_use(), 0);
@@ -1065,7 +975,7 @@ mod tests {
             let Err(err) = a.join().unwrap() else {
                 panic!("cancelled owner succeeded");
             };
-            assert_eq!(err, CANCELLED_MSG);
+            assert_eq!(err, RunError::Cancelled);
             assert_eq!(
                 runs.load(Ordering::Relaxed),
                 0,

@@ -65,10 +65,7 @@ pub mod prelude {
         cache_clear, cache_gc, cache_merge, cache_stats, CacheCounts, MergeOutcome, UnitCache,
         UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
     };
-    pub use crate::exec::{
-        resolve_jobs, run_plan, run_plans, run_plans_cached, run_plans_shard, PlanOutcome,
-        ShardPlanOutcome, UnitPool,
-    };
+    pub use crate::exec::{resolve_jobs, PlanOutcome, ShardPlanOutcome, UnitPool};
     pub use crate::golden::{diff_json, Tolerance};
     pub use crate::measure::{measure_stream, MeasureConfig, MeasuredStats};
     pub use crate::registry::Registry;

@@ -145,6 +145,10 @@ pub fn run_batch<S: AsRef<str>>(
         })
         .collect();
 
+    // A batch is one client of the unit scheduler: it constructs a pool, runs its
+    // plans, and lets the pool die with the call. The `serve` daemon is the other
+    // client — same scheduler, but kept alive across requests.
+    let pool = crate::exec::UnitPool::new(opts.jobs);
     if let Some(shard) = opts.shard {
         // Partitioning needs a digest per unit, so every unit must carry a cache
         // key. Check before executing anything, naming the offending scenario
@@ -157,7 +161,7 @@ pub fn run_batch<S: AsRef<str>>(
                 ));
             }
         }
-        let outcomes = crate::exec::run_plans_shard(plans, opts.jobs, cache.as_ref(), &shard)?;
+        let outcomes = pool.run_plans_shard(plans, cache.as_ref(), &shard)?;
         let mut cache_counts = Vec::with_capacity(outcomes.len());
         let mut shard_scenarios = Vec::with_capacity(outcomes.len());
         for (name, outcome) in names.iter().zip(outcomes) {
@@ -189,10 +193,6 @@ pub fn run_batch<S: AsRef<str>>(
         });
     }
 
-    // A batch is one client of the unit scheduler: it constructs a pool, runs its
-    // plans, and lets the pool die with the call. The `serve` daemon is the other
-    // client — same scheduler, but kept alive across requests.
-    let pool = crate::exec::UnitPool::new(opts.jobs);
     let outcomes = pool.run_plans_cached(plans, cache.as_ref())?;
     let mut reports = Vec::with_capacity(outcomes.len());
     let mut cache_counts = Vec::with_capacity(outcomes.len());

@@ -243,7 +243,12 @@ pub trait Scenario: Send + Sync {
     /// across the available cores. The report is identical to executing the plan on
     /// any other worker count.
     fn run(&self, seeds: &SeedPolicy) -> ScenarioReport {
-        crate::exec::run_plan(self.plan(seeds), 0)
+        let outcome = crate::exec::UnitPool::new(0)
+            .run_plans_cached(vec![self.plan(seeds)], None)
+            .ok()
+            .and_then(|mut outcomes| outcomes.pop());
+        // audit:allow(unwrap-in-library): without a cache there is no store I/O, and one plan yields one outcome
+        outcome.expect("uncached plan runs").report
     }
 }
 

@@ -73,10 +73,11 @@
 //! report renderer the CLI uses.
 
 use crate::cache::UnitCache;
-use crate::exec::{resolve_jobs, UnitPool, CANCELLED_MSG};
+use crate::exec::{resolve_jobs, RunError, UnitPool};
 use crate::registry::Registry;
 use crate::scenario::SeedPolicy;
 use crate::spec::parse_spec;
+use desim::par::unpoisoned;
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
@@ -193,8 +194,7 @@ impl Metrics {
 
     fn record(&self, label: &str, status: u16) {
         self.total.fetch_add(1, Ordering::SeqCst);
-        // audit:allow(unwrap-in-library): a poisoned lock means a handler already panicked; propagate that panic
-        let mut requests = self.requests.lock().expect("no handler panicked");
+        let mut requests = unpoisoned(self.requests.lock());
         *requests.entry((label.to_string(), status)).or_insert(0) += 1;
     }
 
@@ -253,8 +253,7 @@ impl<T> PendingQueue<T> {
     }
 
     fn push(&self, item: T) -> Result<(), (T, QueueRefusal)> {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut inner = self.inner.lock().expect("no worker panicked");
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.closed {
             return Err((item, QueueRefusal::Closed));
         }
@@ -270,8 +269,7 @@ impl<T> PendingQueue<T> {
     /// Next pending item; blocks while the queue is open and empty, returns
     /// `None` once it is closed *and* empty (consumers exit on that).
     fn pop(&self) -> Option<T> {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        let mut inner = self.inner.lock().expect("no worker panicked");
+        let mut inner = unpoisoned(self.inner.lock());
         loop {
             if let Some(item) = inner.pending.pop_front() {
                 return Some(item);
@@ -279,20 +277,17 @@ impl<T> PendingQueue<T> {
             if inner.closed {
                 return None;
             }
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            inner = self.ready.wait(inner).expect("no worker panicked");
+            inner = unpoisoned(self.ready.wait(inner));
         }
     }
 
     fn close(&self) {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        self.inner.lock().expect("no worker panicked").closed = true;
+        unpoisoned(self.inner.lock()).closed = true;
         self.ready.notify_all();
     }
 
     fn depth(&self) -> usize {
-        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-        self.inner.lock().expect("no worker panicked").pending.len()
+        unpoisoned(self.inner.lock()).pending.len()
     }
 }
 
@@ -702,8 +697,7 @@ fn route(state: &ServeState, request: &Request, stream: &mut TcpStream) -> std::
 fn metrics_json(state: &ServeState) -> String {
     let m = &state.metrics;
     let mut per_endpoint: Vec<((String, u16), u64)> = {
-        // audit:allow(unwrap-in-library): a poisoned lock means a handler already panicked; propagate that panic
-        let requests = m.requests.lock().expect("no handler panicked");
+        let requests = unpoisoned(m.requests.lock());
         requests.iter().map(|(k, v)| (k.clone(), *v)).collect()
     };
     per_endpoint.sort();
@@ -839,8 +833,7 @@ fn handle_run(
             let Some(lock) = &probe_stream else {
                 return false;
             };
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            let probe = lock.lock().expect("no worker panicked");
+            let probe = unpoisoned(lock.lock());
             if tiny_http::client_disconnected(&probe) {
                 gone.store(true, Ordering::SeqCst);
                 return true;
@@ -852,11 +845,11 @@ fn handle_run(
                 .pool
                 .run_plans_cancellable(vec![plan], state.cache.as_ref(), None, Some(&cancel));
         return match outcome {
-            Err(message) if message == CANCELLED_MSG && gone.load(Ordering::SeqCst) => {
+            Err(RunError::Cancelled) => {
                 // The client is gone; there is nobody to answer.
                 Ok(STATUS_CLIENT_GONE)
             }
-            Err(message) => {
+            Err(RunError::Store(message)) => {
                 text_response(500, &format!("{message}\n")).write_to(stream)?;
                 Ok(500)
             }
@@ -922,11 +915,11 @@ fn handle_run(
         Some(&cancel),
     );
     match outcome {
-        Err(message) if message == CANCELLED_MSG && sink.dead.load(Ordering::SeqCst) => {
+        Err(RunError::Cancelled) => {
             // The progress client hung up; nothing to finish.
             return Ok(STATUS_CLIENT_GONE);
         }
-        Err(message) => {
+        Err(RunError::Store(message)) => {
             emit(
                 &sink,
                 &[
@@ -959,11 +952,7 @@ fn handle_run(
             );
         }
     }
-    sink.writer
-        .into_inner()
-        // audit:allow(unwrap-in-library): emit never panics while holding the writer lock
-        .expect("no handler panicked")
-        .finish()?;
+    unpoisoned(sink.writer.into_inner()).finish()?;
     Ok(200)
 }
 
@@ -1017,8 +1006,7 @@ fn emit(sink: &ProgressSink<'_>, fields: &[(&str, Value)]) {
         return;
     };
     line.push('\n');
-    // audit:allow(unwrap-in-library): emit never panics while holding the writer lock
-    let mut writer = sink.writer.lock().expect("no handler panicked");
+    let mut writer = unpoisoned(sink.writer.lock());
     if writer.chunk(line.as_bytes()).is_err() {
         sink.dead.store(true, Ordering::SeqCst);
     }

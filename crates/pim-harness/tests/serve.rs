@@ -603,3 +603,62 @@ fn a_disconnected_progress_client_cancels_its_run_and_frees_the_pool() {
     let health = client::request(&addr, "GET", "/healthz", &[], b"").expect("healthz after cancel");
     assert_eq!(health.status, 200);
 }
+
+#[test]
+fn a_failed_cache_store_answers_500_and_leaves_nothing_warm() {
+    let cache = temp_dir("store-fault");
+    let addr = start(&ServeOptions {
+        cache_dir: Some(cache.clone()),
+        ..ServeOptions::default()
+    });
+    // A regular file where the entry directory must be: every store fails,
+    // even for root-privileged test runners (where permission bits would not).
+    let units = cache.join("units");
+    std::fs::remove_dir_all(&units).expect("remove the entry directory");
+    std::fs::write(&units, "x").expect("block the entry directory");
+
+    let cold = client::request(&addr, "POST", "/run", &[], SPEC.as_bytes()).expect("cold request");
+    assert_eq!(cold.status, 500);
+    let body = String::from_utf8_lossy(&cold.body);
+    assert!(body.contains(&units.display().to_string()), "{body}");
+    let health = client::request(&addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(health.status, 200);
+    let doc = wait_for_metrics(&addr, "the 500 counted", |d| {
+        value_at(d, &["requests", "by_endpoint", "POST /run", "500"]).is_some()
+    });
+    assert_eq!(
+        metrics_u64(&doc, &["requests", "by_endpoint", "POST /run", "500"]),
+        1
+    );
+
+    // With the directory back, the daemon computes and stores every unit: no
+    // payload the disk refused was kept warm in memory.
+    std::fs::remove_file(&units).expect("unblock");
+    std::fs::create_dir(&units).expect("restore the entry directory");
+    let retry = client::request(&addr, "POST", "/run", &[], SPEC.as_bytes()).expect("retry");
+    assert_eq!(retry.status, 200);
+    assert_eq!(
+        String::from_utf8_lossy(&retry.body),
+        reference_for(SPEC, DEFAULT_SEED)
+    );
+    assert_eq!(header_u64(&retry, "X-Pim-Cache-Misses"), SPEC_UNITS);
+
+    // So a warm batch over the daemon's cache is all hits.
+    let mut registry = Registry::new();
+    let names = register_specs(&mut registry, vec![parse_spec(SPEC).expect("spec parses")])
+        .expect("spec registers");
+    let warm = run_batch(
+        &registry,
+        &names,
+        &BatchOptions {
+            jobs: 2,
+            cache_dir: Some(cache.clone()),
+            ..Default::default()
+        },
+    )
+    .expect("warm batch runs");
+    assert_eq!(warm.cache_counts[0].hits, SPEC_UNITS);
+    assert_eq!(warm.cache_counts[0].misses, 0);
+    assert_eq!(warm.reports[0].to_json(), reference_for(SPEC, DEFAULT_SEED));
+    let _ = std::fs::remove_dir_all(&cache);
+}

@@ -299,6 +299,22 @@ mod tests {
             far.total_work_ops,
             near.total_work_ops
         );
+        // A round trip past the end of representable time saturates: each node
+        // blocks on its first remote access for the rest of the run.
+        let beyond = run_control(
+            ParcelConfig {
+                latency_cycles: 1e16,
+                ..base_config()
+            },
+            5,
+        );
+        assert!(
+            beyond.total_work_ops < far.total_work_ops,
+            "beyond {} far {}",
+            beyond.total_work_ops,
+            far.total_work_ops
+        );
+        assert!(beyond.idle_fraction() > 0.99, "{}", beyond.idle_fraction());
     }
 
     #[test]

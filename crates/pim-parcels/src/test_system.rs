@@ -467,6 +467,21 @@ mod tests {
     }
 
     #[test]
+    fn a_round_trip_beyond_representable_time_leaves_nodes_idle() {
+        // 1e16 cycles each way is more than u64::MAX ticks: the reply time
+        // saturates past the horizon instead of wrapping back into the run.
+        let config = ParcelConfig {
+            nodes: 2,
+            parallelism: 1,
+            latency_cycles: 1e16,
+            remote_fraction: 0.5,
+            ..base_config()
+        };
+        let out = run_test(config, 43);
+        assert!(out.idle_fraction() > 0.99, "{}", out.idle_fraction());
+    }
+
+    #[test]
     fn no_remote_accesses_make_both_systems_equal() {
         let config = ParcelConfig {
             remote_fraction: 0.0,
