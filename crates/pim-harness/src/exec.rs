@@ -29,8 +29,10 @@
 //!
 //! * a **compute-permit gate** — at most `jobs` units execute at any instant across
 //!   every concurrent client of the pool, however many request threads are active;
-//! * a **warm in-memory result map** (digest → payload) — repeat queries are served
-//!   without touching the disk cache;
+//! * a **warm in-memory result map** (digest → the payload's compact JSON) —
+//!   repeat queries are served without touching the disk cache, resolved on
+//!   the calling thread before any worker starts (an all-warm call spawns no
+//!   thread, takes the map's lock once and probes its cancellation hook once);
 //! * **single-flight deduplication** per [`UnitKey`](crate::cache::UnitKey) digest —
 //!   when two clients need the same unit concurrently, exactly one computes it and
 //!   the other blocks until the result is published, then decodes it as a hit.
@@ -45,9 +47,8 @@ use crate::scenario::{PlanUnit, ScenarioPlan, UnitCodec, UnitOutput};
 use crate::shard::{ExecutedUnit, ShardSpec};
 use desim::par::unpoisoned;
 use serde::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -61,15 +62,18 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 }
 
 /// A progress observer for one executor call: invoked after every completed unit
-/// with `(completed_so_far, total_units)`. Called from worker threads, so it must
-/// be `Sync`; keep it cheap — it runs inside the claim loop.
+/// with `(completed_so_far, total_units)`, one call at a time, so
+/// `completed_so_far` arrives as 1, 2, …, total. Memory hits tick first, in unit
+/// order, on the calling thread; computed units tick from worker threads, so it
+/// must be `Sync`. Keep it cheap: it runs inside the claim loop.
 pub type Progress<'p> = &'p (dyn Fn(usize, usize) + Sync);
 
-/// A cancellation probe for one executor call: polled between units and while
-/// queued on the compute gate or a foreign flight; returning `true` makes the
-/// call abandon its remaining work and fail with [`RunError::Cancelled`]. Called
-/// from worker threads, so it must be `Sync`; keep it cheap — the pool polls it
-/// every 25 ms while blocked and once per claimed unit.
+/// A cancellation probe for one executor call: polled once when the call starts,
+/// once per claimed unit that is not memory-warm, and while queued on the
+/// compute gate or a foreign flight; returning `true` makes the call abandon
+/// its remaining work and fail with [`RunError::Cancelled`]. An all-warm call
+/// probes it exactly once. Called from worker threads too, so it must be
+/// `Sync`; keep it cheap — the pool polls it every 25 ms while blocked.
 ///
 /// Cancellation only abandons work *this* call uniquely owns: a flight it was
 /// computing resolves as failed, waking any foreign waiters to re-contest
@@ -115,6 +119,12 @@ fn wait_step<'g, T>(
         return Err(RunError::Cancelled);
     }
     Ok(unpoisoned(cond.wait_timeout(guard, CANCEL_POLL)).0)
+}
+
+/// Decode one warm-map entry: its JSON, then the unit's codec. `None` when
+/// either step fails, which sends the unit down the normal compute path.
+fn decode_warm(text: &str, codec: &UnitCodec) -> Option<UnitOutput> {
+    (codec.decode)(&serde_json::value_from_str(text).ok()?)
 }
 
 /// A plan's report plus its cache accounting (all-zero when uncached).
@@ -265,11 +275,15 @@ pub struct UnitPool {
     /// actual unit count by `desim::par`'s claim loop.
     jobs: usize,
     gate: Gate,
-    /// Digest → encoded payload for every completed cacheable unit whose payload
-    /// survives a JSON round trip and, when the pool's caller has a disk cache,
-    /// was stored there (so memory and disk never disagree about which units are
-    /// served warm).
-    mem: Mutex<HashMap<u128, Value>>,
+    /// Digest → compact JSON of the encoded payload for every completed
+    /// cacheable unit whose payload survives a JSON round trip and, when the
+    /// pool's caller has a disk cache, was stored there (so memory and disk
+    /// never disagree about which units are served warm). The map is never
+    /// evicted, so its footprint is kept proportional to the entries it holds:
+    /// JSON text is a fraction of a `Value` tree's size, and a B-tree grows
+    /// node by node where a hash table would reallocate and rehash itself
+    /// whole at every doubling.
+    mem: Mutex<BTreeMap<u128, Arc<str>>>,
     /// Digest → in-flight computation, for single-flight deduplication.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
 }
@@ -286,7 +300,7 @@ impl UnitPool {
                 freed: Condvar::new(),
                 total,
             },
-            mem: Mutex::new(HashMap::new()),
+            mem: Mutex::new(BTreeMap::new()),
             flights: Mutex::new(HashMap::new()),
         }
     }
@@ -432,8 +446,8 @@ impl UnitPool {
     /// A payload from the warm map, decoded; `None` on absence (or on a decode
     /// mismatch, which sends the caller down the normal compute path).
     fn load_mem(&self, digest: u128, codec: &UnitCodec) -> Option<UnitOutput> {
-        let payload = unpoisoned(self.mem.lock()).get(&digest).cloned()?;
-        (codec.decode)(&payload)
+        let text = unpoisoned(self.mem.lock()).get(&digest).cloned()?;
+        decode_warm(&text, codec)
     }
 
     /// Admit a payload to the warm map under the disk cache's round-trip rule.
@@ -441,7 +455,9 @@ impl UnitPool {
         if !crate::cache::json_round_trips(payload) {
             return;
         }
-        unpoisoned(self.mem.lock()).insert(digest, payload.clone());
+        if let Ok(text) = serde_json::to_string(payload) {
+            unpoisoned(self.mem.lock()).insert(digest, Arc::from(text));
+        }
     }
 
     /// Register interest in a digest: either this worker becomes the owner
@@ -552,10 +568,15 @@ impl UnitPool {
         Ok((output, event))
     }
 
-    /// Run a flattened unit list on `desim::par`'s claim loop, returning each
-    /// unit's output and cache event in unit order. Up to `jobs` workers claim
-    /// units for this call; the pool's gate additionally bounds *computation*
-    /// across every concurrent call.
+    /// Run a flattened unit list, returning each unit's output and cache event
+    /// in unit order.
+    ///
+    /// Memory-warm units resolve first, on the calling thread: one probe of
+    /// `cancel`, one `mem` lock for the whole list, payload decodes outside
+    /// the lock. Only the rest go to `desim::par`'s claim loop, where up to
+    /// `jobs` workers claim them and probe `cancel` once per claim; the pool's
+    /// gate additionally bounds *computation* across every concurrent call. An
+    /// all-warm call therefore spawns no thread.
     fn execute(
         &self,
         units: Vec<PlanUnit<'_>>,
@@ -563,18 +584,54 @@ impl UnitPool {
         progress: Option<Progress<'_>>,
         cancel: Option<Cancel<'_>>,
     ) -> Result<Vec<(UnitOutput, CacheEvent)>, RunError> {
+        if cancel.is_some_and(|probe| probe()) {
+            return Err(RunError::Cancelled);
+        }
         let total = units.len();
+        // Serialized, so observers see 1, 2, …, total in order.
+        let completed = Mutex::new(0);
+        let tick = || {
+            if let Some(progress) = progress {
+                let mut done = unpoisoned(completed.lock());
+                *done += 1;
+                progress(*done, total);
+            }
+        };
+
+        let payloads: Vec<Option<Arc<str>>> = {
+            let mem = unpoisoned(self.mem.lock());
+            units
+                .iter()
+                .map(|unit| {
+                    let (key, _) = unit.cache.as_ref()?;
+                    mem.get(&key.digest_u128()).cloned()
+                })
+                .collect()
+        };
+        // `None` marks a unit left for the claim loop. A payload its codec
+        // cannot read takes `run_unit`'s path like any other miss.
+        let mut results: Vec<Option<(UnitOutput, CacheEvent)>> = Vec::with_capacity(total);
         // The claim loop lends each worker a shared reference; the slot lets the
         // claiming worker take its `FnOnce` unit by value.
-        let slots: Vec<Mutex<Option<PlanUnit<'_>>>> = units
-            .into_iter()
-            .map(|unit| Mutex::new(Some(unit)))
-            .collect();
-        let completed = AtomicUsize::new(0);
+        let mut slots: Vec<Mutex<Option<PlanUnit<'_>>>> = Vec::new();
+        for (unit, payload) in units.into_iter().zip(payloads) {
+            let hit = match (&unit.cache, payload) {
+                (Some((_, codec)), Some(text)) => decode_warm(&text, codec),
+                _ => None,
+            };
+            if let Some(output) = hit {
+                tick();
+                results.push(Some((output, CacheEvent::Hit)));
+            } else {
+                results.push(None);
+                slots.push(Mutex::new(Some(unit)));
+            }
+        }
+
         // The call's first failure; once set, its outputs are discarded, so
         // later claims return at once.
         let failure = OnceLock::new();
-        let results = desim::par::work_steal_map(&slots, self.jobs, |_, slot| {
+        let computed = desim::par::work_steal_map(&slots, self.jobs, |_, slot| {
             if failure.get().is_some() {
                 return None;
             }
@@ -586,9 +643,7 @@ impl UnitPool {
             // audit:allow(unwrap-in-library): the claim loop hands each index to exactly one worker
             match self.run_unit(unit.expect("each unit claimed once"), cache, cancel) {
                 Ok(done) => {
-                    if let Some(progress) = progress {
-                        progress(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
+                    tick();
                     Some(done)
                 }
                 Err(err) => {
@@ -597,11 +652,16 @@ impl UnitPool {
                 }
             }
         });
-        match failure.into_inner() {
-            Some(err) => Err(err),
-            // Without a failure no claim returned early: every unit has an output.
-            None => Ok(results.into_iter().flatten().collect()),
+        if let Some(err) = failure.into_inner() {
+            return Err(err);
         }
+        // Without a failure no claim returned early: every slot has an output,
+        // and the slots are the `None`s of `results`, in order.
+        let mut computed = computed.into_iter().flatten();
+        Ok(results
+            .into_iter()
+            .filter_map(|warm| warm.or_else(|| computed.next()))
+            .collect())
     }
 }
 
@@ -611,7 +671,7 @@ mod tests {
     use crate::cache::UnitKeyer;
     use crate::report::ScenarioReport;
     use serde::Value;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn plan_squaring<'s>(name: &'s str, n: usize) -> ScenarioPlan<'s> {
         let units: Vec<_> = (0..n).map(|i| move || i * i).collect();
@@ -631,8 +691,18 @@ mod tests {
         n: usize,
         runs: &'s AtomicUsize,
     ) -> ScenarioPlan<'s> {
+        plan_squaring_at(name, (0..n).collect(), runs)
+    }
+
+    /// `plan_squaring_cached` over the given grid indices only.
+    fn plan_squaring_at<'s>(
+        name: &'s str,
+        indices: Vec<usize>,
+        runs: &'s AtomicUsize,
+    ) -> ScenarioPlan<'s> {
         let keyer = UnitKeyer::new(name, &Value::Map(vec![]), 1);
-        let units: Vec<_> = (0..n)
+        let units: Vec<_> = indices
+            .into_iter()
             .map(|i| {
                 (keyer.key(i, 0), move || {
                     runs.fetch_add(1, Ordering::Relaxed);
@@ -862,6 +932,63 @@ mod tests {
         assert_eq!(warm.report.to_json(), cold.report.to_json());
     }
 
+    type Exact = (f64, i64, u64, String);
+
+    /// A cacheable plan whose units return `outputs`, reporting them with
+    /// every float as its bit pattern so any drift shows in the JSON.
+    fn plan_exact<'s>(outputs: &'s [Exact], runs: &'s AtomicUsize) -> ScenarioPlan<'s> {
+        let keyer = UnitKeyer::new("exact", &Value::Map(vec![]), 3);
+        let units: Vec<_> = outputs
+            .iter()
+            .enumerate()
+            .map(|(i, out)| {
+                (keyer.key(i, 0), move || {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    out.clone()
+                })
+            })
+            .collect();
+        ScenarioPlan::cached_map_reduce(units, |outs: Vec<Exact>| {
+            let rows = outs
+                .into_iter()
+                .map(|(x, i, u, s)| {
+                    Value::Seq(vec![
+                        Value::U64(x.to_bits()),
+                        Value::I64(i),
+                        Value::U64(u),
+                        Value::Str(s),
+                    ])
+                })
+                .collect();
+            ScenarioReport::new("exact", "outputs", 0, Value::Seq(rows))
+        })
+    }
+
+    #[test]
+    fn memory_hits_restore_outputs_bit_for_bit() {
+        // The warm map holds payloads as JSON text: a memory hit must bring
+        // back float bits, integer extremes and escaped strings unchanged.
+        let outputs: Vec<Exact> = vec![
+            (0.1 + 0.2, i64::MIN, u64::MAX, "\"q\" \\ \n\t\u{1}".into()),
+            (-0.0, -1, 0, "é ✓ 𝄞".into()),
+            (f64::MIN_POSITIVE / 1024.0, i64::MAX, 1, String::new()),
+            (f64::MAX, 0, u64::from(u32::MAX), "plain".into()),
+        ];
+        let pool = UnitPool::new(2);
+        let runs = AtomicUsize::new(0);
+        let run = || {
+            pool.run_plans_cached(vec![plan_exact(&outputs, &runs)], None)
+                .unwrap()
+                .pop()
+                .unwrap()
+        };
+        let cold = run();
+        let warm = run();
+        assert_eq!(runs.load(Ordering::Relaxed), outputs.len());
+        assert_eq!(warm.cache.hits, outputs.len() as u64);
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+    }
+
     /// Spin until `cond` holds (the pool exposes occupancy, not wakeups).
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
         for _ in 0..2000 {
@@ -928,6 +1055,90 @@ mod tests {
             .unwrap();
         assert_eq!(runs.load(Ordering::Relaxed), 8);
         assert_eq!(outcome.report.metrics.len(), 8);
+    }
+
+    #[test]
+    fn a_warm_call_probes_once_and_runs_no_unit() {
+        let pool = UnitPool::new(4);
+        let runs = AtomicUsize::new(0);
+        let cold = pool
+            .run_plans_cached(vec![plan_squaring_cached("sq", 16, &runs)], None)
+            .unwrap()
+            .pop()
+            .unwrap();
+        let probes = AtomicUsize::new(0);
+        let probe = || {
+            probes.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        let warm = pool
+            .run_plans_cancellable(
+                vec![plan_squaring_cached("sq", 16, &runs)],
+                None,
+                None,
+                Some(&probe),
+            )
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(probes.load(Ordering::Relaxed), 1, "one probe per warm call");
+        assert_eq!(runs.load(Ordering::Relaxed), 16, "a warm unit ran");
+        assert_eq!(warm.cache.hits, 16);
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+    }
+
+    #[test]
+    fn a_warm_call_whose_probe_fired_is_cancelled() {
+        let pool = UnitPool::new(2);
+        let runs = AtomicUsize::new(0);
+        pool.run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], None)
+            .unwrap();
+        let probe = || true;
+        let Err(err) = pool.run_plans_cancellable(
+            vec![plan_squaring_cached("sq", 6, &runs)],
+            None,
+            None,
+            Some(&probe),
+        ) else {
+            panic!("a cancelled warm call succeeded");
+        };
+        assert_eq!(err, RunError::Cancelled);
+        assert_eq!(runs.load(Ordering::Relaxed), 6);
+    }
+
+    #[test]
+    fn a_half_warm_plan_ticks_in_order_and_assembles_the_cold_report() {
+        const UNITS: usize = 20;
+        let runs = AtomicUsize::new(0);
+        let cold = run_uncached(vec![plan_squaring_cached("sq", UNITS, &runs)], 2).remove(0);
+        for jobs in [1, 8] {
+            let pool = UnitPool::new(jobs);
+            // Warm every other unit, so hits and computed units interleave.
+            let evens = (0..UNITS).step_by(2).collect();
+            pool.run_plans_cached(vec![plan_squaring_at("sq", evens, &runs)], None)
+                .unwrap();
+            let before = runs.load(Ordering::Relaxed);
+            let ticks = Mutex::new(Vec::new());
+            let progress = |done: usize, total: usize| {
+                assert_eq!(total, UNITS);
+                ticks.lock().unwrap().push(done);
+            };
+            let outcome = pool
+                .run_plans_cancellable(
+                    vec![plan_squaring_cached("sq", UNITS, &runs)],
+                    None,
+                    Some(&progress),
+                    None,
+                )
+                .unwrap()
+                .pop()
+                .unwrap();
+            let expected: Vec<usize> = (1..=UNITS).collect();
+            assert_eq!(ticks.into_inner().unwrap(), expected, "jobs={jobs}");
+            assert_eq!(outcome.cache.hits as usize, UNITS / 2, "jobs={jobs}");
+            assert_eq!(runs.load(Ordering::Relaxed) - before, UNITS / 2);
+            assert_eq!(outcome.report.to_json(), cold.to_json(), "jobs={jobs}");
+        }
     }
 
     #[test]

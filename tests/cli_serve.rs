@@ -3,7 +3,8 @@
 //! (cold and warm), and SIGKILLing the daemon mid-request leaves the shared
 //! cache unpoisoned — a subsequent CLI run over the same directory completes
 //! with zero recomputations and byte-identical artifacts. A daemon that runs out
-//! of file descriptors keeps serving once its deadlines free some.
+//! of file descriptors keeps serving once its deadlines free some, and hostile
+//! JSON bodies (deep nesting, huge strings) get a prompt 400.
 
 use std::io::BufRead;
 use std::net::TcpStream;
@@ -305,4 +306,28 @@ fn daemon_survives_descriptor_exhaustion() {
     }
     assert!(daemon.is_running());
     drop(idle);
+}
+
+#[test]
+fn hostile_json_bodies_get_a_400_and_the_daemon_keeps_serving() {
+    // 64 KiB of `[` once overflowed a worker's stack and aborted the whole
+    // daemon; a 1 MiB unterminated string cost tens of seconds of parse time.
+    let daemon = Daemon::start(&["--workers", "2"]);
+    let deep = "[".repeat(64 << 10);
+    let long = format!("{{\"name\":\"{}", "x".repeat(1 << 20));
+    for (what, body) in [("deep nesting", &deep), ("long string", &long)] {
+        let started = Instant::now();
+        let resp = client::request(&daemon.addr, "POST", "/run", &[], body.as_bytes())
+            .unwrap_or_else(|e| panic!("{what}: no response: {e}"));
+        assert_eq!(resp.status, 400, "{what}");
+        let text = String::from_utf8_lossy(&resp.body);
+        assert!(text.contains("not valid JSON"), "{what}: {text}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{what}: rejected only after {:?}",
+            started.elapsed()
+        );
+        let health = client::request(&daemon.addr, "GET", "/healthz", &[], b"").unwrap();
+        assert_eq!(health.status, 200, "{what}: daemon unhealthy afterwards");
+    }
 }
