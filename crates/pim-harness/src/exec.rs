@@ -32,7 +32,9 @@
 //! * a **warm in-memory result map** (digest → the payload's compact JSON) —
 //!   repeat queries are served without touching the disk cache, resolved on
 //!   the calling thread before any worker starts (an all-warm call spawns no
-//!   thread, takes the map's lock once and probes its cancellation hook once);
+//!   thread, takes the map's lock once and probes its cancellation hook once).
+//!   With a disk cache, a unit joins the map when it is loaded from disk, not
+//!   when it is computed, so one-off units stay out of memory;
 //! * **single-flight deduplication** per [`UnitKey`](crate::cache::UnitKey) digest —
 //!   when two clients need the same unit concurrently, exactly one computes it and
 //!   the other blocks until the result is published, then decodes it as a hit.
@@ -275,14 +277,16 @@ pub struct UnitPool {
     /// actual unit count by `desim::par`'s claim loop.
     jobs: usize,
     gate: Gate,
-    /// Digest → compact JSON of the encoded payload for every completed
-    /// cacheable unit whose payload survives a JSON round trip and, when the
-    /// pool's caller has a disk cache, was stored there (so memory and disk
-    /// never disagree about which units are served warm). The map is never
-    /// evicted, so its footprint is kept proportional to the entries it holds:
-    /// JSON text is a fraction of a `Value` tree's size, and a B-tree grows
-    /// node by node where a hash table would reallocate and rehash itself
-    /// whole at every doubling.
+    /// Digest → compact JSON of an encoded payload (one that survives a JSON
+    /// round trip). A call without a disk cache admits every unit it
+    /// computes. With a disk cache, a computed unit goes to disk only and is
+    /// admitted when a later call loads it from there: a unit asked for once
+    /// (a fresh-seed sweep) never takes memory, so the map grows with reuse,
+    /// not with traffic, and it never holds a payload the disk refused. The
+    /// map is never evicted, so its footprint is kept proportional to the
+    /// entries it holds: JSON text is a fraction of a `Value` tree's size,
+    /// and a B-tree grows node by node where a hash table would reallocate
+    /// and rehash itself whole at every doubling.
     mem: Mutex<BTreeMap<u128, Arc<str>>>,
     /// Digest → in-flight computation, for single-flight deduplication.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
@@ -557,12 +561,16 @@ impl UnitPool {
             (unit.run)()
         };
         let payload = (codec.encode)(&*output);
-        let stored = cache.map_or(Ok(()), |c| c.store(key, &payload));
-        // Only a payload the disk cache holds (or a pool without one) becomes
-        // memory-warm; waiters on this flight get the payload either way.
-        if stored.is_ok() {
-            self.store_mem(digest, &payload);
-        }
+        // With a disk cache the payload goes to disk only: it becomes
+        // memory-warm when a later call loads it back (the disk-hit branch
+        // above). Waiters on this flight get the payload either way.
+        let stored = match cache {
+            Some(cache) => cache.store(key, &payload),
+            None => {
+                self.store_mem(digest, &payload);
+                Ok(())
+            }
+        };
         guard.complete(payload);
         stored.map_err(RunError::Store)?;
         Ok((output, event))
@@ -892,7 +900,8 @@ mod tests {
         assert_eq!(pool.flights_in_progress(), 0);
 
         // With the directory back, the same pool computes and stores every unit:
-        // nothing from the failed call is served as a hit.
+        // nothing from the failed call is served as a hit. Computed units go
+        // to disk only.
         std::fs::remove_file(&units).unwrap();
         std::fs::create_dir(&units).unwrap();
         let outcome = pool
@@ -901,8 +910,56 @@ mod tests {
             .pop()
             .unwrap();
         assert_eq!(outcome.cache.misses, 6);
+        assert_eq!(pool.mem_entries(), 0);
+
+        // A repeat loads every unit from disk, and that is what warms memory.
+        let outcome = pool
+            .run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], Some(&cache))
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(outcome.cache.hits, 6);
         assert_eq!(pool.mem_entries(), 6);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn units_loaded_from_disk_stay_warm_when_the_disk_cache_is_gone() {
+        let root = std::env::temp_dir().join(format!("pim-exec-promote-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = UnitCache::open(&root).unwrap();
+        let pool = UnitPool::new(2);
+        let runs = AtomicUsize::new(0);
+        let run = || {
+            pool.run_plans_cached(vec![plan_squaring_cached("sq", 8, &runs)], Some(&cache))
+                .unwrap()
+                .pop()
+                .unwrap()
+        };
+        let cold = run();
+        assert_eq!(cold.cache.misses, 8);
+        assert_eq!(
+            pool.mem_entries(),
+            0,
+            "a computed unit was admitted to memory"
+        );
+        assert_eq!(run().cache.hits, 8);
+        assert_eq!(pool.mem_entries(), 8);
+
+        // Every unit is memory-warm now: the repeat needs neither the disk
+        // cache nor a computation.
+        std::fs::remove_dir_all(&root).unwrap();
+        let warm = run();
+        assert_eq!(
+            warm.cache,
+            CacheCounts {
+                hits: 8,
+                misses: 0,
+                recomputed: 0
+            }
+        );
+        assert_eq!(runs.load(Ordering::Relaxed), 8);
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
     }
 
     #[test]

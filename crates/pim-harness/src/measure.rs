@@ -20,6 +20,12 @@ use pim_mem::{Bank, CacheModel, DramTiming, SetAssociativeCache};
 use pim_workload::{AddressPattern, InstructionMix, OperationStream};
 use serde::{Deserialize, Serialize};
 
+/// The most lines a Zipf table or the host cache may span: 2^24, twice the
+/// builtin SpMV profile's Zipf support. Both are allocated per line up front
+/// (8 B per Zipf rank, 16 B per cache way), so a larger geometry from an
+/// untrusted spec could ask for terabytes and abort the process.
+const MAX_LINES: u64 = 1 << 24;
+
 /// Configuration of one measured run: the synthetic stream plus the memory-system
 /// geometry it is driven through.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,6 +79,19 @@ impl MeasureConfig {
         if self.cache_ways == 0 {
             return Err("cache associativity must be at least 1".into());
         }
+        let lines = self.cache_bytes / self.cache_line_bytes;
+        if lines > MAX_LINES {
+            return Err(format!(
+                "cache_bytes ({}) holds {lines} lines of {} B; at most {MAX_LINES} are allowed",
+                self.cache_bytes, self.cache_line_bytes
+            ));
+        }
+        if self.cache_ways as u64 > lines {
+            return Err(format!(
+                "cache_ways ({}) exceeds the cache's {lines} lines",
+                self.cache_ways
+            ));
+        }
         if self.bank_rows == 0 {
             return Err("the bank needs at least one row".into());
         }
@@ -109,6 +128,13 @@ pub fn validate_pattern(pattern: &AddressPattern) -> Result<(), String> {
             if footprint < line {
                 return Err(format!(
                     "zipf footprint ({footprint}) must be at least one line ({line})"
+                ));
+            }
+            if footprint / line > MAX_LINES {
+                return Err(format!(
+                    "zipf footprint ({footprint}) spans {} lines of {line} B; \
+                     at most {MAX_LINES} are allowed",
+                    footprint / line
                 ));
             }
             if !exponent.is_finite() || *exponent < 0.0 {
@@ -235,10 +261,45 @@ mod tests {
                     exponent: f64::NAN,
                 }
             },
+            // Too large to allocate: a 2^34-line Zipf table, 2^34 cache
+            // lines, 2^40 ways.
+            |c: &mut MeasureConfig| {
+                c.pattern = AddressPattern::Zipf {
+                    footprint: 1 << 34,
+                    line: 1,
+                    exponent: 1.0,
+                }
+            },
+            |c: &mut MeasureConfig| c.cache_bytes = 1 << 40,
+            |c: &mut MeasureConfig| c.cache_ways = 1 << 40,
         ] {
             let mut c = uniform(1 << 20);
             f(&mut c);
             assert!(c.validate().is_err(), "degenerate config accepted: {c:?}");
+        }
+    }
+
+    #[test]
+    fn line_caps_are_inclusive() {
+        let mut c = uniform(1 << 20);
+        c.pattern = AddressPattern::Zipf {
+            footprint: 64 * MAX_LINES,
+            line: 64,
+            exponent: 1.0,
+        };
+        c.cache_bytes = 64 * MAX_LINES;
+        c.cache_ways = MAX_LINES as usize;
+        assert_eq!(c.validate(), Ok(()));
+        c.cache_bytes += 64;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn builtin_kernel_profiles_validate() {
+        for kernel in pim_workload::Kernel::all() {
+            let profile = kernel.profile();
+            let c = MeasureConfig::with_pattern(1_000, profile.mix, profile.pattern);
+            assert_eq!(c.validate(), Ok(()), "{}", profile.name);
         }
     }
 

@@ -8,10 +8,19 @@
 //!
 //! * at most `--jobs` units compute at any instant, however many clients are active;
 //! * repeat queries are answered from the pool's warm in-memory results (and the
-//!   on-disk unit cache when `--cache` is given) without recomputation;
+//!   on-disk unit cache when `--cache` is given) without recomputation. With
+//!   `--cache`, a computed unit goes to disk only and joins the in-memory results
+//!   when a later request loads it back, so memory grows with reuse, not traffic;
 //! * concurrent submissions with overlapping grids deduplicate at *unit*
 //!   granularity: single-flight per [`UnitKey`](crate::cache::UnitKey) digest means
 //!   two clients asking for the same grid point trigger exactly one computation.
+//!
+//! In front of the pool sits a **response memo**: an artifact-mode `POST /run`
+//! whose every unit was a hit stores its rendered response, keyed by the resolved
+//! seed and the exact request-body bytes. A byte-identical resubmission gets the
+//! same bytes back (all-hit `X-Pim-*` headers included) without being parsed,
+//! planned, executed or rendered. Cold runs, progress streams and error answers
+//! never enter it; its budget is a fixed 8 MiB, evicted first in, first out.
 //!
 //! The default `POST /run` response body is byte-identical to what
 //! `pim-tradeoffs run --spec FILE --seed S` prints for a single scenario — the
@@ -72,7 +81,7 @@
 //! from content-addressed storage, and the artifact bytes are produced by the same
 //! report renderer the CLI uses.
 
-use crate::cache::UnitCache;
+use crate::cache::{CacheCounts, UnitCache};
 use crate::exec::{resolve_jobs, RunError, UnitPool};
 use crate::registry::Registry;
 use crate::scenario::SeedPolicy;
@@ -80,7 +89,7 @@ use crate::spec::parse_spec;
 use desim::par::unpoisoned;
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -95,6 +104,11 @@ pub const METRICS_SCHEMA_VERSION: u64 = 1;
 /// The internal status label for requests whose client vanished mid-run
 /// (nothing was written back). Follows nginx's convention for the same case.
 const STATUS_CLIENT_GONE: u16 = 499;
+
+/// Byte budget of the response memo ([`ResponseMemo`]): key plus response
+/// bytes over every entry. A shipped preset's response is 2.5–13 KB, so this
+/// holds several hundred distinct repeat submissions.
+const MEMO_BUDGET_BYTES: usize = 8 << 20;
 
 /// First and longest pause before the acceptor retries a failed `accept()`; the
 /// pause doubles on each consecutive failure and resets on the next success.
@@ -291,6 +305,102 @@ impl<T> PendingQueue<T> {
     }
 }
 
+/// What a `POST /run` response depends on: the resolved seed and the exact
+/// request-body bytes. Equality is byte equality; the hash only picks a bucket.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct MemoKey {
+    seed: u64,
+    body: Arc<[u8]>,
+}
+
+impl MemoKey {
+    /// Bytes an entry under this key costs on top of its response.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<u64>() + self.body.len()
+    }
+}
+
+/// A memoized `POST /run` response: the complete HTTP bytes, all-hit
+/// `X-Pim-*` headers included, and the unit count they report.
+struct MemoEntry {
+    units: u64,
+    response: Vec<u8>,
+}
+
+/// Rendered responses to artifact-mode `POST /run` submissions whose run was
+/// all hits. A byte-identical resubmission under the same seed gets the same
+/// bytes back without being parsed, planned, executed or rendered: units are
+/// pure functions of their keys, so the pipeline would produce exactly these
+/// bytes again. A reformatted but equivalent spec misses and takes the
+/// pipeline. Entries are evicted first in, first out once their key and
+/// response bytes would exceed the budget; a response the budget cannot hold
+/// alone is not stored.
+struct ResponseMemo {
+    budget: usize,
+    inner: Mutex<MemoInner>,
+    hits: AtomicU64,
+}
+
+#[derive(Default)]
+struct MemoInner {
+    entries: HashMap<MemoKey, Arc<MemoEntry>>,
+    /// Keys in admission order, oldest first.
+    order: VecDeque<MemoKey>,
+    bytes: usize,
+}
+
+impl ResponseMemo {
+    fn new(budget: usize) -> ResponseMemo {
+        ResponseMemo {
+            budget,
+            inner: Mutex::new(MemoInner::default()),
+            hits: AtomicU64::new(0),
+        }
+    }
+
+    /// The memoized response under `key`, counting a hit.
+    fn get(&self, key: &MemoKey) -> Option<Arc<MemoEntry>> {
+        let entry = unpoisoned(self.inner.lock()).entries.get(key).cloned()?;
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        Some(entry)
+    }
+
+    /// Store `entry` under `key` unless the key is present already (a
+    /// concurrent twin got there first) or the entry exceeds the whole
+    /// budget, evicting the oldest entries to make room.
+    fn admit(&self, key: MemoKey, entry: MemoEntry) {
+        let cost = key.bytes() + entry.response.len();
+        if cost > self.budget {
+            return;
+        }
+        let mut inner = unpoisoned(self.inner.lock());
+        if inner.entries.contains_key(&key) {
+            return;
+        }
+        while inner.bytes + cost > self.budget {
+            let Some(oldest) = inner.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = inner.entries.remove(&oldest) {
+                inner.bytes -= oldest.bytes() + evicted.response.len();
+            }
+        }
+        inner.bytes += cost;
+        inner.order.push_back(key.clone());
+        inner.entries.insert(key, Arc::new(entry));
+    }
+
+    /// `(entries, bytes, hits)`, for `/metrics`.
+    fn stats(&self) -> (usize, usize, u64) {
+        let inner = unpoisoned(self.inner.lock());
+        (
+            inner.entries.len(),
+            inner.bytes,
+            self.hits.load(Ordering::SeqCst),
+        )
+    }
+}
+
 /// Daemon state shared by the acceptor, every worker, and drain handles.
 struct ServeState {
     pool: UnitPool,
@@ -313,6 +423,7 @@ struct ServeState {
     /// close is the only answer that costs nothing.
     reject: PendingQueue<(TcpStream, QueueRefusal)>,
     metrics: Metrics,
+    memo: ResponseMemo,
 }
 
 /// The sweep service: a bound listener plus the persistent scheduler state.
@@ -419,6 +530,7 @@ impl SweepServer {
                 queue: PendingQueue::new(queue_capacity),
                 reject: PendingQueue::new((queue_capacity * 4).max(64)),
                 metrics: Metrics::new(),
+                memo: ResponseMemo::new(MEMO_BUDGET_BYTES),
             }),
         })
     }
@@ -701,6 +813,7 @@ fn metrics_json(state: &ServeState) -> String {
         requests.iter().map(|(k, v)| (k.clone(), *v)).collect()
     };
     per_endpoint.sort();
+    let (memo_entries, memo_bytes, memo_hits) = state.memo.stats();
     let mut by_endpoint: Vec<(String, Value)> = Vec::new();
     for ((label, status), count) in per_endpoint {
         let entry = (status.to_string(), Value::U64(count));
@@ -796,34 +909,56 @@ fn metrics_json(state: &ServeState) -> String {
                 ),
             ]),
         ),
+        (
+            "memo".to_string(),
+            Value::Map(vec![
+                ("entries".to_string(), Value::U64(memo_entries as u64)),
+                ("bytes".to_string(), Value::U64(memo_bytes as u64)),
+                ("hits".to_string(), Value::U64(memo_hits)),
+            ]),
+        ),
     ]);
     // audit:allow(unwrap-in-library): the vendored JSON writer is total for this composed document
     serde_json::to_string(&doc).expect("metrics document serializes")
 }
 
-/// `POST /run`: compile the spec in the body, execute it on the shared pool, and
-/// answer with the artifact (fixed body) or a progress stream (`?progress=1`).
+/// `POST /run`: answer a memoized repeat from the response memo; otherwise
+/// compile the spec in the body, execute it on the shared pool, and answer with
+/// the artifact (fixed body) or a progress stream (`?progress=1`).
 fn handle_run(
     state: &ServeState,
     request: &Request,
     stream: &mut TcpStream,
 ) -> std::io::Result<u16> {
-    let submission = match parse_submission(state, request) {
-        Ok(submission) => submission,
-        Err(message) => {
-            text_response(400, &format!("{message}\n")).write_to(stream)?;
-            return Ok(400);
-        }
+    let (seed, progress) = match parse_query(state, request) {
+        Ok(query) => query,
+        Err(message) => return bad_request(stream, &message),
     };
-    let scenario = submission.spec.into_scenario();
-    let plan = scenario.plan(&SeedPolicy::new(submission.seed));
+    let memo_key = (!progress).then(|| MemoKey {
+        seed,
+        body: Arc::from(request.body.as_slice()),
+    });
+    if let Some(entry) = memo_key.as_ref().and_then(|key| state.memo.get(key)) {
+        state
+            .metrics
+            .record_run_accounting(entry.units, &all_hits(entry.units));
+        send(stream, &entry.response)?;
+        return Ok(200);
+    }
+    let spec = match parse_body(request) {
+        Ok(spec) => spec,
+        Err(message) => return bad_request(stream, &message),
+    };
+    let scenario = spec.into_scenario();
+    let plan = scenario.plan(&SeedPolicy::new(seed));
     let units = plan.unit_count();
 
-    if !submission.progress {
-        // Artifact mode: between units, probe the socket so a vanished client
-        // stops costing compute. The probe is serialized by a mutex because it
-        // briefly flips the socket non-blocking, and it never runs
-        // concurrently with the response write (which happens after the run).
+    if let Some(memo_key) = memo_key {
+        // Artifact mode, the one that has a memo key: between units, probe the
+        // socket so a vanished client stops costing compute. The probe is
+        // serialized by a mutex because it briefly flips the socket
+        // non-blocking, and it never runs concurrently with the response write
+        // (which happens after the run).
         let probe_stream = stream.try_clone().ok().map(Mutex::new);
         let gone = AtomicBool::new(false);
         let cancel = || {
@@ -856,12 +991,11 @@ fn handle_run(
             Ok(mut outcomes) => {
                 // audit:allow(unwrap-in-library): one plan in, one outcome out
                 let outcome = outcomes.pop().expect("one plan produces one outcome");
-                state
-                    .metrics
-                    .record_run_accounting(units as u64, &outcome.cache);
+                let units = units as u64;
+                state.metrics.record_run_accounting(units, &outcome.cache);
                 // The body is exactly what `run --spec FILE --seed S` prints:
                 // accounting travels in headers so the artifact stays pristine.
-                Response::new(200)
+                let response = Response::new(200)
                     .with_header("X-Pim-Units", &units.to_string())
                     .with_header("X-Pim-Cache-Hits", &outcome.cache.hits.to_string())
                     .with_header("X-Pim-Cache-Misses", &outcome.cache.misses.to_string())
@@ -870,7 +1004,14 @@ fn handle_run(
                         &outcome.cache.recomputed.to_string(),
                     )
                     .with_body("application/json", outcome.report.to_json().into_bytes())
-                    .write_to(stream)?;
+                    .to_bytes();
+                send(stream, &response)?;
+                // Only an all-hit run is memoized: a repeat of it would be all
+                // hits too, so the memo replays the exact bytes the pipeline
+                // would send. A run that computed anything stays out.
+                if outcome.cache == all_hits(units) {
+                    state.memo.admit(memo_key, MemoEntry { units, response });
+                }
                 Ok(200)
             }
         };
@@ -956,17 +1097,8 @@ fn handle_run(
     Ok(200)
 }
 
-/// A validated `POST /run` submission.
-struct Submission {
-    spec: crate::spec::ScenarioSpec,
-    seed: u64,
-    progress: bool,
-}
-
-fn parse_submission(state: &ServeState, request: &Request) -> Result<Submission, String> {
-    let body =
-        std::str::from_utf8(&request.body).map_err(|_| "request body is not UTF-8".to_string())?;
-    let spec = parse_spec(body)?;
+/// A `POST /run` query: the resolved seed and whether progress streams.
+fn parse_query(state: &ServeState, request: &Request) -> Result<(u64, bool), String> {
     let seed = match request.query_value("seed") {
         None => state.base_seed,
         Some(raw) => raw
@@ -978,11 +1110,33 @@ fn parse_submission(state: &ServeState, request: &Request) -> Result<Submission,
         Some("1") => true,
         Some(other) => return Err(format!("?progress= expects 0 or 1, got '{other}'")),
     };
-    Ok(Submission {
-        spec,
-        seed,
-        progress,
-    })
+    Ok((seed, progress))
+}
+
+/// A `POST /run` body: one validated spec document.
+fn parse_body(request: &Request) -> Result<crate::spec::ScenarioSpec, String> {
+    let body =
+        std::str::from_utf8(&request.body).map_err(|_| "request body is not UTF-8".to_string())?;
+    parse_spec(body)
+}
+
+/// The accounting of a run whose `units` were all hits.
+fn all_hits(units: u64) -> CacheCounts {
+    CacheCounts {
+        hits: units,
+        ..CacheCounts::default()
+    }
+}
+
+fn bad_request(stream: &mut TcpStream, message: &str) -> std::io::Result<u16> {
+    text_response(400, &format!("{message}\n")).write_to(stream)?;
+    Ok(400)
+}
+
+/// Write a complete, pre-rendered response.
+fn send(stream: &mut TcpStream, response: &[u8]) -> std::io::Result<()> {
+    stream.write_all(response)?;
+    stream.flush()
 }
 
 /// The progress stream plus its liveness flag: a failed chunk write marks the
@@ -1014,4 +1168,63 @@ fn emit(sink: &ProgressSink<'_>, fields: &[(&str, Value)]) {
 
 fn text_response(status: u16, body: &str) -> Response {
     Response::new(status).with_body("text/plain; charset=utf-8", body.as_bytes().to_vec())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(seed: u64, body: &str) -> MemoKey {
+        MemoKey {
+            seed,
+            body: Arc::from(body.as_bytes()),
+        }
+    }
+
+    fn entry(bytes: usize) -> MemoEntry {
+        MemoEntry {
+            units: 1,
+            response: vec![b'x'; bytes],
+        }
+    }
+
+    #[test]
+    fn memo_evicts_first_in_first_out_within_its_budget() {
+        // Each entry costs 8 (seed) + 1 (body) + 91 (response) = 100 bytes.
+        let memo = ResponseMemo::new(300);
+        for body in ["a", "b", "c"] {
+            memo.admit(key(0, body), entry(91));
+        }
+        assert_eq!(memo.stats(), (3, 300, 0));
+        // A hit does not refresh an entry: eviction is by admission order.
+        assert!(memo.get(&key(0, "a")).is_some());
+        memo.admit(key(0, "d"), entry(91));
+        assert!(memo.get(&key(0, "a")).is_none(), "oldest entry survived");
+        for body in ["b", "c", "d"] {
+            assert!(memo.get(&key(0, body)).is_some(), "{body} was evicted");
+        }
+        // A twice-as-large entry evicts the two oldest.
+        memo.admit(key(0, "e"), entry(191));
+        assert!(memo.get(&key(0, "b")).is_none());
+        assert!(memo.get(&key(0, "c")).is_none());
+        assert_eq!(memo.stats().0, 2);
+        assert_eq!(memo.stats().1, 300);
+    }
+
+    #[test]
+    fn memo_keeps_the_first_twin_and_refuses_an_entry_over_budget() {
+        let memo = ResponseMemo::new(100);
+        memo.admit(key(0, "a"), entry(10));
+        memo.admit(key(0, "a"), entry(20));
+        assert_eq!(memo.stats(), (1, 19, 0));
+        memo.admit(key(0, "b"), entry(92));
+        assert!(
+            memo.get(&key(0, "b")).is_none(),
+            "an entry over budget was stored"
+        );
+        assert!(
+            memo.get(&key(0, "a")).is_some(),
+            "a refused entry evicted others"
+        );
+    }
 }

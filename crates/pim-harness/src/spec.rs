@@ -1452,6 +1452,43 @@ mod tests {
     }
 
     #[test]
+    fn measured_geometries_too_large_to_allocate_are_rejected() {
+        // Each once passed validation and then aborted `run --spec` (and a
+        // daemon) with a failed allocation of 137 GB to 16 TiB.
+        let template = |config: &str, pattern: &str| {
+            format!(
+                r#"{{"schema_version": 1, "name": "me", "description": "d", "model": "measured",
+                    "config": {{{config}}},
+                    "grid": {{"patterns": [{pattern}], "memory_fractions": [0.3]}}}}"#
+            )
+        };
+        let sequential = r#"{"Sequential": {"stride": 64}}"#;
+        for (doc, field) in [
+            (
+                template(
+                    "",
+                    r#"{"Zipf": {"footprint": 17179869184, "line": 1, "exponent": 1.0}}"#,
+                ),
+                "footprint",
+            ),
+            (
+                template(r#""cache_bytes": 1099511627776"#, sequential),
+                "cache_bytes",
+            ),
+            (
+                template(r#""cache_ways": 1099511627776"#, sequential),
+                "cache_ways",
+            ),
+        ] {
+            let err = parse_spec(&doc).unwrap_err();
+            assert!(err.contains(field), "error does not name {field}: {err}");
+        }
+        let presets = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+        let specs = load_specs(&presets).unwrap();
+        assert!(specs.iter().any(|s| s.family() == "measured"));
+    }
+
+    #[test]
     fn pattern_parsing_is_as_strict_as_the_rest_of_the_spec() {
         let template = |pattern: &str| {
             format!(

@@ -120,6 +120,14 @@ fn wait_for_metrics(addr: &str, what: &str, cond: impl Fn(&Value) -> bool) -> Va
     panic!("metrics never satisfied: {what}; last document: {last:?}");
 }
 
+/// Wait until `n` `POST /run` requests have been answered 200. A status is
+/// recorded after its handler returns, so memo admission is done by then.
+fn runs_answered(addr: &str, n: u64) -> Value {
+    wait_for_metrics(addr, &format!("{n} runs answered"), |d| {
+        value_at(d, &["requests", "by_endpoint", "POST /run", "200"]) == Some(&Value::U64(n))
+    })
+}
+
 /// The reference artifact: what direct in-process execution (and therefore the
 /// CLI) produces for this spec under the daemon's default seed.
 fn reference_artifact(seed: u64) -> String {
@@ -154,6 +162,107 @@ fn served_artifact_is_byte_identical_cold_and_warm() {
     assert_eq!(header_u64(&warm, "X-Pim-Cache-Recomputed"), 0);
     assert_eq!(warm.body, cold.body);
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn an_all_hit_run_is_memoized_and_its_repeat_reconciles_in_metrics() {
+    let cache = temp_dir("memo");
+    let addr = start(&ServeOptions {
+        cache_dir: Some(cache.clone()),
+        ..ServeOptions::default()
+    });
+    let post = || client::request(&addr, "POST", "/run", &[], SPEC.as_bytes()).expect("request");
+    let reference = reference_artifact(DEFAULT_SEED);
+
+    // Cold: computed units go to disk only, and a run that computed is never
+    // memoized.
+    let cold = post();
+    assert_eq!(header_u64(&cold, "X-Pim-Cache-Misses"), SPEC_UNITS);
+    let doc = runs_answered(&addr, 1);
+    assert_eq!(metrics_u64(&doc, &["pool", "mem_entries"]), 0);
+    assert_eq!(metrics_u64(&doc, &["memo", "entries"]), 0);
+
+    // Warm: every unit loads from disk (and joins the warm map); the all-hit
+    // response is memoized.
+    let warm = post();
+    assert_eq!(header_u64(&warm, "X-Pim-Cache-Hits"), SPEC_UNITS);
+    let doc = runs_answered(&addr, 2);
+    assert_eq!(metrics_u64(&doc, &["pool", "mem_entries"]), SPEC_UNITS);
+    assert_eq!(metrics_u64(&doc, &["memo", "entries"]), 1);
+    assert_eq!(metrics_u64(&doc, &["memo", "hits"]), 0);
+    assert!(metrics_u64(&doc, &["memo", "bytes"]) > warm.body.len() as u64);
+
+    // The repeat is answered from the memo: same body, all-hit headers, and
+    // the same ledger entries as a warm run.
+    let repeat = post();
+    assert_eq!(repeat.status, 200);
+    assert_eq!(String::from_utf8_lossy(&repeat.body), reference);
+    assert_eq!(repeat.body, cold.body);
+    assert_eq!(header_u64(&repeat, "X-Pim-Units"), SPEC_UNITS);
+    assert_eq!(header_u64(&repeat, "X-Pim-Cache-Hits"), SPEC_UNITS);
+    assert_eq!(header_u64(&repeat, "X-Pim-Cache-Misses"), 0);
+    assert_eq!(header_u64(&repeat, "X-Pim-Cache-Recomputed"), 0);
+    assert_eq!(repeat.header("content-type"), warm.header("content-type"));
+    let doc = runs_answered(&addr, 3);
+    assert_eq!(metrics_u64(&doc, &["memo", "hits"]), 1);
+    assert_eq!(
+        metrics_u64(&doc, &["cache", "units_served"]),
+        3 * SPEC_UNITS
+    );
+    assert_eq!(metrics_u64(&doc, &["cache", "hits"]), 2 * SPEC_UNITS);
+    assert_eq!(metrics_u64(&doc, &["cache", "misses"]), SPEC_UNITS);
+    assert_eq!(metrics_u64(&doc, &["cache", "recomputed"]), 0);
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn another_seed_a_progress_stream_or_a_reformatted_body_misses_the_memo() {
+    let addr = start(&ServeOptions::default());
+    for n in 1..=3 {
+        let resp = client::request(&addr, "POST", "/run", &[], SPEC.as_bytes()).expect("warm");
+        assert_eq!(resp.status, 200);
+        runs_answered(&addr, n);
+    }
+
+    // Another seed addresses other units: all of them compute.
+    let seeded =
+        client::request(&addr, "POST", "/run?seed=99", &[], SPEC.as_bytes()).expect("seeded");
+    assert_eq!(
+        String::from_utf8_lossy(&seeded.body),
+        reference_artifact(99)
+    );
+    assert_eq!(header_u64(&seeded, "X-Pim-Cache-Hits"), 0);
+
+    // A progress stream still narrates every unit.
+    let progress =
+        client::request(&addr, "POST", "/run?progress=1", &[], SPEC.as_bytes()).expect("progress");
+    assert_eq!(progress.header("transfer-encoding"), Some("chunked"));
+    let text = String::from_utf8(progress.body).expect("ndjson is UTF-8");
+    assert_eq!(
+        text.lines()
+            .filter(|l| l.contains("\"event\":\"unit\""))
+            .count() as u64,
+        SPEC_UNITS
+    );
+    assert!(text.contains(&format!("\"hits\":{SPEC_UNITS}")), "{text}");
+
+    // An equivalent document with other bytes takes the pipeline: its units
+    // are warm, so it is all hits, with the same artifact.
+    let compact = SPEC.split_whitespace().collect::<Vec<_>>().join(" ");
+    assert_ne!(compact, SPEC);
+    let reformatted =
+        client::request(&addr, "POST", "/run", &[], compact.as_bytes()).expect("reformatted");
+    assert_eq!(
+        String::from_utf8_lossy(&reformatted.body),
+        reference_artifact(DEFAULT_SEED)
+    );
+    assert_eq!(header_u64(&reformatted, "X-Pim-Cache-Hits"), SPEC_UNITS);
+
+    let doc = runs_answered(&addr, 6);
+    assert_eq!(metrics_u64(&doc, &["memo", "hits"]), 1);
+    // The base-seed original and the reformatted twin; the cold seeded run
+    // and the progress stream never enter.
+    assert_eq!(metrics_u64(&doc, &["memo", "entries"]), 2);
 }
 
 #[test]
@@ -358,6 +467,9 @@ fn metrics_schema_v1_shape_and_counters() {
     assert_eq!(metrics_u64(&doc, &["pool", "permits_total"]), 2);
     assert_eq!(metrics_u64(&doc, &["pool", "permits_in_use"]), 0);
     assert_eq!(metrics_u64(&doc, &["pool", "mem_entries"]), 0);
+    for field in ["entries", "bytes", "hits"] {
+        assert_eq!(metrics_u64(&doc, &["memo", field]), 0, "memo.{field}");
+    }
     // Counters are recorded after the response write, so the serving request
     // itself is not yet visible in its own document.
     assert_eq!(metrics_u64(&doc, &["requests", "total"]), 0);
@@ -629,6 +741,11 @@ fn a_failed_cache_store_answers_500_and_leaves_nothing_warm() {
     assert_eq!(
         metrics_u64(&doc, &["requests", "by_endpoint", "POST /run", "500"]),
         1
+    );
+    assert_eq!(
+        metrics_u64(&doc, &["memo", "entries"]),
+        0,
+        "a 500 was memoized"
     );
 
     // With the directory back, the daemon computes and stores every unit: no

@@ -4,7 +4,8 @@
 //! cache unpoisoned — a subsequent CLI run over the same directory completes
 //! with zero recomputations and byte-identical artifacts. A daemon that runs out
 //! of file descriptors keeps serving once its deadlines free some, and hostile
-//! JSON bodies (deep nesting, huge strings) get a prompt 400.
+//! bodies (deep nesting, huge strings, `measured` geometries too large to
+//! allocate) get a prompt 400.
 
 use std::io::BufRead;
 use std::net::TcpStream;
@@ -160,6 +161,14 @@ fn served_preset_is_byte_identical_to_cli_run_cold_and_warm() {
     assert_eq!(warm.header("x-pim-cache-misses"), Some("0"));
     assert_eq!(warm.header("x-pim-cache-recomputed"), Some("0"));
     assert_eq!(warm.body, cold.body);
+
+    // A third submission is answered from the response memo: the same bytes
+    // and all-hit accounting.
+    let repeat = client::request(&daemon.addr, "POST", "/run", &[], &body).expect("repeat");
+    assert_eq!(repeat.status, 200);
+    assert_eq!(repeat.header("x-pim-cache-hits"), Some("110"));
+    assert_eq!(repeat.header("x-pim-units"), Some("110"));
+    assert_eq!(String::from_utf8_lossy(&repeat.body), cli_stdout);
 
     // The daemon's cache is a normal unit cache: a CLI run over it is all-hits.
     let (_, cli_warm_err) = expect_ok(&["run", "--spec", &p(&spec), "--cache", &p(&cache)]);
@@ -330,4 +339,44 @@ fn hostile_json_bodies_get_a_400_and_the_daemon_keeps_serving() {
         let health = client::request(&daemon.addr, "GET", "/healthz", &[], b"").unwrap();
         assert_eq!(health.status, 200, "{what}: daemon unhealthy afterwards");
     }
+}
+
+#[test]
+fn measured_geometries_too_large_to_allocate_get_a_400_and_the_daemon_keeps_serving() {
+    // Each passed validation and then aborted the daemon on a failed
+    // allocation (137 GB of Zipf table, ~96 GiB and 16 TiB of cache tags).
+    let daemon = Daemon::start(&["--workers", "2"]);
+    let spec = |config: &str, pattern: &str| {
+        format!(
+            r#"{{"schema_version": 1, "name": "oversized", "description": "d",
+                "model": "measured", "config": {{{config}}},
+                "grid": {{"patterns": [{pattern}], "memory_fractions": [0.3]}}}}"#
+        )
+    };
+    let sequential = r#"{"Sequential": {"stride": 64}}"#;
+    for (field, body) in [
+        (
+            "footprint",
+            spec(
+                "",
+                r#"{"Zipf": {"footprint": 17179869184, "line": 1, "exponent": 1.0}}"#,
+            ),
+        ),
+        (
+            "cache_bytes",
+            spec(r#""cache_bytes": 1099511627776"#, sequential),
+        ),
+        (
+            "cache_ways",
+            spec(r#""cache_ways": 1099511627776"#, sequential),
+        ),
+    ] {
+        let resp = client::request(&daemon.addr, "POST", "/run", &[], body.as_bytes())
+            .unwrap_or_else(|e| panic!("{field}: no response: {e}"));
+        assert_eq!(resp.status, 400, "{field}");
+        let text = String::from_utf8_lossy(&resp.body);
+        assert!(text.contains(field), "{field}: {text}");
+    }
+    let health = client::request(&daemon.addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(health.status, 200, "daemon unhealthy afterwards");
 }
