@@ -6,8 +6,8 @@
 //! * [`BinaryHeapQueue`] — a classic binary-heap future event list; the default.
 //! * [`CalendarQueue`] — a bucketed calendar queue in the style of Brown (1988),
 //!   which gives near-O(1) enqueue/dequeue when event times are roughly uniform
-//!   over a known horizon. The benchmark crate compares the two (ablation E-X in
-//!   DESIGN.md).
+//!   over a known horizon. `pim-perf`'s `event_queues` section compares them (see
+//!   ARCHITECTURE.md).
 //!
 //! Ties on time are broken first by an explicit scheduling priority (lower value is
 //! served first) and then by insertion order, so models get deterministic FIFO
@@ -275,9 +275,9 @@ impl<E> HybridHeap<E> {
 
 /// Binary-heap future event list with lazy cancellation.
 ///
-/// Large payloads sift as compact 32-byte [`SlotEntry`] keys with the payload
-/// parked in an [`EventArena`] (slots recycled across push/pop); small payloads
-/// stay inline, where the indirection would cost more than it saves.
+/// Large payloads sift as compact 32-byte keys with the payload parked in a
+/// slot arena (slots recycled across push/pop); small payloads stay inline,
+/// where the indirection would cost more than it saves.
 pub struct BinaryHeapQueue<E> {
     heap: HybridHeap<E>,
     cancelled: FxHashSet<EventId>,

@@ -4,7 +4,7 @@
 //! only a handful of PIM nodes are needed before offloading low-locality work can never
 //! hurt. This module sweeps the constants that compose `NB` — host cache miss rate,
 //! LWP/HWP clock ratio, and the two memory access times — to show how robust that
-//! conclusion is (ablation E-X1 in DESIGN.md).
+//! conclusion is (the `ablation_nb` scenario; see ARCHITECTURE.md).
 
 use crate::hwp_lwp::AnalyticModel;
 use pim_core::config::SystemConfig;

@@ -25,7 +25,7 @@ use crate::lexer::{lex, Kind, Token};
 use crate::walk::{Role, SourceFile};
 
 /// Crates on the unit-execution path: everything that runs between a
-/// [`UnitKey`]'s derivation and the unit result that gets cached under it.
+/// `UnitKey`'s derivation and the unit result that gets cached under it.
 /// Wall clocks, ambient entropy and hash-ordered iteration are contract
 /// violations *here*; `pim-bench` and the bin targets are the measurement/CLI
 /// layer where timing is the point.

@@ -148,7 +148,7 @@ mod tests {
                 Role::Test,
             ),
             (
-                "crates/pim-bench/benches/fig5_gain.rs",
+                "crates/pim-bench/benches/engine.rs",
                 "pim-bench",
                 Role::Bench,
             ),

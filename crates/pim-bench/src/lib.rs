@@ -1,17 +1,11 @@
-//! # pim-bench — benchmark harness and figure/table regeneration
+//! # pim-bench — the `pim-perf` benchmark suite
 //!
-//! Every table and figure in the paper's evaluation has a report binary here that
-//! regenerates its data as CSV (see DESIGN.md's per-experiment index), plus Criterion
-//! benches that measure the cost of the underlying models and of the simulation engine
-//! itself.
-//!
-//! The report binaries are thin wrappers over the scenario registry in `pim-harness`
-//! (`pim_harness::bin_support::scenario_main`); the scenario definitions, the parallel
-//! batch runner, the stdout/CSV rendering and the JSON artifact schema all live there,
-//! and `pim-tradeoffs list|run` is the batch front end. Each binary prints CSV to
-//! stdout and headline metrics to stderr; the `PIM_RESULTS_DIR` environment variable
-//! saves each table as `<dir>/<table>.csv`, and `PIM_ARTIFACTS_DIR` additionally saves
-//! the full JSON artifact.
+//! [`perf`] measures the layers under the paper's artifacts — the pending-event
+//! sets, the engine end to end, the scenario batch, the unit-result cache, the
+//! shard protocol and the sweep daemon — and writes them as a schema-versioned
+//! `BENCH_<rev>.json`; the `pim-perf` binary runs it and compares two payloads.
+//! The artifacts themselves are regenerated by `pim-tradeoffs run` (see
+//! `pim-harness`), not here.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -35,7 +35,8 @@
 //!    instead of unbounded threads.
 //!
 //! Comparing two revisions is a field-by-field diff of their `BENCH_*.json`; CI runs
-//! the quick suite on every push and uploads the artifact (non-gating).
+//! the quick suite on every push and fails on a gated throughput regression against
+//! a committed baseline (see [`compare_payloads`]).
 
 use desim::event::{BinaryHeapQueue, CalendarQueue, EventQueue, FifoBandQueue, ScheduledEvent};
 use desim::prelude::*;
@@ -60,7 +61,7 @@ pub struct PerfOptions {
     /// Revision label recorded in the file name and payload (e.g. a git short SHA).
     pub rev: String,
     /// Quick mode: ~10× smaller microbenches and no per-scenario timing pass.
-    /// This is what CI runs as its non-gating smoke bench.
+    /// This is what CI's gating perf job runs.
     pub quick: bool,
     /// Worker threads for the batch measurement (`0` = one per core).
     pub jobs: usize,

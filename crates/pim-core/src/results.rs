@@ -1,7 +1,7 @@
 //! Report formatting: turning sweep results into the rows behind each figure.
 //!
-//! The benchmark binaries in `pim-bench` print these tables; EXPERIMENTS.md records the
-//! paper-vs-measured comparison for each one.
+//! `pim-tradeoffs sweep` and the `design_space` example print the Figure 5 table as
+//! Markdown; ARCHITECTURE.md maps each figure to the scenario that regenerates it.
 
 use crate::experiment::SweepResult;
 use std::fmt::Write as _;

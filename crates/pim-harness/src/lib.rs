@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bin_support;
 pub mod cache;
 pub mod exec;
 pub mod golden;

@@ -17,7 +17,7 @@ impl Registry {
     }
 
     /// The built-in registry: every figure, table, validation study and ablation of
-    /// the paper (one per legacy `pim-bench` report binary), sorted by name.
+    /// the paper, sorted by name.
     pub fn builtin() -> Registry {
         let mut r = Registry::new();
         let builtins: Vec<Box<dyn Scenario>> = vec![

@@ -1,5 +1,5 @@
 //! The built-in scenarios: every figure, table, validation study and ablation of the
-//! paper, one registered [`crate::scenario::Scenario`] per legacy `pim-bench` binary.
+//! paper, each one registered [`crate::scenario::Scenario`].
 //!
 //! Grouped by the model family they exercise:
 //!

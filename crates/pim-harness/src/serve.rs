@@ -509,10 +509,23 @@ impl SweepServer {
             .map(|a| a.to_string())
             .map_err(|e| format!("local_addr: {e}"))?;
         let workers = resolve_jobs(opts.workers).max(1);
+        // The default queue bound and `serve_forever`'s thread count (workers
+        // plus the rejector) derive from the worker count; the rejection lane
+        // holds four queues' worth.
+        let Some(default_queue) = workers.checked_mul(2) else {
+            return Err(format!(
+                "workers = {workers} is more worker threads than the daemon can count"
+            ));
+        };
         let queue_capacity = if opts.queue == 0 {
-            workers * 2
+            default_queue
         } else {
             opts.queue
+        };
+        let Some(reject_capacity) = queue_capacity.checked_mul(4) else {
+            return Err(format!(
+                "queue = {queue_capacity} overflows the rejection lane's bound"
+            ));
         };
         Ok(SweepServer {
             listener,
@@ -528,7 +541,7 @@ impl SweepServer {
                 timeout: (opts.timeout_ms > 0).then(|| Duration::from_millis(opts.timeout_ms)),
                 draining: AtomicBool::new(false),
                 queue: PendingQueue::new(queue_capacity),
-                reject: PendingQueue::new((queue_capacity * 4).max(64)),
+                reject: PendingQueue::new(reject_capacity.max(64)),
                 metrics: Metrics::new(),
                 memo: ResponseMemo::new(MEMO_BUDGET_BYTES),
             }),
@@ -553,16 +566,18 @@ impl SweepServer {
     /// [`ServeOptions::handle_signals`], SIGTERM/SIGINT), then let queued and
     /// in-flight requests finish up to the drain deadline and return the
     /// [`DrainSummary`]. A failed `accept()` is retried with a backoff of
-    /// 10 ms doubling to 1 s; an `Err` is only an `accept()` failure after a
-    /// drain was requested.
+    /// 10 ms doubling to 1 s. An `Err` is a thread the host would not start
+    /// (before any connection is accepted; the threads already started exit)
+    /// or an `accept()` failure after a drain was requested.
     pub fn serve_forever(&self) -> Result<DrainSummary, String> {
         let state = &self.state;
         // workers + the rejector: all must exit for a clean drain.
         let alive = Arc::new(AtomicUsize::new(state.workers + 1));
+        let mut threads = Vec::new();
         for _ in 0..state.workers {
             let state = Arc::clone(&self.state);
             let alive = Arc::clone(&alive);
-            std::thread::spawn(move || {
+            start_thread(&self.state, &mut threads, move || {
                 while let Some(stream) = state.queue.pop() {
                     let started = Instant::now();
                     state.metrics.busy.fetch_add(1, Ordering::SeqCst);
@@ -571,22 +586,22 @@ impl SweepServer {
                     state.metrics.observe_request_wall(started.elapsed());
                 }
                 alive.fetch_sub(1, Ordering::SeqCst);
-            });
+            })?;
         }
         {
             let state = Arc::clone(&self.state);
             let alive = Arc::clone(&alive);
-            std::thread::spawn(move || {
+            start_thread(&self.state, &mut threads, move || {
                 while let Some((stream, refusal)) = state.reject.pop() {
                     reject_busy(&state, stream, &refusal);
                 }
                 alive.fetch_sub(1, Ordering::SeqCst);
-            });
+            })?;
         }
         if self.handle_signals {
             tiny_http::shutdown::install();
             let handle = self.drain_handle();
-            std::thread::spawn(move || loop {
+            start_thread(&self.state, &mut threads, move || loop {
                 if tiny_http::shutdown::requested() {
                     handle.request_drain();
                     break;
@@ -595,8 +610,11 @@ impl SweepServer {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(25));
-            });
+            })?;
         }
+        // Detached from here on: the drain below waits on `alive` with a
+        // deadline instead of joining.
+        drop(threads);
 
         let mut backoff = ACCEPT_BACKOFF_MIN;
         loop {
@@ -659,6 +677,35 @@ impl SweepServer {
             drain_wait_ms: wait_started.elapsed().as_millis() as u64,
             uptime_ms: state.metrics.started.elapsed().as_millis() as u64,
         })
+    }
+}
+
+/// Start one of [`SweepServer::serve_forever`]'s threads and keep its handle in
+/// `threads`. If the host refuses (out of threads or memory), close both
+/// queues — nothing was accepted yet, so every thread in `threads` exits at
+/// once — join them, and say how many workers had started.
+fn start_thread(
+    state: &ServeState,
+    threads: &mut Vec<std::thread::JoinHandle<()>>,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<(), String> {
+    match std::thread::Builder::new().spawn(body) {
+        Ok(thread) => {
+            threads.push(thread);
+            Ok(())
+        }
+        Err(e) => {
+            state.queue.close();
+            state.reject.close();
+            let workers = threads.len().min(state.workers);
+            for thread in threads.drain(..) {
+                let _ = thread.join();
+            }
+            Err(format!(
+                "could not start a daemon thread ({e}); {workers} of {} workers had started",
+                state.workers
+            ))
+        }
     }
 }
 

@@ -445,6 +445,65 @@ fn silent_connections_are_reaped_with_408_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn an_endless_head_line_gets_a_400_and_the_daemon_keeps_serving() {
+    let addr = start(&ServeOptions {
+        workers: 1,
+        timeout_ms: 10_000,
+        ..ServeOptions::default()
+    });
+    // 16 MiB of one header line and no newline. The worker stops reading at
+    // the 64 KiB head budget, answers 400 and closes, so the client sees the
+    // 400 or, with bytes still unread, a reset mid-send.
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .expect("write deadline");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read deadline");
+    let _ = stream.write_all(b"GET /healthz HTTP/1.1\r\nX-Long: ");
+    let chunk = [b'a'; 64 << 10];
+    for _ in 0..256 {
+        if stream.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut answer = Vec::new();
+    let _ = stream.read_to_end(&mut answer);
+    assert!(
+        answer.is_empty() || answer.starts_with(b"HTTP/1.1 400"),
+        "{:?}",
+        String::from_utf8_lossy(&answer)
+    );
+    drop(stream);
+
+    let health = client::request(&addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(health.status, 200);
+    let doc = wait_for_metrics(&addr, "the 400 counted", |d| {
+        value_at(d, &["requests", "by_endpoint", "<malformed>", "400"]).is_some()
+    });
+    assert_eq!(
+        metrics_u64(&doc, &["requests", "by_endpoint", "<malformed>", "400"]),
+        1
+    );
+}
+
+#[test]
+fn worker_counts_that_overflow_the_queue_bounds_are_a_bind_error() {
+    for (workers, queue, named) in [(usize::MAX, 0, "workers"), (1, usize::MAX, "queue")] {
+        let bound = SweepServer::bind(&ServeOptions {
+            workers,
+            queue,
+            ..ServeOptions::default()
+        });
+        let Err(err) = bound else {
+            panic!("bind accepted workers = {workers}, queue = {queue}");
+        };
+        assert!(err.contains(named), "{err}");
+    }
+}
+
+#[test]
 fn metrics_schema_v1_shape_and_counters() {
     let addr = start(&ServeOptions {
         workers: 3,

@@ -9,8 +9,8 @@
 //! These models serve two purposes in the workspace:
 //!
 //! 1. they validate the Section 2.1 bandwidth claims (50 Gbit/s per macro, > 1 Tbit/s
-//!    per chip) that motivate the whole study — see the `bandwidth_claims` report
-//!    binary in `pim-bench`;
+//!    per chip) that motivate the whole study — see the `bandwidth_claims` scenario
+//!    (`pim-tradeoffs run bandwidth_claims`);
 //! 2. they let the workload crate derive the Table 1 statistical parameters
 //!    (`Pmiss`, memory latencies) from concrete address streams instead of assuming
 //!    them, which is the calibration path a downstream user of this library would take.

@@ -2,7 +2,7 @@
 //!
 //! The paper treats system-wide latency as "flat (fixed delay) for this study". That is
 //! [`FlatLatency`]. To explore how sensitive the conclusions are to that simplification
-//! (ablation E-X2 in DESIGN.md), hop-count models of a 2-D mesh and a 2-D torus are also
+//! (the `ablation_network` scenario; see ARCHITECTURE.md), hop-count models of a 2-D mesh and a 2-D torus are also
 //! provided: latency = base + hops × per-hop cost, with nodes laid out on a near-square
 //! grid.
 

@@ -19,8 +19,8 @@
 //!   unit-result cache's purity contract over this workspace's own sources
 //!   (`pim-tradeoffs audit`, the `pim-audit` binary, and a gating CI job).
 //!
-//! See the `examples/` directory for runnable walkthroughs and the `pim-bench` crate
-//! for the binaries that regenerate every table and figure in the paper.
+//! See the `examples/` directory for runnable walkthroughs, and `pim-tradeoffs run`
+//! for regenerating every table and figure in the paper.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,9 +1,10 @@
-//! CLI edge-case conformance for this PR's bugfix sweep, through the real
-//! binary: duplicated flags are rejected by name (not silently last-wins),
-//! `cache gc --max-mib 0` is a well-defined full-eviction pass with exact
-//! accounting, and a scenario-name collision between two spec files names both
-//! offending paths.
+//! CLI edge-case conformance through the real binary: `run NAME` reports one
+//! scenario or fails cleanly on an unknown name, duplicated flags are rejected
+//! by name (not silently last-wins), `cache gc --max-mib 0` is a well-defined
+//! full-eviction pass with exact accounting, and a scenario-name collision
+//! between two spec files names both offending paths.
 
+use pim_harness::report::ScenarioReport;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -48,6 +49,33 @@ fn temp_base(tag: &str) -> PathBuf {
 
 fn p(path: &Path) -> String {
     path.to_string_lossy().to_string()
+}
+
+// ---------------------------------------------------------------------------
+// `run NAME`: one scenario's report, or a clean error
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unknown_scenario_fails_cleanly() {
+    let out = run_args(&["run", "no_such_scenario"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error:") && l.contains("'no_such_scenario'")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report for an unknown scenario");
+}
+
+#[test]
+fn fast_scenario_succeeds() {
+    // table1 is instantaneous; the report goes to stdout as JSON.
+    let (stdout, _) = expect_ok(&["run", "table1"]);
+    let report: ScenarioReport = serde_json::from_str(&stdout).expect("stdout is a report");
+    assert_eq!(report.scenario, "table1");
+    assert_eq!(report.metric("nb"), Some(3.125));
 }
 
 // ---------------------------------------------------------------------------

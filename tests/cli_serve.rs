@@ -3,9 +3,10 @@
 //! (cold and warm), and SIGKILLing the daemon mid-request leaves the shared
 //! cache unpoisoned — a subsequent CLI run over the same directory completes
 //! with zero recomputations and byte-identical artifacts. A daemon that runs out
-//! of file descriptors keeps serving once its deadlines free some, and hostile
-//! bodies (deep nesting, huge strings, `measured` geometries too large to
-//! allocate) get a prompt 400.
+//! of file descriptors keeps serving once its deadlines free some, one asked for
+//! more workers than the host can start exits with an error instead of a panic,
+//! and hostile bodies (deep nesting, huge strings, `measured` geometries too
+//! large to allocate) get a prompt 400.
 
 use std::io::BufRead;
 use std::net::TcpStream;
@@ -315,6 +316,39 @@ fn daemon_survives_descriptor_exhaustion() {
     }
     assert!(daemon.is_running());
     drop(idle);
+}
+
+#[test]
+fn more_workers_than_the_host_can_start_is_an_error_not_a_panic() {
+    // A 3 GB address space holds about 1,400 default 2 MiB thread stacks, so
+    // the host refuses a thread long before 5000 workers have started.
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -v 3000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
+        .args(serve_args(&["--workers", "5000"]))
+        .env_remove("RUST_MIN_STACK")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("daemon starts");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("daemon status").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("5000 workers started under a 3 GB address-space limit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("daemon output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error:") && l.contains("of 5000 workers")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
