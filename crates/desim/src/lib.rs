@@ -2,18 +2,17 @@
 //!
 //! This crate is the workspace's substitute for the commercial HyPerformix
 //! SES/Workbench tool used in the paper *"Analysis and Modeling of Advanced PIM
-//! Architecture Design Tradeoffs"* (SC 2004). It provides the modeling primitives that
-//! the paper's two queuing studies rely on:
+//! Architecture Design Tradeoffs"* (SC 2004). It provides the modeling
+//! core the paper's two queuing studies rely on:
 //!
-//! * an event-oriented [`engine::Simulation`] with a deterministic pending-event set
-//!   ([`event::BinaryHeapQueue`] or [`event::CalendarQueue`]),
-//! * passive multi-server [`resource::Resource`]s with FIFO/priority queuing,
-//! * a transaction-oriented queuing-network layer ([`qnet`]) with sources, service
-//!   centers, delays, sinks and probabilistic/class-based routing,
+//! * an event-oriented [`engine::Simulation`] over a deterministic pending-event set
+//!   ([`event::FifoBandQueue`], checked against the reference
+//!   [`event::BinaryHeapQueue`]),
 //! * reproducible random variate streams ([`random`]),
-//! * observation and time-weighted statistics, histograms, batch means and
-//!   confidence intervals ([`stats`]),
-//! * tracing ([`trace`]) and time-series monitors ([`monitor`]).
+//! * observation statistics with Student-t confidence intervals ([`stats`]) and
+//!   independent replications ([`replication`]),
+//! * simulated time in integer ticks ([`time`]) and a platform-stable content hash
+//!   for cache keys ([`stablehash`]).
 //!
 //! The engine is deliberately single-threaded per simulation instance (discrete-event
 //! causality is inherently sequential); throughput for the paper's parameter sweeps
@@ -22,52 +21,27 @@
 //! (shared atomic index) used by the `pim-core`/`pim-parcels` sweeps and by the
 //! `pim-harness` batch runner.
 //!
-//! ## Quick example: an M/M/1 queue
-//!
-//! ```
-//! use desim::prelude::*;
-//!
-//! let mut net = QNetwork::new(1);
-//! let src = net.add_source("arrivals", Dist::Exponential { mean: 20.0 }, 0, None);
-//! let cpu = net.add_service("cpu", 1, Dist::Exponential { mean: 10.0 });
-//! let done = net.add_sink("done");
-//! net.set_route(src, Routing::To(cpu));
-//! net.set_route(cpu, Routing::To(done));
-//! let report = net.run(SimTime::from_us(500));
-//! let cpu_report = report.node("cpu").unwrap();
-//! assert!((cpu_report.utilization - 0.5).abs() < 0.1);
-//! ```
+//! The [`engine`] module docs walk through a small model.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod engine;
 pub mod event;
-pub mod fxhash;
-pub mod monitor;
 pub mod par;
-pub mod qnet;
 pub mod random;
 pub mod replication;
-pub mod resource;
 pub mod stablehash;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob import for model authors.
 pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
-    pub use crate::event::{BinaryHeapQueue, CalendarQueue, EventId, EventQueue, FifoBandQueue};
-    pub use crate::monitor::Monitor;
+    pub use crate::event::{BinaryHeapQueue, EventQueue, FifoBandQueue};
     pub use crate::par::{available_threads, resolve_threads, work_steal_map};
-    pub use crate::qnet::{NodeId, QNetReport, QNetwork, Routing, Transaction};
-    pub use crate::random::{Dist, RandomStream};
-    pub use crate::replication::{replicate, replicate_to_precision, ReplicationSummary};
-    pub use crate::resource::{Acquire, Resource};
-    pub use crate::stats::{
-        BatchMeans, ConfidenceLevel, Histogram, StatSummary, Tally, TimeWeighted,
-    };
+    pub use crate::random::RandomStream;
+    pub use crate::replication::{replicate, ReplicationSummary};
+    pub use crate::stats::{ConfidenceLevel, Tally};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{TraceLevel, Tracer};
 }

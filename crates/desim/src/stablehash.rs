@@ -1,8 +1,8 @@
 //! Platform-stable content hashing for cache keys and config fingerprints.
 //!
-//! [`crate::fxhash`] is the right tool for in-process hash *tables*: fast, but its
-//! values are an implementation detail nobody may persist. This module is the
-//! opposite tradeoff — a fixed, documented 128-bit FNV-1a whose output is part of the
+//! In-process hash *tables* can use any fast hasher: their values are an
+//! implementation detail nobody may persist. This module is the opposite
+//! tradeoff — a fixed, documented 128-bit FNV-1a whose output is part of the
 //! on-disk format of the harness's unit-result cache. The function must produce the
 //! same digest on every platform, toolchain and run, forever; changing it silently
 //! invalidates every persisted cache entry, so the test suite pins known digests.

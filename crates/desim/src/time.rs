@@ -109,12 +109,6 @@ impl SimDuration {
         SimDuration(t)
     }
 
-    /// Construct from picoseconds.
-    #[inline]
-    pub const fn from_ps(ps: u64) -> Self {
-        SimDuration(ps * TICKS_PER_PS)
-    }
-
     /// Construct from nanoseconds.
     #[inline]
     pub const fn from_ns(ns: u64) -> Self {
@@ -130,12 +124,6 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         SimDuration(round_ticks(ns * TICKS_PER_NS as f64))
-    }
-
-    /// Construct from microseconds.
-    #[inline]
-    pub const fn from_us(us: u64) -> Self {
-        SimDuration(us * TICKS_PER_US)
     }
 
     /// Raw tick count.
@@ -154,12 +142,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
-    }
-
-    /// True if this duration is zero ticks long.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

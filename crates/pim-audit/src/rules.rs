@@ -67,7 +67,7 @@ const AMBIENT_SOURCES: &[&str] = &[
     "RandomState",
 ];
 
-/// Hash-ordered container type names (std and the `desim::fxhash` aliases).
+/// Hash-ordered container type names (std and the common `Fx*` aliases).
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 
 /// Iterator-producing methods whose order is the hash order.

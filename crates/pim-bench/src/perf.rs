@@ -3,14 +3,13 @@
 //!
 //! Three layers are measured:
 //!
-//! 1. **Pending-event sets** — drain throughput (events/sec) of the three
+//! 1. **Pending-event sets** — drain throughput (events/sec) of the two
 //!    [`desim::event::EventQueue`] implementations on a random-time workload and on
 //!    the monotone constant-delay workload the parcel models generate. This is the
-//!    evidence behind the engine's queue default (see
-//!    [`desim::engine::Simulation::new`]).
-//! 2. **End-to-end engine** — events/sec through a full M/M/1 queuing network and
-//!    through one saturated parcel test-system point, i.e. dispatch + model handler
-//!    + statistics, not just the data structure.
+//!    evidence behind the engine's queue (see [`desim::engine::Simulation::new`]).
+//! 2. **End-to-end engine** — events/sec through one saturated parcel test-system
+//!    point, i.e. dispatch + model handler + statistics, not just the data
+//!    structure.
 //! 3. **Scenario batch** — wall-clock and units/sec for the full registry under the
 //!    work-stealing batch runner, plus (in full mode) per-scenario wall times.
 //! 4. **Incremental execution** — cold-vs-warm wall time of the full registry
@@ -38,7 +37,7 @@
 //! the quick suite on every push and fails on a gated throughput regression against
 //! a committed baseline (see [`compare_payloads`]).
 
-use desim::event::{BinaryHeapQueue, CalendarQueue, EventQueue, FifoBandQueue, ScheduledEvent};
+use desim::event::{BinaryHeapQueue, EventQueue, FifoBandQueue, ScheduledEvent};
 use desim::prelude::*;
 use pim_harness::prelude::*;
 use pim_parcels::prelude::*;
@@ -92,9 +91,7 @@ fn drain_rate<Q: EventQueue<u64>>(mut queue: Q, times: &[u64]) -> f64 {
     for (seq, &t) in times.iter().enumerate() {
         queue.push(ScheduledEvent {
             time: SimTime::from_ticks(t),
-            priority: 0,
             seq: seq as u64,
-            id: EventId(seq as u64),
             payload: seq as u64,
         });
     }
@@ -128,7 +125,7 @@ fn monotone_times(n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Benchmark the three pending-event-set implementations.
+/// Benchmark the two pending-event-set implementations.
 fn bench_event_queues(scale: usize) -> Value {
     let random = random_times(scale);
     let monotone = monotone_times(scale);
@@ -139,10 +136,6 @@ fn bench_event_queues(scale: usize) -> Value {
             Value::F64(drain_rate(BinaryHeapQueue::new(), &random)),
         ),
         (
-            "calendar_random_events_per_sec",
-            Value::F64(drain_rate(CalendarQueue::new(50_000, 1024), &random)),
-        ),
-        (
             "fifo_band_random_events_per_sec",
             Value::F64(drain_rate(FifoBandQueue::new(), &random)),
         ),
@@ -151,35 +144,8 @@ fn bench_event_queues(scale: usize) -> Value {
             Value::F64(drain_rate(BinaryHeapQueue::new(), &monotone)),
         ),
         (
-            "calendar_monotone_events_per_sec",
-            Value::F64(drain_rate(CalendarQueue::new(50_000, 1024), &monotone)),
-        ),
-        (
             "fifo_band_monotone_events_per_sec",
             Value::F64(drain_rate(FifoBandQueue::new(), &monotone)),
-        ),
-    ])
-}
-
-/// Events/sec through a full M/M/1 queuing network run (engine + qnet layer).
-fn bench_mm1(horizon_us: u64) -> Value {
-    let mut net = QNetwork::new(7);
-    let src = net.add_source("src", Dist::Exponential { mean: 20.0 }, 0, None);
-    let cpu = net.add_service("cpu", 1, Dist::Exponential { mean: 10.0 });
-    let sink = net.add_sink("sink");
-    net.set_route(src, Routing::To(cpu));
-    net.set_route(cpu, Routing::To(sink));
-    let mut sim = net.into_simulation();
-    sim.set_horizon(SimTime::from_us(horizon_us));
-    let start = Instant::now();
-    sim.run();
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    map(vec![
-        ("horizon_us", Value::U64(horizon_us)),
-        ("events", Value::U64(sim.events_processed())),
-        (
-            "events_per_sec",
-            Value::F64(sim.events_processed() as f64 / elapsed),
         ),
     ])
 }
@@ -615,7 +581,6 @@ pub fn run_suite(opts: &PerfOptions) -> Value {
             )]),
         ),
         ("event_queues", bench_event_queues(scale)),
-        ("mm1_qnet", bench_mm1(if opts.quick { 200 } else { 2_000 })),
         (
             "parcel_point",
             bench_parcel_point(if opts.quick { 20_000.0 } else { 200_000.0 }),
@@ -637,12 +602,9 @@ pub fn run_suite(opts: &PerfOptions) -> Value {
 /// rates, so they are meaningful across suite scales (quick vs full).
 const GATED_METRICS: &[(&str, &str)] = &[
     ("event_queues", "heap_random_events_per_sec"),
-    ("event_queues", "calendar_random_events_per_sec"),
     ("event_queues", "fifo_band_random_events_per_sec"),
     ("event_queues", "heap_monotone_events_per_sec"),
-    ("event_queues", "calendar_monotone_events_per_sec"),
     ("event_queues", "fifo_band_monotone_events_per_sec"),
-    ("mm1_qnet", "events_per_sec"),
     ("parcel_point", "events_per_sec"),
     ("scenarios", "units_per_sec"),
 ];
@@ -785,7 +747,6 @@ mod tests {
         let v = bench_event_queues(2_000);
         for key in [
             "heap_random_events_per_sec",
-            "calendar_random_events_per_sec",
             "fifo_band_random_events_per_sec",
             "fifo_band_monotone_events_per_sec",
         ] {
@@ -796,8 +757,6 @@ mod tests {
 
     #[test]
     fn engine_benches_count_events() {
-        let mm1 = bench_mm1(50);
-        assert!(mm1.get("events").and_then(|x| x.as_f64()).unwrap() > 0.0);
         let parcel = bench_parcel_point(5_000.0);
         assert!(parcel.get("events").and_then(|x| x.as_f64()).unwrap() > 0.0);
     }
@@ -858,12 +817,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn synthetic_payload(schema: u32, parcel_rate: f64, mm1_rate: f64, wall_ms: f64) -> Value {
+    fn synthetic_payload(schema: u32, parcel_rate: f64, units_rate: f64, wall_ms: f64) -> Value {
         let section = |key: &str, rate: f64| Value::Map(vec![(key.into(), Value::F64(rate))]);
         Value::Map(vec![
             ("schema_version".into(), Value::U64(u64::from(schema))),
             ("rev".into(), Value::Str("synthetic".into())),
-            ("mm1_qnet".into(), section("events_per_sec", mm1_rate)),
             (
                 "parcel_point".into(),
                 section("events_per_sec", parcel_rate),
@@ -871,7 +829,7 @@ mod tests {
             (
                 "scenarios".into(),
                 Value::Map(vec![
-                    ("units_per_sec".into(), Value::F64(70.0)),
+                    ("units_per_sec".into(), Value::F64(units_rate)),
                     ("wall_ms".into(), Value::F64(wall_ms)),
                 ]),
             ),
@@ -881,14 +839,15 @@ mod tests {
     #[test]
     fn compare_flags_only_gated_regressions_beyond_allowance() {
         let baseline = synthetic_payload(BENCH_SCHEMA_VERSION, 1_000_000.0, 2_000_000.0, 8_000.0);
-        // parcel −50% (fails), mm1 −10% (within allowance), wall +100% (info only).
+        // parcel −50% (fails), units −10% (within allowance), wall +100% (info only).
         let current = synthetic_payload(BENCH_SCHEMA_VERSION, 500_000.0, 1_800_000.0, 16_000.0);
         let deltas = compare_payloads(&baseline, &current, 20.0).unwrap();
         let find = |name: &str| deltas.iter().find(|d| d.name == name).unwrap();
         let parcel = find("parcel_point.events_per_sec");
         assert!(parcel.failed && parcel.gated);
         assert!((parcel.delta_pct + 50.0).abs() < 1e-9);
-        assert!(!find("mm1_qnet.events_per_sec").failed);
+        let units = find("scenarios.units_per_sec");
+        assert!(units.gated && !units.failed);
         let wall = find("scenarios.wall_ms");
         assert!(!wall.gated && !wall.failed);
         // Metrics absent from either payload are skipped, not errors.
@@ -899,7 +858,7 @@ mod tests {
     #[test]
     fn compare_passes_improvements_and_exact_allowance_boundary() {
         let baseline = synthetic_payload(BENCH_SCHEMA_VERSION, 1_000_000.0, 2_000_000.0, 8_000.0);
-        // parcel +50% improvement, mm1 at exactly −20%: neither fails at a 20% gate.
+        // parcel +50% improvement, units at exactly −20%: neither fails at a 20% gate.
         let current = synthetic_payload(BENCH_SCHEMA_VERSION, 1_500_000.0, 1_600_000.0, 4_000.0);
         let deltas = compare_payloads(&baseline, &current, 20.0).unwrap();
         assert!(deltas.iter().all(|d| !d.failed));

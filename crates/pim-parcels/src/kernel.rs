@@ -11,11 +11,11 @@
 //!   system, `0x1000 + i` in the control system).
 //!
 //! So each node can run on its own, without the global event queue. What remains
-//! is dispatch order *within* a node. The engine orders events by
-//! `(time, priority, seq)`, every parcel event has priority 0, and `seq` counts
-//! schedule calls. A node's events are scheduled only while handling that node's
-//! own earlier events, so their relative `seq` order is the order the node itself
-//! scheduled them in: a per-node counter reproduces it exactly.
+//! is dispatch order *within* a node. The engine orders events by `(time, seq)`,
+//! and `seq` counts schedule calls. A node's events are scheduled only while
+//! handling that node's own earlier events, so their relative `seq` order is the
+//! order the node itself scheduled them in: a per-node counter reproduces it
+//! exactly.
 //!
 //! The kernel keeps every arithmetic step of [`crate::test_system::TestSystem`] and
 //! [`crate::control::ControlSystem`] — the same `SimDuration::from_ns_f64`

@@ -195,11 +195,6 @@ impl RunSampler {
             (Run { ops, cycles }, true)
         }
     }
-
-    /// Mean cycles of one local operation.
-    pub fn mean_local_op_cycles(&self) -> f64 {
-        self.local.mean
-    }
 }
 
 #[cfg(test)]

@@ -1,43 +1,9 @@
-//! Integration of the substrate crates: the DES engine's queuing network against
-//! queueing theory, and the memory models against the workload generators.
+//! Integration of the substrate crates: the memory models against the paper's
+//! Section 2.1 bandwidth claims and against the workload generators.
 
-use pim_repro::desim::prelude::*;
 use pim_repro::desim::random::RandomStream;
-use pim_repro::pim_mem::{CacheModel, DramTiming, PimChip, SectorCache, SetAssociativeCache};
-use pim_repro::pim_workload::{
-    AddressPattern, InstructionMix, OpKind, OperationStream, ReuseProfile,
-};
-
-#[test]
-fn mm1_queue_matches_theory_on_both_event_queue_implementations() {
-    // M/M/1 with rho = 0.8: W = 1/(mu - lambda) = 50 ns, L = 4.
-    let build = || {
-        let mut net = QNetwork::new(5);
-        let src = net.add_source("src", Dist::Exponential { mean: 12.5 }, 0, None);
-        let cpu = net.add_service("cpu", 1, Dist::Exponential { mean: 10.0 });
-        let sink = net.add_sink("sink");
-        net.set_route(src, Routing::To(cpu));
-        net.set_route(cpu, Routing::To(sink));
-        net
-    };
-    let report = build().run(SimTime::from_us(4_000));
-    let cpu = report.node("cpu").unwrap();
-    assert!(
-        (cpu.utilization - 0.8).abs() < 0.03,
-        "rho {}",
-        cpu.utilization
-    );
-    assert!(
-        (cpu.mean_response_ns - 50.0).abs() / 50.0 < 0.12,
-        "W {}",
-        cpu.mean_response_ns
-    );
-    assert!(
-        (cpu.mean_population - 4.0).abs() < 0.6,
-        "L {}",
-        cpu.mean_population
-    );
-}
+use pim_repro::pim_mem::{CacheModel, DramTiming, PimChip, SetAssociativeCache};
+use pim_repro::pim_workload::ReuseProfile;
 
 #[test]
 fn dram_macro_bandwidth_claims_from_section_2_1() {
@@ -80,28 +46,6 @@ fn workload_locality_knob_reproduces_table1_miss_rate_regime() {
 }
 
 #[test]
-fn sector_cache_catches_streaming_locality_that_lru_also_catches() {
-    // A sequential stream hits in both a row-buffer sector cache and a conventional
-    // cache: spatial locality is not what distinguishes PIM (temporal locality is).
-    let mix = InstructionMix::with_memory_fraction(1.0);
-    let mut stream = OperationStream::new(
-        mix,
-        AddressPattern::Sequential { stride: 8 },
-        RandomStream::new(3, 1),
-    );
-    let mut sector = SectorCache::new(256, 8);
-    let mut lru = SetAssociativeCache::new(2048, 64, 4);
-    for op in stream.take_ops(20_000) {
-        if op.kind != OpKind::Compute {
-            sector.access(op.address);
-            lru.access(op.address);
-        }
-    }
-    assert!(sector.miss_rate() < 0.1, "sector {}", sector.miss_rate());
-    assert!(lru.miss_rate() < 0.2, "lru {}", lru.miss_rate());
-}
-
-#[test]
 fn pim_chip_streaming_accesses_hit_open_rows() {
     let mut chip = PimChip::with_nodes(4);
     let per_node = chip.capacity_bytes() / 4;
@@ -120,52 +64,4 @@ fn pim_chip_streaming_accesses_hit_open_rows() {
     let (node, first) = chip.access(per_node + 7);
     assert_eq!(node, 1);
     assert!(first > 20.0);
-}
-
-#[test]
-fn resource_statistics_survive_a_full_simulation() {
-    // Drive a Resource through the engine and confirm its utilization matches the load.
-    struct Loop {
-        cpu: Resource<u32>,
-        remaining: u32,
-    }
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Arrive(u32),
-        Done,
-    }
-    impl Model for Loop {
-        type Event = Ev;
-        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-            match ev {
-                Ev::Arrive(id) => {
-                    if self.cpu.acquire(now, id) == Acquire::Granted {
-                        sched.schedule_in(SimDuration::from_ns(40), Ev::Done);
-                    }
-                    if self.remaining > 0 {
-                        self.remaining -= 1;
-                        sched.schedule_in(SimDuration::from_ns(100), Ev::Arrive(id + 1));
-                    }
-                }
-                Ev::Done => {
-                    if self.cpu.release(now).is_some() {
-                        sched.schedule_in(SimDuration::from_ns(40), Ev::Done);
-                    }
-                }
-            }
-        }
-    }
-    let model = Loop {
-        cpu: Resource::new("cpu", 1, SimTime::ZERO),
-        remaining: 500,
-    };
-    let mut sim = Simulation::new(model);
-    sim.scheduler().schedule_at(SimTime::ZERO, Ev::Arrive(0));
-    sim.run();
-    let now = sim.now();
-    let util = sim.model().cpu.utilization(now);
-    assert!(
-        (util - 0.4).abs() < 0.05,
-        "utilization {util} for a 40/100 load"
-    );
 }
