@@ -30,5 +30,5 @@ pub mod validation;
 
 pub use hwp_lwp::AnalyticModel;
 pub use parcels::ParcelAnalyticModel;
-pub use sweep::{nb_sensitivity, SensitivityRow, SweepParameter};
+pub use sweep::{nb_sensitivity, sensitivity_csv, SensitivityRow, SweepParameter};
 pub use validation::{validate, validation_from_sweep, ValidationReport, ValidationRow};

@@ -61,6 +61,23 @@ pub fn nb_sensitivity(parameter: SweepParameter, values: &[f64]) -> Vec<Sensitiv
         .collect()
 }
 
+/// Render a sensitivity sweep as CSV.
+pub fn sensitivity_csv(parameter: SweepParameter, rows: &[SensitivityRow]) -> String {
+    use std::fmt::Write as _;
+    let name = match parameter {
+        SweepParameter::CacheMissRate => "p_miss",
+        SweepParameter::LwpCycleTime => "lwp_cycle_ns",
+        SweepParameter::LwpMemoryCycles => "lwp_memory_cycles",
+        SweepParameter::HwpMemoryCycles => "hwp_memory_cycles",
+        SweepParameter::MemoryMix => "memory_mix",
+    };
+    let mut out = format!("{name},nb,gain_n32_wl100\n");
+    for r in rows {
+        let _ = writeln!(out, "{:.4},{:.4},{:.4}", r.value, r.nb, r.gain_32_full);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,5 +126,13 @@ mod tests {
         for row in nb_sensitivity(SweepParameter::CacheMissRate, &[0.05, 0.1, 0.2]) {
             assert!((row.gain_32_full - 32.0 / row.nb).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn csv_contains_header_and_rows() {
+        let rows = nb_sensitivity(SweepParameter::CacheMissRate, &[0.1, 0.2]);
+        let csv = sensitivity_csv(SweepParameter::CacheMissRate, &rows);
+        assert!(csv.starts_with("p_miss,nb,gain_n32_wl100"));
+        assert_eq!(csv.lines().count(), 3);
     }
 }

@@ -39,6 +39,26 @@ pub struct ValidationReport {
     pub max_relative_error: f64,
 }
 
+impl ValidationReport {
+    /// Render the report as CSV.
+    pub fn to_csv(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from("nodes,pct_lwp,simulated_ns,analytic_ns,rel_error_pct\n");
+        for r in &self.rows {
+            let _ = writeln!(
+                out,
+                "{},{:.0},{:.1},{:.1},{:.3}",
+                r.nodes,
+                r.lwp_fraction * 100.0,
+                r.simulated_ns,
+                r.analytic_ns,
+                r.relative_error * 100.0
+            );
+        }
+        out
+    }
+}
+
 /// Compare the analytical model with the queuing simulation over `spec`.
 ///
 /// `sim_mode` should be a [`EvalMode::Simulated`] variant; passing
@@ -143,5 +163,13 @@ mod tests {
             r.mean_relative_error
         );
         assert!(r.mean_relative_error <= r.max_relative_error);
+    }
+
+    #[test]
+    fn csv_has_one_row_per_point() {
+        let r = validate(SystemConfig::table1(), &small_spec(), EvalMode::Expected, 1);
+        let csv = r.to_csv();
+        assert_eq!(csv.lines().count(), 1 + 16);
+        assert!(csv.starts_with("nodes,pct_lwp"));
     }
 }

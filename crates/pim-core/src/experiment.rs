@@ -119,6 +119,14 @@ impl SweepResult {
         self.points.iter().filter(|p| p.nodes == nodes).collect()
     }
 
+    /// The points for one `%WL`, ordered by node count.
+    pub fn series_for_fraction(&self, wl: f64) -> Vec<&TradeoffPoint> {
+        self.points
+            .iter()
+            .filter(|p| (p.lwp_fraction - wl).abs() < 1e-9)
+            .collect()
+    }
+
     /// The largest gain anywhere in the sweep.
     pub fn max_gain(&self) -> f64 {
         self.points.iter().map(|p| p.gain).fold(0.0, f64::max)
@@ -273,6 +281,7 @@ mod tests {
         let spec = SweepSpec::figure5_6();
         let r = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 2);
         assert_eq!(r.series_for_nodes(8).len(), 11);
+        assert_eq!(r.series_for_fraction(0.5).len(), 7);
         assert!(r.point(8, 0.5).is_some());
         assert!(r.point(3, 0.5).is_none());
     }

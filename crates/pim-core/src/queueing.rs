@@ -71,6 +71,17 @@ pub struct QueueingResult {
     pub events: u64,
 }
 
+impl QueueingResult {
+    /// Fraction of the parallel phase the average LWP node spent idle.
+    pub fn mean_lwp_idle_fraction(&self) -> f64 {
+        if self.lwp_idle_ns.is_empty() || self.lwp_phase_ns <= 0.0 {
+            return 0.0;
+        }
+        let mean_idle = self.lwp_idle_ns.iter().sum::<f64>() / self.lwp_idle_ns.len() as f64;
+        mean_idle / self.lwp_phase_ns
+    }
+}
+
 /// Run `ops` operations in batches of `ops_per_event` and return the phase length:
 /// the sum of the batch durations, each quantized to whole ticks. Counts the batches
 /// into `events`.
@@ -244,10 +255,11 @@ mod tests {
         let r = run_queueing(c, p, RunMode::Test { nodes: 8 }, 64, 11);
         // Uniform threads with stochastic service: nodes finish within a few percent of
         // one another, so mean idle is a small fraction of the parallel phase.
-        assert!(!r.lwp_idle_ns.is_empty() && r.lwp_phase_ns > 0.0);
-        let mean_idle = r.lwp_idle_ns.iter().sum::<f64>() / r.lwp_idle_ns.len() as f64;
-        let idle_fraction = mean_idle / r.lwp_phase_ns;
-        assert!(idle_fraction < 0.1, "idle fraction {idle_fraction}");
+        assert!(
+            r.mean_lwp_idle_fraction() < 0.1,
+            "idle fraction {}",
+            r.mean_lwp_idle_fraction()
+        );
     }
 
     #[test]

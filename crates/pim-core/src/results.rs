@@ -26,6 +26,49 @@ pub fn figure5_gain_table(result: &SweepResult) -> String {
     out
 }
 
+/// Figure 6: unnormalized response time (ns) versus node count, one column per `%WL`.
+pub fn figure6_response_table(result: &SweepResult) -> String {
+    let mut out = String::new();
+    let mut header = String::from("nodes");
+    for &wl in &result.spec.lwp_fractions {
+        let _ = write!(header, ",rt_ns_wl{:.0}", wl * 100.0);
+    }
+    out.push_str(&header);
+    out.push('\n');
+    for &n in &result.spec.node_counts {
+        let _ = write!(out, "{n}");
+        for &wl in &result.spec.lwp_fractions {
+            let t = result.point(n, wl).map(|p| p.test_ns).unwrap_or(f64::NAN);
+            let _ = write!(out, ",{t:.1}");
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Figure 7: normalized runtime versus node count, one column per `%WL`.
+pub fn figure7_relative_table(result: &SweepResult) -> String {
+    let mut out = String::new();
+    let mut header = String::from("nodes");
+    for &wl in &result.spec.lwp_fractions {
+        let _ = write!(header, ",rel_time_wl{:.0}", wl * 100.0);
+    }
+    out.push_str(&header);
+    out.push('\n');
+    for &n in &result.spec.node_counts {
+        let _ = write!(out, "{n}");
+        for &wl in &result.spec.lwp_fractions {
+            let t = result
+                .point(n, wl)
+                .map(|p| p.relative_time)
+                .unwrap_or(f64::NAN);
+            let _ = write!(out, ",{t:.5}");
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// A generic markdown rendering of a CSV table (first line is the header).
 pub fn csv_to_markdown(csv: &str) -> String {
     let mut lines = csv.lines();
@@ -73,6 +116,25 @@ mod tests {
         assert!(lines[0].starts_with("pct_lwp_work,gain_n1,gain_n4,gain_n32"));
         // The 100% LWP / 32-node cell holds gain 10.24.
         assert!(lines[3].contains("10.24"));
+    }
+
+    #[test]
+    fn figure6_table_reports_nanoseconds() {
+        let csv = figure6_response_table(&small_result());
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + 3, "header plus one row per node count");
+        // Control time is 4e8 ns; the 0% column equals it on every row.
+        assert!(lines[1].contains("400000000.0"));
+    }
+
+    #[test]
+    fn figure7_table_is_normalized() {
+        let csv = figure7_relative_table(&small_result());
+        // 0% LWP column is always exactly 1.
+        for line in csv.lines().skip(1) {
+            let first_val: f64 = line.split(',').nth(1).unwrap().parse().unwrap();
+            assert!((first_val - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

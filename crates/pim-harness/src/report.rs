@@ -1,4 +1,4 @@
-//! The structured result of running a scenario, and its JSON rendering.
+//! The structured result of running a scenario, and its JSON/CSV renderings.
 //!
 //! A [`ScenarioReport`] is the machine-readable artifact the batch runner writes under
 //! `artifacts/<scenario>.json`. The schema is versioned ([`ARTIFACT_SCHEMA_VERSION`])
@@ -32,7 +32,8 @@ pub struct Metric {
 /// One rectangular table of results (a figure's data grid, a parameter listing, …).
 ///
 /// Cells are [`Value`]s so a table can mix numbers and strings (Table 1 does); numeric
-/// cells keep full `f64` precision in the JSON artifact.
+/// cells keep full `f64` precision in the JSON artifact rather than the rounded
+/// decimals the legacy CSV output used.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     /// Table name, unique within a report (most scenarios have exactly one table).
@@ -41,6 +42,70 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Data rows; every row has `columns.len()` cells.
     pub rows: Vec<Vec<Value>>,
+}
+
+impl Table {
+    /// Build a table by parsing a CSV string (header line + data rows) as produced by
+    /// the legacy renderers in `pim-core`/`pim-parcels`. Cells parse as unsigned,
+    /// signed, then floating-point numbers, falling back to strings.
+    pub fn from_csv(name: &str, csv: &str) -> Table {
+        let mut lines = csv.lines();
+        let columns: Vec<String> = lines
+            .next()
+            .unwrap_or_default()
+            .split(',')
+            .map(str::to_string)
+            .collect();
+        let rows = lines
+            .filter(|l| !l.is_empty())
+            .map(|l| l.split(',').map(parse_cell).collect())
+            .collect();
+        Table {
+            name: name.to_string(),
+            columns,
+            rows,
+        }
+    }
+
+    /// Render the table back to CSV (header line + one line per row).
+    pub fn to_csv(&self) -> String {
+        let mut out = self.columns.join(",");
+        out.push('\n');
+        for row in &self.rows {
+            let cells: Vec<String> = row.iter().map(render_cell).collect();
+            out.push_str(&cells.join(","));
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Parse one CSV cell into the narrowest matching [`Value`].
+fn parse_cell(cell: &str) -> Value {
+    if let Ok(n) = cell.parse::<u64>() {
+        return Value::U64(n);
+    }
+    if let Ok(n) = cell.parse::<i64>() {
+        return Value::I64(n);
+    }
+    if let Ok(x) = cell.parse::<f64>() {
+        return Value::F64(x);
+    }
+    Value::Str(cell.to_string())
+}
+
+/// Render one cell for CSV output. Floats use Rust's shortest round-trip formatting,
+/// matching the JSON artifact exactly.
+fn render_cell(v: &Value) -> String {
+    match v {
+        Value::U64(n) => n.to_string(),
+        Value::I64(n) => n.to_string(),
+        Value::F64(x) => format!("{x:?}"),
+        Value::Str(s) => s.clone(),
+        Value::Bool(b) => b.to_string(),
+        Value::Null => String::new(),
+        other => format!("{other:?}"),
+    }
 }
 
 /// The complete, machine-readable result of one scenario run.
@@ -114,14 +179,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn csv_round_trips_through_table() {
+        let csv = "nodes,gain,label\n32,10.24,extreme\n1,0.5,base\n";
+        let t = Table::from_csv("t", csv);
+        assert_eq!(t.columns, vec!["nodes", "gain", "label"]);
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0][0], Value::U64(32));
+        assert_eq!(t.rows[0][1], Value::F64(10.24));
+        assert_eq!(t.rows[1][2], Value::Str("base".into()));
+        assert_eq!(t.to_csv(), csv);
+    }
+
+    #[test]
+    fn negative_integers_parse_as_signed() {
+        let t = Table::from_csv("t", "a\n-7\n");
+        assert_eq!(t.rows[0][0], Value::I64(-7));
+    }
+
+    #[test]
     fn report_json_round_trips() {
         let r = ScenarioReport::new("demo", "a demo", 42, Value::Map(vec![]))
             .with_metric("max_gain", 10.24)
-            .with_table(Table {
-                name: "t".into(),
-                columns: vec!["x".into(), "y".into()],
-                rows: vec![vec![Value::U64(1), Value::F64(2.5)]],
-            });
+            .with_table(Table::from_csv("t", "x,y\n1,2.5\n"));
         let json = r.to_json();
         let back: ScenarioReport = serde_json::from_str(json.trim_end()).unwrap();
         assert_eq!(back, r);

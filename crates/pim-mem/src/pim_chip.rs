@@ -73,6 +73,11 @@ impl PimChip {
         )
     }
 
+    /// Number of nodes on the chip.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Total chip capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.memory.capacity_bytes()).sum()
@@ -89,7 +94,7 @@ impl PimChip {
     }
 
     /// The node that owns byte address `addr` under a blocked (node-major) map.
-    fn node_of(&self, addr: u64) -> usize {
+    pub fn node_of(&self, addr: u64) -> usize {
         let per_node = (self.capacity_bytes() / self.nodes.len() as u64).max(1);
         ((addr / per_node) as usize).min(self.nodes.len() - 1)
     }
@@ -102,9 +107,62 @@ impl PimChip {
         (node, self.nodes[node].access_local(local))
     }
 
+    /// Mutable access to a node.
+    pub fn node_mut(&mut self, i: usize) -> &mut PimNode {
+        &mut self.nodes[i]
+    }
+
     /// Immutable access to a node.
     pub fn node(&self, i: usize) -> &PimNode {
         &self.nodes[i]
+    }
+
+    /// Iterate over nodes.
+    pub fn nodes(&self) -> impl Iterator<Item = &PimNode> {
+        self.nodes.iter()
+    }
+}
+
+/// A memory system made of multiple PIM chips (Section 2.1: "A typical memory system
+/// comprises multiple DRAM components and the peak memory bandwidth made available
+/// through PIM is proportional to this number of chips").
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PimMemorySystem {
+    chips: Vec<PimChip>,
+}
+
+impl PimMemorySystem {
+    /// Build a system of `chips` identical chips with `nodes_per_chip` nodes each.
+    pub fn new(chips: usize, nodes_per_chip: usize) -> Self {
+        assert!(chips > 0, "a memory system needs at least one chip");
+        PimMemorySystem {
+            chips: (0..chips)
+                .map(|_| PimChip::with_nodes(nodes_per_chip))
+                .collect(),
+        }
+    }
+
+    /// Number of chips.
+    pub fn chip_count(&self) -> usize {
+        self.chips.len()
+    }
+
+    /// Total number of PIM nodes in the system.
+    pub fn total_nodes(&self) -> usize {
+        self.chips.iter().map(|c| c.node_count()).sum()
+    }
+
+    /// System-wide peak bandwidth in Tbit/s.
+    pub fn peak_bandwidth_tbit_per_s(&self) -> f64 {
+        self.chips
+            .iter()
+            .map(|c| c.peak_bandwidth_tbit_per_s())
+            .sum()
+    }
+
+    /// Access chip `i`.
+    pub fn chip(&self, i: usize) -> &PimChip {
+        &self.chips[i]
     }
 }
 
@@ -163,5 +221,16 @@ mod tests {
         let chip = PimChip::with_nodes(1);
         // TML = 30 LWP cycles at 5 ns = 150 ns.
         assert!((chip.node(0).nominal_local_latency_ns() - 150.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memory_system_aggregates_chips() {
+        let sys = PimMemorySystem::new(4, 16);
+        assert_eq!(sys.chip_count(), 4);
+        assert_eq!(sys.total_nodes(), 64);
+        assert!(
+            (sys.peak_bandwidth_tbit_per_s() - 4.0 * sys.chip(0).peak_bandwidth_tbit_per_s()).abs()
+                < 1e-9
+        );
     }
 }

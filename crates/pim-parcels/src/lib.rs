@@ -5,14 +5,16 @@
 //! message-driven split transactions between PIM nodes — hide system-wide latency,
 //! compared with a control system of conventional blocking message-passing processors.
 //!
+//! * [`parcel`] defines the Figure 8 parcel structure and its actions (reads, writes,
+//!   atomic memory operations, remote method invocations).
 //! * [`network`] provides the paper's flat-latency network plus mesh/torus ablations.
 //! * [`control`] is the blocking control system; [`test_system`] is the
 //!   split-transaction test system with configurable parallelism, parcel-handling
 //!   overhead, and an optional message-driven remote-servicing mode (Figure 9).
 //!   Under a flat network (memory-side servicing, for the test system) both run on
 //!   a per-node kernel that is bit-identical to their discrete-event models.
-//! * [`experiment`] sweeps the Figure 11 and Figure 12 grids; the harness's
-//!   `figure11`/`figure12` scenarios render them.
+//! * [`experiment`] sweeps the Figure 11 and Figure 12 grids; [`results`] renders the
+//!   corresponding tables.
 //!
 //! ```
 //! use pim_parcels::prelude::*;
@@ -40,6 +42,8 @@ pub mod experiment;
 mod kernel;
 pub mod network;
 pub mod outcome;
+pub mod parcel;
+pub mod results;
 pub mod runs;
 pub mod test_system;
 
@@ -53,6 +57,8 @@ pub mod prelude {
     };
     pub use crate::network::{FlatLatency, MeshNetwork, NetworkKind, NetworkModel, TorusNetwork};
     pub use crate::outcome::{NodeOutcome, SystemOutcome};
+    pub use crate::parcel::{Action, Parcel, ParcelId, ParcelMemory, Wrapper};
+    pub use crate::results::{figure11_table, figure12_table};
     pub use crate::runs::{LocalOpDist, Run, RunSampler};
     pub use crate::test_system::{run_test, run_test_with_options, RemoteService, TestSystem};
 }

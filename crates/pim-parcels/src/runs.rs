@@ -195,6 +195,11 @@ impl RunSampler {
             (Run { ops, cycles }, true)
         }
     }
+
+    /// Mean cycles of one local operation.
+    pub fn mean_local_op_cycles(&self) -> f64 {
+        self.local.mean
+    }
 }
 
 #[cfg(test)]

@@ -103,6 +103,31 @@ proptest! {
         prop_assert_eq!(a.control_work, b.control_work);
     }
 
+    /// Parcel request/reply construction preserves the id and swaps the endpoints, for
+    /// arbitrary endpoints and addresses.
+    #[test]
+    fn parcel_reply_inverts_route(src in 0usize..1024, dst in 0usize..1024, addr in any::<u64>(), value in any::<u64>()) {
+        let req = Parcel::request(ParcelId(1), src, dst, addr, Action::Read);
+        let rep = req.reply(value);
+        prop_assert_eq!(rep.wrapper.src_node, dst);
+        prop_assert_eq!(rep.wrapper.dst_node, src);
+        prop_assert_eq!(rep.id, req.id);
+        prop_assert!(rep.is_reply);
+    }
+
+    /// The parcel memory's atomic-add action is linearizable under any sequence of
+    /// additions: the final value is the wrapping sum.
+    #[test]
+    fn atomic_adds_sum(addr in any::<u64>(), deltas in proptest::collection::vec(any::<u64>(), 0..64)) {
+        let mut mem = ParcelMemory::new();
+        let mut expected = 0u64;
+        for &d in &deltas {
+            mem.apply(addr, &Action::AtomicAdd { delta: d });
+            expected = expected.wrapping_add(d);
+        }
+        prop_assert_eq!(mem.read(addr), expected);
+    }
+
     /// Network models are symmetric, zero on the diagonal and non-negative everywhere.
     #[test]
     fn networks_are_metrics(nodes in 1usize..128, latency in 0.0f64..10_000.0) {

@@ -69,4 +69,32 @@ proptest! {
             }
         }
     }
+
+    /// The remote-access model's empirical fraction converges to the configured one.
+    #[test]
+    fn remote_model_fraction_converges(pct in 0u32..=100, seed in any::<u64>()) {
+        let m = RemoteAccessModel::new(pct as f64 / 100.0);
+        let mut s = RandomStream::new(seed, 5);
+        let n = 20_000;
+        let remote = (0..n).filter(|_| m.classify(&mut s) == AccessLocality::Remote).count();
+        prop_assert!(((remote as f64 / n as f64) - pct as f64 / 100.0).abs() < 0.02);
+    }
+
+    /// Address partitions place every address on exactly one home node, and that node
+    /// owns the address under the blocked layout.
+    #[test]
+    fn address_partition_homes_are_consistent(
+        nodes in 1usize..512,
+        bytes_per_node in 1u64..1_000_000,
+        addr in any::<u64>(),
+    ) {
+        let p = AddressPartition::new(nodes, bytes_per_node);
+        let home = p.home_of(addr);
+        prop_assert!(home < nodes);
+        prop_assert_eq!(p.classify(home, addr), AccessLocality::Local);
+        if nodes > 1 {
+            let other = (home + 1) % nodes;
+            prop_assert_eq!(p.classify(other, addr), AccessLocality::Remote);
+        }
+    }
 }

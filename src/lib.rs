@@ -5,8 +5,8 @@
 //!
 //! * [`desim`] — the discrete-event simulation engine (SES/Workbench substitute);
 //! * [`pim_mem`] — DRAM macro / row buffer / bank / cache / PIM-chip models;
-//! * [`pim_workload`] — instruction mixes, temporal-locality and thread partitions,
-//!   and synthetic kernels;
+//! * [`pim_workload`] — instruction mixes, temporal-locality partitions, synthetic
+//!   kernels and remote-access models;
 //! * [`pim_core`] — study 1: the HWP/LWP partitioning queuing model and sweeps
 //!   (Figures 5-7, Table 1);
 //! * [`pim_parcels`] — study 2: parcel split-transaction latency hiding versus blocking

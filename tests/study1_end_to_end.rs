@@ -115,7 +115,11 @@ fn report_tables_are_well_formed_and_consistent() {
     let spec = SweepSpec::figure5_6();
     let sweep = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 4);
     let fig5 = figure5_gain_table(&sweep);
+    let fig6 = figure6_response_table(&sweep);
+    let fig7 = figure7_relative_table(&sweep);
     assert_eq!(fig5.lines().count(), 1 + spec.lwp_fractions.len());
+    assert_eq!(fig6.lines().count(), 1 + spec.node_counts.len());
+    assert_eq!(fig7.lines().count(), 1 + spec.node_counts.len());
     // Cross-check one cell: gain x relative_time == 1 for every point.
     for p in &sweep.points {
         assert!((p.gain * p.relative_time - 1.0).abs() < 1e-9);

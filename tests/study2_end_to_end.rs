@@ -188,3 +188,25 @@ fn message_driven_mode_services_parcels_remotely() {
     );
     assert!(on_cpu.busy_fraction() > memory_side.busy_fraction());
 }
+
+#[test]
+fn report_tables_round_trip_the_sweep() {
+    let spec = LatencyHidingSpec {
+        base: base(),
+        parallelism: vec![2, 8],
+        remote_fractions: vec![0.4],
+        latencies: vec![100.0, 1_000.0],
+        seed: 1,
+    };
+    let points = run_latency_hiding(&spec, 4);
+    let csv = figure11_table(&points);
+    assert_eq!(csv.lines().count(), 1 + points.len());
+    // Every data row parses back into six numeric fields.
+    for line in csv.lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(fields.len(), 6);
+        for f in fields {
+            assert!(f.parse::<f64>().is_ok(), "unparsable field {f}");
+        }
+    }
+}
