@@ -8,9 +8,9 @@
 //! * an event-oriented [`engine::Simulation`] over a deterministic pending-event set
 //!   ([`event::FifoBandQueue`], checked against the reference
 //!   [`event::BinaryHeapQueue`]),
-//! * reproducible random variate streams and distribution descriptions ([`random`]),
-//! * observation statistics, histograms, batch means and Student-t confidence
-//!   intervals ([`stats`]) and independent replications ([`replication`]),
+//! * reproducible random variate streams ([`random`]),
+//! * observation statistics with Student-t confidence intervals ([`stats`]) and
+//!   independent replications ([`replication`]),
 //! * simulated time in integer ticks ([`time`]) and a platform-stable content hash
 //!   for cache keys ([`stablehash`]).
 //!
@@ -40,8 +40,8 @@ pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
     pub use crate::event::{BinaryHeapQueue, EventQueue, FifoBandQueue};
     pub use crate::par::{available_threads, resolve_threads, work_steal_map};
-    pub use crate::random::{Dist, RandomStream};
-    pub use crate::replication::{replicate, replicate_to_precision, ReplicationSummary};
-    pub use crate::stats::{BatchMeans, ConfidenceLevel, Histogram, StatSummary, Tally};
+    pub use crate::random::RandomStream;
+    pub use crate::replication::{replicate, ReplicationSummary};
+    pub use crate::stats::{ConfidenceLevel, Tally};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -3,12 +3,11 @@
 //! SES/Workbench models draw service times, branch decisions and workload attributes
 //! from named distributions attached to independent random streams. This module
 //! provides the same facility: a [`RandomStream`] is a seeded generator (so every
-//! experiment is reproducible), and a [`Dist`] is a serializable description of a
-//! distribution that can be sampled against any stream.
+//! experiment is reproducible) with one method per distribution the models draw
+//! from.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng, Standard};
-use serde::{Deserialize, Serialize};
 
 /// Number of raw 64-bit words prefetched per buffer refill.
 ///
@@ -327,90 +326,6 @@ impl RandomStream {
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
         ZipfTable::new(n, s).sample(self)
     }
-
-    /// Sample a described distribution.
-    pub fn sample(&mut self, dist: &Dist) -> f64 {
-        match *dist {
-            Dist::Constant(c) => c,
-            Dist::Uniform { lo, hi } => self.uniform(lo, hi),
-            Dist::Exponential { mean } => self.exponential(mean),
-            Dist::Normal { mean, std_dev } => self.normal(mean, std_dev),
-            Dist::Erlang { k, mean } => {
-                let k = k.max(1);
-                let stage_mean = mean / k as f64;
-                (0..k).map(|_| self.exponential(stage_mean)).sum()
-            }
-            Dist::Empirical { ref points } => {
-                let u = self.uniform01();
-                let mut acc = 0.0;
-                for &(value, weight) in points {
-                    acc += weight;
-                    if u < acc {
-                        return value;
-                    }
-                }
-                points.last().map(|&(v, _)| v).unwrap_or(0.0)
-            }
-        }
-    }
-
-    /// Sample a described distribution, clamped to be non-negative (service times).
-    pub fn sample_nonneg(&mut self, dist: &Dist) -> f64 {
-        self.sample(dist).max(0.0)
-    }
-}
-
-/// A serializable distribution description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Dist {
-    /// Always the same value (deterministic service).
-    Constant(f64),
-    /// Uniform over `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean of the distribution.
-        mean: f64,
-    },
-    /// Normal with mean and standard deviation.
-    Normal {
-        /// Mean of the distribution.
-        mean: f64,
-        /// Standard deviation.
-        std_dev: f64,
-    },
-    /// Erlang-k with the given overall mean (sum of k exponential stages).
-    Erlang {
-        /// Number of exponential stages.
-        k: u32,
-        /// Overall mean (the sum across stages).
-        mean: f64,
-    },
-    /// Discrete empirical distribution: `(value, probability)` pairs.
-    /// Probabilities should sum to 1; the last value absorbs any remainder.
-    Empirical {
-        /// `(value, probability)` pairs.
-        points: Vec<(f64, f64)>,
-    },
-}
-
-impl Dist {
-    /// The theoretical mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Dist::Constant(c) => c,
-            Dist::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Dist::Exponential { mean } => mean,
-            Dist::Normal { mean, .. } => mean,
-            Dist::Erlang { mean, .. } => mean,
-            Dist::Empirical { ref points } => points.iter().map(|&(v, w)| v * w).sum(),
-        }
-    }
 }
 
 /// Precomputed inverse-CDF table for Zipf(n, s) sampling.
@@ -655,56 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn erlang_mean_and_lower_variance_than_exponential() {
-        let mut s = stream();
-        let n = 30_000;
-        let erl: Vec<f64> = (0..n)
-            .map(|_| s.sample(&Dist::Erlang { k: 4, mean: 8.0 }))
-            .collect();
-        let exp: Vec<f64> = (0..n).map(|_| s.exponential(8.0)).collect();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let var = |v: &[f64]| {
-            let m = mean(v);
-            v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
-        };
-        assert!((mean(&erl) - 8.0).abs() < 0.2);
-        assert!(
-            var(&erl) < var(&exp),
-            "Erlang-4 must have lower variance than exponential"
-        );
-    }
-
-    #[test]
-    fn empirical_distribution_respects_weights() {
-        let mut s = stream();
-        let d = Dist::Empirical {
-            points: vec![(1.0, 0.2), (2.0, 0.5), (3.0, 0.3)],
-        };
-        let n = 30_000;
-        let mut counts = [0u32; 3];
-        for _ in 0..n {
-            let v = s.sample(&d);
-            counts[v as usize - 1] += 1;
-        }
-        let f = |c: u32| c as f64 / n as f64;
-        assert!((f(counts[0]) - 0.2).abs() < 0.02);
-        assert!((f(counts[1]) - 0.5).abs() < 0.02);
-        assert!((f(counts[2]) - 0.3).abs() < 0.02);
-    }
-
-    #[test]
-    fn dist_means() {
-        assert_eq!(Dist::Constant(4.0).mean(), 4.0);
-        assert_eq!(Dist::Uniform { lo: 2.0, hi: 6.0 }.mean(), 4.0);
-        assert_eq!(Dist::Exponential { mean: 5.0 }.mean(), 5.0);
-        assert_eq!(Dist::Erlang { k: 3, mean: 9.0 }.mean(), 9.0);
-        let emp = Dist::Empirical {
-            points: vec![(1.0, 0.5), (3.0, 0.5)],
-        };
-        assert!((emp.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zipf_is_skewed_toward_low_ranks() {
         let mut s = stream();
         let table = ZipfTable::new(100, 1.2);
@@ -737,19 +602,6 @@ mod tests {
             assert!(
                 (f - 0.1).abs() < 0.02,
                 "bucket frequency {f} deviates from uniform"
-            );
-        }
-    }
-
-    #[test]
-    fn sample_nonneg_clamps() {
-        let mut s = stream();
-        for _ in 0..1000 {
-            assert!(
-                s.sample_nonneg(&Dist::Normal {
-                    mean: 0.0,
-                    std_dev: 5.0
-                }) >= 0.0
             );
         }
     }

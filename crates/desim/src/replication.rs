@@ -109,49 +109,6 @@ where
     ReplicationSummary::from_samples(&samples, level)
 }
 
-/// Keep adding replications (in batches of `batch`) until the relative precision of the
-/// mean reaches `target` or `max_replications` is hit. Returns the summary of all
-/// replications performed.
-pub fn replicate_to_precision<F>(
-    batch: u64,
-    max_replications: u64,
-    target: f64,
-    base_seed: u64,
-    level: ConfidenceLevel,
-    mut experiment: F,
-) -> ReplicationSummary
-where
-    F: FnMut(u64) -> f64,
-{
-    assert!(batch >= 2, "batch must be at least two replications");
-    assert!(target > 0.0, "target precision must be positive");
-    let mut tally = Tally::new();
-    let mut done = 0u64;
-    while done < max_replications {
-        let this_batch = batch.min(max_replications - done);
-        for r in 0..this_batch {
-            tally.record(experiment(replication_seed(base_seed, done + r)));
-        }
-        done += this_batch;
-        if done >= 2 {
-            let hw = tally.confidence_half_width(level);
-            let mean = tally.mean().abs();
-            if mean > 0.0 && hw / mean <= target {
-                break;
-            }
-        }
-    }
-    ReplicationSummary {
-        replications: done,
-        mean: tally.mean(),
-        std_dev: tally.std_dev(),
-        half_width: tally.confidence_half_width(level),
-        level,
-        min: tally.min().unwrap_or(0.0),
-        max: tally.max().unwrap_or(0.0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,30 +149,6 @@ mod tests {
             .half_width
         };
         assert!(run(100) < run(10));
-    }
-
-    #[test]
-    fn precision_driven_replication_stops_when_good_enough() {
-        let mut calls = 0u64;
-        let summary = replicate_to_precision(8, 512, 0.05, 11, ConfidenceLevel::P95, |seed| {
-            calls += 1;
-            let mut s = RandomStream::new(seed, 3);
-            (0..500).map(|_| s.exponential(20.0)).sum::<f64>() / 500.0
-        });
-        assert_eq!(summary.replications, calls);
-        assert!(summary.replications < 512, "should converge before the cap");
-        assert!(summary.relative_precision() <= 0.05);
-        assert!(summary.covers(20.0));
-    }
-
-    #[test]
-    fn precision_driven_replication_respects_the_cap() {
-        // Very noisy experiment with an unreachable precision target: stops at the cap.
-        let summary = replicate_to_precision(4, 16, 1e-6, 5, ConfidenceLevel::P95, |seed| {
-            let mut s = RandomStream::new(seed, 4);
-            s.uniform(0.0, 100.0)
-        });
-        assert_eq!(summary.replications, 16);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! completed transaction) or *time-weighted* statistics (a state variable integrated
 //! over simulated time). [`Tally`] covers the former and gives Student-t confidence
 //! intervals on the mean; the models integrate time-weighted state themselves.
-//! [`Histogram`] and [`BatchMeans`] provide distribution shape and confidence
-//! intervals for steady-state estimates.
 
 use serde::{Deserialize, Serialize};
 
@@ -200,176 +198,6 @@ pub fn student_t_critical(dof: u64, level: ConfidenceLevel) -> f64 {
     a + (b - a) * (1.0 - x / x0)
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with overflow/underflow counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram must have at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts per bin.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile `q` in `[0,1]` using bin midpoints.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // q = 0 would give target = 0, making `acc >= target` hold on the very
-        // first bin even when it is empty; clamp to 1 so q = 0 resolves to the
-        // lowest bucket that actually holds mass (q > 0 already yields >= 1).
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut acc = self.underflow;
-        if acc >= target && self.underflow > 0 {
-            return Some(self.lo);
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(self.lo + (i as f64 + 0.5) * w);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
-/// Batch-means estimator for steady-state simulation output analysis.
-///
-/// Observations are grouped into consecutive batches of `batch_size`; the batch means
-/// are treated as (approximately independent) samples, which gives a defensible
-/// confidence interval even though raw per-transaction observations are autocorrelated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batches: Tally,
-}
-
-impl BatchMeans {
-    /// Create an estimator with the given batch size (observations per batch).
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batches: Tally::new(),
-        }
-    }
-
-    /// Record one raw observation.
-    pub fn record(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batches
-                .record(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean of completed batch means.
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// Confidence half-width over the batch means.
-    pub fn confidence_half_width(&self, level: ConfidenceLevel) -> f64 {
-        self.batches.confidence_half_width(level)
-    }
-}
-
-/// Convenience bundle describing a statistic for report output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StatSummary {
-    /// Statistic name as it should appear in reports.
-    pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation, if any.
-    pub min: Option<f64>,
-    /// Maximum observation, if any.
-    pub max: Option<f64>,
-}
-
-impl StatSummary {
-    /// Build a summary from a tally.
-    pub fn from_tally(name: impl Into<String>, t: &Tally) -> Self {
-        StatSummary {
-            name: name.into(),
-            count: t.count(),
-            mean: t.mean(),
-            std_dev: t.std_dev(),
-            min: t.min(),
-            max: t.max(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,74 +293,5 @@ mod tests {
             large.confidence_half_width(ConfidenceLevel::P95)
                 < small.confidence_half_width(ConfidenceLevel::P95)
         );
-    }
-
-    #[test]
-    fn histogram_binning_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        h.record(-5.0);
-        h.record(42.0);
-        assert_eq!(h.count(), 102);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins().iter().sum::<u64>(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 5.0).abs() <= 1.0, "median estimate {median}");
-        assert!(h.quantile(0.0).is_some());
-        assert!(h.quantile(1.0).is_some());
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_quantile_zero_resolves_to_lowest_occupied_bucket() {
-        // Regression: q = 0 used to return the first bin's midpoint even when
-        // all the mass sat in a later bin (target = 0 made `acc >= target`
-        // hold immediately).
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(7.5); // bin 7, midpoint 7.5
-        assert_eq!(h.quantile(0.0), Some(7.5));
-        assert_eq!(h.quantile(1.0), Some(7.5));
-
-        // All mass in the overflow bucket -> hi, not bin 0's midpoint.
-        let mut over = Histogram::new(0.0, 10.0, 10);
-        over.record(42.0);
-        assert_eq!(over.quantile(0.0), Some(10.0));
-
-        // Underflow mass still reports lo at q = 0.
-        let mut under = Histogram::new(0.0, 10.0, 10);
-        under.record(-1.0);
-        assert_eq!(under.quantile(0.0), Some(0.0));
-    }
-
-    #[test]
-    fn batch_means_reduces_to_overall_mean() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.record((i % 10) as f64);
-        }
-        assert_eq!(bm.completed_batches(), 10);
-        assert!((bm.mean() - 4.5).abs() < 1e-12);
-        assert!(bm.confidence_half_width(ConfidenceLevel::P95) < 1e-9);
-    }
-
-    #[test]
-    fn stat_summary_reflects_tally() {
-        let mut t = Tally::new();
-        t.record(1.0);
-        t.record(2.0);
-        let s = StatSummary::from_tally("rt", &t);
-        assert_eq!(s.name, "rt");
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 1.5).abs() < 1e-12);
-        assert_eq!(s.min, Some(1.0));
-        assert_eq!(s.max, Some(2.0));
     }
 }

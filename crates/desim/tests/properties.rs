@@ -119,36 +119,6 @@ proptest! {
         prop_assert_eq!(seen.clone(), sorted);
     }
 
-    /// Quantiles are monotone in q — including histograms whose mass is heavily
-    /// (or entirely) in the underflow/overflow buckets.
-    #[test]
-    fn histogram_quantiles_are_monotone(
-        xs in proptest::collection::vec(-30.0f64..30.0, 1..200),
-        qs in proptest::collection::vec(0.0f64..1.0, 2..20),
-    ) {
-        // Range [0, 10) over draws from [-30, 30): roughly 5/6 of the mass
-        // lands outside the binned range.
-        let mut h = Histogram::new(0.0, 10.0, 8);
-        for &x in &xs {
-            h.record(x);
-        }
-        let mut qs = qs;
-        qs.push(0.0);
-        qs.push(1.0);
-        qs.sort_by(|a, b| a.total_cmp(b));
-        let values: Vec<f64> = qs
-            .iter()
-            .map(|&q| h.quantile(q).expect("non-empty histogram"))
-            .collect();
-        prop_assert!(
-            values.windows(2).all(|w| w[0] <= w[1]),
-            "quantiles not monotone: qs {:?} -> {:?}", qs, values
-        );
-        // q = 0 must never report below the smallest occupied bucket, q = 1
-        // never above the largest.
-        prop_assert!(values.iter().all(|v| (0.0..=10.0).contains(v)));
-    }
-
     /// The raw-word path replays the sequential float draws exactly:
     ///
     /// * uniform draws and Bernoulli decisions filled in bulk through raw-word

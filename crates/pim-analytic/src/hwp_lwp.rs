@@ -68,20 +68,6 @@ impl AnalyticModel {
     pub fn break_even_nodes(&self) -> usize {
         self.nb().ceil() as usize
     }
-
-    /// Trace the Figure 7 family: for each `%WL` in `wl_values`, the normalized runtime
-    /// at each node count in `node_counts`. Returned row-major: `rows[wl][n]`.
-    pub fn figure7_series(&self, node_counts: &[usize], wl_values: &[f64]) -> Vec<Vec<f64>> {
-        wl_values
-            .iter()
-            .map(|&wl| {
-                node_counts
-                    .iter()
-                    .map(|&n| self.time_relative(n as f64, wl))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -159,23 +145,6 @@ mod tests {
             );
         }
         assert!((m.control_time_ns() - study.expected_control_ns()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn figure7_series_shape() {
-        let m = AnalyticModel::table1();
-        let nodes = [1usize, 2, 4, 8, 16, 32, 64];
-        let wls = [0.0, 0.5, 1.0];
-        let series = m.figure7_series(&nodes, &wls);
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0].len(), 7);
-        // %WL = 0 row is flat at 1.
-        assert!(series[0].iter().all(|&t| (t - 1.0).abs() < 1e-12));
-        // %WL = 1 row decreases monotonically with N.
-        assert!(series[2].windows(2).all(|w| w[1] < w[0]));
-        // Higher %WL is worse than lower %WL below NB (N = 1, 2) and better above it.
-        assert!(series[2][0] > series[1][0]);
-        assert!(series[2][6] < series[1][6]);
     }
 
     #[test]

@@ -172,16 +172,6 @@ pub fn imbalance_sensitivity(
         .collect()
 }
 
-/// Render an imbalance sweep as CSV.
-pub fn imbalance_csv(rows: &[ImbalanceRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("skew,gain,lwp_idle_fraction\n");
-    for r in rows {
-        let _ = writeln!(out, "{:.2},{:.4},{:.4}", r.skew, r.gain, r.idle_fraction);
-    }
-    out
-}
-
 /// Evaluate the simulated gain of one `(nodes, wl)` point across independent
 /// replications and return its confidence interval.
 pub fn replicated_gain(
@@ -308,8 +298,6 @@ mod tests {
         );
         // A 50%+ skew costs a meaningful share of the paper's headline gain.
         assert!(rows[0].gain / rows[4].gain > 1.3);
-        let csv = imbalance_csv(&rows);
-        assert_eq!(csv.lines().count(), 6);
     }
 
     #[test]

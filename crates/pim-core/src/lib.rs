@@ -43,14 +43,12 @@ pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{point_eval_mode, run_sweep, SweepResult, SweepSpec};
     pub use crate::extensions::{
-        imbalance_csv, imbalance_sensitivity, replicated_gain, run_phased, ImbalanceRow,
-        PhasedOptions, PhasedResult,
+        imbalance_sensitivity, replicated_gain, run_phased, ImbalanceRow, PhasedOptions,
+        PhasedResult,
     };
     pub use crate::hwp::{HwpExecution, HwpStats};
     pub use crate::lwp::{LwpExecution, LwpStats};
     pub use crate::queueing::{run_queueing, QueueingResult, RunMode};
-    pub use crate::results::{
-        csv_to_markdown, figure5_gain_table, figure6_response_table, figure7_relative_table,
-    };
+    pub use crate::results::{csv_to_markdown, figure5_gain_table};
     pub use crate::system::{EvalMode, PartitionStudy, TradeoffPoint};
 }

@@ -171,7 +171,7 @@ pub fn fingerprint_value(config: &Value) -> String {
 /// How one unit's execution interacted with the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
-    /// No cache configured, or the unit carries no key.
+    /// No disk cache configured; the unit ran.
     Uncached,
     /// Served from a verified cache entry; the unit closure never ran.
     Hit,

@@ -394,11 +394,8 @@ impl UnitPool {
     /// entries, not a report). Returns one [`ShardPlanOutcome`] per plan, in
     /// input order.
     ///
-    /// Every unit must carry a cache key: a keyless unit has no digest to
-    /// partition on and no way to meet the other shards in a cache, so plans
-    /// with uncacheable units are rejected (the runner names the offending
-    /// scenario before calling this). Owned units still consult `cache` before
-    /// running — a warm shard run is all-hits, exactly like a warm unsharded one.
+    /// Owned units still consult `cache` before running — a warm shard run is
+    /// all-hits, exactly like a warm unsharded one.
     pub fn run_plans_shard(
         &self,
         plans: Vec<ScenarioPlan<'_>>,
@@ -407,22 +404,16 @@ impl UnitPool {
     ) -> Result<Vec<ShardPlanOutcome>, String> {
         let mut owned: Vec<PlanUnit<'_>> = Vec::new();
         let mut outcomes: Vec<ShardPlanOutcome> = Vec::with_capacity(plans.len());
-        for (plan_idx, plan) in plans.into_iter().enumerate() {
+        for plan in plans {
             let (units, _assemble) = plan.into_parts();
             let mut executed = Vec::new();
             let units_total = units.len() as u64;
             for unit in units {
-                let Some((key, _)) = &unit.cache else {
-                    return Err(format!(
-                        "plan #{plan_idx} contains units without cache keys; \
-                         sharded execution requires every unit to be cacheable"
-                    ));
-                };
-                if shard.owns(key) {
+                if shard.owns(&unit.key) {
                     executed.push(ExecutedUnit {
-                        grid_index: key.grid_index,
-                        replication_index: key.replication_index,
-                        digest: key.digest(),
+                        grid_index: unit.key.grid_index,
+                        replication_index: unit.key.replication_index,
+                        digest: unit.key.digest(),
                     });
                     owned.push(unit);
                 }
@@ -497,10 +488,7 @@ impl UnitPool {
         cache: Option<&UnitCache>,
         cancel: Option<Cancel<'_>>,
     ) -> Result<(UnitOutput, CacheEvent), RunError> {
-        let Some((key, codec)) = &unit.cache else {
-            let _permit = self.gate.acquire(cancel)?;
-            return Ok(((unit.run)(), CacheEvent::Uncached));
-        };
+        let (key, codec) = (&unit.key, &unit.codec);
         let digest = key.digest_u128();
         if let Some(output) = self.load_mem(digest, codec) {
             return Ok((output, CacheEvent::Hit));
@@ -610,10 +598,7 @@ impl UnitPool {
             let mem = unpoisoned(self.mem.lock());
             units
                 .iter()
-                .map(|unit| {
-                    let (key, _) = unit.cache.as_ref()?;
-                    mem.get(&key.digest_u128()).cloned()
-                })
+                .map(|unit| mem.get(&unit.key.digest_u128()).cloned())
                 .collect()
         };
         // `None` marks a unit left for the claim loop. A payload its codec
@@ -623,10 +608,7 @@ impl UnitPool {
         // claiming worker take its `FnOnce` unit by value.
         let mut slots: Vec<Mutex<Option<PlanUnit<'_>>>> = Vec::new();
         for (unit, payload) in units.into_iter().zip(payloads) {
-            let hit = match (&unit.cache, payload) {
-                (Some((_, codec)), Some(text)) => decode_warm(&text, codec),
-                _ => None,
-            };
+            let hit = payload.and_then(|text| decode_warm(&text, &unit.codec));
             if let Some(output) = hit {
                 tick();
                 results.push(Some((output, CacheEvent::Hit)));
@@ -682,8 +664,9 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn plan_squaring<'s>(name: &'s str, n: usize) -> ScenarioPlan<'s> {
-        let units: Vec<_> = (0..n).map(|i| move || i * i).collect();
-        ScenarioPlan::map_reduce(units, move |squares: Vec<usize>| {
+        let keyer = UnitKeyer::new(name, &Value::Map(vec![]), 0);
+        let units: Vec<_> = (0..n).map(|i| (keyer.key(i, 0), move || i * i)).collect();
+        ScenarioPlan::cached_map_reduce(units, move |squares: Vec<usize>| {
             let mut report = ScenarioReport::new(name, "squares", 0, Value::Map(vec![]));
             for (i, sq) in squares.iter().enumerate() {
                 report = report.with_metric(&format!("sq{i}"), *sq as f64);
@@ -763,11 +746,11 @@ mod tests {
 
     #[test]
     fn single_plan_runs_whole_scenario_as_one_unit() {
-        let plan = ScenarioPlan::single(|| {
+        let key = UnitKeyer::new("one", &Value::Map(vec![]), 7).key(0, 0);
+        let plan = ScenarioPlan::cached_single(key, || {
             ScenarioReport::new("one", "single unit", 7, Value::Map(vec![])).with_metric("x", 1.0)
         });
         assert_eq!(plan.unit_count(), 1);
-        assert_eq!(plan.cacheable_unit_count(), 0);
         let report = run_uncached(vec![plan], 8).remove(0);
         assert_eq!(report.scenario, "one");
         assert_eq!(report.metric("x"), Some(1.0));
@@ -1210,9 +1193,11 @@ mod tests {
         let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
         let cancel_a = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            // X holds the pool's only compute permit until told to finish.
+            // X holds the pool's only compute permit, and the flight of its own
+            // unit, until told to finish.
             let x = scope.spawn(|| {
-                let plan = ScenarioPlan::single(move || {
+                let key = UnitKeyer::new("block", &Value::Map(vec![]), 0).key(0, 0);
+                let plan = ScenarioPlan::cached_single(key, move || {
                     block_rx.recv().unwrap();
                     ScenarioReport::new("block", "d", 0, Value::Map(vec![]))
                 });
@@ -1230,8 +1215,9 @@ mod tests {
                     Some(&probe),
                 )
             });
+            // X's flight plus A's.
             wait_for("A registered U's flight", || {
-                pool.flights_in_progress() == 1
+                pool.flights_in_progress() == 2
             });
 
             // B waits on A's flight (same digest, no cancellation).

@@ -150,17 +150,6 @@ pub fn run_batch<S: AsRef<str>>(
     // client — same scheduler, but kept alive across requests.
     let pool = crate::exec::UnitPool::new(opts.jobs);
     if let Some(shard) = opts.shard {
-        // Partitioning needs a digest per unit, so every unit must carry a cache
-        // key. Check before executing anything, naming the offending scenario
-        // (the executor's own guard only knows plan positions).
-        for (name, plan) in names.iter().zip(&plans) {
-            if plan.cacheable_unit_count() != plan.unit_count() {
-                return Err(format!(
-                    "scenario '{name}' has units without cache keys and cannot be \
-                     sharded; run it unsharded instead"
-                ));
-            }
-        }
         let outcomes = pool.run_plans_shard(plans, cache.as_ref(), &shard)?;
         let mut cache_counts = Vec::with_capacity(outcomes.len());
         let mut shard_scenarios = Vec::with_capacity(outcomes.len());

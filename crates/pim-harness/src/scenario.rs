@@ -78,11 +78,12 @@ impl UnitCodec {
     }
 }
 
-/// One schedulable unit of work: the closure, plus — for cacheable units — the
-/// content-address identity and serde codec the unit-result cache needs.
+/// One schedulable unit of work: the closure, plus the content-address identity
+/// and serde codec the unit-result cache needs.
 pub(crate) struct PlanUnit<'s> {
     pub(crate) run: UnitFn<'s>,
-    pub(crate) cache: Option<(UnitKey, UnitCodec)>,
+    pub(crate) key: UnitKey,
+    pub(crate) codec: UnitCodec,
 }
 
 /// A scenario decomposed into independently runnable **units of work** plus an
@@ -98,27 +99,18 @@ pub(crate) struct PlanUnit<'s> {
 /// `assemble` receives the unit outputs **in unit order**, whatever order they
 /// executed in, which is what keeps artifacts byte-identical across thread counts.
 ///
-/// Plans built with [`ScenarioPlan::cached_map_reduce`]/[`ScenarioPlan::cached_single`]
-/// additionally tag every unit with a [`UnitKey`], making its output persistable in
-/// the content-addressed unit cache (see [`crate::cache`]): on a warm batch the
-/// executor serves such units from disk instead of running them.
+/// Every unit carries a [`UnitKey`], making its output persistable in the
+/// content-addressed unit cache (see [`crate::cache`]): on a warm batch the
+/// executor serves units from disk instead of running them.
 pub struct ScenarioPlan<'s> {
     units: Vec<PlanUnit<'s>>,
     assemble: AssembleFn<'s>,
 }
 
 impl<'s> ScenarioPlan<'s> {
-    /// A plan with one opaque unit: the whole scenario runs as a single task. The
-    /// right choice for scenarios that finish in milliseconds (closed forms, tables).
-    pub fn single(run: impl FnOnce() -> ScenarioReport + Send + 's) -> ScenarioPlan<'s> {
-        ScenarioPlan::map_reduce(vec![run], |mut reports: Vec<ScenarioReport>| {
-            // audit:allow(unwrap-in-library): a single-unit plan yields exactly one output
-            reports.pop().expect("single-unit plan produced one output")
-        })
-    }
-
-    /// [`ScenarioPlan::single`] with a cache identity: the whole-report unit becomes
-    /// persistable in the unit-result cache under `key`.
+    /// A plan with one unit: the whole scenario runs as a single task whose
+    /// report is persistable in the unit-result cache under `key`. The right
+    /// choice for scenarios that finish in milliseconds (closed forms, tables).
     pub fn cached_single(
         key: UnitKey,
         run: impl FnOnce() -> ScenarioReport + Send + 's,
@@ -133,30 +125,9 @@ impl<'s> ScenarioPlan<'s> {
     ///
     /// Each unit is typically one grid point of a parameter sweep. The unit closures
     /// are type-erased internally; `assemble` gets the strongly-typed outputs back in
-    /// unit order. Units built this way carry no cache identity and always execute;
-    /// prefer [`ScenarioPlan::cached_map_reduce`] for deterministic units with
-    /// serializable outputs.
-    pub fn map_reduce<U, F, A>(units: Vec<F>, assemble: A) -> ScenarioPlan<'s>
-    where
-        U: Send + 'static,
-        F: FnOnce() -> U + Send + 's,
-        A: FnOnce(Vec<U>) -> ScenarioReport + Send + 's,
-    {
-        ScenarioPlan {
-            units: units
-                .into_iter()
-                .map(|f| PlanUnit {
-                    run: Box::new(move || Box::new(f()) as UnitOutput),
-                    cache: None,
-                })
-                .collect(),
-            assemble: Self::erase_assemble(assemble),
-        }
-    }
-
-    /// [`ScenarioPlan::map_reduce`] where every unit carries a [`UnitKey`] and a
-    /// serializable output, making it eligible for the unit-result cache. The key
-    /// must identify everything the unit's output depends on — build it with
+    /// unit order. Every unit carries a [`UnitKey`] and a serializable output, which
+    /// makes it eligible for the unit-result cache. The key must identify
+    /// everything the unit's output depends on — build it with
     /// [`crate::cache::UnitKeyer`] so the scenario config fingerprint, resolved seed
     /// and grid/replication indices are all folded in.
     pub fn cached_map_reduce<U, F, A>(units: Vec<(UnitKey, F)>, assemble: A) -> ScenarioPlan<'s>
@@ -170,39 +141,27 @@ impl<'s> ScenarioPlan<'s> {
                 .into_iter()
                 .map(|(key, f)| PlanUnit {
                     run: Box::new(move || Box::new(f()) as UnitOutput),
-                    cache: Some((key, UnitCodec::for_type::<U>())),
+                    key,
+                    codec: UnitCodec::for_type::<U>(),
                 })
                 .collect(),
-            assemble: Self::erase_assemble(assemble),
+            assemble: Box::new(move |outputs| {
+                let typed: Vec<U> = outputs
+                    .into_iter()
+                    .map(|o| {
+                        *o.downcast::<U>()
+                            // audit:allow(unwrap-in-library): the plan pairs every unit with the codec of its own output type
+                            .expect("unit output type matches the plan")
+                    })
+                    .collect();
+                assemble(typed)
+            }),
         }
-    }
-
-    fn erase_assemble<U, A>(assemble: A) -> AssembleFn<'s>
-    where
-        U: Send + 'static,
-        A: FnOnce(Vec<U>) -> ScenarioReport + Send + 's,
-    {
-        Box::new(move |outputs| {
-            let typed: Vec<U> = outputs
-                .into_iter()
-                .map(|o| {
-                    *o.downcast::<U>()
-                        // audit:allow(unwrap-in-library): the plan pairs every unit with the codec of its own output type
-                        .expect("unit output type matches the plan")
-                })
-                .collect();
-            assemble(typed)
-        })
     }
 
     /// Number of units in the plan.
     pub fn unit_count(&self) -> usize {
         self.units.len()
-    }
-
-    /// Number of units carrying a cache identity.
-    pub fn cacheable_unit_count(&self) -> usize {
-        self.units.iter().filter(|u| u.cache.is_some()).count()
     }
 
     /// Split the plan into its units and assembly step (executor use).
@@ -236,7 +195,7 @@ pub trait Scenario: Send + Sync {
     ///
     /// Sweep-style scenarios should return one unit per grid point so batch workers
     /// can interleave them with other scenarios' points; trivially cheap scenarios
-    /// return a [`ScenarioPlan::single`].
+    /// return a [`ScenarioPlan::cached_single`].
     fn plan<'s>(&'s self, seeds: &SeedPolicy) -> ScenarioPlan<'s>;
 
     /// Run the experiment under the given seed policy, executing the plan's units

@@ -74,8 +74,8 @@ fn sweep_params(spec: &SweepSpec) -> Value {
     ])
 }
 
-/// Point lookup that keeps full `f64` precision (the legacy CSV renderers round to a
-/// few decimals, which would quantize the artifact and blunt the golden tolerance).
+/// Point lookup that keeps full `f64` precision (rounding to a few decimals would
+/// quantize the artifact and blunt the golden tolerance).
 fn point_value(sweep: &SweepResult, n: usize, wl: f64, f: impl Fn(&TradeoffPoint) -> f64) -> f64 {
     sweep.point(n, wl).map(f).unwrap_or(f64::NAN)
 }

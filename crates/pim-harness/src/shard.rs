@@ -25,10 +25,9 @@
 //!   real unit population within noise of evenly (the property suite bounds the
 //!   skew at 2× the mean).
 //!
-//! Only units that carry a cache key can be partitioned — a unit without a key has
-//! no digest *and* no way to meet the other shards in a cache — so sharded runs
-//! reject plans with uncacheable units. Every registry scenario (builtin and
-//! spec-compiled) keys all of its units.
+//! Every plan unit carries a cache key (the [`crate::scenario::ScenarioPlan`]
+//! constructors require one), so every unit has a digest to partition on and a
+//! cache entry through which it meets the other shards.
 //!
 //! ## What a shard run produces
 //!

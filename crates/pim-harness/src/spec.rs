@@ -44,9 +44,10 @@
 //!   over address patterns and memory mixes.
 //!
 //! Parsing is *hard*: unknown fields, duplicate keys, empty grid axes, zero node
-//! counts, non-finite numbers, out-of-range fractions, unknown model families and
-//! unsupported schema versions are all rejected with a message naming the offending
-//! field, mirroring the `SweepSpec` hardening in `pim-core`.
+//! counts, counts above 2^20 (node counts and parallelisms: a unit allocates per
+//! count up front), non-finite numbers, out-of-range fractions, unknown model
+//! families and unsupported schema versions are all rejected with a message naming
+//! the offending field, mirroring the `SweepSpec` hardening in `pim-core`.
 //!
 //! # Seed policy
 //!
@@ -76,6 +77,14 @@ pub const SPEC_SCHEMA_VERSION: u32 = 1;
 /// Ceiling on `grid points × replications` per spec: a typo like an extra grid axis
 /// should fail at parse time, not swamp the batch runner.
 pub const MAX_UNITS: usize = 10_000;
+
+/// Ceiling on every value of a count axis (`node_counts` in both families and
+/// `parallelisms`): 2^20, 4,096 times the paper's largest system of 256 nodes.
+/// A unit allocates per count up front (32 B per parcel node outcome, 16 B of
+/// reply queue per parcel context, 8 B per simulated analytic node's share of
+/// the work), so a larger count from an untrusted spec could ask for terabytes
+/// and abort the process.
+const MAX_COUNT: usize = 1 << 20;
 
 /// How a spec-defined scenario derives its seed from the batch seed policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +148,7 @@ pub struct AnalyticSpec {
     pub base: SystemConfig,
     /// Evaluation mode.
     pub mode: AnalyticMode,
-    /// Test-system node counts (axis; all ≥ 1).
+    /// Test-system node counts (axis; all in `1..=2^20`).
     pub node_counts: Vec<usize>,
     /// Lightweight-work fractions `%WL` in `[0, 1]` (axis).
     pub lwp_fractions: Vec<f64>,
@@ -163,9 +172,9 @@ pub struct ParcelsSpec {
     /// floating point — recovering it from `base.mix.memory_fraction()` would not
     /// round-trip bit-exactly through the canonical JSON form.
     pub memory_mix: f64,
-    /// Node counts (axis; all ≥ 1).
+    /// Node counts (axis; all in `1..=2^20`).
     pub node_counts: Vec<usize>,
-    /// Degrees of parallelism (axis; all ≥ 1).
+    /// Degrees of parallelism (axis; all in `1..=2^20`).
     pub parallelisms: Vec<usize>,
     /// One-way latencies in cycles (axis; finite, ≥ 0).
     pub latencies: Vec<f64>,
@@ -385,13 +394,18 @@ fn validate_fraction_axis(name: &str, values: &[f64]) -> Result<(), String> {
     Ok(())
 }
 
-/// Check a count-valued axis: non-empty, all ≥ 1.
+/// Check a count-valued axis: non-empty, all in `1..=MAX_COUNT`.
 fn validate_count_axis(name: &str, values: &[usize]) -> Result<(), String> {
     if values.is_empty() {
         return Err(format!("grid.{name} must not be empty"));
     }
     if values.contains(&0) {
         return Err(format!("grid.{name} values must all be at least 1"));
+    }
+    if let Some(v) = values.iter().find(|&&v| v > MAX_COUNT) {
+        return Err(format!(
+            "grid.{name} values must be at most {MAX_COUNT}, got {v}"
+        ));
     }
     Ok(())
 }
@@ -619,7 +633,7 @@ pub fn parse_spec(json: &str) -> Result<ScenarioSpec, String> {
 }
 
 /// Parse and validate a spec from a JSON value tree.
-pub fn spec_from_value(value: &Value) -> Result<ScenarioSpec, String> {
+fn spec_from_value(value: &Value) -> Result<ScenarioSpec, String> {
     let mut top = MapReader::new(value, "spec")?;
     let version: u64 = top.field("schema_version")?;
     if version != u64::from(SPEC_SCHEMA_VERSION) {
@@ -941,12 +955,6 @@ impl Serialize for ScenarioSpec {
             ("config".into(), config),
             ("grid".into(), grid),
         ])
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        spec_from_value(v).map_err(serde::Error::msg)
     }
 }
 
@@ -1379,6 +1387,25 @@ mod tests {
                     "replications": 0,
                     "grid": {"node_counts":[1],"parallelisms":[1],"latencies":[1.0],"remote_fractions":[0.1]}}"#,
                 "replications",
+            ),
+            (
+                "parallelism too large to allocate",
+                r#"{"schema_version": 1, "name": "x", "description": "d", "model": "parcels",
+                    "grid": {"node_counts":[1],"parallelisms":[1000000000000],"latencies":[1.0],"remote_fractions":[0.1]}}"#,
+                "parallelisms",
+            ),
+            (
+                "parcel node count too large to allocate",
+                r#"{"schema_version": 1, "name": "x", "description": "d", "model": "parcels",
+                    "grid": {"node_counts":[1000000000000],"parallelisms":[1],"latencies":[1.0],"remote_fractions":[0.1]}}"#,
+                "node_counts",
+            ),
+            (
+                "simulated analytic node count too large to allocate",
+                r#"{"schema_version": 1, "name": "x", "description": "d", "model": "analytic",
+                    "config": {"mode": {"simulated": {}}},
+                    "grid": {"node_counts":[1000000000000],"lwp_fractions":[0.5]}}"#,
+                "node_counts",
             ),
         ];
         for (label, json, needle) in cases {

@@ -1,14 +1,18 @@
 //! Property-based tests of the spec deserializer (vendored proptest, pinned seeds).
 //!
-//! Two families of properties:
+//! Three families of properties:
 //!
 //! 1. **Round-trip**: any valid [`ScenarioSpec`] survives serialize → parse exactly
 //!    (the canonical JSON form is lossless, including shortest-round-trip floats);
 //! 2. **Rejection**: structured corruptions of a valid spec — bad schema versions,
 //!    unknown model families, empty grid axes, zero node counts, `NaN`/∞ fractions —
-//!    are rejected by the parser, whatever the surrounding spec looks like.
+//!    are rejected by the parser, whatever the surrounding spec looks like;
+//! 3. **Validates, therefore runs**: a spec document the parser accepts compiles
+//!    and runs to a report with one row per unit, without a panic or an abort,
+//!    even at the edges of every axis.
 
 use pim_core::prelude::SystemConfig;
+use pim_harness::scenario::SeedPolicy;
 use pim_harness::spec::{
     parse_spec, AnalyticMode, AnalyticSpec, MeasuredSpec, ModelSpec, ParcelsSpec, ScenarioSpec,
     SeedMode,
@@ -261,4 +265,207 @@ proptest! {
         let err = parse_spec(&json).unwrap_err();
         prop_assert!(err.contains("replications"), "{err}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Validates, therefore runs
+// ---------------------------------------------------------------------------
+
+/// The bound `parse_spec` puts on every count axis (`node_counts`, `parallelisms`).
+const MAX_COUNT: u64 = 1 << 20;
+
+/// One of `edges` half the time, otherwise a draw from `inner`: the ends of an
+/// axis are where a validator and the model it guards most often disagree.
+fn edge_or<T: Clone, S: Strategy<Value = T>>(
+    edges: &'static [T],
+    inner: S,
+) -> impl Strategy<Value = T> {
+    (0..2 * edges.len(), inner).prop_map(move |(k, v)| edges.get(k).cloned().unwrap_or(v))
+}
+
+fn edge_fractions() -> impl Strategy<Value = Vec<f64>> {
+    collection::vec(edge_or(&[0.0, 1.0], 0.0f64..1.0), 1..3)
+}
+
+fn edge_counts() -> impl Strategy<Value = Vec<u64>> {
+    collection::vec(edge_or(&[1], 1u64..16), 1..3)
+}
+
+fn edge_pattern() -> impl Strategy<Value = String> {
+    (
+        0u32..3,
+        edge_or(&[1, u64::MAX], 1u64..4_096),
+        edge_or(&[1], 1u64..1_024),
+        edge_or(&[1, 64], 1u64..256),
+        edge_or(&[0.0], 0.0f64..3.0),
+    )
+        .prop_map(|(kind, stride, lines, line, exponent)| match kind {
+            0 => format!(r#"{{"Sequential": {{"stride": {stride}}}}}"#),
+            1 => format!(
+                r#"{{"UniformRandom": {{"footprint": {}, "line": {line}}}}}"#,
+                lines * line
+            ),
+            _ => format!(
+                r#"{{"Zipf": {{"footprint": {}, "line": {line}, "exponent": {exponent:?}}}}}"#,
+                lines * line
+            ),
+        })
+}
+
+/// A valid spec document of any family with edge values drawn often (one
+/// node, parallelism 1, fractions 0 and 1, zero latency and overhead, a Zipf
+/// exponent of 0 over one line, `ops_per_event` above `sim_ops`), and the base
+/// seed to run it under. One draw in eight of the analytic and parcels
+/// documents puts one count axis at the bound, every other axis at one value
+/// and the parcel horizon at a few cycles. Every case stays cheap: a small
+/// horizon, at most 5,000 measured or simulated operations.
+fn edge_document() -> impl Strategy<Value = (String, u64)> {
+    (
+        (0usize..3, 0u32..8, 0u32..2),
+        (edge_counts(), edge_counts()),
+        (edge_fractions(), edge_fractions(), edge_fractions()),
+        (
+            collection::vec(edge_or(&[0.0], 0.0f64..5_000.0), 1..3),
+            collection::vec(edge_or(&[0.0], 0.0f64..64.0), 1..3),
+        ),
+        (
+            0u32..2,
+            edge_or(&[1, 5_000], 1u64..5_000),
+            edge_or(&[5_001, u64::MAX], 1u64..10_000),
+            edge_or(&[1], 1u64..1_000_000_000),
+        ),
+        (
+            edge_or(&[1.0], 1.0f64..50.0),
+            edge_or(&[1.0, 3.0], 0.5f64..2_000.0),
+        ),
+        (collection::vec(edge_pattern(), 1..3), 0u32..2),
+        edge_or(&[1], 1u64..3),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(
+                (family, bound, axis),
+                (mut nodes, mut par),
+                (f1, f2, f3),
+                (lat, ovh),
+                (simulated, ops, ops_per_event, total_ops),
+                (local_cycles, mut horizon),
+                (patterns, small_geometry),
+                mut reps,
+                base,
+            )| {
+                let at_bound = bound == 0 && family < 2;
+                let one = |v: Vec<f64>| if at_bound { v[..1].to_vec() } else { v };
+                let (f1, f2, f3, lat, ovh) = (one(f1), one(f2), one(f3), one(lat), one(ovh));
+                if at_bound {
+                    (nodes, par) = if family == 0 || axis == 0 {
+                        (vec![MAX_COUNT], vec![1])
+                    } else {
+                        (vec![1], vec![MAX_COUNT])
+                    };
+                    horizon = 3.0;
+                    reps = 1;
+                }
+                let body = match family {
+                    0 => {
+                        let mode = if simulated == 1 {
+                            format!(
+                                r#"{{"simulated": {{"sim_ops": {ops}, "ops_per_event": {ops_per_event}}}}}"#
+                            )
+                        } else {
+                            r#""expected""#.to_string()
+                        };
+                        format!(
+                            r#""model": "analytic", "config": {{"total_ops": {total_ops}, "mode": {mode}}},
+                            "grid": {{"node_counts": {nodes:?}, "lwp_fractions": {f1:?},
+                                      "p_miss": {f2:?}, "memory_mix": {f3:?}}}"#
+                        )
+                    }
+                    1 => format!(
+                        r#""model": "parcels", "config": {{"memory_mix": {:?},
+                            "local_memory_cycles": {local_cycles:?}, "horizon_cycles": {horizon:?}}},
+                        "grid": {{"node_counts": {nodes:?}, "parallelisms": {par:?},
+                                  "latencies": {lat:?}, "remote_fractions": {f1:?}, "overheads": {ovh:?}}}"#,
+                        f2[0]
+                    ),
+                    _ => {
+                        let geometry = if small_geometry == 1 {
+                            r#", "cache_bytes": 64, "cache_line_bytes": 64, "cache_ways": 1, "bank_rows": 1"#
+                        } else {
+                            ""
+                        };
+                        format!(
+                            r#""model": "measured", "config": {{"ops": {ops}{geometry}}},
+                            "grid": {{"patterns": [{}], "memory_fractions": {f1:?}}}"#,
+                            patterns.join(", ")
+                        )
+                    }
+                };
+                let json = format!(
+                    r#"{{"schema_version": 1, "name": "edges", "description": "edge values",
+                        "replications": {reps}, {body}}}"#
+                );
+                (json, base)
+            },
+        )
+}
+
+/// `json` parses, and the compiled scenario runs under base seed `base` without
+/// a panic or an abort to a report with one row per unit under the spec's
+/// output columns.
+fn assert_validates_and_runs(json: &str, base: u64) {
+    let spec = parse_spec(json).unwrap_or_else(|e| panic!("spec rejected: {e}\n{json}"));
+    let units = spec.units();
+    let columns: Vec<String> = spec
+        .output_columns()
+        .iter()
+        .map(|c| c.to_string())
+        .collect();
+    let report = spec.into_scenario().run(&SeedPolicy::new(base));
+    assert_eq!(report.tables.len(), 1, "{json}");
+    let table = &report.tables[0];
+    assert_eq!(table.rows.len(), units, "{json}");
+    assert_eq!(table.columns, columns, "{json}");
+    for row in &table.rows {
+        assert_eq!(row.len(), columns.len(), "{json}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every generated document is valid, so it must parse and run; half of
+    /// them first select a column subset (`mask`), in reverse family order.
+    #[test]
+    fn validated_specs_run(doc in edge_document(), select in 0u32..2, mask in 1u32..512) {
+        let (mut json, base) = doc;
+        if select == 1 {
+            let spec = parse_spec(&json).unwrap_or_else(|e| panic!("spec rejected: {e}\n{json}"));
+            let picked: Vec<Value> = spec
+                .available_columns()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, c)| Value::Str(c.to_string()))
+                .rev()
+                .collect();
+            if !picked.is_empty() {
+                json = with_field(&spec, &["columns"], Value::Seq(picked));
+            }
+        }
+        assert_validates_and_runs(&json, base);
+    }
+}
+
+/// Documents the property once found validating and then panicking, kept as
+/// fixed inputs.
+#[test]
+fn validated_specs_run_on_past_failures() {
+    // A sequential stream's address overflowed past 2^64 - 1 (a debug-build
+    // panic; release builds wrapped).
+    let huge_stride = r#"{"schema_version": 1, "name": "edges", "description": "d",
+        "model": "measured", "config": {"ops": 5000},
+        "grid": {"patterns": [{"Sequential": {"stride": 18446744073709551615}}],
+                 "memory_fractions": [1.0]}}"#;
+    assert_validates_and_runs(huge_stride, 0);
 }

@@ -3,10 +3,8 @@
 //! The paper's queuing model treats the host cache *statistically*: each load/store
 //! misses with fixed probability `Pmiss = 0.1` (Table 1). That model is provided by
 //! [`StatisticalCache`]. To let users calibrate `Pmiss` from an address trace instead
-//! of assuming it, two structural models are also provided: a conventional
-//! set-associative LRU cache ([`SetAssociativeCache`]) and a row-buffer *sector cache*
-//! in the style of the Notre Dame Cache-in-Memory work cited in Section 2.1
-//! ([`SectorCache`]), where tag bits are attached directly to DRAM row buffers.
+//! of assuming it, a structural model is also provided: a conventional
+//! set-associative LRU cache ([`SetAssociativeCache`]).
 
 use desim::random::RandomStream;
 use serde::{Deserialize, Serialize};
@@ -171,64 +169,6 @@ impl CacheModel for SetAssociativeCache {
     }
 }
 
-/// A sector cache implemented as tag bits on DRAM row buffers (Cache-in-Memory).
-///
-/// Each of the `rows` row buffers caches one full DRAM row; an access hits if the
-/// addressed row is one of the `open_slots` most recently used rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SectorCache {
-    row_bytes: u64,
-    open_slots: usize,
-    /// Most-recently-used list of open rows (front = MRU).
-    open_rows: Vec<u64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SectorCache {
-    /// Create a sector cache holding `open_slots` rows of `row_bytes` bytes each.
-    pub fn new(row_bytes: u64, open_slots: usize) -> Self {
-        assert!(open_slots > 0, "sector cache needs at least one slot");
-        SectorCache {
-            row_bytes,
-            open_slots,
-            open_rows: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Effective capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.row_bytes * self.open_slots as u64
-    }
-}
-
-impl CacheModel for SectorCache {
-    fn access(&mut self, addr: u64) -> CacheOutcome {
-        let row = addr / self.row_bytes;
-        if let Some(pos) = self.open_rows.iter().position(|&r| r == row) {
-            let r = self.open_rows.remove(pos);
-            self.open_rows.insert(0, r);
-            self.hits += 1;
-            CacheOutcome::Hit
-        } else {
-            self.open_rows.insert(0, row);
-            self.open_rows.truncate(self.open_slots);
-            self.misses += 1;
-            CacheOutcome::Miss
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,35 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn sector_cache_tracks_open_rows() {
-        let mut c = SectorCache::new(256, 2);
-        assert_eq!(c.capacity_bytes(), 512);
-        assert_eq!(c.access(0), CacheOutcome::Miss); // row 0
-        assert_eq!(c.access(100), CacheOutcome::Hit); // row 0
-        assert_eq!(c.access(300), CacheOutcome::Miss); // row 1
-        assert_eq!(c.access(600), CacheOutcome::Miss); // row 2 evicts row 0 (LRU)
-        assert_eq!(c.access(100), CacheOutcome::Miss); // row 0 gone
-        assert_eq!(c.access(700), CacheOutcome::Hit); // row 2 still open
-    }
-
-    #[test]
     fn miss_rate_with_no_accesses_is_zero() {
         let c = SetAssociativeCache::new(1024, 64, 2);
         assert_eq!(c.miss_rate(), 0.0);
-        let s = SectorCache::new(256, 1);
-        assert_eq!(s.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn structural_caches_agree_on_full_locality() {
-        // Repeatedly touching one line/row should give ~100% hits after the first access.
-        let mut sa = SetAssociativeCache::new(1024, 64, 2);
-        let mut sc = SectorCache::new(256, 2);
-        for _ in 0..100 {
-            sa.access(0);
-            sc.access(0);
-        }
-        assert_eq!(sa.misses(), 1);
-        assert_eq!(sc.misses(), 1);
     }
 }

@@ -26,8 +26,8 @@ pub mod row_buffer;
 pub mod timing;
 
 pub use bank::Bank;
-pub use cache::{CacheModel, CacheOutcome, SectorCache, SetAssociativeCache, StatisticalCache};
+pub use cache::{CacheModel, CacheOutcome, SetAssociativeCache, StatisticalCache};
 pub use dram::{DramMacro, Interleave};
-pub use pim_chip::{PimChip, PimMemorySystem, PimNode};
+pub use pim_chip::{PimChip, PimNode};
 pub use row_buffer::{RowBuffer, RowOutcome};
 pub use timing::{DramTiming, ProcessorTiming};

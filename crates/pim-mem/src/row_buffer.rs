@@ -48,11 +48,6 @@ impl RowBuffer {
         }
     }
 
-    /// Close the open row (precharge).
-    pub fn precharge(&mut self) {
-        self.open_row = None;
-    }
-
     /// Number of row-buffer hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -96,15 +91,6 @@ mod tests {
         assert_eq!(rb.access(2), RowOutcome::Miss);
         assert_eq!(rb.access(1), RowOutcome::Miss);
         assert!((rb.hit_rate() - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precharge_forces_miss() {
-        let mut rb = RowBuffer::new();
-        rb.access(3);
-        rb.precharge();
-        assert_eq!(rb.open_row(), None);
-        assert_eq!(rb.access(3), RowOutcome::Miss);
     }
 
     #[test]

@@ -13,13 +13,11 @@
 pub mod kernels;
 pub mod locality;
 pub mod mix;
-pub mod remote;
 pub mod synthetic;
 pub mod threads;
 
 pub use kernels::{Kernel, KernelProfile};
 pub use locality::{ReuseProfile, WorkPartition};
 pub use mix::{InstructionMix, OpKind};
-pub use remote::{AccessLocality, AddressPartition, RemoteAccessModel};
 pub use synthetic::{AddressPattern, Operation, OperationStream};
 pub use threads::{ThreadBalance, ThreadPartition};

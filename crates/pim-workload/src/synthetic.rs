@@ -91,8 +91,10 @@ impl OperationStream {
     fn next_address(&mut self) -> u64 {
         match &self.pattern {
             AddressPattern::Sequential { stride } => {
+                // A stream walks the 64-bit address space and wraps at its end,
+                // however large the stride.
                 let a = self.next_sequential;
-                self.next_sequential += stride;
+                self.next_sequential = a.wrapping_add(*stride);
                 a
             }
             AddressPattern::UniformRandom { footprint, line } => {

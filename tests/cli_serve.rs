@@ -5,8 +5,8 @@
 //! with zero recomputations and byte-identical artifacts. A daemon that runs out
 //! of file descriptors keeps serving once its deadlines free some, one asked for
 //! more workers than the host can start exits with an error instead of a panic,
-//! and hostile bodies (deep nesting, huge strings, `measured` geometries too
-//! large to allocate) get a prompt 400.
+//! and hostile bodies (deep nesting, huge strings, `measured` geometries and
+//! count axes too large to allocate) get a prompt 400.
 
 use std::io::BufRead;
 use std::net::TcpStream;
@@ -410,6 +410,44 @@ fn measured_geometries_too_large_to_allocate_get_a_400_and_the_daemon_keeps_serv
         assert_eq!(resp.status, 400, "{field}");
         let text = String::from_utf8_lossy(&resp.body);
         assert!(text.contains(field), "{field}: {text}");
+    }
+    let health = client::request(&daemon.addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(health.status, 200, "daemon unhealthy afterwards");
+}
+
+#[test]
+fn count_axes_too_large_to_allocate_get_a_400_and_the_daemon_keeps_serving() {
+    // Each passed validation and then aborted the daemon on a failed
+    // allocation (16 TB of parcel reply queues, 32 TB of parcel node outcomes,
+    // 8 TB of simulated analytic thread shares). The address-space limit makes
+    // such a request fail whatever the host's overcommit policy.
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
+        .args(serve_args(&["--workers", "2"]))
+        .stderr(Stdio::null());
+    let daemon = Daemon::spawn(cmd);
+    let parcels = |nodes: &str, parallelism: &str| {
+        format!(
+            r#"{{"schema_version": 1, "name": "oversized", "description": "d",
+                "model": "parcels",
+                "grid": {{"node_counts": [{nodes}], "parallelisms": [{parallelism}],
+                          "latencies": [1000.0], "remote_fractions": [0.2]}}}}"#
+        )
+    };
+    let analytic = r#"{"schema_version": 1, "name": "oversized", "description": "d",
+        "model": "analytic", "config": {"mode": {"simulated": {}}},
+        "grid": {"node_counts": [1000000000000], "lwp_fractions": [0.5]}}"#;
+    for (axis, body) in [
+        ("parallelisms", parcels("1", "1000000000000")),
+        ("node_counts", parcels("1000000000000", "1")),
+        ("node_counts", analytic.to_string()),
+    ] {
+        let resp = client::request(&daemon.addr, "POST", "/run", &[], body.as_bytes())
+            .unwrap_or_else(|e| panic!("{axis}: no response: {e}"));
+        assert_eq!(resp.status, 400, "{axis}");
+        let text = String::from_utf8_lossy(&resp.body);
+        assert!(text.contains(axis), "{axis}: {text}");
     }
     let health = client::request(&daemon.addr, "GET", "/healthz", &[], b"").expect("healthz");
     assert_eq!(health.status, 200, "daemon unhealthy afterwards");

@@ -2,10 +2,8 @@
 //! Section 2.1 bandwidth claims and against the workload generators.
 
 use pim_repro::desim::random::RandomStream;
-use pim_repro::pim_mem::{CacheModel, DramTiming, PimChip, SectorCache, SetAssociativeCache};
-use pim_repro::pim_workload::{
-    AddressPattern, InstructionMix, OpKind, OperationStream, ReuseProfile,
-};
+use pim_repro::pim_mem::{CacheModel, DramTiming, PimChip, SetAssociativeCache};
+use pim_repro::pim_workload::ReuseProfile;
 
 #[test]
 fn dram_macro_bandwidth_claims_from_section_2_1() {
@@ -45,28 +43,6 @@ fn workload_locality_knob_reproduces_table1_miss_rate_regime() {
         "no-reuse miss rate {}",
         cache.miss_rate()
     );
-}
-
-#[test]
-fn sector_cache_catches_streaming_locality_that_lru_also_catches() {
-    // A sequential stream hits in both a row-buffer sector cache and a conventional
-    // cache: spatial locality is not what distinguishes PIM (temporal locality is).
-    let mix = InstructionMix::with_memory_fraction(1.0);
-    let mut stream = OperationStream::new(
-        mix,
-        AddressPattern::Sequential { stride: 8 },
-        RandomStream::new(3, 1),
-    );
-    let mut sector = SectorCache::new(256, 8);
-    let mut lru = SetAssociativeCache::new(2048, 64, 4);
-    for op in stream.take_ops(20_000) {
-        if op.kind != OpKind::Compute {
-            sector.access(op.address);
-            lru.access(op.address);
-        }
-    }
-    assert!(sector.miss_rate() < 0.1, "sector {}", sector.miss_rate());
-    assert!(lru.miss_rate() < 0.2, "lru {}", lru.miss_rate());
 }
 
 #[test]
