@@ -78,7 +78,7 @@ impl StableHasher {
     }
 
     /// The current digest as 32 lowercase hex characters — the form persisted in
-    /// cache entry file names and checksums.
+    /// cache entry checksums and config fingerprints.
     pub fn finish_hex(&self) -> String {
         format!("{:032x}", self.state)
     }

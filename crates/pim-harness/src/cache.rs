@@ -12,8 +12,8 @@
 //! depends on: the cache schema version, the scenario name, a **config fingerprint**
 //! (the stable hash of the scenario's canonical config JSON — the spec rendering for
 //! spec-defined scenarios, the `params()` serialization for builtins), the scenario's
-//! resolved seed, and the unit's grid/replication indices. The entry file name is the
-//! stable 128-bit digest of all those fields, so any single-field edit — an axis
+//! resolved seed, and the unit's grid/replication indices. An entry is addressed by
+//! the stable 128-bit digest of all those fields, so any single-field edit — an axis
 //! value, a fraction, a model family, a seed — addresses different entries and a
 //! stale result can never be served. Constants compiled into the models themselves
 //! are *not* part of the key; a semantic model change must bump
@@ -21,43 +21,53 @@
 //!
 //! ## On-disk format and concurrency
 //!
-//! Entries live under `<root>/units/<digest>.json`, each a self-describing JSON
-//! document `{cache_schema, key, checksum, payload}` where `checksum` is the stable
-//! hash of the payload's canonical JSON. Reads verify the schema, the full key echo
-//! (collisions included) and the checksum; any mismatch — truncation, bit flips,
-//! format drift — evicts the entry and recomputes instead of poisoning artifacts.
-//! Writes go to a unique temp file followed by an atomic rename, so concurrent
-//! workers (`--jobs N`) and even concurrent processes sharing one cache directory
-//! never observe torn entries; last-writer-wins is harmless because entry content is
-//! deterministic.
+//! Entries are **frames** appended to **segments**, `<root>/units/<seq>.pack`. Each
+//! [`UnitCache`] handle is one writer: its first store creates a segment of its own
+//! (`create_new` on the next free number) and each store appends one frame with one
+//! `write`. A frame is a 24-byte header (magic `PIMF`, little-endian `u128` digest
+//! and `u32` length) and the JSON document `{cache_schema, key, checksum, payload}`,
+//! `checksum` hashing the payload's canonical JSON. Handles find frames through an
+//! in-memory index built at open and extended by [`UnitCache::refresh`], so
+//! processes sharing a directory see each other's units. Reads verify schema, key
+//! echo and checksum; a complete frame failing one is corrupt, and its unit is
+//! recomputed and appended again. A frame cut short by a crash and a vanished
+//! segment read as absent. Later frames for a digest supersede earlier ones.
 
 use crate::scenario::SeedPolicy;
+use desim::par::unpoisoned;
 use desim::stablehash::{stable_hash_hex, StableHasher};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Version of the cache entry format *and* of the semantic contract between unit
 /// keys and model code. Bump on any change that alters unit outputs without being
 /// visible in scenario configs (model constants, stream derivations, entry shape);
 /// the version participates in every [`UnitKey`] digest, so old entries become
-/// unreachable rather than wrong. Independent of
-/// [`crate::report::MANIFEST_SCHEMA_VERSION`] (the manifest is about batch
-/// reporting, not entry semantics): manifest v3 added the shard block without
-/// touching unit outputs, so entries written at manifest v2 stay valid. v3: the
-/// `figure6` and `validation` units return the test-system time alone instead of
-/// a whole `TradeoffPoint`, under unchanged keys.
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+/// unreachable rather than wrong. v3: `figure6` and `validation` units return the
+/// test-system time alone. v4: entries moved from one file per unit to segments.
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// Name of the cache-format marker file at the cache root.
 const FORMAT_FILE: &str = "cache-format.json";
-/// Subdirectory holding the per-unit entry files.
+/// Subdirectory holding the segments.
 const UNITS_DIR: &str = "units";
+const FRAME_MAGIC: &[u8; 4] = b"PIMF";
+const HEADER_LEN: usize = 24;
+/// An index location: the frame's segment number over its offset in the low 36
+/// bits (a writer moves on to a fresh segment at 64 GiB).
+const OFFSET_BITS: u32 = 36;
+const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 
 /// Wrap an I/O error with the operation and the offending path — every filesystem
 /// touch in the cache and the artifact writer reports through this, so a failure
 /// deep in a parallel batch still names exactly what could not be done where.
-pub fn io_err(op: &str, path: &Path, e: &std::io::Error) -> String {
+pub fn io_err(op: &str, path: &Path, e: &io::Error) -> String {
     format!("cannot {op} {}: {e}", path.display())
 }
 
@@ -68,8 +78,8 @@ pub fn ensure_writable_dir(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| io_err("create directory", dir, &e))?;
     let probe = dir.join(format!(".pim-probe-{}", std::process::id()));
     std::fs::write(&probe, b"probe").map_err(|e| io_err("write to directory", dir, &e))?;
-    std::fs::remove_file(&probe).map_err(|e| io_err("remove probe file", &probe, &e))?;
-    Ok(())
+    // A concurrent gc or clear may have swept the probe already.
+    remove_if_present("remove probe file", &probe)
 }
 
 /// The complete identity of one cacheable unit of work.
@@ -96,8 +106,8 @@ pub struct UnitKey {
 }
 
 impl UnitKey {
-    /// The raw 128-bit content digest over every field. This is the value the
-    /// entry file name renders in hex, and — via [`desim::stablehash::shard_index`]
+    /// The raw 128-bit content digest over every field. This is the value frame
+    /// headers and the index carry, and — via [`desim::stablehash::shard_index`]
     /// — the key space `run --shard I/N` partitions, so it must stay a pure,
     /// platform-stable function of the fields.
     pub fn digest_u128(&self) -> u128 {
@@ -111,8 +121,8 @@ impl UnitKey {
         h.finish()
     }
 
-    /// The content address: [`UnitKey::digest_u128`] as 32 hex characters. Used as
-    /// the entry file name.
+    /// The content address: [`UnitKey::digest_u128`] as 32 hex characters, as shard
+    /// partial artifacts and messages print it.
     pub fn digest(&self) -> String {
         format!("{:032x}", self.digest_u128())
     }
@@ -177,8 +187,8 @@ pub enum CacheEvent {
     Hit,
     /// No entry existed; the unit ran and its result was stored.
     Miss,
-    /// An entry existed but failed verification (truncated, bit-flipped, stale
-    /// shape); it was evicted, the unit re-ran, and the result was re-stored.
+    /// A complete entry failed verification (bit-flipped, stale shape, filed under
+    /// another digest); the unit re-ran and its result was stored again.
     Recomputed,
 }
 
@@ -210,156 +220,305 @@ impl CacheCounts {
 pub enum CacheLookup {
     /// Entry verified; here is its payload.
     Hit(Value),
-    /// No entry on disk.
+    /// No complete frame for the key, or its segment vanished.
     Miss,
-    /// Entry failed verification and was evicted.
+    /// A complete frame failed verification and left the index.
     Corrupt,
 }
 
-/// A handle to an open cache directory.
+/// A handle to an open cache directory: one writer, and an index of its segments.
 #[derive(Debug)]
 pub struct UnitCache {
-    units: PathBuf,
+    root: PathBuf,
+    state: Mutex<State>,
 }
 
-/// Distinguishes temp files from concurrent stores in the same process.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+#[derive(Debug, Default)]
+struct State {
+    /// Bytes indexed so far, by segment sequence number.
+    segments: BTreeMap<u64, u64>,
+    index: Index,
+    /// This handle's segment, until an append fails or a gc or clear removes it.
+    writer: Option<(u64, File)>,
+}
+
+/// Digest → location: 256 sorted vectors, by the digest's top byte, of (low 64 bits,
+/// location). 16 bytes an entry, and a growing shard reallocates alone, so the index
+/// never holds two copies of itself. Digests sharing a slot: the loser misses.
+#[derive(Debug, Default)]
+struct Index(Vec<Vec<(u64, u64)>>);
+
+impl Index {
+    fn find(&mut self, digest: u128) -> (&mut Vec<(u64, u64)>, Result<usize, usize>) {
+        self.0.resize_with(256, Vec::new);
+        let shard = &mut self.0[(digest >> 120) as usize];
+        let at = shard.binary_search_by_key(&(digest as u64), |e| e.0);
+        (shard, at)
+    }
+
+    fn insert(&mut self, digest: u128, seq: u64, offset: u64) {
+        let location = seq << OFFSET_BITS | offset;
+        match self.find(digest) {
+            (shard, Ok(at)) => shard[at].1 = location,
+            (shard, Err(at)) => {
+                // Grow by an eighth, not by doubling: this is the per-entry memory.
+                if shard.len() == shard.capacity() {
+                    shard.reserve_exact(shard.len() / 8 + 4);
+                }
+                shard.insert(at, (digest as u64, location));
+            }
+        }
+    }
+}
 
 /// The exact content of a compatible cache-format marker file.
 fn format_marker() -> String {
     format!("{{\"format\": \"pim-unit-cache\", \"cache_schema\": {CACHE_SCHEMA_VERSION}}}\n")
 }
 
+/// Whether `root` has a format marker; an incompatible one is an error.
+fn check_marker(root: &Path, advice: &str) -> Result<bool, String> {
+    let path = root.join(FORMAT_FILE);
+    let found = match std::fs::read_to_string(&path) {
+        Ok(found) => found,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(io_err("read cache format marker", &path, &e)),
+    };
+    let expected = format_marker();
+    if found != expected {
+        let (dir, found, expected) = (root.display(), found.trim(), expected.trim());
+        return Err(format!(
+            "cache directory {dir} was written by an incompatible version \
+             (found {found}, expected {expected}); {advice}"
+        ));
+    }
+    Ok(true)
+}
+
+fn segment_path(root: &Path, seq: u64) -> PathBuf {
+    root.join(UNITS_DIR).join(format!("{seq:08}.pack"))
+}
+
+/// The segment numbers (ascending) in `root`'s `units/`, every file there, and
+/// how many are not segments (temp files, entries of older formats). An error when
+/// `root` is missing: most likely a mistyped path, not an empty cache.
+fn list_units(root: &Path) -> Result<(Vec<u64>, Vec<PathBuf>, u64), String> {
+    std::fs::metadata(root).map_err(|e| io_err("access cache directory", root, &e))?;
+    let units = root.join(UNITS_DIR);
+    let (mut seqs, mut files, mut strays) = (Vec::new(), Vec::new(), 0);
+    let listing = std::fs::read_dir(&units).and_then(|dir| dir.collect::<io::Result<Vec<_>>>());
+    let listing = match listing {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok((seqs, files, strays)),
+        listing => listing.map_err(|e| io_err("read cache directory", &units, &e))?,
+    };
+    for entry in listing {
+        let (name, path) = (entry.file_name(), entry.path());
+        let stem = name.to_str().and_then(|n| n.strip_suffix(".pack"));
+        // Only names `segment_path` writes: no sign, no other padding.
+        match stem.and_then(|s| s.parse().ok().filter(|seq| format!("{seq:08}") == s)) {
+            Some(seq) => seqs.push(seq),
+            None if path.is_dir() => continue,
+            None => strays += 1,
+        }
+        files.push(path);
+    }
+    seqs.sort_unstable();
+    Ok((seqs, files, strays))
+}
+
+/// Create a segment under the first free sequence number from `seq` on.
+fn create_segment(root: &Path, mut seq: u64) -> Result<(u64, File), String> {
+    loop {
+        let path = segment_path(root, seq);
+        match File::options().append(true).create_new(true).open(&path) {
+            Ok(file) => return Ok((seq, file)),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => seq += 1,
+            Err(e) => return Err(io_err("create cache segment", &path, &e)),
+        }
+    }
+}
+
+fn encode_frame(digest: u128, text: &str) -> Result<Vec<u8>, String> {
+    let len = u32::try_from(text.len()).map_err(|_| format!("cache entry {digest:x} too large"))?;
+    let (digest, len) = (digest.to_le_bytes(), len.to_le_bytes());
+    Ok([&FRAME_MAGIC[..], &digest, &len, text.as_bytes()].concat())
+}
+
+/// The digest and document length a frame header holds.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Option<(u128, u64)> {
+    let digest = u128::from_le_bytes(header[4..20].try_into().ok()?);
+    let len = u64::from(u32::from_le_bytes(header[20..].try_into().ok()?));
+    Some((digest, len)).filter(|_| header.starts_with(FRAME_MAGIC))
+}
+
+/// Pass each complete frame of the segment at `path` from offset `at` on to `f`,
+/// and return the offset after the last; a torn frame or a bad header ends it.
+fn walk(path: &Path, mut at: u64, mut f: impl FnMut(u128, Range<u64>, String)) -> io::Result<u64> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(len.saturating_sub(at).min(1 << 16) as usize, file);
+    reader.seek(SeekFrom::Start(at))?;
+    let mut header = [0u8; HEADER_LEN];
+    while at < len && reader.read_exact(&mut header).is_ok() {
+        let Some((digest, body)) = parse_header(&header) else {
+            break;
+        };
+        let (end, mut text) = (at + HEADER_LEN as u64 + body, Vec::new());
+        if end > len || (&mut reader).take(body).read_to_end(&mut text).ok() != Some(body as usize)
+        {
+            break;
+        }
+        f(digest, at..end, String::from_utf8_lossy(&text).into_owned());
+        at = end;
+    }
+    Ok(at)
+}
+
 impl UnitCache {
-    /// Open (creating if absent) the cache at `root`.
+    /// Open (creating if absent) the cache at `root` and index its segments.
     ///
     /// Fails fast — with the offending path in the message — when the directory
     /// cannot be created or written, or when it carries a different cache format
     /// version (run `pim-tradeoffs cache clear` to discard it).
     pub fn open(root: &Path) -> Result<UnitCache, String> {
-        let units = root.join(UNITS_DIR);
-        ensure_writable_dir(&units)?;
-        let format_path = root.join(FORMAT_FILE);
-        let marker = format_marker();
-        match std::fs::read_to_string(&format_path) {
-            Ok(existing) => {
-                if existing != marker {
-                    return Err(format!(
-                        "cache directory {} was written by an incompatible version \
-                         (found {}, expected {}); run `pim-tradeoffs cache clear {}` to reset it",
-                        root.display(),
-                        existing.trim(),
-                        marker.trim(),
-                        root.display()
-                    ));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Temp-file + rename, like entry publication: a concurrent opener
-                // must see either no marker or the complete one, never a torn write
-                // it would misread as an incompatible version.
-                let tmp = root.join(format!(
-                    ".{FORMAT_FILE}.tmp-{}-{}",
-                    std::process::id(),
-                    TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                std::fs::write(&tmp, &marker)
-                    .map_err(|e| io_err("write cache format marker", &tmp, &e))?;
-                std::fs::rename(&tmp, &format_path).map_err(|e| {
-                    let _ = std::fs::remove_file(&tmp);
-                    io_err("publish cache format marker", &format_path, &e)
-                })?;
-            }
-            Err(e) => return Err(io_err("read cache format marker", &format_path, &e)),
+        ensure_writable_dir(&root.join(UNITS_DIR))?;
+        let advice = format!("run `pim-tradeoffs cache clear {}`", root.display());
+        if !check_marker(root, &(advice + " to reset it"))? {
+            // Temp file + rename: a concurrent opener must never read a torn marker.
+            static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+            let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+            let tmp = root.join(format!(".tmp-{}-{n}", std::process::id()));
+            let path = root.join(FORMAT_FILE);
+            std::fs::write(&tmp, format_marker())
+                .and_then(|()| std::fs::rename(&tmp, &path))
+                .map_err(|e| io_err("publish cache format marker", &path, &e))?;
         }
-        Ok(UnitCache { units })
-    }
-
-    fn entry_path(&self, key: &UnitKey) -> PathBuf {
-        self.units.join(format!("{}.json", key.digest()))
-    }
-
-    /// Look up `key`, verifying schema, key echo and checksum. Corrupt entries are
-    /// evicted so the caller's recomputation replaces them.
-    pub fn load(&self, key: &UnitKey) -> CacheLookup {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            // An unreadable entry is indistinguishable from a corrupt one.
-            Err(_) => {
-                self.evict(key);
-                return CacheLookup::Corrupt;
-            }
+        let cache = UnitCache {
+            root: root.into(),
+            state: Mutex::default(),
         };
-        match verify_entry(&text, Some(key)) {
-            Some(payload) => CacheLookup::Hit(payload),
-            None => {
+        cache.refresh();
+        Ok(cache)
+    }
+
+    /// Index the segments other writers created or grew since this handle last
+    /// looked. [`crate::exec::UnitPool`] calls this once per call with units to
+    /// look up, so a daemon and a CLI sharing a directory see each other's units.
+    pub fn refresh(&self) {
+        let mut guard = unpoisoned(self.state.lock());
+        let state = &mut *guard;
+        // An unreadable directory reads as empty. A segment no longer listed was
+        // removed by a gc or clear: forget it (its number may come back), and if it
+        // was this handle's, the next store starts a fresh one.
+        let seqs = list_units(&self.root).map_or_else(|_| Vec::new(), |listed| listed.0);
+        state.segments.retain(|seq, _| seqs.contains(seq));
+        if state.writer.as_ref().is_some_and(|w| !seqs.contains(&w.0)) {
+            state.writer = None;
+        }
+        for &seq in &seqs {
+            let (index, indexed) = (&mut state.index, state.segments.entry(seq).or_default());
+            let path = segment_path(&self.root, seq);
+            if std::fs::metadata(&path).is_ok_and(|meta| meta.len() > *indexed) {
+                let walked = walk(&path, *indexed, |d, r, _| index.insert(d, seq, r.start));
+                *indexed = walked.unwrap_or(*indexed);
+            }
+        }
+    }
+
+    /// Look up `key`, verifying schema, key echo and checksum; a corrupt frame
+    /// leaves the index. A vanished or unreadable segment, a torn frame and a
+    /// header of another digest (a shared slot, a name reused after a clear) miss.
+    pub fn load(&self, key: &UnitKey) -> CacheLookup {
+        let digest = key.digest_u128();
+        let location = match unpoisoned(self.state.lock()).index.find(digest) {
+            (shard, Ok(at)) => shard[at].1,
+            _ => return CacheLookup::Miss,
+        };
+        let read = || {
+            let mut file = File::open(segment_path(&self.root, location >> OFFSET_BITS)).ok()?;
+            let mut header = [0u8; HEADER_LEN];
+            file.seek(SeekFrom::Start(location & OFFSET_MASK)).ok()?;
+            file.read_exact(&mut header).ok()?;
+            let (_, len) = parse_header(&header).filter(|h| h.0 == digest)?;
+            let mut body = Vec::new();
+            file.take(len).read_to_end(&mut body).ok()?;
+            (body.len() as u64 == len).then(|| String::from_utf8_lossy(&body).into_owned())
+        };
+        match read().map(|text| verify_entry(&text).filter(|(embedded, _)| embedded == key)) {
+            None => CacheLookup::Miss,
+            Some(Some((_, payload))) => CacheLookup::Hit(payload),
+            Some(None) => {
                 self.evict(key);
                 CacheLookup::Corrupt
             }
         }
     }
 
-    /// Store `payload` under `key` via write-temp-then-rename, so readers (threads
-    /// or other processes) never observe a torn entry.
+    /// Append `payload` under `key` to this handle's segment, as one frame.
     ///
-    /// Payloads containing non-finite floats are **not stored** (the JSON rendering
-    /// would turn `NaN`/`±∞` into `null` and a warm run would decode a different
-    /// value than the cold run computed — the one way a checksummed entry could
-    /// still poison byte-identity). Such units simply stay uncached and recompute
-    /// every run.
+    /// Payloads containing non-finite floats are **not stored**: JSON would render
+    /// `NaN`/`±∞` as `null` and a warm run would decode a different value than the
+    /// cold run computed. Such units stay uncached and recompute every run.
     pub fn store(&self, key: &UnitKey, payload: &Value) -> Result<(), String> {
         if !json_round_trips(payload) {
             return Ok(());
         }
-        let checksum = payload_checksum(payload)?;
-        let entry = Value::Map(vec![
-            (
-                "cache_schema".into(),
-                Value::U64(u64::from(CACHE_SCHEMA_VERSION)),
-            ),
-            ("key".into(), key.to_value()),
-            ("checksum".into(), Value::Str(checksum)),
-            ("payload".into(), payload.clone()),
-        ]);
-        let mut json = serde_json::to_string(&entry)
-            .map_err(|e| format!("serialize cache entry {}: {e}", key.digest()))?;
-        json.push('\n');
-        let path = self.entry_path(key);
-        let tmp = self.units.join(format!(
-            ".{}.tmp-{}-{}",
-            key.digest(),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &json).map_err(|e| io_err("write cache entry", &tmp, &e))?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            // A concurrent `cache clear`/`cache gc` swept our in-flight temp file
-            // away (maintenance cannot tell a live store's temp from a crash
-            // orphan). The caller's result was cleared mid-publication, so the
-            // unit simply stays uncached this round — recomputed next run, never
-            // an error.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(io_err("publish cache entry", &path, &e))
+        let json = |value: &Value| serde_json::to_string(value).map_err(|e| e.to_string());
+        let (key_json, payload) = (json(&key.to_value())?, json(payload)?);
+        let entry = format!(
+            "{{\"cache_schema\":{CACHE_SCHEMA_VERSION},\"key\":{key_json},\"checksum\":\"{}\",\
+             \"payload\":{payload}}}\n",
+            stable_hash_hex(&payload),
+        );
+        self.append(key.digest_u128(), &entry)
+    }
+
+    /// Append one frame and index it, creating the segment at the first append and
+    /// after a failed one (frames after a torn one would be unreachable).
+    fn append(&self, digest: u128, text: &str) -> Result<(), String> {
+        let frame = encode_frame(digest, text)?;
+        let mut guard = unpoisoned(self.state.lock());
+        let state = &mut *guard;
+        let (seq, file) = match &mut state.writer {
+            Some((seq, file)) if state.segments[&*seq] <= OFFSET_MASK => (*seq, file),
+            writer => {
+                let next = state.segments.keys().last().map_or(1, |seq| seq + 1);
+                let (seq, file) = create_segment(&self.root, next)?;
+                state.segments.insert(seq, 0);
+                (seq, &mut writer.insert((seq, file)).1)
+            }
+        };
+        let offset = state.segments[&seq];
+        match file.write(&frame) {
+            Ok(n) if n == frame.len() => {
+                state.index.insert(digest, seq, offset);
+                state.segments.insert(seq, offset + n as u64);
+                Ok(())
+            }
+            failed => {
+                state.writer = None;
+                let short = |n| io::Error::other(format!("wrote {n} of {} bytes", frame.len()));
+                let (e, path) = (
+                    failed.map_or_else(|e| e, short),
+                    segment_path(&self.root, seq),
+                );
+                Err(io_err("append to cache segment", &path, &e))
             }
         }
     }
 
-    /// Remove `key`'s entry, ignoring a concurrent removal.
+    /// Drop `key` from the index: the next lookup misses, and the recomputed unit
+    /// is appended as a fresh frame.
     pub fn evict(&self, key: &UnitKey) {
-        let _ = std::fs::remove_file(self.entry_path(key));
+        if let (shard, Ok(at)) = unpoisoned(self.state.lock()).index.find(key.digest_u128()) {
+            shard.remove(at);
+        }
     }
 }
 
-/// True when `value` survives a JSON round trip losslessly. The vendored writer
-/// renders non-finite floats as `null`, so a payload containing one must never be
-/// persisted (see [`UnitCache::store`]). The executor's warm in-memory result map
-/// applies the same admission rule so memory and disk never disagree about which
-/// payloads are servable.
+/// True when `value` survives a JSON round trip losslessly (see
+/// [`UnitCache::store`]). The executor's warm in-memory result map applies the
+/// same admission rule, so memory and disk agree on which payloads are servable.
 pub(crate) fn json_round_trips(value: &Value) -> bool {
     match value {
         Value::F64(x) => x.is_finite(),
@@ -369,48 +528,62 @@ pub(crate) fn json_round_trips(value: &Value) -> bool {
     }
 }
 
-/// Checksum a payload: the stable hash of its canonical compact JSON.
-fn payload_checksum(payload: &Value) -> Result<String, String> {
-    serde_json::to_string(payload)
-        .map(|json| stable_hash_hex(&json))
-        .map_err(|e| format!("serialize cache payload: {e}"))
-}
-
-/// Parse and verify one entry document. `expect_key` additionally requires the
-/// embedded key to match (digest collisions and misfiled entries read as corrupt).
-/// Returns the payload on success.
-fn verify_entry(text: &str, expect_key: Option<&UnitKey>) -> Option<Value> {
-    verify_entry_parts(text, expect_key).map(|(_, payload)| payload)
-}
-
-/// [`verify_entry`], also returning the entry's embedded [`UnitKey`] — merge needs
-/// the key to check that an entry sits under its own digest before copying it.
-fn verify_entry_parts(text: &str, expect_key: Option<&UnitKey>) -> Option<(UnitKey, Value)> {
+/// Parse one entry document and verify its schema and checksum, returning the
+/// embedded key (callers check it is the one they expect) and the payload.
+fn verify_entry(text: &str) -> Option<(UnitKey, Value)> {
     let doc = serde_json::value_from_str(text).ok()?;
-    let schema = doc.get("cache_schema")?.as_f64()?;
-    if schema != f64::from(CACHE_SCHEMA_VERSION) {
+    if doc.get("cache_schema")?.as_f64()? != f64::from(CACHE_SCHEMA_VERSION) {
         return None;
     }
     let embedded = UnitKey::from_value(doc.get("key")?).ok()?;
-    if let Some(key) = expect_key {
-        if &embedded != key {
-            return None;
-        }
-    }
-    let checksum = match doc.get("checksum")? {
-        Value::Str(s) => s.clone(),
-        _ => return None,
-    };
     let payload = doc.get("payload")?;
-    if payload_checksum(payload).ok()? != checksum {
-        return None;
+    let checksum = stable_hash_hex(&serde_json::to_string(payload).ok()?);
+    match doc.get("checksum")? {
+        Value::Str(s) if *s == checksum => Some((embedded, payload.clone())),
+        _ => None,
     }
-    Some((embedded, payload.clone()))
 }
 
-// ---------------------------------------------------------------------------
-// Maintenance: stats, gc, clear, merge (the `pim-tradeoffs cache` subcommand)
-// ---------------------------------------------------------------------------
+// Maintenance: stats, gc, clear, merge (the `pim-tradeoffs cache` subcommand).
+
+/// One complete frame of a cache directory, as [`cache_entries`] lists it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CacheEntry {
+    /// The segment file holding the frame.
+    pub segment: PathBuf,
+    /// The frame's byte range in the segment; the document ends it.
+    pub frame: Range<u64>,
+    /// The digest the frame header files the entry under.
+    pub digest: u128,
+    /// The entry document, `{cache_schema, key, checksum, payload}` JSON.
+    pub text: String,
+    /// The key and payload if the document verifies under the frame's digest.
+    pub verified: Option<(UnitKey, Value)>,
+}
+
+/// Every complete frame of the cache at `root`, oldest first, verified or not: the
+/// one listing behind `stats`, `gc` and `merge`.
+pub fn cache_entries(root: &Path) -> Result<Vec<CacheEntry>, String> {
+    let (seqs, mut entries) = (list_units(root)?.0, Vec::new());
+    for segment in seqs.into_iter().map(|seq| segment_path(root, seq)) {
+        let walked = walk(&segment, 0, |digest, frame, text| {
+            let verified = verify_entry(&text).filter(|(key, _)| key.digest_u128() == digest);
+            let segment = segment.clone();
+            entries.push(CacheEntry {
+                segment,
+                frame,
+                digest,
+                text,
+                verified,
+            });
+        });
+        let failed = walked.err().filter(|e| e.kind() != ErrorKind::NotFound);
+        if let Some(e) = failed {
+            return Err(io_err("read cache segment", &segment, &e));
+        }
+    }
+    Ok(entries)
+}
 
 /// Outcome of a [`cache_merge`] pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -419,325 +592,150 @@ pub struct MergeOutcome {
     pub sources: u64,
     /// Entries copied into the destination.
     pub copied: u64,
-    /// Entries skipped because the destination already held them (entry content is
-    /// a pure function of the key, so an existing entry is the same entry).
+    /// Entries the destination already held (content is a function of the key).
     pub skipped_existing: u64,
-    /// Source entries skipped because they failed verification (corrupt, stale
-    /// schema, or filed under a name that is not their own digest).
+    /// Source frames that failed verification (corrupt, stale or foreign).
     pub skipped_invalid: u64,
-    /// Entry files in the destination after the merge.
+    /// Distinct entries in the destination after the merge.
     pub entries_after: u64,
-}
-
-/// Require that `root` is a cache directory of the current format: it must exist
-/// and carry a byte-exact [`FORMAT_FILE`] marker. Used by [`cache_merge`] to refuse
-/// sources written by an incompatible [`CACHE_SCHEMA_VERSION`] — copying their
-/// entries would only seed the destination with digests the current code can never
-/// address (or, worse, verify against a different semantic contract).
-fn require_cache_format(root: &Path) -> Result<(), String> {
-    std::fs::metadata(root).map_err(|e| io_err("access cache directory", root, &e))?;
-    let format_path = root.join(FORMAT_FILE);
-    let existing = match std::fs::read_to_string(&format_path) {
-        Ok(existing) => existing,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(format!(
-                "{} is not a cache directory (no {FORMAT_FILE} marker)",
-                root.display()
-            ));
-        }
-        Err(e) => return Err(io_err("read cache format marker", &format_path, &e)),
-    };
-    let marker = format_marker();
-    if existing != marker {
-        return Err(format!(
-            "cache directory {} was written by an incompatible version \
-             (found {}, expected {}); re-run its shard against the current build \
-             instead of merging it",
-            root.display(),
-            existing.trim(),
-            marker.trim(),
-        ));
-    }
-    Ok(())
 }
 
 /// Merge the entries of `sources` into the cache at `dest` (opened or created with
 /// the current format). This is how sharded sweeps meet: each `run --shard I/N`
 /// populates its own cache directory, and one merge assembles them into a cache a
-/// subsequent unsharded run serves entirely from.
-///
-/// Every source must be a cache directory of the current [`CACHE_SCHEMA_VERSION`];
-/// a missing, unmarked or incompatible source fails the merge before any entry is
-/// copied. Each source entry is verified (schema, checksum, key echo, and that the
-/// file sits under its own key's digest) before copying — corrupt entries are
-/// skipped and counted, never propagated. Copies publish via the same
-/// temp-file-plus-rename discipline as [`UnitCache::store`], so a merge can run
-/// concurrently with shard runs and maintenance passes; an entry vanishing between
-/// listing and read is treated as already gone, exactly like the gc paths.
+/// subsequent unsharded run serves entirely from. A missing source, or one without
+/// the current format marker, fails the merge before anything is copied. Corrupt
+/// and foreign source frames and digests `dest` holds are skipped and counted; the
+/// rest are appended to one new segment.
 pub fn cache_merge(dest: &Path, sources: &[PathBuf]) -> Result<MergeOutcome, String> {
     if sources.is_empty() {
         return Err("cache merge needs at least one source directory".into());
     }
-    // Validate every source before touching the destination: a merge that fails on
-    // source 3 of 4 must not leave a half-assembled cache the caller mistakes for
-    // a complete one.
+    // Validate every source before touching the destination: a merge failing on
+    // source 3 of 4 must not leave a half-assembled cache that looks complete.
     for source in sources {
-        require_cache_format(source)?;
+        std::fs::metadata(source).map_err(|e| io_err("access cache directory", source, &e))?;
+        let advice = "re-run its shard against the current build instead of merging it";
+        if !check_marker(source, advice)? {
+            let path = source.display();
+            return Err(format!(
+                "{path} is not a cache directory (no {FORMAT_FILE} marker)"
+            ));
+        }
     }
     let cache = UnitCache::open(dest)?;
-    let mut outcome = MergeOutcome {
-        sources: sources.len() as u64,
-        ..MergeOutcome::default()
-    };
+    let held = |digest| unpoisoned(cache.state.lock()).index.find(digest).1.is_ok();
+    let mut outcome = MergeOutcome::default();
     for source in sources {
-        for (path, _, _) in list_units(source)?.entries {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                // Removed by a concurrent gc/clear since the listing: already gone.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                // Unreadable for any other reason: treat as corrupt, skip.
-                Err(_) => {
-                    outcome.skipped_invalid += 1;
-                    continue;
-                }
-            };
-            let Some((key, _)) = verify_entry_parts(&text, None) else {
+        outcome.sources += 1;
+        for entry in cache_entries(source)? {
+            if entry.verified.is_none() {
                 outcome.skipped_invalid += 1;
-                continue;
-            };
-            // An entry filed under a name that is not its own key's digest would
-            // read as corrupt at the destination (the load-time key echo check);
-            // skip the misfiling here instead of propagating it.
-            if path
-                .file_stem()
-                .is_some_and(|stem| stem != key.digest().as_str())
-            {
-                outcome.skipped_invalid += 1;
-                continue;
-            }
-            let target = cache.entry_path(&key);
-            if target.exists() {
+            } else if held(entry.digest) {
                 outcome.skipped_existing += 1;
-                continue;
-            }
-            let tmp = cache.units.join(format!(
-                ".{}.tmp-{}-{}",
-                key.digest(),
-                std::process::id(),
-                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::write(&tmp, &text).map_err(|e| io_err("write merged entry", &tmp, &e))?;
-            match std::fs::rename(&tmp, &target) {
-                Ok(()) => outcome.copied += 1,
-                // A concurrent clear/gc swept the temp file (or the units dir)
-                // mid-publication: the entry stays unmerged this round, like a
-                // store racing maintenance.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(io_err("publish merged entry", &target, &e));
-                }
+            } else {
+                cache.append(entry.digest, &entry.text)?;
+                outcome.copied += 1;
             }
         }
     }
-    outcome.entries_after = list_units(dest)?.entries.len() as u64;
+    let state = unpoisoned(cache.state.lock());
+    outcome.entries_after = state.index.0.iter().map(|shard| shard.len() as u64).sum();
     Ok(outcome)
 }
 
 /// Aggregate statistics of a cache directory.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CacheStats {
-    /// Number of entry files.
+    /// Number of complete frames.
     pub entries: u64,
-    /// Total bytes across entry files.
+    /// Total bytes across those frames.
     pub bytes: u64,
-    /// Entries per scenario name (parsed from each entry's embedded key; entries
-    /// whose key cannot be parsed are counted under `"<unreadable>"`).
+    /// Frames per scenario name; those failing verification count as `"<unreadable>"`.
     pub per_scenario: Vec<(String, u64)>,
 }
 
 /// Outcome of a [`cache_gc`] pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GcOutcome {
-    /// Entries scanned.
+    /// Frames scanned.
     pub scanned: u64,
-    /// Corrupt entries, stale-schema entries and orphaned temp files removed.
+    /// Corrupt, stale, foreign and superseded frames and stray files removed.
     pub removed_invalid: u64,
     /// Valid entries removed (oldest first) to respect the size budget.
     pub removed_for_size: u64,
-    /// Total entry bytes after the pass.
+    /// Total frame bytes after the pass.
     pub bytes_after: u64,
 }
 
-/// Remove `path`, treating a concurrent removal (the file is already gone) as
-/// success. Maintenance passes may race with each other and with other processes
-/// sharing the cache directory; an entry vanishing between readdir and unlink
-/// means someone else finished the job, not that maintenance failed. Returns
-/// whether this call actually removed the file.
-fn remove_if_present(op: &str, path: &Path) -> Result<bool, String> {
+/// Remove `path`; a file already gone was removed by a concurrent pass.
+fn remove_if_present(op: &str, path: &Path) -> Result<(), String> {
     match std::fs::remove_file(path) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(io_err(op, path, &e)),
+        Err(e) if e.kind() != ErrorKind::NotFound => Err(io_err(op, path, &e)),
+        _ => Ok(()),
     }
-}
-
-/// The classified contents of a cache's `units/` directory: real entry files plus
-/// any `.tmp-*` leftovers from stores interrupted mid-write (crash, SIGKILL).
-/// An entry's mtime is `None` when the filesystem cannot report one.
-struct UnitsListing {
-    entries: Vec<(PathBuf, u64, Option<std::time::SystemTime>)>,
-    tmp_leftovers: Vec<PathBuf>,
-}
-
-fn list_units(root: &Path) -> Result<UnitsListing, String> {
-    // A nonexistent root is a caller error (most likely a mistyped path), not an
-    // empty cache: report it instead of silently claiming zero entries.
-    std::fs::metadata(root).map_err(|e| io_err("access cache directory", root, &e))?;
-    let units = root.join(UNITS_DIR);
-    let mut listing = UnitsListing {
-        entries: Vec::new(),
-        tmp_leftovers: Vec::new(),
-    };
-    let dir = match std::fs::read_dir(&units) {
-        Ok(dir) => dir,
-        // Root exists but was never opened as a cache (or was cleared): empty.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(listing),
-        Err(e) => return Err(io_err("read cache directory", &units, &e)),
-    };
-    for entry in dir {
-        let entry = entry.map_err(|e| io_err("read cache directory", &units, &e))?;
-        let path = entry.path();
-        let name = entry.file_name();
-        if name.to_string_lossy().contains(".tmp-") {
-            listing.tmp_leftovers.push(path);
-        } else if path.extension().is_some_and(|e| e == "json") {
-            let meta = match std::fs::metadata(&path) {
-                Ok(meta) => meta,
-                // Removed by a concurrent gc/clear between readdir and stat:
-                // already gone, nothing to list.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(io_err("stat cache entry", &path, &e)),
-            };
-            listing
-                .entries
-                .push((path, meta.len(), meta.modified().ok()));
-        }
-    }
-    // Stable order for deterministic reporting.
-    listing.entries.sort();
-    listing.tmp_leftovers.sort();
-    Ok(listing)
 }
 
 /// Summarize the cache at `root`.
 pub fn cache_stats(root: &Path) -> Result<CacheStats, String> {
     let mut stats = CacheStats::default();
-    let mut per: Vec<(String, u64)> = Vec::new();
-    for (path, len, _) in list_units(root)?.entries {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => Some(text),
-            // Removed by a concurrent gc/clear since the listing: not an entry.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(_) => None,
-        };
+    let mut per: BTreeMap<String, u64> = BTreeMap::new();
+    for entry in cache_entries(root)? {
         stats.entries += 1;
-        stats.bytes += len;
-        let scenario = text
-            .and_then(|text| {
-                let doc = serde_json::value_from_str(&text).ok()?;
-                UnitKey::from_value(doc.get("key")?).ok()
-            })
-            .map(|k| k.scenario)
-            .unwrap_or_else(|| "<unreadable>".to_string());
-        match per.iter_mut().find(|(name, _)| *name == scenario) {
-            Some((_, n)) => *n += 1,
-            None => per.push((scenario, 1)),
-        }
+        stats.bytes += entry.frame.end - entry.frame.start;
+        let scenario = entry
+            .verified
+            .map_or("<unreadable>".into(), |(key, _)| key.scenario);
+        *per.entry(scenario).or_default() += 1;
     }
-    per.sort();
-    stats.per_scenario = per;
+    stats.per_scenario = per.into_iter().collect();
     Ok(stats)
 }
 
-/// Remove every entry, stray temp file and the format marker under `root`,
-/// keeping the directory itself.
+/// Remove every file in `root`'s `units/` (older formats' entries too) and the
+/// format marker; return the number of frames and other files removed.
 pub fn cache_clear(root: &Path) -> Result<u64, String> {
-    let listing = list_units(root)?;
-    let mut removed = 0;
-    for (path, _, _) in listing.entries {
-        if remove_if_present("remove cache entry", &path)? {
-            removed += 1;
-        }
+    let (_, files, strays) = list_units(root)?;
+    let removed = cache_entries(root)?.len() as u64 + strays;
+    for path in files.iter().chain([&root.join(FORMAT_FILE)]) {
+        remove_if_present("remove cache file", path)?;
     }
-    for path in listing.tmp_leftovers {
-        if remove_if_present("remove cache temp file", &path)? {
-            removed += 1;
-        }
-    }
-    let marker = root.join(FORMAT_FILE);
-    remove_if_present("remove cache marker", &marker)?;
     Ok(removed)
 }
 
-/// Garbage-collect `root`: drop corrupt and stale-schema entries plus any temp
-/// files orphaned by interrupted stores, then — when `max_bytes` is set — drop the
-/// oldest valid entries until the total fits.
+/// Garbage-collect `root`: write the live entries (the newest verified frame of
+/// each digest; with `max_bytes`, newest first while they fit) to a fresh segment,
+/// then remove every other file in `units/`. A pass racing a gc or clear never
+/// fails on a file the other removed; entries either drops are recomputed.
 pub fn cache_gc(root: &Path, max_bytes: Option<u64>) -> Result<GcOutcome, String> {
+    let ((seqs, files, strays), entries) = (list_units(root)?, cache_entries(root)?);
     let mut outcome = GcOutcome::default();
-    let listing = list_units(root)?;
-    for path in listing.tmp_leftovers {
-        remove_if_present("remove cache temp file", &path)?;
-        outcome.removed_invalid += 1;
-    }
-    let mut valid: Vec<(PathBuf, u64, Option<std::time::SystemTime>)> = Vec::new();
-    for (path, len, mtime) in listing.entries {
-        outcome.scanned += 1;
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            // Removed by a concurrent gc/clear since the listing: already
-            // collected, nothing left to do.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            // Unreadable for any other reason: treat as corrupt below.
-            Err(_) => String::new(),
-        };
-        if verify_entry(&text, None).is_some() {
-            valid.push((path, len, mtime));
-        } else {
-            remove_if_present("remove cache entry", &path)?;
+    (outcome.scanned, outcome.removed_invalid) = (entries.len() as u64, strays);
+    let (mut seen, mut live) = (BTreeSet::new(), Vec::new());
+    for entry in entries.iter().rev() {
+        let bytes = entry.frame.end - entry.frame.start;
+        if entry.verified.is_none() || !seen.insert(entry.digest) {
             outcome.removed_invalid += 1;
-        }
-    }
-    let mut total: u64 = valid.iter().map(|(_, len, _)| *len).sum();
-    if let Some(budget) = max_bytes {
-        for idx in size_eviction_order(&valid) {
-            if total <= budget {
-                break;
-            }
-            let (path, len, _) = &valid[idx];
-            remove_if_present("remove cache entry", path)?;
-            total -= len;
+        } else if outcome.removed_for_size > 0
+            || max_bytes.is_some_and(|budget| outcome.bytes_after + bytes > budget)
+        {
             outcome.removed_for_size += 1;
+        } else {
+            outcome.bytes_after += bytes;
+            live.push(encode_frame(entry.digest, &entry.text)?);
         }
     }
-    outcome.bytes_after = total;
+    if !live.is_empty() {
+        // No temp file needed: readers of a half-written segment see a torn tail.
+        live.reverse();
+        let (seq, mut file) = create_segment(root, seqs.last().map_or(1, |s| s + 1))?;
+        let write = file.write_all(&live.concat());
+        write.map_err(|e| io_err("write cache segment", &segment_path(root, seq), &e))?;
+    }
+    for path in &files {
+        remove_if_present("remove cache file", path)?;
+    }
     Ok(outcome)
-}
-
-/// The order in which a size-budget pass evicts valid entries: oldest mtime
-/// first, ties broken by path for determinism. Entries whose mtime could not be
-/// read cannot be meaningfully age-ordered, so they are never evicted for size —
-/// previously they sorted as `UNIX_EPOCH`, i.e. older than everything, and were
-/// silently evicted *first* — though their bytes still count against the budget.
-fn size_eviction_order(valid: &[(PathBuf, u64, Option<std::time::SystemTime>)]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..valid.len()).filter(|&i| valid[i].2.is_some()).collect();
-    order.sort_by(|&a, &b| {
-        valid[a]
-            .2
-            .cmp(&valid[b].2)
-            .then_with(|| valid[a].0.cmp(&valid[b].0))
-    });
-    order
 }
 
 #[cfg(test)]
@@ -752,6 +750,29 @@ mod tests {
 
     fn demo_key(grid: usize) -> UnitKey {
         UnitKeyer::new("demo", &Value::Map(vec![]), 7).key(grid, 0)
+    }
+
+    /// The listed frame of `key`.
+    fn entry_of(root: &Path, key: &UnitKey) -> CacheEntry {
+        let entries = cache_entries(root).unwrap();
+        let digest = key.digest_u128();
+        entries
+            .into_iter()
+            .find(|e| e.digest == digest)
+            .expect("frame listed")
+    }
+
+    /// Flip the last byte of `key`'s document (the closing brace of the entry).
+    fn corrupt(root: &Path, key: &UnitKey) {
+        let entry = entry_of(root, key);
+        let mut bytes = std::fs::read(&entry.segment).unwrap();
+        bytes[entry.frame.end as usize - 2] ^= 0x20;
+        std::fs::write(&entry.segment, bytes).unwrap();
+    }
+
+    /// Append `frame` to a segment of its own, as a foreign writer would.
+    fn write_segment(root: &Path, seq: u64, frame: &[u8]) {
+        std::fs::write(segment_path(root, seq), frame).unwrap();
     }
 
     #[test]
@@ -770,6 +791,11 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.per_scenario, vec![("demo".to_string(), 1)]);
         assert!(stats.bytes > 0);
+        // A second handle indexes the frame at open.
+        match UnitCache::open(&root).unwrap().load(&key) {
+            CacheLookup::Hit(back) => assert_eq!(back, payload),
+            _ => panic!("expected hit after reopen"),
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -781,19 +807,31 @@ mod tests {
         cache.store(&ka, &Value::F64(1.0)).unwrap();
         cache.store(&kb, &Value::F64(2.0)).unwrap();
 
-        // Truncate one entry, flip a payload byte in the other.
-        let pa = cache.entry_path(&ka);
-        let text = std::fs::read_to_string(&pa).unwrap();
-        std::fs::write(&pa, &text[..text.len() / 2]).unwrap();
-        let pb = cache.entry_path(&kb);
-        let flipped = std::fs::read_to_string(&pb).unwrap().replace("2.0", "3.0");
-        std::fs::write(&pb, flipped).unwrap();
+        // Flip a byte of the first frame; cut the second (the segment's tail) in
+        // half, as a crash mid-append would.
+        corrupt(&root, &ka);
+        let tail = entry_of(&root, &kb);
+        let half = (tail.frame.start + tail.frame.end) / 2;
+        let bytes = std::fs::read(&tail.segment).unwrap();
+        std::fs::write(&tail.segment, &bytes[..half as usize]).unwrap();
 
+        // The flipped frame is corrupt; the torn one reads as never written.
         assert!(matches!(cache.load(&ka), CacheLookup::Corrupt));
-        assert!(matches!(cache.load(&kb), CacheLookup::Corrupt));
-        // Both corrupt entries were evicted: the next lookups are clean misses.
+        assert!(matches!(cache.load(&kb), CacheLookup::Miss));
+        // The corrupt frame was evicted: the next lookups are clean misses.
         assert!(matches!(cache.load(&ka), CacheLookup::Miss));
         assert!(matches!(cache.load(&kb), CacheLookup::Miss));
+
+        // A fresh handle does not index the torn tail at all; re-stored units
+        // land in its own segment and supersede the damaged frames.
+        let fresh = UnitCache::open(&root).unwrap();
+        assert!(matches!(fresh.load(&ka), CacheLookup::Corrupt));
+        assert!(matches!(fresh.load(&kb), CacheLookup::Miss));
+        fresh.store(&ka, &Value::F64(1.0)).unwrap();
+        fresh.store(&kb, &Value::F64(2.0)).unwrap();
+        let again = UnitCache::open(&root).unwrap();
+        assert!(matches!(again.load(&ka), CacheLookup::Hit(Value::F64(x)) if x == 1.0));
+        assert!(matches!(again.load(&kb), CacheLookup::Hit(Value::F64(x)) if x == 2.0));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -803,9 +841,13 @@ mod tests {
         let cache = UnitCache::open(&root).unwrap();
         let (ka, kb) = (demo_key(0), demo_key(1));
         cache.store(&ka, &Value::F64(1.0)).unwrap();
-        // Copy a's entry into b's slot: intact checksum, wrong key echo.
-        std::fs::copy(cache.entry_path(&ka), cache.entry_path(&kb)).unwrap();
-        assert!(matches!(cache.load(&kb), CacheLookup::Corrupt));
+        // A foreign frame: a's intact document filed under b's digest.
+        let text = entry_of(&root, &ka).text;
+        write_segment(&root, 50, &encode_frame(kb.digest_u128(), &text).unwrap());
+        let reopened = UnitCache::open(&root).unwrap();
+        assert!(matches!(reopened.load(&kb), CacheLookup::Corrupt));
+        assert!(matches!(reopened.load(&ka), CacheLookup::Hit(_)));
+        assert!(entry_of(&root, &kb).verified.is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -816,18 +858,54 @@ mod tests {
         for i in 0..4 {
             cache.store(&demo_key(i), &Value::U64(i as u64)).unwrap();
         }
-        // Corrupt one entry outright.
-        std::fs::write(cache.entry_path(&demo_key(0)), "garbage").unwrap();
+        corrupt(&root, &demo_key(0));
         let out = cache_gc(&root, None).unwrap();
         assert_eq!(out.scanned, 4);
         assert_eq!(out.removed_invalid, 1);
         assert_eq!(out.removed_for_size, 0);
+        // The survivors moved to one fresh segment and still load.
+        let entries = cache_entries(&root).unwrap();
+        assert_eq!(entries.len(), 3);
+        assert!(entries.iter().all(|e| e.segment == entries[0].segment));
+        let reopened = UnitCache::open(&root).unwrap();
+        assert!(matches!(reopened.load(&demo_key(0)), CacheLookup::Miss));
+        for i in 1..4 {
+            assert!(matches!(reopened.load(&demo_key(i)), CacheLookup::Hit(_)));
+        }
 
         // A zero budget evicts every remaining (valid) entry.
         let out = cache_gc(&root, Some(0)).unwrap();
         assert_eq!(out.removed_for_size, 3);
         assert_eq!(out.bytes_after, 0);
         assert_eq!(cache_stats(&root).unwrap().entries, 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn gc_keeps_the_newest_entries_within_the_budget() {
+        let root = tmp_root("gc-budget");
+        let cache = UnitCache::open(&root).unwrap();
+        for i in 0..4 {
+            cache.store(&demo_key(i), &Value::U64(i as u64)).unwrap();
+        }
+        // Re-storing key 0 makes it the newest; its first frame is superseded.
+        cache.store(&demo_key(0), &Value::U64(0)).unwrap();
+        let sizes: Vec<u64> = cache_entries(&root)
+            .unwrap()
+            .iter()
+            .map(|e| e.frame.end - e.frame.start)
+            .collect();
+        let budget = sizes[3] + sizes[4];
+        let out = cache_gc(&root, Some(budget)).unwrap();
+        assert_eq!(out.scanned, 5);
+        assert_eq!(out.removed_invalid, 1, "the superseded frame of key 0");
+        assert_eq!(out.removed_for_size, 2, "keys 1 and 2, the oldest");
+        assert_eq!(out.bytes_after, budget);
+        let reopened = UnitCache::open(&root).unwrap();
+        for (i, kept) in [(0, true), (1, false), (2, false), (3, true)] {
+            let hit = matches!(reopened.load(&demo_key(i)), CacheLookup::Hit(_));
+            assert_eq!(hit, kept, "key {i}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -875,13 +953,11 @@ mod tests {
         for i in 0..3 {
             cache.store(&demo_key(i), &Value::U64(i as u64)).unwrap();
         }
-        // Corrupt one entry and misfile a copy of another under a foreign digest.
-        std::fs::write(cache.entry_path(&demo_key(0)), "garbage").unwrap();
-        std::fs::copy(
-            cache.entry_path(&demo_key(1)),
-            cache.entry_path(&demo_key(3)),
-        )
-        .unwrap();
+        // Corrupt one frame and file a copy of another under a foreign digest.
+        corrupt(&src, &demo_key(0));
+        let text = entry_of(&src, &demo_key(1)).text;
+        let foreign = encode_frame(demo_key(3).digest_u128(), &text).unwrap();
+        write_segment(&src, 50, &foreign);
         let out = cache_merge(&root.join("merged"), &[src]).unwrap();
         assert_eq!(out.copied, 2, "only the intact, correctly-filed entries");
         assert_eq!(out.skipped_invalid, 2);
@@ -932,12 +1008,8 @@ mod tests {
 
     #[test]
     fn merge_treats_entries_vanishing_mid_pass_as_already_gone() {
-        // An entry listed but removed before the copy (a concurrent gc/clear) is
-        // skipped silently — the same already-gone discipline as the gc paths.
-        // Simulated deterministically: list a source, remove an entry file, then
-        // merge from a pre-listed snapshot is not possible through the public API,
-        // so assert the weaker end-to-end form — merging a source that empties
-        // between two merges stays an error-free no-op.
+        // A segment removed between two merges (a concurrent gc/clear) leaves the
+        // second an error-free no-op, the same already-gone discipline as gc.
         let root = tmp_root("merge-race");
         let src = root.join("src");
         let cache = UnitCache::open(&src).unwrap();
@@ -949,7 +1021,7 @@ mod tests {
                 .copied,
             1
         );
-        std::fs::remove_file(cache.entry_path(&demo_key(0))).unwrap();
+        std::fs::remove_file(entry_of(&src, &demo_key(0)).segment).unwrap();
         let out = cache_merge(&dest, &[src]).unwrap();
         assert_eq!((out.copied, out.skipped_invalid), (0, 0));
         assert_eq!(out.entries_after, 1);
@@ -987,15 +1059,30 @@ mod tests {
         let root = tmp_root("tmpfiles");
         let cache = UnitCache::open(&root).unwrap();
         cache.store(&demo_key(0), &Value::U64(1)).unwrap();
-        // Simulate a store killed between write and rename.
-        let orphan = root.join("units").join(".deadbeef.tmp-123-0");
+        // A store killed mid-write leaves a torn tail; an interrupted writer of
+        // another kind leaves a stray temp file.
+        let segment = entry_of(&root, &demo_key(0)).segment;
+        let frame = encode_frame(demo_key(1).digest_u128(), "{\"partial\": ").unwrap();
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&frame[..frame.len() - 4]);
+        std::fs::write(&segment, &bytes).unwrap();
+        let orphan = root.join("units").join(".tmp-123-0");
         std::fs::write(&orphan, "partial entry").unwrap();
 
-        // Stats sees only real entries; gc removes the orphan.
+        // Stats and loads see only the complete frame; gc removes the orphan and
+        // rewrites the segment without its torn tail.
         assert_eq!(cache_stats(&root).unwrap().entries, 1);
+        assert!(matches!(
+            UnitCache::open(&root).unwrap().load(&demo_key(1)),
+            CacheLookup::Miss
+        ));
         let out = cache_gc(&root, None).unwrap();
         assert_eq!(out.removed_invalid, 1);
         assert!(!orphan.exists());
+        let entries = cache_entries(&root).unwrap();
+        assert_eq!(entries.len(), 1);
+        let len = std::fs::metadata(&entries[0].segment).unwrap().len();
+        assert_eq!(len, entries[0].frame.end, "torn tail survived gc");
 
         // clear sweeps orphans too.
         std::fs::write(&orphan, "partial entry").unwrap();
@@ -1010,13 +1097,16 @@ mod tests {
         let root = tmp_root("dangling");
         let cache = UnitCache::open(&root).unwrap();
         cache.store(&demo_key(0), &Value::U64(1)).unwrap();
-        // A broken symlink makes fs::metadata fail with NotFound — the same
-        // error a concurrent gc/clear produces when it unlinks an entry between
-        // our readdir and stat. Maintenance must read it as "already gone"
-        // rather than hard-failing the whole pass.
-        let dangling = root.join(UNITS_DIR).join("deadbeef0000.json");
+        // A broken symlink named like a segment fails to open with NotFound — the
+        // same error a concurrent gc/clear produces when it removes a segment
+        // between our listing and our read. It reads as already gone.
+        let dangling = segment_path(&root, 99);
         std::os::unix::fs::symlink(root.join("no-such-target"), &dangling).unwrap();
         assert_eq!(cache_stats(&root).unwrap().entries, 1);
+        assert!(matches!(
+            UnitCache::open(&root).unwrap().load(&demo_key(0)),
+            CacheLookup::Hit(_)
+        ));
         let gc = cache_gc(&root, Some(u64::MAX)).unwrap();
         assert_eq!(gc.scanned, 1);
         assert_eq!(gc.removed_invalid, 0);
@@ -1025,36 +1115,75 @@ mod tests {
     }
 
     #[test]
-    fn size_eviction_orders_oldest_first_and_skips_mtime_less_entries() {
-        use std::time::{Duration, UNIX_EPOCH};
-        let e = |name: &str, secs: Option<u64>| {
-            (
-                PathBuf::from(name),
-                10u64,
-                secs.map(|s| UNIX_EPOCH + Duration::from_secs(s)),
-            )
-        };
-        let valid = vec![
-            e("b.json", Some(5)),
-            e("a.json", None),
-            e("c.json", Some(2)),
-            e("d.json", Some(5)),
-        ];
-        let names: Vec<&str> = size_eviction_order(&valid)
-            .into_iter()
-            .map(|i| valid[i].0.to_str().unwrap())
+    fn refresh_picks_up_frames_another_handle_appended() {
+        let root = tmp_root("refresh");
+        let (reader, writer) = (
+            UnitCache::open(&root).unwrap(),
+            UnitCache::open(&root).unwrap(),
+        );
+        writer.store(&demo_key(0), &Value::U64(0)).unwrap();
+        // Each handle writes its own segment and sees others' only on refresh.
+        assert!(matches!(reader.load(&demo_key(0)), CacheLookup::Miss));
+        reader.refresh();
+        assert!(matches!(reader.load(&demo_key(0)), CacheLookup::Hit(_)));
+        // A grown segment is picked up from where the last refresh stopped.
+        writer.store(&demo_key(1), &Value::U64(1)).unwrap();
+        reader.refresh();
+        assert!(matches!(reader.load(&demo_key(1)), CacheLookup::Hit(_)));
+        reader.store(&demo_key(2), &Value::U64(2)).unwrap();
+        let (seqs, _, _) = list_units(&root).unwrap();
+        assert_eq!(seqs.len(), 2, "one segment per writer");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_writer_whose_segment_vanished_starts_a_fresh_one() {
+        let root = tmp_root("vanished");
+        let cache = UnitCache::open(&root).unwrap();
+        cache.store(&demo_key(0), &Value::U64(0)).unwrap();
+        cache_gc(&root, None).unwrap();
+        // gc moved the entry to a segment of its own and removed the writer's.
+        assert!(matches!(cache.load(&demo_key(0)), CacheLookup::Miss));
+        cache.refresh();
+        assert!(matches!(cache.load(&demo_key(0)), CacheLookup::Hit(_)));
+        cache.store(&demo_key(1), &Value::U64(1)).unwrap();
+        let fresh = UnitCache::open(&root).unwrap();
+        assert!(matches!(fresh.load(&demo_key(1)), CacheLookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn index_shards_stay_sorted_and_later_inserts_supersede() {
+        let mut index = Index::default();
+        let digests: Vec<u128> = (0..2_000u128)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835))
             .collect();
-        // Oldest first, path tie-break; the mtime-less entry is never doomed
-        // (it used to sort as UNIX_EPOCH and be evicted before everything).
-        assert_eq!(names, ["c.json", "b.json", "d.json"]);
+        for (i, &digest) in digests.iter().enumerate() {
+            index.insert(digest, 1, i as u64);
+        }
+        index.insert(digests[7], 2, 99);
+        assert!(index
+            .0
+            .iter()
+            .all(|s| s.windows(2).all(|w| w[0].0 < w[1].0)));
+        for (i, &digest) in digests.iter().enumerate() {
+            let (shard, at) = index.find(digest);
+            let location = shard[at.unwrap()].1;
+            let expected = if i == 7 {
+                2 << OFFSET_BITS | 99
+            } else {
+                1 << OFFSET_BITS | i as u64
+            };
+            assert_eq!(location, expected);
+        }
     }
 
     #[test]
     fn concurrent_gc_clear_and_store_never_hard_fail() {
         // Two maintenance passes racing each other and a storing worker exercise
-        // every entry-vanished-underneath-us window: readdir→stat, list→read,
-        // list→unlink. All of them must resolve as "already gone", never as an
-        // io error aborting the pass.
+        // every file-vanished-underneath-us window: list→read, list→unlink. All of
+        // them must resolve as "already gone", never as an io error aborting the
+        // pass.
         let root = tmp_root("races");
         let cache = UnitCache::open(&root).unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -1081,8 +1210,8 @@ mod tests {
             });
             for i in 0..300 {
                 let key = demo_key(i);
-                // A store whose temp file is swept away mid-publication must
-                // report "not cached", never an io error.
+                // A store whose segment is swept away must never report an io
+                // error; refreshing lets the writer start a fresh segment.
                 if let Err(e) = cache.store(&key, &Value::U64(i as u64)) {
                     failures.push(format!("store {i}: {e}"));
                     break;
@@ -1093,6 +1222,7 @@ mod tests {
                     failures.push(format!("entry {i} read as corrupt"));
                     break;
                 }
+                cache.refresh();
             }
             stop.store(true, Ordering::Relaxed);
             (gc_passes.join().unwrap(), clear_passes.join().unwrap())

@@ -16,9 +16,11 @@
 //! Incremental execution: given a persistent [`UnitCache`],
 //! [`UnitPool::run_plans_cached`] consults it *before* a worker runs a claimed unit
 //! and writes the result back on completion. Because a unit's cache key is derived
-//! entirely from plan-time values and entry publication is an atomic rename,
-//! hit/miss behaviour is independent of claim order and worker count — a warm batch
-//! produces byte-identical artifacts at any `--jobs`, only faster.
+//! entirely from plan-time values and each entry is one appended frame that readers
+//! index only once it is complete, hit/miss behaviour is independent of claim order
+//! and worker count — a warm batch produces byte-identical artifacts at any
+//! `--jobs`, only faster. Each call that has units left to look up first asks the
+//! cache to index what other processes appended since ([`UnitCache::refresh`]).
 //!
 //! # The persistent pool
 //!
@@ -616,6 +618,12 @@ impl UnitPool {
                 results.push(None);
                 slots.push(Mutex::new(Some(unit)));
             }
+        }
+
+        // Units not warm in memory may sit in segments another process appended
+        // since the cache was opened; an all-warm call never touches the disk.
+        if let (Some(cache), false) = (cache, slots.is_empty()) {
+            cache.refresh();
         }
 
         // The call's first failure; once set, its outputs are discarded, so

@@ -61,8 +61,8 @@ pub const DEFAULT_SEED: u64 = 0x5C_2004;
 /// Convenient glob import for the harness API.
 pub mod prelude {
     pub use crate::cache::{
-        cache_clear, cache_gc, cache_merge, cache_stats, CacheCounts, MergeOutcome, UnitCache,
-        UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
+        cache_clear, cache_entries, cache_gc, cache_merge, cache_stats, CacheCounts, CacheEntry,
+        MergeOutcome, UnitCache, UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
     };
     pub use crate::exec::{resolve_jobs, PlanOutcome, ShardPlanOutcome, UnitPool};
     pub use crate::golden::{diff_json, Tolerance};

@@ -122,7 +122,7 @@ pub struct ExecutedUnit {
     pub grid_index: u64,
     /// Replication index within the grid point.
     pub replication_index: u64,
-    /// The unit's [`UnitKey`] digest (32 hex chars) — its cache entry file stem.
+    /// The unit's [`UnitKey`] digest (32 hex chars), which files its cache entry.
     pub digest: String,
 }
 

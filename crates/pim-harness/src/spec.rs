@@ -83,8 +83,9 @@ pub const MAX_UNITS: usize = 10_000;
 /// A unit allocates per count up front (32 B per parcel node outcome, 16 B of
 /// reply queue per parcel context, 8 B per simulated analytic node's share of
 /// the work), so a larger count from an untrusted spec could ask for terabytes
-/// and abort the process.
-const MAX_COUNT: usize = 1 << 20;
+/// and abort the process. The CLI's model subcommands bound their count flags
+/// with it too.
+pub const MAX_COUNT: usize = 1 << 20;
 
 /// How a spec-defined scenario derives its seed from the batch seed policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

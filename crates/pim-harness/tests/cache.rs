@@ -123,10 +123,11 @@ fn warm_runs_are_byte_identical_fully_hit_and_at_least_5x_faster() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Corrupt cache entries — truncated, bit-flipped, or replaced with garbage — must
-/// be detected by the checksum/shape verification, evicted, and recomputed. The
+/// Corrupt cache entries — bit-flipped or replaced with garbage — must be detected
+/// by the checksum/shape verification, evicted, and recomputed; a frame cut short
+/// at the end of its segment (a crash mid-append) reads as never written. The
 /// artifacts stay byte-identical to the cold run and the manifest reports the
-/// recomputations; a third run hits everything again (the evicted entries were
+/// recomputations; a third run hits everything again (the damaged entries were
 /// re-stored).
 #[test]
 fn corrupt_entries_are_detected_evicted_and_recomputed() {
@@ -151,33 +152,38 @@ fn corrupt_entries_are_detected_evicted_and_recomputed() {
     };
     let cold = run("cold");
 
-    // Damage every entry a different way: truncation, a flipped payload byte, and
-    // outright garbage.
-    let units_dir = cache_dir.join("units");
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&units_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
+    // Damage three entries a different way: a flipped payload byte, a document
+    // replaced by garbage, and truncation of the segment's last frame.
+    let entries = cache_entries(&cache_dir).expect("cache lists");
     assert_eq!(
         entries.len(),
         names.len(),
         "one entry per single-unit scenario"
     );
-    let text = std::fs::read_to_string(&entries[0]).unwrap();
-    std::fs::write(&entries[0], &text.as_bytes()[..text.len() / 3]).unwrap();
-    let mut bytes = std::fs::read(&entries[1]).unwrap();
-    let payload_pos = bytes.len() * 3 / 4;
-    bytes[payload_pos] ^= 0x01;
-    std::fs::write(&entries[1], &bytes).unwrap();
-    std::fs::write(&entries[2], b"not json at all").unwrap();
+    assert!(
+        entries.iter().all(|e| e.segment == entries[0].segment),
+        "one writer, one segment"
+    );
+    let segment = &entries[0].segment;
+    let mut bytes = std::fs::read(segment).unwrap();
+    let flip = |e: &CacheEntry| (e.frame.end - e.text.len() as u64 / 4) as usize;
+    bytes[flip(&entries[0])] ^= 0x01;
+    let garbage = entries[1].frame.end as usize - entries[1].text.len();
+    for (i, byte) in bytes[garbage..entries[1].frame.end as usize]
+        .iter_mut()
+        .enumerate()
+    {
+        *byte = b"not json at all "[i % 16];
+    }
+    let torn = &entries[3].frame;
+    bytes.truncate(((torn.start + torn.end) / 2) as usize);
+    std::fs::write(segment, &bytes).unwrap();
 
     let warm = run("warm");
     let manifest = read_manifest(&warm);
-    assert_eq!(manifest_total(&manifest, "recomputed"), 3);
+    assert_eq!(manifest_total(&manifest, "recomputed"), 2);
     assert_eq!(manifest_total(&manifest, "hits"), 1);
-    assert_eq!(manifest_total(&manifest, "misses"), 0);
+    assert_eq!(manifest_total(&manifest, "misses"), 1, "the torn frame");
 
     // Corruption never reaches the artifacts.
     for name in names {

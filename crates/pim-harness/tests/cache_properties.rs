@@ -13,13 +13,17 @@
 //!    value, a fraction, the model family, the replication count, the seed mode)
 //!    changes the spec fingerprint, re-addressing every unit; invalid edits are
 //!    rejected at parse time and never reach fingerprinting at all.
+//! 4. **Damage tolerance** — a mangled segment never panics a reader or a
+//!    maintenance pass and never serves a wrong payload.
 
+use pim_harness::cache::CacheLookup;
 use pim_harness::prelude::*;
 use pim_harness::spec::parse_spec;
 use proptest::prelude::*;
 use serde::Value;
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn key(scenario: &str, config: &Value, seed: u64, grid: usize, rep: usize) -> UnitKey {
     UnitKeyer::new(scenario, config, seed).key(grid, rep)
@@ -183,9 +187,10 @@ fn family_change_changes_the_fingerprint() {
     assert_ne!(parcels.fingerprint(), analytic.fingerprint());
 }
 
-/// Claim-order independence, end to end: the *entry files* a cold batch writes —
-/// names and bytes — are identical whether one worker runs every unit in order or
-/// eight workers steal them in arbitrary interleavings.
+/// Claim-order independence, end to end: the entries a cold batch writes —
+/// digests and document bytes — are identical whether one worker runs every unit in
+/// order or eight workers steal them in arbitrary interleavings. Segment bytes
+/// follow completion order, so the comparison is over the set of entries.
 #[test]
 fn cache_entry_files_are_independent_of_job_count() {
     let registry = Registry::builtin();
@@ -209,17 +214,10 @@ fn cache_entry_files_are_independent_of_job_count() {
     };
     let serial = run(1, "jobs1");
     let parallel = run(8, "jobs8");
-    let listing = |cache: &Path| -> BTreeMap<String, Vec<u8>> {
-        std::fs::read_dir(cache.join("units"))
-            .expect("units dir exists")
-            .map(|e| {
-                let path = e.unwrap().path();
-                (
-                    path.file_name().unwrap().to_string_lossy().to_string(),
-                    std::fs::read(&path).unwrap(),
-                )
-            })
-            .collect()
+    let listing = |cache: &Path| -> BTreeSet<(u128, String)> {
+        let entries = cache_entries(cache).expect("cache lists");
+        assert!(entries.iter().all(|e| e.verified.is_some()));
+        entries.into_iter().map(|e| (e.digest, e.text)).collect()
     };
     let a = listing(&serial);
     let b = listing(&parallel);
@@ -230,4 +228,127 @@ fn cache_entry_files_are_independent_of_job_count() {
     );
     assert_eq!(a, b, "cache entries differ between --jobs 1 and --jobs 8");
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A fresh directory per generated case.
+fn case_dir(tag: &str) -> PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("pim-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn mangle_payload(i: usize) -> Value {
+    Value::Seq(vec![Value::U64(i as u64), Value::F64(i as f64 / 3.0)])
+}
+
+/// `entry`'s frame re-filed under `digest`: the header's digest bytes replaced,
+/// the document kept.
+fn refiled(segment: &[u8], entry: &CacheEntry, digest: u128) -> Vec<u8> {
+    let mut frame = segment[entry.frame.start as usize..entry.frame.end as usize].to_vec();
+    let header = frame.len() - entry.text.len();
+    let own = entry.digest.to_le_bytes();
+    let at = frame[..header]
+        .windows(own.len())
+        .position(|w| w == own)
+        .expect("the header carries the digest");
+    frame[at..at + own.len()].copy_from_slice(&digest.to_le_bytes());
+    frame
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Mangled segments — cut at any offset, bytes flipped, garbage appended, a
+    /// frame spliced in under another unit's digest — never panic and never
+    /// serve a wrong payload: `load` answers the stored payload, a miss or
+    /// corrupt, and a cut alone only ever misses. `stats`, `gc` and `merge`
+    /// succeed, a merge copies no damage, and once the units that did not hit
+    /// are recomputed, every unit hits.
+    #[test]
+    fn mangled_segments_never_panic_or_serve_a_wrong_payload(
+        // 0 and 1: a cut alone; 2: flips; 3: garbage; 4: a splice; 5: all four.
+        mode in 0u32..6,
+        cut in 0u64..=1000,
+        flips in collection::vec((0u64..1000, 1u32..256), 1..4),
+        garbage in collection::vec(0u32..256, 1..48),
+        splice in (0usize..8, 0usize..8),
+    ) {
+        let root = case_dir("cache-mangle");
+        let keys: Vec<UnitKey> = (0..8).map(|i| key("mangled", &Value::Null, 7, i, 0)).collect();
+        let cache = UnitCache::open(&root).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            cache.store(key, &mangle_payload(i)).unwrap();
+        }
+        let entries = cache_entries(&root).unwrap();
+        let segment = entries[0].segment.clone();
+        let original = std::fs::read(&segment).unwrap();
+
+        let mut bytes = original.clone();
+        if matches!(mode, 0 | 1 | 5) {
+            bytes.truncate((bytes.len() as u64 * cut / 1000) as usize);
+        }
+        if matches!(mode, 2 | 5) && !bytes.is_empty() {
+            for &(at, mask) in &flips {
+                let at = (bytes.len() as u64 * at / 1000) as usize;
+                bytes[at] ^= mask as u8;
+            }
+        }
+        if matches!(mode, 3 | 5) {
+            bytes.extend(garbage.iter().map(|&b| b as u8));
+        }
+        let (cut_only, kept) = (mode < 2, bytes.len() as u64);
+        std::fs::write(&segment, &bytes).unwrap();
+        if matches!(mode, 4 | 5) {
+            let frame = refiled(&original, &entries[splice.0], keys[splice.1].digest_u128());
+            std::fs::write(segment.with_file_name("00000009.pack"), frame).unwrap();
+        }
+
+        // `cache` indexed every frame before the damage, `reader` what is left of
+        // them; both hit only with the stored payload, and a cut never reads as
+        // corrupt.
+        let reader = UnitCache::open(&root).unwrap();
+        let mut missing = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            for (fresh, handle) in [(true, &reader), (false, &cache)] {
+                let got = handle.load(key);
+                if let CacheLookup::Hit(payload) = &got {
+                    prop_assert_eq!(payload, &mangle_payload(i));
+                } else if fresh {
+                    missing.push(i);
+                }
+                if cut_only {
+                    let whole = entries[i].frame.end <= kept;
+                    prop_assert_eq!(matches!(got, CacheLookup::Hit(_)), whole, "unit {}", i);
+                    prop_assert!(!matches!(got, CacheLookup::Corrupt), "a cut read as corrupt");
+                }
+            }
+        }
+
+        prop_assert!(cache_stats(&root).is_ok());
+        let merged = root.join("merged");
+        prop_assert!(cache_merge(&merged, std::slice::from_ref(&root)).is_ok());
+        let copy = UnitCache::open(&merged).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            match copy.load(key) {
+                CacheLookup::Hit(payload) => prop_assert_eq!(payload, mangle_payload(i)),
+                CacheLookup::Miss => {}
+                CacheLookup::Corrupt => prop_assert!(false, "merge copied a damaged frame"),
+            }
+        }
+        prop_assert!(cache_gc(&root, None).is_ok());
+
+        for &i in &missing {
+            reader.store(&keys[i], &mangle_payload(i)).unwrap();
+        }
+        let healed = UnitCache::open(&root).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            match healed.load(key) {
+                CacheLookup::Hit(payload) => prop_assert_eq!(payload, mangle_payload(i)),
+                other => prop_assert!(false, "unit {} after recomputation: {:?}", i, other),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

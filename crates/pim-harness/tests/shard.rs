@@ -35,13 +35,13 @@ fn manifest_total(manifest: &Value, field: &str) -> u64 {
         .sum()
 }
 
-/// The digests (entry file stems) present in a cache directory.
+/// The digests of the verified entries present in a cache directory.
 fn cache_digests(cache_dir: &Path) -> BTreeSet<String> {
-    std::fs::read_dir(cache_dir.join("units"))
-        .expect("cache units dir exists")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .map(|p| p.file_stem().unwrap().to_string_lossy().to_string())
+    cache_entries(cache_dir)
+        .expect("cache directory lists")
+        .into_iter()
+        .filter(|e| e.verified.is_some())
+        .map(|e| format!("{:032x}", e.digest))
         .collect()
 }
 

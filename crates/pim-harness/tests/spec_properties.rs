@@ -272,7 +272,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// The bound `parse_spec` puts on every count axis (`node_counts`, `parallelisms`).
-const MAX_COUNT: u64 = 1 << 20;
+const MAX_COUNT: u64 = pim_harness::spec::MAX_COUNT as u64;
 
 /// One of `edges` half the time, otherwise a draw from `inner`: the ends of an
 /// axis are where a validator and the model it guards most often disagree.

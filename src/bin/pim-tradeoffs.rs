@@ -37,6 +37,7 @@ use pim_repro::pim_analytic::{AnalyticModel, ParcelAnalyticModel};
 use pim_repro::pim_audit::{self, diag, diag::Diagnostic};
 use pim_repro::pim_core::prelude::*;
 use pim_repro::pim_harness::prelude::*;
+use pim_repro::pim_harness::spec::MAX_COUNT;
 use pim_repro::pim_parcels::prelude::*;
 use pim_repro::pim_workload::InstructionMix;
 use std::collections::HashMap;
@@ -146,6 +147,16 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name} expects an integer, got '{v}'")),
+        }
+    }
+
+    /// A count flag (nodes, parallelism) in `1..=MAX_COUNT`, the bound specs use:
+    /// a count too large to allocate is an error naming the flag, not an abort.
+    fn get_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get_usize(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            n if n > MAX_COUNT => Err(format!("--{name} must be at most {MAX_COUNT}, got {n}")),
+            n => Ok(n),
         }
     }
 
@@ -570,10 +581,7 @@ fn cmd_point(args: &Args) -> Result<(), String> {
         "tmh",
         "simulate",
     ])?;
-    let nodes = args.get_usize("nodes", 32)?;
-    if nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
+    let nodes = args.get_count("nodes", 32)?;
     let wl = args.get_f64("wl", 0.8)?;
     if !(0.0..=1.0).contains(&wl) {
         return Err(format!("--wl must lie in [0,1], got {wl}"));
@@ -606,10 +614,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         "tmh",
         "simulate",
     ])?;
-    let max_nodes = args.get_usize("max-nodes", 64)?;
-    if max_nodes == 0 {
-        return Err("--max-nodes must be at least 1".into());
-    }
+    let max_nodes = args.get_count("max-nodes", 64)?;
     let config = study_config(args)?;
     let mut node_counts = vec![];
     let mut n = 1;
@@ -653,8 +658,8 @@ fn cmd_parcels(args: &Args) -> Result<(), String> {
         "mix",
     ])?;
     let config = ParcelConfig {
-        nodes: args.get_usize("nodes", 8)?,
-        parallelism: args.get_usize("parallelism", 16)?,
+        nodes: args.get_count("nodes", 8)?,
+        parallelism: args.get_count("parallelism", 16)?,
         latency_cycles: args.get_f64("latency", 1_000.0)?,
         remote_fraction: args.get_f64("remote", 0.4)?,
         parcel_overhead_cycles: args.get_f64("overhead", 4.0)?,

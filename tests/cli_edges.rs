@@ -1,8 +1,10 @@
 //! CLI edge-case conformance through the real binary: `run NAME` reports one
 //! scenario or fails cleanly on an unknown name, duplicated flags are rejected
-//! by name (not silently last-wins), `cache gc --max-mib 0` is a well-defined
-//! full-eviction pass with exact accounting, and a scenario-name collision
-//! between two spec files names both offending paths.
+//! by name (not silently last-wins), count flags too large to allocate are
+//! rejected by name, `cache gc --max-mib 0` is a well-defined full-eviction pass
+//! with exact accounting, a disk filling up mid-batch fails the run cleanly and
+//! keeps what was stored, and a scenario-name collision between two spec files
+//! names both offending paths.
 
 use pim_harness::report::ScenarioReport;
 use std::path::{Path, PathBuf};
@@ -106,6 +108,93 @@ fn distinct_flags_still_combine() {
     // invocations.
     let (stdout, _) = expect_ok(&["point", "--nodes", "8", "--wl", "0.5", "--pmiss", "0.2"]);
     assert!(stdout.contains("gain"), "{stdout}");
+}
+
+#[test]
+fn count_flags_too_large_to_allocate_are_rejected_by_name() {
+    // Each of these once asked for terabytes (parcel reply queues and node
+    // outcomes, simulated thread shares) and aborted; the address-space limit
+    // makes such a request fail whatever the host's overcommit policy.
+    for (flag, args) in [
+        (
+            "--parallelism",
+            &["parcels", "--parallelism", "1000000000000"][..],
+        ),
+        ("--nodes", &["parcels", "--nodes", "1000000000000"]),
+        (
+            "--nodes",
+            &[
+                "point",
+                "--nodes",
+                "1000000000000",
+                "--wl",
+                "1",
+                "--simulate",
+            ],
+        ),
+        (
+            "--max-nodes",
+            &["sweep", "--max-nodes", "1000000000000", "--simulate"],
+        ),
+    ] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} must be at most")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A disk that fills up partway through a batch
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_disk_filling_mid_batch_fails_the_run_and_keeps_the_stored_frames() {
+    // A file-size limit makes an append fail partway (EFBIG, standing in for
+    // ENOSPC) without touching any machine setting; SIGXFSZ is ignored so the
+    // write returns the error. `ulimit -f` counts 512- or 1024-byte blocks
+    // depending on the shell; either way the ~49 KB of entries do not fit.
+    let base = temp_base("full-disk");
+    let cache = base.join("cache");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/specs/node_scaling.json"
+    );
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -f 16; trap '' XFSZ; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
+        .args(["run", "--spec", spec, "--cache", &p(&cache)])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let segment = cache.join("units").join("00000001.pack");
+    assert!(
+        stderr.contains(&format!("cannot append to cache segment {}", p(&segment))),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Without the limit, the frames written before it are hits, the torn one
+    // reads as never written, and nothing is recomputed.
+    let (warm, summary) = expect_ok(&["run", "--spec", spec, "--cache", &p(&cache)]);
+    let hits: u64 = summary
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: ")?.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no cache summary: {summary}"));
+    assert!(hits > 0, "{summary}");
+    assert!(summary.contains(", 0 recomputed"), "{summary}");
+    let (reference, _) = expect_ok(&["run", "--spec", spec, "--no-cache"]);
+    assert_eq!(warm, reference, "artifact over the refilled cache differs");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 //! real sockets: a served preset spec is byte-identical to `run --spec` output
 //! (cold and warm), and SIGKILLing the daemon mid-request leaves the shared
 //! cache unpoisoned — a subsequent CLI run over the same directory completes
-//! with zero recomputations and byte-identical artifacts. A daemon that runs out
+//! with zero recomputations and byte-identical artifacts. A running daemon serves
+//! units a CLI run stored in its cache after it started. A daemon that runs out
 //! of file descriptors keeps serving once its deadlines free some, one asked for
 //! more workers than the host can start exits with an error instead of a panic,
 //! and hostile bodies (deep nesting, huge strings, `measured` geometries and
@@ -177,6 +178,27 @@ fn served_preset_is_byte_identical_to_cli_run_cold_and_warm() {
         cli_warm_err.contains("110 hit(s), 0 miss(es), 0 recomputed"),
         "CLI run over the daemon's cache was not all-hits: {cli_warm_err}"
     );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn a_running_daemon_serves_units_a_cli_run_stored_after_it_started() {
+    let base = temp_base("shared");
+    let cache = base.join("cache");
+    let spec = preset_spec();
+    let body = std::fs::read(&spec).expect("preset spec exists");
+
+    // The daemon opens (and indexes) the cache first; the CLI fills it later.
+    let daemon = Daemon::start(&["--cache", &p(&cache)]);
+    let (cli_stdout, cli_err) = expect_ok(&["run", "--spec", &p(&spec), "--cache", &p(&cache)]);
+    assert!(cli_err.contains("0 hit(s), 110 miss(es)"), "{cli_err}");
+
+    let served = client::request(&daemon.addr, "POST", "/run", &[], &body).expect("submit");
+    assert_eq!(served.status, 200);
+    assert_eq!(served.header("x-pim-cache-hits"), Some("110"));
+    assert_eq!(served.header("x-pim-cache-misses"), Some("0"));
+    assert_eq!(served.header("x-pim-cache-recomputed"), Some("0"));
+    assert_eq!(String::from_utf8_lossy(&served.body), cli_stdout);
     let _ = std::fs::remove_dir_all(&base);
 }
 
