@@ -11,6 +11,13 @@
 //!
 //! Ties on time are broken by insertion order, so models get deterministic FIFO
 //! semantics for simultaneous events — the same guarantee SES/Workbench provides.
+//!
+//! Both queues carry payloads inline. Every model's event is at most 16 bytes
+//! (the parcel models keep node and context indices as `u32`), so a heap entry
+//! is at most 32 bytes and sifts by value. An earlier slot arena parked
+//! payloads above 24 bytes outside the heap; the parcel test system's 32-byte
+//! event was the only payload that used it, and the arena went when that event
+//! shrank to 16 bytes.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -49,107 +56,8 @@ pub trait EventQueue<E> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload arena shared by the heap-backed queues
+// Heap entry shared by BinaryHeapQueue and FifoBandQueue's overflow band
 // ---------------------------------------------------------------------------
-
-/// Whether payloads of type `E` should be parked in the arena (true) or carried
-/// inline through the ordering structure (false).
-///
-/// `size_of` is a compile-time constant, so each monomorphized queue keeps only
-/// one of the two code paths after optimization. Small payloads (the engine's
-/// `u64` handles, `pim-core`'s 16-byte phase events) sift faster inline than
-/// through an extra arena indirection; large ones (parcel events) sift as
-/// 24-byte [`SlotEntry`] keys with the payload parked.
-#[inline(always)]
-fn arena_backed<E>() -> bool {
-    std::mem::size_of::<E>() > 24
-}
-
-/// Slab of event payloads with a free-list of reusable slots.
-///
-/// For arena-backed payload types (see [`arena_backed`]) the heap-backed queues
-/// keep only a compact fixed-size key record ([`SlotEntry`]) inside their
-/// ordering structure and park the payload here. Slots freed by `pop` are
-/// reused by the next `push`, so steady-state event churn moves entries a
-/// fraction the size of a full [`ScheduledEvent`] through the heap and never
-/// grows the backing storage beyond the high-water mark of in-flight events.
-struct EventArena<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-}
-
-impl<E> EventArena<E> {
-    fn new() -> Self {
-        EventArena {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, payload: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Some(payload));
-                slot
-            }
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, slot: u32) -> E {
-        let taken = self.slots[slot as usize].take();
-        // audit:allow(unwrap-in-library): a slot handle is held by exactly one queue entry, and every entry was filled by `insert`
-        let payload = taken.expect("arena slot occupied");
-        self.free.push(slot);
-        payload
-    }
-}
-
-/// Compact ordering record for arena-backed queues: the `(time, seq)` key and
-/// the arena slot holding the payload.
-#[derive(Clone, Copy)]
-struct SlotEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl SlotEntry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid heap band shared by BinaryHeapQueue and FifoBandQueue's overflow band
-// ---------------------------------------------------------------------------
-
-struct HeapSlot(SlotEntry);
-
-impl PartialEq for HeapSlot {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl Eq for HeapSlot {}
-impl PartialOrd for HeapSlot {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapSlot {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so that BinaryHeap (a max-heap) yields the smallest key first.
-        other.0.key().cmp(&self.0.key())
-    }
-}
 
 struct HeapEntry<E>(ScheduledEvent<E>);
 
@@ -171,83 +79,13 @@ impl<E> Ord for HeapEntry<E> {
     }
 }
 
-/// A min-ordered heap of scheduled events that stores payloads inline or in an
-/// [`EventArena`] depending on `size_of::<E>()` (see [`arena_backed`]). Exactly
-/// one of `inline`/`slots` is ever populated for a given `E`; the compile-time
-/// constant branch lets the optimizer drop the other path entirely.
-struct HybridHeap<E> {
-    inline: BinaryHeap<HeapEntry<E>>,
-    slots: BinaryHeap<HeapSlot>,
-    arena: EventArena<E>,
-}
-
-impl<E> HybridHeap<E> {
-    fn new() -> Self {
-        HybridHeap {
-            inline: BinaryHeap::new(),
-            slots: BinaryHeap::new(),
-            arena: EventArena::new(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        if arena_backed::<E>() {
-            let slot = self.arena.insert(ev.payload);
-            self.slots.push(HeapSlot(SlotEntry {
-                time: ev.time,
-                seq: ev.seq,
-                slot,
-            }));
-        } else {
-            self.inline.push(HeapEntry(ev));
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if arena_backed::<E>() {
-            let e = self.slots.pop()?.0;
-            Some(ScheduledEvent {
-                time: e.time,
-                seq: e.seq,
-                payload: self.arena.take(e.slot),
-            })
-        } else {
-            self.inline.pop().map(|e| e.0)
-        }
-    }
-
-    #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if arena_backed::<E>() {
-            self.slots.peek().map(|e| e.0.key())
-        } else {
-            self.inline.peek().map(|e| e.0.key())
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        if arena_backed::<E>() {
-            self.slots.len()
-        } else {
-            self.inline.len()
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Binary heap implementation
 // ---------------------------------------------------------------------------
 
 /// Binary-heap future event list.
-///
-/// Large payloads sift as compact 24-byte keys with the payload parked in a
-/// slot arena (slots recycled across push/pop); small payloads stay inline,
-/// where the indirection would cost more than it saves.
 pub struct BinaryHeapQueue<E> {
-    heap: HybridHeap<E>,
+    heap: BinaryHeap<HeapEntry<E>>,
 }
 
 impl<E> Default for BinaryHeapQueue<E> {
@@ -260,18 +98,18 @@ impl<E> BinaryHeapQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         BinaryHeapQueue {
-            heap: HybridHeap::new(),
+            heap: BinaryHeap::new(),
         }
     }
 }
 
 impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     fn push(&mut self, ev: ScheduledEvent<E>) {
-        self.heap.push(ev);
+        self.heap.push(HeapEntry(ev));
     }
 
     fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop()
+        self.heap.pop().map(|e| e.0)
     }
 
     fn len(&self) -> usize {
@@ -305,13 +143,10 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
 /// Dispatch order is the total order `(time, seq)`, the same as
 /// [`BinaryHeapQueue`]'s.
 pub struct FifoBandQueue<E> {
-    /// The monotone band keeps whole events by value: `push_back`/`pop_front`
-    /// never sift or move existing entries, so there is nothing for an arena
-    /// indirection to save there.
+    /// The monotone band: `push_back`/`pop_front` never sift or move entries.
     fifo: VecDeque<ScheduledEvent<E>>,
-    /// The overflow band: a [`HybridHeap`] that parks large payloads in its
-    /// arena (slot reuse across push/pop) and keeps small ones inline.
-    heap: HybridHeap<E>,
+    /// The overflow band.
+    heap: BinaryHeap<HeapEntry<E>>,
 }
 
 impl<E> Default for FifoBandQueue<E> {
@@ -325,7 +160,7 @@ impl<E> FifoBandQueue<E> {
     pub fn new() -> Self {
         FifoBandQueue {
             fifo: VecDeque::new(),
-            heap: HybridHeap::new(),
+            heap: BinaryHeap::new(),
         }
     }
 }
@@ -336,21 +171,21 @@ impl<E> EventQueue<E> for FifoBandQueue<E> {
         if appendable {
             self.fifo.push_back(ev);
         } else {
-            self.heap.push(ev);
+            self.heap.push(HeapEntry(ev));
         }
     }
 
     fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let fifo_head_wins = match (self.fifo.front(), self.heap.peek_key()) {
+        let fifo_head_wins = match (self.fifo.front(), self.heap.peek()) {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some(f), Some(h)) => f.key() <= h,
+            (Some(f), Some(h)) => f.key() <= h.0.key(),
         };
         if fifo_head_wins {
             self.fifo.pop_front()
         } else {
-            self.heap.pop()
+            self.heap.pop().map(|e| e.0)
         }
     }
 
@@ -440,61 +275,6 @@ mod tests {
         let out = drain(&mut q);
         assert_eq!(out.len(), 200);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    fn fat_ev(time: u64, seq: u64) -> ScheduledEvent<[u64; 4]> {
-        // 32 bytes: above the inline threshold, so heap-backed queues park the
-        // payload in the arena and sift compact `SlotEntry` keys instead.
-        ScheduledEvent {
-            time: SimTime::from_ticks(time),
-            seq,
-            payload: [seq, seq + 1, seq + 2, seq + 3],
-        }
-    }
-
-    #[test]
-    fn arena_slots_are_reused_across_push_pop() {
-        // Steady-state churn must recycle payload slots: the arena's backing
-        // storage stays at the in-flight high-water mark (1 here), not the
-        // total event count.
-        let mut q = BinaryHeapQueue::new();
-        for round in 0..1000u64 {
-            q.push(fat_ev(round, round));
-            assert_eq!(q.pop().map(|e| e.payload[0]), Some(round));
-        }
-        assert_eq!(q.heap.arena.slots.len(), 1);
-
-        let mut band = FifoBandQueue::new();
-        band.push(fat_ev(1000, 0));
-        for round in 0..1000u64 {
-            // Every push lands under the tail -> heap band -> arena.
-            band.push(fat_ev(round, round + 1));
-            assert_eq!(band.pop().map(|e| e.time.ticks()), Some(round));
-        }
-        assert_eq!(band.heap.arena.slots.len(), 1);
-    }
-
-    #[test]
-    fn small_payloads_bypass_the_arena() {
-        // u32 payloads are at or under the inline threshold: the hybrid heap
-        // must keep them by value and never touch the arena.
-        assert!(!arena_backed::<u32>());
-        assert!(arena_backed::<[u64; 4]>());
-
-        let mut q = BinaryHeapQueue::new();
-        for round in 0..100u64 {
-            q.push(ev(round, round));
-        }
-        assert!(q.heap.arena.slots.is_empty());
-        assert_eq!(drain(&mut q).len(), 100);
-
-        let mut band = FifoBandQueue::new();
-        band.push(ev(1000, 0));
-        for round in 0..100u64 {
-            band.push(ev(round, round + 1)); // under the tail -> heap band
-        }
-        assert!(band.heap.arena.slots.is_empty());
-        assert_eq!(drain(&mut band).len(), 101);
     }
 
     #[test]

@@ -43,6 +43,16 @@
 //!   operation streams driven through the host cache and DRAM bank models, gridded
 //!   over address patterns and memory mixes.
 //!
+//! Each family is one struct ([`AnalyticSpec`], [`ParcelsSpec`], [`MeasuredSpec`])
+//! with one parse function and one impl of the module's private `Family` trait:
+//! wire name, columns, headline metric, axis lengths, validation, the canonical
+//! `config` and `grid` sections, and the row one unit computes. The rest of the
+//! pipeline — the unit cap, column selection, the canonical form, planning and
+//! report assembly — is written once over that trait, so adding a family means one
+//! struct, one `Family` impl and one arm in the parser's family match, plus its
+//! [`ModelSpec`] variant and that variant's arm in the one match that dispatches
+//! on it.
+//!
 //! Parsing is *hard*: unknown fields, duplicate keys, empty grid axes, zero node
 //! counts, counts above 2^20 (node counts and parallelisms: a unit allocates per
 //! count up front), non-finite numbers, out-of-range fractions, unknown model
@@ -55,9 +65,9 @@
 //! every builtin gets ([`SeedPolicy::scenario_seed`]), so `--seed` moves spec
 //! scenarios and builtins together. `"seed": {"fixed": N}` pins the scenario seed to
 //! `N` regardless of the batch's base seed. Either way each unit's stream is a pure
-//! function of the scenario seed and the unit's flattened grid index
-//! ([`unit_seed`]), never of thread scheduling — artifacts are byte-identical across
-//! `--jobs` settings.
+//! function of the scenario seed and the unit's flattened index (grid point ×
+//! replications + replication), mixed by [`desim::random::mix_seed`], never of
+//! thread scheduling — artifacts are byte-identical across `--jobs` settings.
 
 use crate::cache::UnitKeyer;
 use crate::measure::{measure_stream, pattern_label, validate_pattern, MeasureConfig};
@@ -127,126 +137,44 @@ pub enum ModelSpec {
     Measured(MeasuredSpec),
 }
 
-/// Evaluation mode of the analytic family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AnalyticMode {
-    /// Closed-form expected values (seed-independent).
-    Expected,
-    /// The sampled queuing simulation.
-    Simulated {
-        /// Operations actually simulated per point (rescaled to the configured total).
-        sim_ops: u64,
-        /// Operations batched per simulation event.
-        ops_per_event: u64,
-    },
+impl ModelSpec {
+    /// The variant's family: the one place the pipeline dispatches on the model.
+    fn family(&self) -> &dyn Family {
+        match self {
+            ModelSpec::Analytic(a) => a,
+            ModelSpec::Parcels(p) => p,
+            ModelSpec::Measured(m) => m,
+        }
+    }
 }
 
-/// Grid and base configuration of an `"analytic"` spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyticSpec {
-    /// Base `SystemConfig` (Table 1 plus any `config` overrides). Its `p_miss` and
-    /// `mix` fields are placeholders — both are grid axes, overridden per point.
-    pub base: SystemConfig,
-    /// Evaluation mode.
-    pub mode: AnalyticMode,
-    /// Test-system node counts (axis; all in `1..=2^20`).
-    pub node_counts: Vec<usize>,
-    /// Lightweight-work fractions `%WL` in `[0, 1]` (axis).
-    pub lwp_fractions: Vec<f64>,
-    /// Host cache miss rates in `[0, 1]` (axis; defaults to Table 1's `[0.1]`).
-    pub p_miss: Vec<f64>,
-    /// Memory mixes `mix_l/s` in `[0, 1]` (axis; defaults to Table 1's `[0.3]`).
-    pub memory_mix: Vec<f64>,
+/// Everything the spec pipeline needs from one model family. Units run on worker
+/// threads and borrow their family, hence `Sync`.
+trait Family: Sync {
+    /// Wire name: the spec's `"model"` value.
+    fn name(&self) -> &'static str;
+    /// Full column set, in row order.
+    fn columns(&self) -> &'static [&'static str];
+    /// The headline metric: its name and the column whose maximum it reports.
+    fn headline(&self) -> (&'static str, usize);
+    /// The length of every grid axis, outermost first: grid points are numbered
+    /// row-major over these, the last axis varying fastest.
+    fn axes(&self) -> Vec<usize>;
+    /// Family invariants. Runs after the unit cap, so it may walk the grid.
+    fn validate(&self) -> Result<(), String>;
+    /// The canonical `config` section, every default resolved.
+    fn config(&self) -> Value;
+    /// The canonical `grid` section.
+    fn grid(&self) -> Value;
+    /// The full row of one unit: the grid point at `coords` (one index per axis),
+    /// replication `rep`, drawing from the unit's `seed`.
+    fn row(&self, coords: &[usize], rep: usize, seed: u64) -> Vec<Value>;
 }
-
-/// Grid and base configuration of a `"parcels"` spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParcelsSpec {
-    /// Base `ParcelConfig` (defaults plus any `config` overrides; the horizon
-    /// defaults to 500k cycles, the figure-11 setting, rather than the library
-    /// default of 2M, to keep spec grids affordable). Its `nodes`, `parallelism`,
-    /// `latency_cycles`, `remote_fraction` and `parcel_overhead_cycles` fields are
-    /// placeholders — all five are grid axes.
-    pub base: ParcelConfig,
-    /// The combined load/store fraction `base.mix` was built from. Stored separately
-    /// because `InstructionMix::with_memory_fraction` splits the scalar 2:1 in
-    /// floating point — recovering it from `base.mix.memory_fraction()` would not
-    /// round-trip bit-exactly through the canonical JSON form.
-    pub memory_mix: f64,
-    /// Node counts (axis; all in `1..=2^20`).
-    pub node_counts: Vec<usize>,
-    /// Degrees of parallelism (axis; all in `1..=2^20`).
-    pub parallelisms: Vec<usize>,
-    /// One-way latencies in cycles (axis; finite, ≥ 0).
-    pub latencies: Vec<f64>,
-    /// Remote-access fractions in `[0, 1]` (axis).
-    pub remote_fractions: Vec<f64>,
-    /// Per-parcel handling overheads in cycles (axis; defaults to `[4.0]`).
-    pub overheads: Vec<f64>,
-}
-
-/// Grid and base configuration of a `"measured"` spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredSpec {
-    /// Operations drawn from the stream per unit.
-    pub ops: u64,
-    /// Host cache capacity in bytes.
-    pub cache_bytes: u64,
-    /// Host cache line size in bytes (power of two).
-    pub cache_line_bytes: u64,
-    /// Host cache associativity.
-    pub cache_ways: usize,
-    /// Rows in the DRAM bank.
-    pub bank_rows: u64,
-    /// Address patterns (axis), in pim-workload's externally-tagged JSON form, e.g.
-    /// `{"UniformRandom": {"footprint": 1048576, "line": 64}}`.
-    pub patterns: Vec<AddressPattern>,
-    /// Memory mixes `mix_l/s` in `[0, 1]` (axis).
-    pub memory_fractions: Vec<f64>,
-}
-
-/// Full column sets per family, in row order.
-const ANALYTIC_COLUMNS: &[&str] = &[
-    "nodes",
-    "pct_lwp",
-    "p_miss",
-    "memory_mix",
-    "replication",
-    "gain",
-    "relative_time",
-    "control_ns",
-    "test_ns",
-];
-const PARCELS_COLUMNS: &[&str] = &[
-    "nodes",
-    "parallelism",
-    "latency_cycles",
-    "remote_pct",
-    "overhead_cycles",
-    "replication",
-    "ops_ratio",
-    "test_idle_frac",
-    "control_idle_frac",
-];
-const MEASURED_COLUMNS: &[&str] = &[
-    "pattern",
-    "memory_fraction",
-    "replication",
-    "memory_accesses",
-    "host_miss_rate",
-    "row_hit_rate",
-    "mean_dram_latency_ns",
-    "achieved_gbit_per_s",
-];
 
 impl ScenarioSpec {
     /// The family's wire name (`"analytic"` / `"parcels"` / `"measured"`).
     pub fn family(&self) -> &'static str {
-        match self.model {
-            ModelSpec::Analytic(_) => "analytic",
-            ModelSpec::Parcels(_) => "parcels",
-            ModelSpec::Measured(_) => "measured",
-        }
+        self.model.family().name()
     }
 
     /// Number of grid points (cartesian product of the family's axes). Saturates at
@@ -254,26 +182,8 @@ impl ScenarioSpec {
     /// rejects as above the cap — an absurd axis product must become an `Err`, not
     /// a wrapped small number that sneaks past the gate.
     pub fn grid_points(&self) -> usize {
-        let product = |axes: &[usize]| {
-            axes.iter()
-                .fold(1usize, |acc, &len| acc.saturating_mul(len))
-        };
-        match &self.model {
-            ModelSpec::Analytic(a) => product(&[
-                a.node_counts.len(),
-                a.lwp_fractions.len(),
-                a.p_miss.len(),
-                a.memory_mix.len(),
-            ]),
-            ModelSpec::Parcels(p) => product(&[
-                p.node_counts.len(),
-                p.parallelisms.len(),
-                p.latencies.len(),
-                p.remote_fractions.len(),
-                p.overheads.len(),
-            ]),
-            ModelSpec::Measured(m) => product(&[m.patterns.len(), m.memory_fractions.len()]),
-        }
+        let axes = self.model.family().axes();
+        axes.iter().fold(1, |n, &len| n.saturating_mul(len))
     }
 
     /// Number of plan units (`grid points × replications`), saturating like
@@ -284,11 +194,7 @@ impl ScenarioSpec {
 
     /// The family's full column set.
     pub fn available_columns(&self) -> &'static [&'static str] {
-        match self.model {
-            ModelSpec::Analytic(_) => ANALYTIC_COLUMNS,
-            ModelSpec::Parcels(_) => PARCELS_COLUMNS,
-            ModelSpec::Measured(_) => MEASURED_COLUMNS,
-        }
+        self.model.family().columns()
     }
 
     /// The columns a run will emit (the selected subset, or every column).
@@ -329,7 +235,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        // Size gate first: the family validators enumerate every grid point, so an
+        // Size gate first: the family validators walk every grid point, so an
         // absurd grid must be rejected before they run. (Empty axes — grid_points of
         // zero — are caught by the family validators, which name the empty axis.)
         if self.units() > MAX_UNITS {
@@ -339,12 +245,7 @@ impl ScenarioSpec {
                 MAX_UNITS
             ));
         }
-        match &self.model {
-            ModelSpec::Analytic(a) => a.validate()?,
-            ModelSpec::Parcels(p) => p.validate()?,
-            ModelSpec::Measured(m) => m.validate()?,
-        }
-        Ok(())
+        self.model.family().validate()
     }
 
     /// Compile the spec into a registrable scenario.
@@ -411,7 +312,112 @@ fn validate_count_axis(name: &str, values: &[usize]) -> Result<(), String> {
     Ok(())
 }
 
+/// Check the parcels family's scalar memory mix: finite, in `[0, 1]`.
+fn validate_memory_mix(memory_mix: f64) -> Result<(), String> {
+    if !memory_mix.is_finite() || !(0.0..=1.0).contains(&memory_mix) {
+        return Err(format!(
+            "spec.config.memory_mix must lie in [0, 1], got {memory_mix}"
+        ));
+    }
+    Ok(())
+}
+
+/// The coordinates of grid point `point`, numbered row-major over `axes`.
+fn grid_coords(mut point: usize, axes: &[usize]) -> Vec<usize> {
+    let mut coords = vec![0; axes.len()];
+    for (c, &len) in coords.iter_mut().zip(axes).rev() {
+        *c = point % len;
+        point /= len;
+    }
+    coords
+}
+
+/// A JSON object of `entries`, in order.
+fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Map(entries.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+// ---------------------------------------------------------------------------
+// Analytic family
+// ---------------------------------------------------------------------------
+
+/// Evaluation mode of the analytic family.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AnalyticMode {
+    /// Closed-form expected values (seed-independent).
+    Expected,
+    /// The sampled queuing simulation.
+    Simulated {
+        /// Operations actually simulated per point (rescaled to the configured total).
+        sim_ops: u64,
+        /// Operations batched per simulation event.
+        ops_per_event: u64,
+    },
+}
+
+/// Grid and base configuration of an `"analytic"` spec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnalyticSpec {
+    /// Base `SystemConfig` (Table 1 plus any `config` overrides). Its `p_miss` and
+    /// `mix` fields are placeholders — both are grid axes, overridden per point.
+    pub base: SystemConfig,
+    /// Evaluation mode.
+    pub mode: AnalyticMode,
+    /// Test-system node counts (axis; all in `1..=2^20`).
+    pub node_counts: Vec<usize>,
+    /// Lightweight-work fractions `%WL` in `[0, 1]` (axis).
+    pub lwp_fractions: Vec<f64>,
+    /// Host cache miss rates in `[0, 1]` (axis; defaults to Table 1's `[0.1]`).
+    pub p_miss: Vec<f64>,
+    /// Memory mixes `mix_l/s` in `[0, 1]` (axis; defaults to Table 1's `[0.3]`).
+    pub memory_mix: Vec<f64>,
+}
+
+const ANALYTIC_COLUMNS: &[&str] = &[
+    "nodes",
+    "pct_lwp",
+    "p_miss",
+    "memory_mix",
+    "replication",
+    "gain",
+    "relative_time",
+    "control_ns",
+    "test_ns",
+];
+
 impl AnalyticSpec {
+    /// The base configuration at one `(p_miss, memory_mix)` grid value.
+    fn system_config(&self, p_miss: f64, memory_mix: f64) -> SystemConfig {
+        SystemConfig {
+            p_miss,
+            mix: InstructionMix::with_memory_fraction(memory_mix),
+            ..self.base
+        }
+    }
+}
+
+impl Family for AnalyticSpec {
+    fn name(&self) -> &'static str {
+        "analytic"
+    }
+
+    fn columns(&self) -> &'static [&'static str] {
+        ANALYTIC_COLUMNS
+    }
+
+    fn headline(&self) -> (&'static str, usize) {
+        ("max_gain", 5)
+    }
+
+    fn axes(&self) -> Vec<usize> {
+        vec![
+            self.node_counts.len(),
+            self.lwp_fractions.len(),
+            self.p_miss.len(),
+            self.memory_mix.len(),
+        ]
+    }
+
     fn validate(&self) -> Result<(), String> {
         validate_count_axis("node_counts", &self.node_counts)?;
         validate_fraction_axis("lwp_fractions", &self.lwp_fractions)?;
@@ -430,10 +436,7 @@ impl AnalyticSpec {
         // range-checked above, so this catches bad `config` overrides.
         for &pm in &self.p_miss {
             for &mx in &self.memory_mix {
-                let mut config = self.base;
-                config.p_miss = pm;
-                config.mix = InstructionMix::with_memory_fraction(mx);
-                config.validate().map_err(|e| {
+                self.system_config(pm, mx).validate().map_err(|e| {
                     format!("invalid analytic config at p_miss={pm}, mix={mx}: {e}")
                 })?;
             }
@@ -441,38 +444,204 @@ impl AnalyticSpec {
         Ok(())
     }
 
-    /// Enumerate `(nodes, wl, p_miss, memory_mix)` points in row-major axis order.
-    fn points(&self) -> Vec<(usize, f64, f64, f64)> {
-        let mut out = Vec::with_capacity(
-            self.node_counts.len()
-                * self.lwp_fractions.len()
-                * self.p_miss.len()
-                * self.memory_mix.len(),
-        );
-        for &n in &self.node_counts {
-            for &wl in &self.lwp_fractions {
-                for &pm in &self.p_miss {
-                    for &mx in &self.memory_mix {
-                        out.push((n, wl, pm, mx));
-                    }
-                }
-            }
-        }
-        out
+    fn config(&self) -> Value {
+        let b = &self.base;
+        let mode = match self.mode {
+            AnalyticMode::Expected => Value::Str("expected".into()),
+            AnalyticMode::Simulated {
+                sim_ops,
+                ops_per_event,
+            } => object([(
+                "simulated",
+                object([
+                    ("sim_ops", sim_ops.to_value()),
+                    ("ops_per_event", ops_per_event.to_value()),
+                ]),
+            )]),
+        };
+        object([
+            ("total_ops", b.total_ops.to_value()),
+            ("hwp_cycle_ns", b.hwp_cycle_ns.to_value()),
+            ("lwp_cycle_ns", b.lwp_cycle_ns.to_value()),
+            ("hwp_memory_cycles", b.hwp_memory_cycles.to_value()),
+            ("hwp_cache_cycles", b.hwp_cache_cycles.to_value()),
+            ("lwp_memory_cycles", b.lwp_memory_cycles.to_value()),
+            ("mode", mode),
+        ])
+    }
+
+    fn grid(&self) -> Value {
+        object([
+            ("node_counts", self.node_counts.to_value()),
+            ("lwp_fractions", self.lwp_fractions.to_value()),
+            ("p_miss", self.p_miss.to_value()),
+            ("memory_mix", self.memory_mix.to_value()),
+        ])
+    }
+
+    fn row(&self, coords: &[usize], rep: usize, seed: u64) -> Vec<Value> {
+        let (n, wl) = (self.node_counts[coords[0]], self.lwp_fractions[coords[1]]);
+        let (pm, mx) = (self.p_miss[coords[2]], self.memory_mix[coords[3]]);
+        let eval = match self.mode {
+            AnalyticMode::Expected => EvalMode::Expected,
+            AnalyticMode::Simulated {
+                sim_ops,
+                ops_per_event,
+            } => EvalMode::Simulated {
+                sim_ops: Some(sim_ops),
+                ops_per_event,
+                seed,
+            },
+        };
+        let p = PartitionStudy::new(self.system_config(pm, mx)).evaluate(n, wl, eval);
+        vec![
+            Value::U64(n as u64),
+            Value::F64(wl * 100.0),
+            Value::F64(pm),
+            Value::F64(mx),
+            Value::U64(rep as u64),
+            Value::F64(p.gain),
+            Value::F64(p.relative_time),
+            Value::F64(p.control_ns),
+            Value::F64(p.test_ns),
+        ]
     }
 }
 
-impl ParcelsSpec {
-    /// The base configuration before overrides: library defaults with the
-    /// figure-11 horizon.
-    fn default_base() -> ParcelConfig {
-        ParcelConfig {
-            horizon_cycles: 500_000.0,
-            ..Default::default()
+fn parse_analytic(config: Option<&Value>, grid: &Value) -> Result<AnalyticSpec, String> {
+    let table1 = SystemConfig::table1();
+    let mut c = config_reader(config)?;
+    let base = SystemConfig {
+        total_ops: c.opt("total_ops", table1.total_ops)?,
+        hwp_cycle_ns: c.opt("hwp_cycle_ns", table1.hwp_cycle_ns)?,
+        lwp_cycle_ns: c.opt("lwp_cycle_ns", table1.lwp_cycle_ns)?,
+        hwp_memory_cycles: c.opt("hwp_memory_cycles", table1.hwp_memory_cycles)?,
+        hwp_cache_cycles: c.opt("hwp_cache_cycles", table1.hwp_cache_cycles)?,
+        lwp_memory_cycles: c.opt("lwp_memory_cycles", table1.lwp_memory_cycles)?,
+        // Grid axes; the Table 1 values here are placeholders overridden per point.
+        p_miss: table1.p_miss,
+        mix: table1.mix,
+    };
+    let mode = match c.get("mode") {
+        None | Some(Value::Null) => AnalyticMode::Expected,
+        Some(Value::Str(s)) if s == "expected" => AnalyticMode::Expected,
+        Some(Value::Str(s)) => {
+            return Err(format!(
+                "spec.config.mode must be \"expected\" or {{\"simulated\": …}}, got \"{s}\""
+            ))
         }
+        Some(v) => {
+            let mut m = MapReader::new(v, "spec.config.mode")?;
+            let sim = m.require("simulated")?;
+            m.finish()?;
+            let mut s = MapReader::new(sim, "spec.config.mode.simulated")?;
+            let mode = AnalyticMode::Simulated {
+                sim_ops: s.opt("sim_ops", 200_000)?,
+                ops_per_event: s.opt("ops_per_event", 64)?,
+            };
+            s.finish()?;
+            mode
+        }
+    };
+    c.finish()?;
+    let mut g = MapReader::new(grid, "spec.grid")?;
+    let spec = AnalyticSpec {
+        base,
+        mode,
+        node_counts: g.field("node_counts")?,
+        lwp_fractions: g.field("lwp_fractions")?,
+        p_miss: g.opt("p_miss", vec![table1.p_miss])?,
+        memory_mix: g.opt("memory_mix", vec![table1.mix.memory_fraction()])?,
+    };
+    g.finish()?;
+    Ok(spec)
+}
+
+// ---------------------------------------------------------------------------
+// Parcels family
+// ---------------------------------------------------------------------------
+
+/// Grid and base configuration of a `"parcels"` spec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParcelsSpec {
+    /// Base `ParcelConfig` (defaults plus any `config` overrides; the horizon
+    /// defaults to 500k cycles, the figure-11 setting, rather than the library
+    /// default of 2M, to keep spec grids affordable). Its `nodes`, `parallelism`,
+    /// `latency_cycles`, `remote_fraction` and `parcel_overhead_cycles` fields are
+    /// placeholders — all five are grid axes — and its `mix` is never read: every
+    /// point builds its mix from [`memory_mix`](Self::memory_mix).
+    pub base: ParcelConfig,
+    /// The combined load/store fraction every point's mix is built from (in
+    /// `[0, 1]`). It is the copy the canonical form carries, so it is the one that
+    /// keys the units. Stored as a scalar because
+    /// `InstructionMix::with_memory_fraction` splits it 2:1 in floating point —
+    /// recovering it from a mix's `memory_fraction()` would not round-trip
+    /// bit-exactly through the canonical JSON form.
+    pub memory_mix: f64,
+    /// Node counts (axis; all in `1..=2^20`).
+    pub node_counts: Vec<usize>,
+    /// Degrees of parallelism (axis; all in `1..=2^20`).
+    pub parallelisms: Vec<usize>,
+    /// One-way latencies in cycles (axis; finite, ≥ 0).
+    pub latencies: Vec<f64>,
+    /// Remote-access fractions in `[0, 1]` (axis).
+    pub remote_fractions: Vec<f64>,
+    /// Per-parcel handling overheads in cycles (axis; defaults to `[4.0]`).
+    pub overheads: Vec<f64>,
+}
+
+const PARCELS_COLUMNS: &[&str] = &[
+    "nodes",
+    "parallelism",
+    "latency_cycles",
+    "remote_pct",
+    "overhead_cycles",
+    "replication",
+    "ops_ratio",
+    "test_idle_frac",
+    "control_idle_frac",
+];
+
+impl ParcelsSpec {
+    /// The configuration of the grid point at `coords`.
+    fn point_config(&self, coords: &[usize]) -> ParcelConfig {
+        ParcelConfig {
+            nodes: self.node_counts[coords[0]],
+            parallelism: self.parallelisms[coords[1]],
+            latency_cycles: self.latencies[coords[2]],
+            remote_fraction: self.remote_fractions[coords[3]],
+            parcel_overhead_cycles: self.overheads[coords[4]],
+            mix: InstructionMix::with_memory_fraction(self.memory_mix),
+            ..self.base
+        }
+    }
+}
+
+impl Family for ParcelsSpec {
+    fn name(&self) -> &'static str {
+        "parcels"
+    }
+
+    fn columns(&self) -> &'static [&'static str] {
+        PARCELS_COLUMNS
+    }
+
+    fn headline(&self) -> (&'static str, usize) {
+        ("max_ops_ratio", 6)
+    }
+
+    fn axes(&self) -> Vec<usize> {
+        vec![
+            self.node_counts.len(),
+            self.parallelisms.len(),
+            self.latencies.len(),
+            self.remote_fractions.len(),
+            self.overheads.len(),
+        ]
     }
 
     fn validate(&self) -> Result<(), String> {
+        validate_memory_mix(self.memory_mix)?;
         validate_count_axis("node_counts", &self.node_counts)?;
         validate_count_axis("parallelisms", &self.parallelisms)?;
         validate_fraction_axis("remote_fractions", &self.remote_fractions)?;
@@ -483,8 +652,10 @@ impl ParcelsSpec {
             return Err("grid.overheads must not be empty".into());
         }
         // Delegate per-point range checking (finite latencies/overheads, positive
-        // horizon, …) to ParcelConfig::validate on every grid combination.
-        for config in self.configs() {
+        // horizon, …) to ParcelConfig::validate on every grid point, in row order.
+        let axes = self.axes();
+        for point in 0..axes.iter().product() {
+            let config = self.point_config(&grid_coords(point, &axes));
             config.validate().map_err(|e| {
                 format!(
                     "invalid parcel config at nodes={}, parallelism={}, latency={}, \
@@ -500,32 +671,141 @@ impl ParcelsSpec {
         Ok(())
     }
 
-    /// Enumerate the per-point configurations in row-major axis order.
-    fn configs(&self) -> Vec<ParcelConfig> {
-        let mut out = Vec::new();
-        for &n in &self.node_counts {
-            for &p in &self.parallelisms {
-                for &l in &self.latencies {
-                    for &r in &self.remote_fractions {
-                        for &o in &self.overheads {
-                            out.push(ParcelConfig {
-                                nodes: n,
-                                parallelism: p,
-                                latency_cycles: l,
-                                remote_fraction: r,
-                                parcel_overhead_cycles: o,
-                                ..self.base
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
+    fn config(&self) -> Value {
+        let b = &self.base;
+        object([
+            ("cycle_ns", b.cycle_ns.to_value()),
+            ("memory_mix", self.memory_mix.to_value()),
+            ("local_memory_cycles", b.local_memory_cycles.to_value()),
+            ("horizon_cycles", b.horizon_cycles.to_value()),
+        ])
+    }
+
+    fn grid(&self) -> Value {
+        object([
+            ("node_counts", self.node_counts.to_value()),
+            ("parallelisms", self.parallelisms.to_value()),
+            ("latencies", self.latencies.to_value()),
+            ("remote_fractions", self.remote_fractions.to_value()),
+            ("overheads", self.overheads.to_value()),
+        ])
+    }
+
+    fn row(&self, coords: &[usize], rep: usize, seed: u64) -> Vec<Value> {
+        let config = self.point_config(coords);
+        let point = evaluate_point(config, seed);
+        vec![
+            Value::U64(point.nodes as u64),
+            Value::U64(point.parallelism as u64),
+            Value::F64(point.latency_cycles),
+            Value::F64(point.remote_fraction * 100.0),
+            Value::F64(config.parcel_overhead_cycles),
+            Value::U64(rep as u64),
+            Value::F64(point.ops_ratio),
+            Value::F64(point.test_idle_fraction),
+            Value::F64(point.control_idle_fraction),
+        ]
     }
 }
 
+fn parse_parcels(config: Option<&Value>, grid: &Value) -> Result<ParcelsSpec, String> {
+    // Library defaults with the figure-11 horizon.
+    let defaults = ParcelConfig {
+        horizon_cycles: 500_000.0,
+        ..Default::default()
+    };
+    let mut c = config_reader(config)?;
+    let memory_mix: f64 = c.opt("memory_mix", 0.3)?;
+    // `validate` checks this too; checking it here keeps the parser's fault order.
+    validate_memory_mix(memory_mix)?;
+    let base = ParcelConfig {
+        cycle_ns: c.opt("cycle_ns", defaults.cycle_ns)?,
+        mix: InstructionMix::with_memory_fraction(memory_mix),
+        local_memory_cycles: c.opt("local_memory_cycles", defaults.local_memory_cycles)?,
+        horizon_cycles: c.opt("horizon_cycles", defaults.horizon_cycles)?,
+        ..defaults
+    };
+    c.finish()?;
+    let mut g = MapReader::new(grid, "spec.grid")?;
+    let spec = ParcelsSpec {
+        node_counts: g.field("node_counts")?,
+        parallelisms: g.field("parallelisms")?,
+        latencies: g.field("latencies")?,
+        remote_fractions: g.field("remote_fractions")?,
+        overheads: g.opt("overheads", vec![defaults.parcel_overhead_cycles])?,
+        base,
+        memory_mix,
+    };
+    g.finish()?;
+    Ok(spec)
+}
+
+// ---------------------------------------------------------------------------
+// Measured family
+// ---------------------------------------------------------------------------
+
+/// Grid and base configuration of a `"measured"` spec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeasuredSpec {
+    /// Operations drawn from the stream per unit.
+    pub ops: u64,
+    /// Host cache capacity in bytes.
+    pub cache_bytes: u64,
+    /// Host cache line size in bytes (power of two).
+    pub cache_line_bytes: u64,
+    /// Host cache associativity.
+    pub cache_ways: usize,
+    /// Rows in the DRAM bank.
+    pub bank_rows: u64,
+    /// Address patterns (axis), in pim-workload's externally-tagged JSON form, e.g.
+    /// `{"UniformRandom": {"footprint": 1048576, "line": 64}}`.
+    pub patterns: Vec<AddressPattern>,
+    /// Memory mixes `mix_l/s` in `[0, 1]` (axis).
+    pub memory_fractions: Vec<f64>,
+}
+
+const MEASURED_COLUMNS: &[&str] = &[
+    "pattern",
+    "memory_fraction",
+    "replication",
+    "memory_accesses",
+    "host_miss_rate",
+    "row_hit_rate",
+    "mean_dram_latency_ns",
+    "achieved_gbit_per_s",
+];
+
 impl MeasuredSpec {
+    fn measure_config(&self, pattern: &AddressPattern, memory_fraction: f64) -> MeasureConfig {
+        MeasureConfig {
+            ops: self.ops,
+            mix: InstructionMix::with_memory_fraction(memory_fraction),
+            pattern: pattern.clone(),
+            cache_bytes: self.cache_bytes,
+            cache_line_bytes: self.cache_line_bytes,
+            cache_ways: self.cache_ways,
+            bank_rows: self.bank_rows,
+        }
+    }
+}
+
+impl Family for MeasuredSpec {
+    fn name(&self) -> &'static str {
+        "measured"
+    }
+
+    fn columns(&self) -> &'static [&'static str] {
+        MEASURED_COLUMNS
+    }
+
+    fn headline(&self) -> (&'static str, usize) {
+        ("max_host_miss_rate", 4)
+    }
+
+    fn axes(&self) -> Vec<usize> {
+        vec![self.patterns.len(), self.memory_fractions.len()]
+    }
+
     fn validate(&self) -> Result<(), String> {
         if self.patterns.is_empty() {
             return Err("grid.patterns must not be empty".into());
@@ -539,17 +819,107 @@ impl MeasuredSpec {
             .validate()
     }
 
-    fn measure_config(&self, pattern: &AddressPattern, memory_fraction: f64) -> MeasureConfig {
-        MeasureConfig {
-            ops: self.ops,
-            mix: InstructionMix::with_memory_fraction(memory_fraction),
-            pattern: pattern.clone(),
-            cache_bytes: self.cache_bytes,
-            cache_line_bytes: self.cache_line_bytes,
-            cache_ways: self.cache_ways,
-            bank_rows: self.bank_rows,
-        }
+    fn config(&self) -> Value {
+        object([
+            ("ops", self.ops.to_value()),
+            ("cache_bytes", self.cache_bytes.to_value()),
+            ("cache_line_bytes", self.cache_line_bytes.to_value()),
+            ("cache_ways", self.cache_ways.to_value()),
+            ("bank_rows", self.bank_rows.to_value()),
+        ])
     }
+
+    fn grid(&self) -> Value {
+        object([
+            ("patterns", self.patterns.to_value()),
+            ("memory_fractions", self.memory_fractions.to_value()),
+        ])
+    }
+
+    fn row(&self, coords: &[usize], rep: usize, seed: u64) -> Vec<Value> {
+        let (pattern, mx) = (&self.patterns[coords[0]], self.memory_fractions[coords[1]]);
+        let s = measure_stream(&self.measure_config(pattern, mx), seed);
+        vec![
+            Value::Str(pattern_label(pattern)),
+            Value::F64(mx),
+            Value::U64(rep as u64),
+            Value::U64(s.memory_accesses),
+            Value::F64(s.host_miss_rate),
+            Value::F64(s.row_hit_rate),
+            Value::F64(s.mean_dram_latency_ns),
+            Value::F64(s.achieved_gbit_per_s),
+        ]
+    }
+}
+
+fn parse_measured(config: Option<&Value>, grid: &Value) -> Result<MeasuredSpec, String> {
+    let mut c = config_reader(config)?;
+    let ops = c.opt("ops", 100_000u64)?;
+    let cache_bytes = c.opt("cache_bytes", 64 * 1024u64)?;
+    let cache_line_bytes = c.opt("cache_line_bytes", 64u64)?;
+    let cache_ways = c.opt("cache_ways", 4usize)?;
+    let bank_rows = c.opt("bank_rows", 1024u64)?;
+    c.finish()?;
+    let mut g = MapReader::new(grid, "spec.grid")?;
+    let patterns_value = g.require("patterns")?;
+    let Value::Seq(items) = patterns_value else {
+        return Err("spec.grid.patterns must be an array".into());
+    };
+    let mut patterns = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        patterns.push(parse_pattern(item).map_err(|e| format!("spec.grid.patterns[{i}]: {e}"))?);
+    }
+    let spec = MeasuredSpec {
+        ops,
+        cache_bytes,
+        cache_line_bytes,
+        cache_ways,
+        bank_rows,
+        patterns,
+        memory_fractions: g.field("memory_fractions")?,
+    };
+    g.finish()?;
+    Ok(spec)
+}
+
+/// Parse one externally-tagged address pattern with the same strictness as every
+/// other spec section: exactly one known variant tag, and no unknown or duplicate
+/// fields inside the payload (the derived `AddressPattern::from_value` would
+/// silently ignore extras, breaking the "unknown fields are rejected" contract).
+fn parse_pattern(v: &Value) -> Result<AddressPattern, String> {
+    let Value::Map(entries) = v else {
+        return Err(
+            "pattern must be an object like {\"Sequential\": {\"stride\": 64}}; known \
+             variants: Sequential, UniformRandom, Zipf"
+                .into(),
+        );
+    };
+    let [(tag, payload)] = entries.as_slice() else {
+        return Err("pattern must have exactly one variant tag".into());
+    };
+    let mut p = MapReader::new(payload, "pattern payload")?;
+    let pattern = match tag.as_str() {
+        "Sequential" => AddressPattern::Sequential {
+            stride: p.field("stride")?,
+        },
+        "UniformRandom" => AddressPattern::UniformRandom {
+            footprint: p.field("footprint")?,
+            line: p.field("line")?,
+        },
+        "Zipf" => AddressPattern::Zipf {
+            footprint: p.field("footprint")?,
+            line: p.field("line")?,
+            exponent: p.field("exponent")?,
+        },
+        other => {
+            return Err(format!(
+                "unknown pattern variant '{other}'; known variants: Sequential, \
+                 UniformRandom, Zipf"
+            ))
+        }
+    };
+    p.finish()?;
+    Ok(pattern)
 }
 
 // ---------------------------------------------------------------------------
@@ -697,264 +1067,27 @@ fn config_reader<'a>(config: Option<&'a Value>) -> Result<MapReader<'a>, String>
     }
 }
 
-fn parse_analytic(config: Option<&Value>, grid: &Value) -> Result<AnalyticSpec, String> {
-    let table1 = SystemConfig::table1();
-    let mut c = config_reader(config)?;
-    let base = SystemConfig {
-        total_ops: c.opt("total_ops", table1.total_ops)?,
-        hwp_cycle_ns: c.opt("hwp_cycle_ns", table1.hwp_cycle_ns)?,
-        lwp_cycle_ns: c.opt("lwp_cycle_ns", table1.lwp_cycle_ns)?,
-        hwp_memory_cycles: c.opt("hwp_memory_cycles", table1.hwp_memory_cycles)?,
-        hwp_cache_cycles: c.opt("hwp_cache_cycles", table1.hwp_cache_cycles)?,
-        lwp_memory_cycles: c.opt("lwp_memory_cycles", table1.lwp_memory_cycles)?,
-        // Grid axes; the Table 1 values here are placeholders overridden per point.
-        p_miss: table1.p_miss,
-        mix: table1.mix,
-    };
-    let mode = match c.get("mode") {
-        None | Some(Value::Null) => AnalyticMode::Expected,
-        Some(Value::Str(s)) if s == "expected" => AnalyticMode::Expected,
-        Some(Value::Str(s)) => {
-            return Err(format!(
-                "spec.config.mode must be \"expected\" or {{\"simulated\": …}}, got \"{s}\""
-            ))
-        }
-        Some(v) => {
-            let mut m = MapReader::new(v, "spec.config.mode")?;
-            let sim = m.require("simulated")?;
-            m.finish()?;
-            let mut s = MapReader::new(sim, "spec.config.mode.simulated")?;
-            let mode = AnalyticMode::Simulated {
-                sim_ops: s.opt("sim_ops", 200_000)?,
-                ops_per_event: s.opt("ops_per_event", 64)?,
-            };
-            s.finish()?;
-            mode
-        }
-    };
-    c.finish()?;
-    let mut g = MapReader::new(grid, "spec.grid")?;
-    let spec = AnalyticSpec {
-        base,
-        mode,
-        node_counts: g.field("node_counts")?,
-        lwp_fractions: g.field("lwp_fractions")?,
-        p_miss: g.opt("p_miss", vec![table1.p_miss])?,
-        memory_mix: g.opt("memory_mix", vec![table1.mix.memory_fraction()])?,
-    };
-    g.finish()?;
-    Ok(spec)
-}
-
-fn parse_parcels(config: Option<&Value>, grid: &Value) -> Result<ParcelsSpec, String> {
-    let defaults = ParcelsSpec::default_base();
-    let mut c = config_reader(config)?;
-    let memory_mix: f64 = c.opt("memory_mix", 0.3)?;
-    if !memory_mix.is_finite() || !(0.0..=1.0).contains(&memory_mix) {
-        return Err(format!(
-            "spec.config.memory_mix must lie in [0, 1], got {memory_mix}"
-        ));
-    }
-    let base = ParcelConfig {
-        cycle_ns: c.opt("cycle_ns", defaults.cycle_ns)?,
-        mix: InstructionMix::with_memory_fraction(memory_mix),
-        local_memory_cycles: c.opt("local_memory_cycles", defaults.local_memory_cycles)?,
-        horizon_cycles: c.opt("horizon_cycles", defaults.horizon_cycles)?,
-        ..defaults
-    };
-    c.finish()?;
-    let mut g = MapReader::new(grid, "spec.grid")?;
-    let spec = ParcelsSpec {
-        node_counts: g.field("node_counts")?,
-        parallelisms: g.field("parallelisms")?,
-        latencies: g.field("latencies")?,
-        remote_fractions: g.field("remote_fractions")?,
-        overheads: g.opt("overheads", vec![defaults.parcel_overhead_cycles])?,
-        base,
-        memory_mix,
-    };
-    g.finish()?;
-    Ok(spec)
-}
-
-fn parse_measured(config: Option<&Value>, grid: &Value) -> Result<MeasuredSpec, String> {
-    let mut c = config_reader(config)?;
-    let ops = c.opt("ops", 100_000u64)?;
-    let cache_bytes = c.opt("cache_bytes", 64 * 1024u64)?;
-    let cache_line_bytes = c.opt("cache_line_bytes", 64u64)?;
-    let cache_ways = c.opt("cache_ways", 4usize)?;
-    let bank_rows = c.opt("bank_rows", 1024u64)?;
-    c.finish()?;
-    let mut g = MapReader::new(grid, "spec.grid")?;
-    let patterns_value = g.require("patterns")?;
-    let Value::Seq(items) = patterns_value else {
-        return Err("spec.grid.patterns must be an array".into());
-    };
-    let mut patterns = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        patterns.push(parse_pattern(item).map_err(|e| format!("spec.grid.patterns[{i}]: {e}"))?);
-    }
-    let spec = MeasuredSpec {
-        ops,
-        cache_bytes,
-        cache_line_bytes,
-        cache_ways,
-        bank_rows,
-        patterns,
-        memory_fractions: g.field("memory_fractions")?,
-    };
-    g.finish()?;
-    Ok(spec)
-}
-
-/// Parse one externally-tagged address pattern with the same strictness as every
-/// other spec section: exactly one known variant tag, and no unknown or duplicate
-/// fields inside the payload (the derived `AddressPattern::from_value` would
-/// silently ignore extras, breaking the "unknown fields are rejected" contract).
-fn parse_pattern(v: &Value) -> Result<AddressPattern, String> {
-    let Value::Map(entries) = v else {
-        return Err(
-            "pattern must be an object like {\"Sequential\": {\"stride\": 64}}; known \
-             variants: Sequential, UniformRandom, Zipf"
-                .into(),
-        );
-    };
-    let [(tag, payload)] = entries.as_slice() else {
-        return Err("pattern must have exactly one variant tag".into());
-    };
-    let mut p = MapReader::new(payload, "pattern payload")?;
-    let pattern = match tag.as_str() {
-        "Sequential" => AddressPattern::Sequential {
-            stride: p.field("stride")?,
-        },
-        "UniformRandom" => AddressPattern::UniformRandom {
-            footprint: p.field("footprint")?,
-            line: p.field("line")?,
-        },
-        "Zipf" => AddressPattern::Zipf {
-            footprint: p.field("footprint")?,
-            line: p.field("line")?,
-            exponent: p.field("exponent")?,
-        },
-        other => {
-            return Err(format!(
-                "unknown pattern variant '{other}'; known variants: Sequential, \
-                 UniformRandom, Zipf"
-            ))
-        }
-    };
-    p.finish()?;
-    Ok(pattern)
-}
-
 // ---------------------------------------------------------------------------
 // Serialization (canonical form: every default resolved)
 // ---------------------------------------------------------------------------
 
 impl Serialize for ScenarioSpec {
     fn to_value(&self) -> Value {
-        let (config, grid) = match &self.model {
-            ModelSpec::Analytic(a) => (
-                Value::Map(vec![
-                    ("total_ops".into(), Value::U64(a.base.total_ops)),
-                    ("hwp_cycle_ns".into(), Value::F64(a.base.hwp_cycle_ns)),
-                    ("lwp_cycle_ns".into(), Value::F64(a.base.lwp_cycle_ns)),
-                    (
-                        "hwp_memory_cycles".into(),
-                        Value::F64(a.base.hwp_memory_cycles),
-                    ),
-                    (
-                        "hwp_cache_cycles".into(),
-                        Value::F64(a.base.hwp_cache_cycles),
-                    ),
-                    (
-                        "lwp_memory_cycles".into(),
-                        Value::F64(a.base.lwp_memory_cycles),
-                    ),
-                    (
-                        "mode".into(),
-                        match a.mode {
-                            AnalyticMode::Expected => Value::Str("expected".into()),
-                            AnalyticMode::Simulated {
-                                sim_ops,
-                                ops_per_event,
-                            } => Value::Map(vec![(
-                                "simulated".into(),
-                                Value::Map(vec![
-                                    ("sim_ops".into(), Value::U64(sim_ops)),
-                                    ("ops_per_event".into(), Value::U64(ops_per_event)),
-                                ]),
-                            )]),
-                        },
-                    ),
-                ]),
-                Value::Map(vec![
-                    ("node_counts".into(), a.node_counts.to_value()),
-                    ("lwp_fractions".into(), a.lwp_fractions.to_value()),
-                    ("p_miss".into(), a.p_miss.to_value()),
-                    ("memory_mix".into(), a.memory_mix.to_value()),
-                ]),
-            ),
-            ModelSpec::Parcels(p) => (
-                Value::Map(vec![
-                    ("cycle_ns".into(), Value::F64(p.base.cycle_ns)),
-                    ("memory_mix".into(), Value::F64(p.memory_mix)),
-                    (
-                        "local_memory_cycles".into(),
-                        Value::F64(p.base.local_memory_cycles),
-                    ),
-                    ("horizon_cycles".into(), Value::F64(p.base.horizon_cycles)),
-                ]),
-                Value::Map(vec![
-                    ("node_counts".into(), p.node_counts.to_value()),
-                    ("parallelisms".into(), p.parallelisms.to_value()),
-                    ("latencies".into(), p.latencies.to_value()),
-                    ("remote_fractions".into(), p.remote_fractions.to_value()),
-                    ("overheads".into(), p.overheads.to_value()),
-                ]),
-            ),
-            ModelSpec::Measured(m) => (
-                Value::Map(vec![
-                    ("ops".into(), Value::U64(m.ops)),
-                    ("cache_bytes".into(), Value::U64(m.cache_bytes)),
-                    ("cache_line_bytes".into(), Value::U64(m.cache_line_bytes)),
-                    ("cache_ways".into(), Value::U64(m.cache_ways as u64)),
-                    ("bank_rows".into(), Value::U64(m.bank_rows)),
-                ]),
-                Value::Map(vec![
-                    (
-                        "patterns".into(),
-                        Value::Seq(m.patterns.iter().map(|p| p.to_value()).collect()),
-                    ),
-                    ("memory_fractions".into(), m.memory_fractions.to_value()),
-                ]),
-            ),
+        let family = self.model.family();
+        let seed = match self.seed {
+            SeedMode::Derived => Value::Str("derived".into()),
+            SeedMode::Fixed(s) => object([("fixed", s.to_value())]),
         };
-        Value::Map(vec![
-            (
-                "schema_version".into(),
-                Value::U64(u64::from(SPEC_SCHEMA_VERSION)),
-            ),
-            ("name".into(), Value::Str(self.name.clone())),
-            ("description".into(), Value::Str(self.description.clone())),
-            ("model".into(), Value::Str(self.family().into())),
-            ("replications".into(), Value::U64(self.replications as u64)),
-            (
-                "seed".into(),
-                match self.seed {
-                    SeedMode::Derived => Value::Str("derived".into()),
-                    SeedMode::Fixed(s) => Value::Map(vec![("fixed".into(), Value::U64(s))]),
-                },
-            ),
-            (
-                "columns".into(),
-                match &self.columns {
-                    None => Value::Null,
-                    Some(cols) => cols.to_value(),
-                },
-            ),
-            ("config".into(), config),
-            ("grid".into(), grid),
+        object([
+            ("schema_version", SPEC_SCHEMA_VERSION.to_value()),
+            ("name", self.name.to_value()),
+            ("description", self.description.to_value()),
+            ("model", Value::Str(family.name().into())),
+            ("replications", self.replications.to_value()),
+            ("seed", seed),
+            ("columns", self.columns.to_value()),
+            ("config", family.config()),
+            ("grid", family.grid()),
         ])
     }
 }
@@ -966,7 +1099,7 @@ impl Serialize for ScenarioSpec {
 /// The seed of flattened unit `index` (grid-point index × replications +
 /// replication): the workspace's shared SplitMix64 mixer over the scenario seed and
 /// the index, so units decorrelate and any scheduler reproduces the same streams.
-pub fn unit_seed(scenario_seed: u64, index: usize) -> u64 {
+fn unit_seed(scenario_seed: u64, index: usize) -> u64 {
     desim::random::mix_seed(scenario_seed, index as u64)
 }
 
@@ -975,67 +1108,6 @@ struct SpecScenario {
     spec: ScenarioSpec,
     /// The canonical spec rendering, embedded in reports as `params`.
     params: Value,
-}
-
-impl SpecScenario {
-    fn scenario_seed(&self, seeds: &SeedPolicy) -> u64 {
-        match self.spec.seed {
-            SeedMode::Derived => seeds.scenario_seed(&self.spec.name),
-            SeedMode::Fixed(s) => s,
-        }
-    }
-
-    /// Indices of the selected columns within the family's full column set
-    /// (validated at parse time, so the lookups cannot fail).
-    fn selected_indices(&self) -> Vec<usize> {
-        let available = self.spec.available_columns();
-        self.spec
-            .output_columns()
-            .iter()
-            .map(|c| {
-                available
-                    .iter()
-                    .position(|a| a == c)
-                    // audit:allow(unwrap-in-library): parse validated every requested column against this family
-                    .expect("columns were validated against the family at parse time")
-            })
-            .collect()
-    }
-}
-
-/// Shared assembly: filter full rows down to the selected columns and attach the
-/// primary headline metric (max over the primary column).
-#[allow(clippy::too_many_arguments)]
-fn assemble_spec_report(
-    name: &str,
-    description: &str,
-    seed: u64,
-    params: Value,
-    all_columns: &[&str],
-    selected: &[usize],
-    primary: (&str, usize),
-    rows: Vec<Vec<Value>>,
-) -> ScenarioReport {
-    let (metric_name, metric_idx) = primary;
-    let metric = rows
-        .iter()
-        .filter_map(|r| r[metric_idx].as_f64())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let table = Table {
-        name: name.to_string(),
-        columns: selected
-            .iter()
-            .map(|&i| all_columns[i].to_string())
-            .collect(),
-        rows: rows
-            .into_iter()
-            .map(|full| selected.iter().map(|&i| full[i].clone()).collect())
-            .collect(),
-    };
-    ScenarioReport::new(name, description, seed, params)
-        .with_metric("units", table.rows.len() as f64)
-        .with_metric(metric_name, metric)
-        .with_table(table)
 }
 
 impl Scenario for SpecScenario {
@@ -1052,141 +1124,60 @@ impl Scenario for SpecScenario {
     }
 
     fn plan<'s>(&'s self, seeds: &SeedPolicy) -> ScenarioPlan<'s> {
-        let seed = self.scenario_seed(seeds);
+        let seed = match self.spec.seed {
+            SeedMode::Derived => seeds.scenario_seed(&self.spec.name),
+            SeedMode::Fixed(s) => s,
+        };
         let (name, description, params) = (self.name(), self.description(), self.params());
         // Keyed on the canonical spec rendering: any single-field edit re-addresses
         // every unit. The resolved seed (not the batch base seed) goes into the key,
         // so a fixed-seed spec legitimately shares entries across base seeds.
         let keyer = UnitKeyer::new(name, &params, seed);
-        let selected = self.selected_indices();
-        let reps = self.spec.replications;
-        match &self.spec.model {
-            ModelSpec::Analytic(a) => {
-                let points = a.points();
-                let mut units = Vec::with_capacity(points.len() * reps);
-                for (pi, (n, wl, pm, mx)) in points.into_iter().enumerate() {
-                    let mut config = a.base;
-                    config.p_miss = pm;
-                    config.mix = InstructionMix::with_memory_fraction(mx);
-                    let mode = a.mode;
-                    for rep in 0..reps {
-                        let i = pi * reps + rep;
-                        units.push((keyer.key(pi, rep), move || {
-                            let eval = match mode {
-                                AnalyticMode::Expected => EvalMode::Expected,
-                                AnalyticMode::Simulated {
-                                    sim_ops,
-                                    ops_per_event,
-                                } => EvalMode::Simulated {
-                                    sim_ops: Some(sim_ops),
-                                    ops_per_event,
-                                    seed: unit_seed(seed, i),
-                                },
-                            };
-                            let p = PartitionStudy::new(config).evaluate(n, wl, eval);
-                            vec![
-                                Value::U64(n as u64),
-                                Value::F64(wl * 100.0),
-                                Value::F64(pm),
-                                Value::F64(mx),
-                                Value::U64(rep as u64),
-                                Value::F64(p.gain),
-                                Value::F64(p.relative_time),
-                                Value::F64(p.control_ns),
-                                Value::F64(p.test_ns),
-                            ]
-                        }));
-                    }
-                }
-                ScenarioPlan::cached_map_reduce(units, move |rows: Vec<Vec<Value>>| {
-                    assemble_spec_report(
-                        name,
-                        description,
-                        seed,
-                        params,
-                        ANALYTIC_COLUMNS,
-                        &selected,
-                        ("max_gain", 5),
-                        rows,
-                    )
-                })
-            }
-            ModelSpec::Parcels(p) => {
-                let configs = p.configs();
-                let mut units = Vec::with_capacity(configs.len() * reps);
-                for (pi, config) in configs.into_iter().enumerate() {
-                    for rep in 0..reps {
-                        let i = pi * reps + rep;
-                        units.push((keyer.key(pi, rep), move || {
-                            let point = evaluate_point(config, unit_seed(seed, i));
-                            vec![
-                                Value::U64(point.nodes as u64),
-                                Value::U64(point.parallelism as u64),
-                                Value::F64(point.latency_cycles),
-                                Value::F64(point.remote_fraction * 100.0),
-                                Value::F64(config.parcel_overhead_cycles),
-                                Value::U64(rep as u64),
-                                Value::F64(point.ops_ratio),
-                                Value::F64(point.test_idle_fraction),
-                                Value::F64(point.control_idle_fraction),
-                            ]
-                        }));
-                    }
-                }
-                ScenarioPlan::cached_map_reduce(units, move |rows: Vec<Vec<Value>>| {
-                    assemble_spec_report(
-                        name,
-                        description,
-                        seed,
-                        params,
-                        PARCELS_COLUMNS,
-                        &selected,
-                        ("max_ops_ratio", 6),
-                        rows,
-                    )
-                })
-            }
-            ModelSpec::Measured(m) => {
-                let mut units = Vec::new();
-                for (pat_i, pattern) in m.patterns.iter().enumerate() {
-                    for (mix_i, &mx) in m.memory_fractions.iter().enumerate() {
-                        let pi = pat_i * m.memory_fractions.len() + mix_i;
-                        let config = m.measure_config(pattern, mx);
-                        let label = pattern_label(pattern);
-                        for rep in 0..reps {
-                            let i = pi * reps + rep;
-                            let config = config.clone();
-                            let label = label.clone();
-                            units.push((keyer.key(pi, rep), move || {
-                                let s = measure_stream(&config, unit_seed(seed, i));
-                                vec![
-                                    Value::Str(label),
-                                    Value::F64(mx),
-                                    Value::U64(rep as u64),
-                                    Value::U64(s.memory_accesses),
-                                    Value::F64(s.host_miss_rate),
-                                    Value::F64(s.row_hit_rate),
-                                    Value::F64(s.mean_dram_latency_ns),
-                                    Value::F64(s.achieved_gbit_per_s),
-                                ]
-                            }));
-                        }
-                    }
-                }
-                ScenarioPlan::cached_map_reduce(units, move |rows: Vec<Vec<Value>>| {
-                    assemble_spec_report(
-                        name,
-                        description,
-                        seed,
-                        params,
-                        MEASURED_COLUMNS,
-                        &selected,
-                        ("max_host_miss_rate", 4),
-                        rows,
-                    )
-                })
+        let family = self.spec.model.family();
+        let (axes, reps) = (family.axes(), self.spec.replications);
+        let mut units = Vec::with_capacity(self.spec.units());
+        for point in 0..self.spec.grid_points() {
+            let coords = grid_coords(point, &axes);
+            for rep in 0..reps {
+                let (i, coords) = (point * reps + rep, coords.clone());
+                units.push((keyer.key(point, rep), move || {
+                    family.row(&coords, rep, unit_seed(seed, i))
+                }));
             }
         }
+        let columns = self.spec.output_columns();
+        let selected: Vec<usize> = columns
+            .iter()
+            .map(|c| {
+                family
+                    .columns()
+                    .iter()
+                    .position(|a| a == c)
+                    // audit:allow(unwrap-in-library): parse validated every requested column against this family
+                    .expect("columns were validated against the family at parse time")
+            })
+            .collect();
+        ScenarioPlan::cached_map_reduce(units, move |rows: Vec<Vec<Value>>| {
+            // Filter full rows down to the selected columns and attach the headline
+            // metric (the maximum over its column).
+            let (metric_name, metric_column) = family.headline();
+            let metric = rows
+                .iter()
+                .filter_map(|r| r[metric_column].as_f64())
+                .fold(f64::NEG_INFINITY, f64::max);
+            let table = Table {
+                name: name.to_string(),
+                columns: columns.iter().map(|c| c.to_string()).collect(),
+                rows: rows
+                    .into_iter()
+                    .map(|full| selected.iter().map(|&i| full[i].clone()).collect())
+                    .collect(),
+            };
+            ScenarioReport::new(name, description, seed, params)
+                .with_metric("units", table.rows.len() as f64)
+                .with_metric(metric_name, metric)
+                .with_table(table)
+        })
     }
 }
 
@@ -1322,6 +1313,43 @@ mod tests {
         let json = serde_json::to_string_pretty(&spec).unwrap();
         let back = parse_spec(&json).unwrap();
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn parcels_points_read_the_memory_mix_the_canonical_form_carries() {
+        let spec = parse_spec(minimal_parcels_json()).unwrap();
+        let ModelSpec::Parcels(p) = &spec.model else {
+            panic!("wrong family")
+        };
+        let with_model = |parcels: ParcelsSpec| ScenarioSpec {
+            model: ModelSpec::Parcels(parcels),
+            ..spec.clone()
+        };
+
+        let out_of_range = with_model(ParcelsSpec {
+            memory_mix: 2.0,
+            ..p.clone()
+        });
+        let err = out_of_range.validate().unwrap_err();
+        assert_eq!(err, "spec.config.memory_mix must lie in [0, 1], got 2");
+
+        // A hand-built spec whose `base.mix` disagrees with `memory_mix`: its
+        // units are keyed by `memory_mix`, so they must also be computed from it,
+        // exactly as after a serialize → parse round trip.
+        let skewed = with_model(ParcelsSpec {
+            base: ParcelConfig {
+                mix: InstructionMix::with_memory_fraction(0.9),
+                ..p.base
+            },
+            ..p.clone()
+        });
+        skewed.validate().unwrap();
+        let round_trip = parse_spec(&serde_json::to_string(&skewed).unwrap()).unwrap();
+        let rows = |s: ScenarioSpec| {
+            let report = s.into_scenario().run(&SeedPolicy::default());
+            serde_json::to_string(&report.tables).unwrap()
+        };
+        assert_eq!(rows(skewed), rows(round_trip));
     }
 
     #[test]

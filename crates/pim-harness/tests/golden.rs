@@ -110,6 +110,37 @@ fn golden_spec_presets() {
     }
 }
 
+/// The presets' canonical form, pinned byte for byte through its fingerprint.
+/// `golden_spec_presets` compares reports by key and numbers within a tolerance,
+/// so a reordered or reformatted canonical rendering would pass it while
+/// re-addressing every cached unit of every spec; this table fails instead.
+#[test]
+fn preset_fingerprints_are_pinned() {
+    const PINNED: &[(&str, &str)] = &[
+        ("spec_measured_hotspot", "e5104264ae0218c18b9b4675a0225cc2"),
+        ("spec_measured_locality", "5bac098309d6b24dc9ec3999d6ce7508"),
+        ("spec_node_scaling", "0dce8de401d8598e24ca1e2d13dfae3b"),
+        ("spec_parcel_overhead", "3670a64c6f1d7e016721ca35ac5023e7"),
+        ("spec_parcel_scaling", "1ee165e313194b0d53b133d3526cd0ce"),
+        ("spec_partition_sim", "68b0b0e0b9d89fcd02c06738c253897a"),
+        ("spec_pmiss_sensitivity", "976647deaab4e8201bbbef3f1d19ac3c"),
+    ];
+    let specs_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let specs = pim_harness::spec::load_specs(&specs_dir).expect("presets load");
+    let live: Vec<(String, String)> = specs
+        .iter()
+        .map(|s| (s.name.clone(), s.fingerprint()))
+        .collect();
+    let pinned: Vec<(String, String)> = PINNED
+        .iter()
+        .map(|&(n, f)| (n.to_string(), f.to_string()))
+        .collect();
+    assert_eq!(
+        live, pinned,
+        "a preset's canonical spec form changed, which re-addresses its cached units"
+    );
+}
+
 /// The batch manifest (schema v3: batch identity, the `shard` block — `null` for
 /// this unsharded fixture — plus the cache accounting block) is pinned by a golden
 /// file of its own. A deterministic fixture — two single-unit scenarios, default

@@ -70,7 +70,7 @@ fn parcels_model() -> impl Strategy<Value = ModelSpec> {
         .prop_map(
             |(node_counts, parallelisms, latencies, remote_fractions, overheads)| {
                 ModelSpec::Parcels(ParcelsSpec {
-                    base: ParcelsSpec_default_base(),
+                    base: parcels_default_base(),
                     memory_mix: 0.3,
                     node_counts,
                     parallelisms,
@@ -82,11 +82,10 @@ fn parcels_model() -> impl Strategy<Value = ModelSpec> {
         )
 }
 
-/// The parcels base the parser resolves (`ParcelsSpec::default_base` is private, but
-/// its canonical serialization pins these fields): library defaults with the
+/// The parcels base the parser resolves (the parser's defaults are private, but
+/// the canonical serialization pins these fields): library defaults with the
 /// figure-11 horizon and the mix rebuilt from the default 0.3 memory-mix scalar.
-#[allow(non_snake_case)]
-fn ParcelsSpec_default_base() -> pim_parcels::prelude::ParcelConfig {
+fn parcels_default_base() -> pim_parcels::prelude::ParcelConfig {
     pim_parcels::prelude::ParcelConfig {
         mix: pim_workload::InstructionMix::with_memory_fraction(0.3),
         horizon_cycles: 500_000.0,

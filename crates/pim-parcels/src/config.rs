@@ -61,6 +61,12 @@ impl ParcelConfig {
         if self.nodes == 0 {
             return Err("node count must be positive".into());
         }
+        // The test system's events carry node and context indices as `u32`.
+        for (name, count) in [("nodes", self.nodes), ("parallelism", self.parallelism)] {
+            if u32::try_from(count).is_err() {
+                return Err(format!("{name} must be at most {}, got {count}", u32::MAX));
+            }
+        }
         for (name, value) in [
             ("cycle_ns", self.cycle_ns),
             ("local_memory_cycles", self.local_memory_cycles),
@@ -222,6 +228,27 @@ mod tests {
             let mut c = ParcelConfig::default();
             f(&mut c);
             assert!(c.validate().is_err());
+        }
+        // Counts that would truncate in the test system's `u32` event fields.
+        let too_many = u32::MAX as usize + 1;
+        for (field, c) in [
+            (
+                "nodes",
+                ParcelConfig {
+                    nodes: too_many,
+                    ..Default::default()
+                },
+            ),
+            (
+                "parallelism",
+                ParcelConfig {
+                    parallelism: too_many,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(field), "{err}");
         }
     }
 

@@ -41,15 +41,17 @@ pub enum RemoteService {
     OnCpu,
 }
 
-/// Events of the test-system model.
+/// Events of the test-system model. Node and context indices are `u32`, which
+/// keeps the event at 16 bytes; `ParcelConfig::validate` bounds both counts by
+/// `u32::MAX`, so the narrowing never truncates.
 #[derive(Debug, Clone, Copy)]
 pub enum TestEvent {
     /// The execution unit at `node` finished its current job.
-    ServiceDone(usize),
+    ServiceDone(u32),
     /// The reply for context `ctx` arrived back at `node`.
-    ParcelReturn(usize, usize),
+    ParcelReturn(u32, u32),
     /// A request parcel from (`src`, `ctx`) arrived at `node` (message-driven mode).
-    ParcelArrive(usize, usize, usize),
+    ParcelArrive(u32, u32, u32),
 }
 
 /// A job the execution unit can run.
@@ -225,7 +227,7 @@ impl TestSystem {
         };
         sched.schedule_in(
             SimDuration::from_ns_f64(running.duration_cycles * self.config.cycle_ns),
-            TestEvent::ServiceDone(node),
+            TestEvent::ServiceDone(node as u32),
         );
         self.nodes[node].running = Some(running);
     }
@@ -285,6 +287,7 @@ impl Model for TestSystem {
         let now_cycles = self.cycles_of(now);
         match event {
             TestEvent::ServiceDone(node) => {
+                let node = node as usize;
                 let finished = self.nodes[node]
                     .running
                     .take()
@@ -302,13 +305,13 @@ impl Model for TestSystem {
                             RemoteService::MemorySide => {
                                 sched.schedule_in(
                                     SimDuration::from_ns_f64(2.0 * one_way * self.config.cycle_ns),
-                                    TestEvent::ParcelReturn(node, ctx),
+                                    TestEvent::ParcelReturn(node as u32, ctx as u32),
                                 );
                             }
                             RemoteService::OnCpu => {
                                 sched.schedule_in(
                                     SimDuration::from_ns_f64(one_way * self.config.cycle_ns),
-                                    TestEvent::ParcelArrive(dst, node, ctx),
+                                    TestEvent::ParcelArrive(dst as u32, node as u32, ctx as u32),
                                 );
                             }
                         }
@@ -320,7 +323,7 @@ impl Model for TestSystem {
                         let one_way = self.one_way_latency(node, reply_node);
                         sched.schedule_in(
                             SimDuration::from_ns_f64(one_way * self.config.cycle_ns),
-                            TestEvent::ParcelReturn(reply_node, ctx),
+                            TestEvent::ParcelReturn(reply_node as u32, ctx as u32),
                         );
                     }
                 }
@@ -330,14 +333,15 @@ impl Model for TestSystem {
                 }
             }
             TestEvent::ParcelReturn(node, ctx) => {
-                self.make_ready(node, Job::Local { ctx }, now_cycles, sched);
+                let ctx = ctx as usize;
+                self.make_ready(node as usize, Job::Local { ctx }, now_cycles, sched);
             }
             TestEvent::ParcelArrive(node, src, ctx) => {
                 self.make_ready(
-                    node,
+                    node as usize,
                     Job::Remote {
-                        reply_node: src,
-                        reply_ctx: ctx,
+                        reply_node: src as usize,
+                        reply_ctx: ctx as usize,
                     },
                     now_cycles,
                     sched,
