@@ -5,20 +5,30 @@
 //! provides the same facility: a [`RandomStream`] is a seeded generator (so every
 //! experiment is reproducible) with one method per distribution the models draw
 //! from.
+//!
+//! Sampling loops that make one Bernoulli decision per simulated operation decide
+//! a whole window of raw generator words at once. A [`BernoulliThreshold`] turns
+//! `p` into an integer limit, so a word's decision is one compare and a window's
+//! decisions are a `u64` hit mask ([`BernoulliThreshold::mask`]).
+//! [`RandomStream::hit_masks`] hands out those masks for a run of decisions of one
+//! threshold, computing each buffer's mask once however many calls share it. A
+//! caller that only needs how many operations took each outcome counts the set
+//! bits instead of visiting them; either way the words consumed, and so every
+//! later draw, are those of the per-decision [`RandomStream::bernoulli`] path.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng, Standard};
 
-/// Number of raw 64-bit words prefetched per buffer refill.
-///
-/// Small enough that cloning a stream stays cheap, large enough that the
-/// xoshiro state is touched once per 32 draws instead of once per draw in the
-/// simulation inner loops.
-const RAW_BUF_LEN: usize = 32;
+/// Number of raw 64-bit words prefetched per buffer refill: one per bit of a
+/// hit mask, so a buffer's decisions fit one `u64`.
+const RAW_BUF_LEN: usize = 64;
 
-/// Fewest words [`RandomStream::raw_window`] ever lends: enough for one
-/// decision that needs two draws.
-const MIN_WINDOW: usize = 2;
+/// A mask of the low `len` bits (`len` at most 64): the positions of a window
+/// of `len` decisions.
+#[inline]
+pub fn low_bits(len: usize) -> u64 {
+    u64::MAX.checked_shr(64 - len as u32).unwrap_or(0)
+}
 
 /// A seeded, reproducible random stream.
 ///
@@ -28,11 +38,11 @@ const MIN_WINDOW: usize = 2;
 /// to routing, etc., without cross-coupling — the standard variance-reduction
 /// discipline for queuing studies.
 ///
-/// Draws are served from a small prefetched buffer of raw generator words. The
-/// buffer is an internal detail: every consumer (single draws, [`Self::below`]'s
-/// rejection loop, the [`Self::raw_window`] bulk path) takes words from it
-/// front-to-back, so the value sequence is bit-identical to drawing from the
-/// underlying generator one word at a time.
+/// Draws are served from a prefetched buffer of raw generator words. The buffer
+/// is an internal detail: every consumer (single draws, [`Self::below`]'s
+/// rejection loop, the [`Self::raw_window`] and [`Self::hit_masks`] bulk paths)
+/// takes words from it front-to-back, so the value sequence is bit-identical to
+/// drawing from the underlying generator one word at a time.
 #[derive(Debug, Clone)]
 pub struct RandomStream {
     rng: StdRng,
@@ -43,21 +53,28 @@ pub struct RandomStream {
     /// pre-buffering word sequence, in order.
     buf: [u64; RAW_BUF_LEN],
     buf_pos: usize,
+    /// `(limit, mask)`: bit `i` of `mask` is the decision of `buf[i]` under the
+    /// raw-word limit `limit`, for the last threshold [`Self::hit_masks`] used
+    /// since the buffer was refilled. A limit of 0 (no drawing threshold has
+    /// it) marks the mask stale.
+    hits: (u64, u64),
 }
 
-/// A Bernoulli(`p`) decision in integer form, for sampling loops that read raw
-/// generator words through [`RandomStream::raw_window`].
+/// A Bernoulli(`p`) decision in integer form, for sampling loops that decide
+/// raw generator words a window at a time.
 ///
 /// A uniform draw is `u = (raw >> 11) · 2⁻⁵³`, so `u < p` holds exactly when
-/// `raw >> 11 < ⌈p · 2⁵³⌉` (both sides are exact: scaling by a power of two
-/// loses nothing). [`Self::hit`] is therefore bit-for-bit the decision
-/// `uniform01() < p`, without the float conversion. As in
-/// [`RandomStream::bernoulli`], `p ≤ 0` and `p ≥ 1` are decided without a
-/// draw: [`Self::words`] is 0 and [`Self::hit`] ignores its word.
+/// `raw >> 11 < ⌈p · 2⁵³⌉`, that is when `raw < ⌈p · 2⁵³⌉ · 2¹¹` (both steps
+/// are exact: scaling by a power of two loses nothing). For `0 < p < 1` that
+/// limit is at most `2⁶⁴ − 2¹¹`, so one unsigned compare per word is bit for
+/// bit the decision `uniform01() < p`, without the float conversion. As in
+/// [`RandomStream::bernoulli`], `p ≤ 0` and `p ≥ 1` are decided without a draw
+/// ([`Self::fixed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BernoulliThreshold {
-    bound: u64,
-    words: usize,
+    /// `⌈p · 2⁵³⌉ · 2¹¹` for `0 < p < 1` (never 0); 0 for a fixed decision.
+    limit: u64,
+    fixed: Option<bool>,
 }
 
 impl BernoulliThreshold {
@@ -65,31 +82,76 @@ impl BernoulliThreshold {
     #[inline]
     pub fn new(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        let (bound, words) = if p <= 0.0 {
-            (0, 0)
-        } else if p >= 1.0 {
-            (1 << 53, 0)
-        } else {
-            // ⌈p · 2⁵³⌉ in integer steps (`f64::ceil` is a libm call on the
-            // baseline x86-64 target); every conversion here is exact.
-            let scaled = p * (1u64 << 53) as f64;
-            let floor = scaled as u64;
-            (floor + u64::from(floor as f64 != scaled), 1)
-        };
-        BernoulliThreshold { bound, words }
+        if p <= 0.0 || p >= 1.0 {
+            return BernoulliThreshold {
+                limit: 0,
+                fixed: Some(p >= 1.0),
+            };
+        }
+        // ⌈p · 2⁵³⌉ in integer steps (`f64::ceil` is a libm call on the
+        // baseline x86-64 target); every conversion here is exact, and
+        // `p < 1` keeps the result below 2⁵³.
+        let scaled = p * (1u64 << 53) as f64;
+        let floor = scaled as u64;
+        BernoulliThreshold {
+            limit: (floor + u64::from(floor as f64 != scaled)) << 11,
+            fixed: None,
+        }
     }
 
-    /// Words one decision consumes: 1, or 0 when `p` is 0 or 1.
+    /// The outcome of every decision when `p` is 0 or 1, which draw no word;
+    /// `None` when each decision reads one word.
     #[inline]
-    pub fn words(self) -> usize {
-        self.words
+    pub fn fixed(self) -> Option<bool> {
+        self.fixed
     }
 
-    /// The decision on raw word `raw`: exactly `f64::from_raw(raw) < p`.
+    /// The decisions on `words` (at most 64) as a hit mask: bit `i` is
+    /// exactly `f64::from_raw(words[i]) < p`. A fixed threshold reads no word
+    /// and gives its outcome at every position.
     #[inline]
-    pub fn hit(self, raw: u64) -> bool {
-        raw >> 11 < self.bound
+    pub fn mask(self, words: &[u64]) -> u64 {
+        assert!(words.len() <= 64, "a mask holds at most 64 decisions");
+        match self.fixed {
+            Some(true) => low_bits(words.len()),
+            Some(false) => 0,
+            // Within a chunk, last word first, so each compare shifts in below
+            // the previous ones: a compare and an add-with-carry per word. The
+            // chunks' chains are independent, so they overlap in the pipeline.
+            None => words.chunks(8).rev().fold(0, |mask, chunk| {
+                let bits = chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |m, &w| m << 1 | u64::from(w < self.limit));
+                mask << chunk.len() | bits
+            }),
+        }
     }
+}
+
+/// Whether adding `n` terms, each one of `values`, onto `start` gives the same
+/// `f64` in every order: true when `start` and every value are whole numbers
+/// `≥ 0` and even `start + n · max(values)` stays below 2⁵³, so that every
+/// partial sum is an integer `f64` holds exactly. Then `start +`
+/// [`counted_sum`] of the terms' counts is their left-to-right sum, bit for
+/// bit. A fractional value fails, although a dyadic one might still sum
+/// exactly: the check asks only what it can show cheaply.
+pub fn sums_exactly(start: f64, values: &[f64], n: u64) -> bool {
+    const LIMIT: f64 = (1u64 << 53) as f64;
+    let whole = |x: f64| (0.0..LIMIT).contains(&x) && x as u64 as f64 == x;
+    let max = values.iter().copied().fold(0.0, f64::max);
+    // Every rounding below is monotone and 2⁵³ is representable, so a true
+    // bound at or past 2⁵³ never computes as below it.
+    whole(start) && values.iter().all(|&v| whole(v)) && start + n as f64 * max < LIMIT
+}
+
+/// `Σ counts[i] · values[i]`, added from `0.0` in index order: where
+/// [`sums_exactly`] holds for the terms, the sum of those terms in any order.
+pub fn counted_sum(counts: &[u64], values: &[f64]) -> f64 {
+    counts
+        .iter()
+        .zip(values)
+        .fold(0.0, |sum, (&k, &v)| sum + k as f64 * v)
 }
 
 /// `ln(1 − p)`, the argument [`RandomStream::geometric_with_ln`] takes. Where
@@ -129,18 +191,21 @@ impl RandomStream {
             draws: 0,
             buf: [0; RAW_BUF_LEN],
             buf_pos: RAW_BUF_LEN,
+            hits: (0, 0),
         }
     }
 
-    /// Refill the prefetch buffer from the underlying generator, keeping the
-    /// unconsumed words at its front.
+    /// Refill the consumed prefetch buffer from the underlying generator.
     fn refill(&mut self) {
-        let kept = RAW_BUF_LEN - self.buf_pos;
-        self.buf.copy_within(self.buf_pos.., 0);
+        debug_assert_eq!(
+            self.buf_pos, RAW_BUF_LEN,
+            "refill of a buffer with words left"
+        );
+        self.hits.0 = 0;
         // A local copy of the generator state stays in registers across the
         // loop instead of being reloaded and stored for every word.
         let mut rng = self.rng.clone();
-        for slot in &mut self.buf[kept..] {
+        for slot in &mut self.buf {
             *slot = rng.next_u64();
         }
         self.rng = rng;
@@ -158,16 +223,18 @@ impl RandomStream {
         x
     }
 
-    /// Lend `f` the buffered raw generator words — always at least two — and
-    /// consume the first `n` of them, where `n` is what `f` returns.
+    /// Lend `f` the buffered raw generator words — always at least one, at
+    /// most 64 — and consume the first `n` of them, where `n` is what `f`
+    /// returns.
     ///
     /// This is the bulk path for tight sampling loops: each consumed word is one
     /// draw, taken in the same order as [`Self::uniform01`] would take it
     /// (`f64::from_raw(word)` is that draw's value), so a loop that decides with
-    /// [`BernoulliThreshold::hit`] replays the sequential draws bit for bit.
+    /// [`BernoulliThreshold::mask`] replays the sequential draws bit for bit. A
+    /// decision that spans two words may find them in two windows.
     #[inline]
     pub fn raw_window(&mut self, f: impl FnOnce(&[u64]) -> usize) {
-        if RAW_BUF_LEN - self.buf_pos < MIN_WINDOW {
+        if self.buf_pos == RAW_BUF_LEN {
             self.refill();
         }
         let window = &self.buf[self.buf_pos..];
@@ -177,22 +244,42 @@ impl RandomStream {
         self.draws += used as u64;
     }
 
-    /// Fill `out` with Bernoulli decisions of `threshold` (1 = success), taking
-    /// the words from [`Self::raw_window`]: bit-identical to calling
-    /// [`Self::bernoulli`] once per slot, draw count included.
+    /// Decide `n` Bernoulli trials of `threshold`, handing `f` the outcomes a
+    /// window at a time: `f(mask, len)` gets the window's hit mask (bit `i` is
+    /// its `i`-th trial, in draw order) and its length, 1 to 64.
+    ///
+    /// Bit-identical to calling [`Self::bernoulli`] `n` times, draw count
+    /// included: a drawing threshold consumes one word per trial, a fixed one
+    /// none. The mask of the whole buffer is computed once per refill and
+    /// threshold, so many short calls between other draws (run lengths, say)
+    /// share it instead of each deciding its own words.
     #[inline]
-    pub fn fill_bernoulli(&mut self, threshold: BernoulliThreshold, out: &mut [u8]) {
-        let mut n = 0;
-        while n < out.len() {
-            self.raw_window(|words| {
-                let mut i = 0;
-                while n < out.len() && i < words.len() {
-                    out[n] = threshold.hit(words[i]) as u8;
-                    i += threshold.words();
-                    n += 1;
+    pub fn hit_masks(
+        &mut self,
+        threshold: BernoulliThreshold,
+        n: u64,
+        mut f: impl FnMut(u64, usize),
+    ) {
+        let mut left = n;
+        while left > 0 {
+            let len = if let Some(hit) = threshold.fixed {
+                let len = left.min(64) as usize;
+                f(if hit { low_bits(len) } else { 0 }, len);
+                len
+            } else {
+                if self.buf_pos == RAW_BUF_LEN {
+                    self.refill();
                 }
-                i
-            });
+                if self.hits.0 != threshold.limit {
+                    self.hits = (threshold.limit, threshold.mask(&self.buf));
+                }
+                let len = left.min((RAW_BUF_LEN - self.buf_pos) as u64) as usize;
+                f(self.hits.1 >> self.buf_pos & low_bits(len), len);
+                self.buf_pos += len;
+                self.draws += len as u64;
+                len
+            };
+            left -= len as u64;
         }
     }
 
@@ -403,7 +490,7 @@ mod tests {
             let mut taken = Vec::new();
             while taken.len() < len {
                 bulk.raw_window(|words| {
-                    assert!(words.len() >= MIN_WINDOW);
+                    assert!(!words.is_empty());
                     let n = words.len().min(len - taken.len());
                     taken.extend_from_slice(&words[..n]);
                     n

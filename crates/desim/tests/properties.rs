@@ -2,7 +2,7 @@
 
 use desim::event::ScheduledEvent;
 use desim::prelude::*;
-use desim::random::BernoulliThreshold;
+use desim::random::{low_bits, BernoulliThreshold};
 use proptest::prelude::*;
 use rand::Standard;
 
@@ -121,9 +121,10 @@ proptest! {
 
     /// The raw-word path replays the sequential float draws exactly:
     ///
-    /// * uniform draws and Bernoulli decisions filled in bulk through raw-word
-    ///   windows, mixed with single draws and `below`, consume exactly the
-    ///   sequential stream's words (the same values, the same draw count);
+    /// * uniform draws taken in bulk through raw-word windows and Bernoulli
+    ///   decisions handed out as hit masks, mixed with single draws and
+    ///   `below`, consume exactly the sequential stream's words (the same
+    ///   values, the same draw count);
     /// * the integer Bernoulli threshold `T = ⌈p·2⁵³⌉` decides as
     ///   `f64::from_raw(raw) < p` — on those words, and on both sides of its
     ///   boundary whatever the 11 low bits the conversion drops, for `p` on the
@@ -144,12 +145,12 @@ proptest! {
             let threshold = BernoulliThreshold::new(p);
             // `p` reaches 1 only as the ulp above the top lattice point, where
             // the decision is made without a draw, as in `bernoulli`.
-            prop_assert_eq!(threshold.words(), usize::from(p < 1.0));
+            prop_assert_eq!(threshold.fixed(), (p >= 1.0).then_some(true));
             let t = (p * (1u64 << 53) as f64).ceil() as u64;
             for word in [t - 1, t] {
                 if word < 1 << 53 {
                     let raw = word << 11 | low;
-                    prop_assert_eq!(threshold.hit(raw), f64::from_raw(raw) < p, "p={} raw={:#x}", p, raw);
+                    prop_assert_eq!(threshold.mask(&[raw]) == 1, f64::from_raw(raw) < p, "p={} raw={:#x}", p, raw);
                 }
             }
         }
@@ -168,7 +169,7 @@ proptest! {
                     let mut taken = Vec::new();
                     while taken.len() < len {
                         bulk.raw_window(|words| {
-                            prop_assert!(words.len() >= 2);
+                            prop_assert!(!words.is_empty() && words.len() <= 64);
                             let n = words.len().min(len - taken.len());
                             taken.extend_from_slice(&words[..n]);
                             n
@@ -178,17 +179,22 @@ proptest! {
                         let u = seq.uniform01();
                         prop_assert_eq!(f64::from_raw(raw).to_bits(), u.to_bits());
                         for p in ps {
-                            prop_assert_eq!(BernoulliThreshold::new(p).hit(raw), u < p);
+                            prop_assert_eq!(BernoulliThreshold::new(p).mask(&[raw]) == 1, u < p);
                         }
                     }
                 }
-                // `len` Bernoulli decisions, including the drawless p = 0 and 1.
+                // `len` Bernoulli decisions as hit masks, including the drawless
+                // p = 0 and 1; the last mask may end mid-buffer.
                 1 => {
                     let p = [0.0, 1.0, lattice, tiny, top][len % 5];
-                    let mut decisions = vec![0u8; len];
-                    bulk.fill_bernoulli(BernoulliThreshold::new(p), &mut decisions);
-                    for hit in decisions {
-                        prop_assert_eq!(hit == 1, seq.bernoulli(p), "p={}", p);
+                    let mut windows = Vec::new();
+                    bulk.hit_masks(BernoulliThreshold::new(p), len as u64, |mask, n| windows.push((mask, n)));
+                    prop_assert_eq!(windows.iter().map(|&(_, n)| n).sum::<usize>(), len);
+                    for (mask, n) in windows {
+                        prop_assert!((1..=64).contains(&n) && mask & !low_bits(n) == 0, "mask {:#x} of {}", mask, n);
+                        for i in 0..n {
+                            prop_assert_eq!(mask >> i & 1 == 1, seq.bernoulli(p), "p={}", p);
+                        }
                     }
                 }
                 2 => {

@@ -6,17 +6,56 @@
 //! is [`SystemConfig::hwp_op_time_ns`]; [`HwpExecution`] draws the stochastic
 //! per-operation times the queuing simulation uses, which reproduce the same mean
 //! with sampling noise.
+//!
+//! [`HwpExecution::run_ops`] decides a window of up to 64 raw words at a time
+//! instead of one operation at a time. A memory operation reads two words, its mix
+//! decision and then its miss decision, so which words start operations depends on
+//! the decisions before them, just as a backslash in a JSON string escapes the
+//! character after it (another backslash included). The window is parsed without a
+//! branch by the escape-carry method of simdjson's `find_escaped` (`miss_words`);
+//! the carry tells the next window that its first word is the miss decision of an
+//! operation this one ended on. Where the result is exact ([`sums_exactly`]), the
+//! busy time is each outcome's count times its time; otherwise the decoded
+//! operations' times are added in order, as [`HwpExecution::sample_op_time_ns`]
+//! adds them.
 
 use crate::config::SystemConfig;
-use desim::random::{BernoulliThreshold, RandomStream};
+use desim::random::{counted_sum, low_bits, sums_exactly, BernoulliThreshold, RandomStream};
 use serde::{Deserialize, Serialize};
 
-/// Length of the outcome-code buffer of [`HwpExecution::run_ops`] and
-/// [`crate::lwp::LwpExecution::run_ops`]: the most operations decided before
-/// their times are summed. It is a bound of its own because a window of raw
-/// words decides any number of operations when probabilities of 0 or 1 consume
-/// no words.
-pub(crate) const WINDOW_OPS: usize = 64;
+/// The miss words of a window of HWP words, and whether the word after a full
+/// 64-word window is one.
+///
+/// Bit `i` of `mem` is word `i`'s memory decision; `carry` says that word 0 is
+/// the miss decision of a memory operation the previous window ended on. Every
+/// word that is not a miss word starts an operation, and a memory decision there
+/// makes the next word that operation's miss word. In a run of memory decisions
+/// that starts an operation, the words therefore alternate between operation and
+/// miss word, and the word after the run is a miss word when the run's length is
+/// odd.
+fn miss_words(mem: u64, carry: bool) -> (u64, bool) {
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+    let carry = u64::from(carry);
+    // A carried miss word starts nothing, whatever it decides as a mix word.
+    let mem = mem & !carry;
+    let follows = mem << 1 | carry;
+    // Adding the starts of the runs that begin on odd bits clears those runs and
+    // sets the bit after each; runs that begin on even bits stay as they are.
+    let odd_starts = mem & !EVEN & !follows;
+    let (even_runs, carry_out) = mem.overflowing_add(odd_starts);
+    // After an even start the odd words that follow a memory decision are miss
+    // words, after an odd start the even ones.
+    ((EVEN ^ even_runs << 1) & follows, carry_out)
+}
+
+/// The position of the `n`-th (from 0) set bit of `mask`, which has more than
+/// `n` set bits.
+fn nth_set_bit(mut mask: u64, n: u64) -> usize {
+    for _ in 0..n {
+        mask &= mask - 1;
+    }
+    mask.trailing_zeros() as usize
+}
 
 /// Counters describing what an HWP executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -95,63 +134,112 @@ impl HwpExecution {
         t
     }
 
+    /// The time (ns) of a compute operation, a cache hit and a miss, each summed
+    /// as [`Self::sample_op_time_ns`] adds it up.
+    pub(crate) fn op_ns(&self) -> [f64; 3] {
+        let c = &self.config;
+        let t_issue = c.hwp_cycle_ns;
+        let t_hit = t_issue + (c.hwp_cache_cycles - 1.0) * c.hwp_cycle_ns;
+        [t_issue, t_hit, t_hit + c.hwp_memory_cycles * c.hwp_cycle_ns]
+    }
+
     /// Execute `ops` operations back-to-back and return the total busy time (ns).
     ///
     /// This is the batched form of calling [`Self::sample_op_time_ns`] `ops`
-    /// times, with the identical draw sequence and the identical left-to-right
-    /// float accumulation, so results are bit-for-bit the same. It works through
-    /// the stream's raw words a window at a time in two branch-free passes:
-    /// integer outcome codes first (0 compute, 1 cache hit, 2 miss), then a
-    /// table load of each code's time. A memory operation reads a second word
-    /// for its miss decision, so the word index advances by the decisions
-    /// themselves; a probability of 0 or 1 advances it by nothing, exactly as
-    /// `bernoulli` draws nothing for it.
+    /// times, with the identical draw sequence and, bit for bit, the identical
+    /// left-to-right float sums. When [`sums_exactly`] holds for the op times
+    /// and the busy time so far, the sums are counts times op times; otherwise
+    /// each operation's time is added in order.
     pub fn run_ops(&mut self, ops: u64) -> f64 {
-        let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
-        let miss = BernoulliThreshold::new(self.config.p_miss);
-        // Summed in the order `sample_op_time_ns` adds them.
-        let t_issue = self.config.hwp_cycle_ns;
-        let t_hit = t_issue + (self.config.hwp_cache_cycles - 1.0) * self.config.hwp_cycle_ns;
-        let t_miss = t_hit + self.config.hwp_memory_cycles * self.config.hwp_cycle_ns;
-        let op_ns = [t_issue, t_hit, t_miss];
-        let mut busy = self.stats.busy_ns;
-        let mut total = 0.0;
-        let mut memory_ops = 0u64;
-        let mut misses = 0u64;
-        let mut codes = [0u8; WINDOW_OPS];
-        let mut left = ops;
-        while left > 0 {
-            let cap = left.min(WINDOW_OPS as u64) as usize;
-            let mut n = 0;
-            self.stream.raw_window(|words| {
-                let mut i = 0;
-                // With two words left, both reads below stay inside the window.
-                while n < cap && i + 2 <= words.len() {
-                    let is_mem = mem.hit(words[i]);
-                    i += mem.words();
-                    let is_miss = is_mem & miss.hit(words[i]);
-                    // Kept a `cmov`: LLVM otherwise turns this select into a
-                    // branch that mispredicts on the random memory decisions.
-                    i += std::hint::select_unpredictable(is_mem, miss.words(), 0);
-                    codes[n] = is_mem as u8 + is_miss as u8;
-                    n += 1;
+        let op_ns = self.op_ns();
+        let start = self.stats.busy_ns;
+        let exact = sums_exactly(start, &op_ns, ops);
+        let (mut busy, mut total) = (start, 0.0);
+        let (mut memory_ops, mut misses) = (0u64, 0u64);
+        self.decide(ops, |done, memory, missed| {
+            memory_ops += u64::from(memory.count_ones());
+            misses += u64::from(missed.count_ones());
+            if !exact {
+                let mut left = done;
+                while left != 0 {
+                    let at = left.trailing_zeros();
+                    left &= left - 1;
+                    let t = op_ns[(memory >> at & 1) as usize + (missed >> at & 1) as usize];
+                    busy += t;
+                    total += t;
                 }
-                i
-            });
-            for &code in &codes[..n] {
-                let t = op_ns[code as usize];
-                busy += t;
-                total += t;
-                memory_ops += (code != 0) as u64;
-                misses += (code >> 1) as u64;
             }
-            left -= n as u64;
+        });
+        if exact {
+            total = counted_sum(&[ops - memory_ops, memory_ops - misses, misses], &op_ns);
+            busy = start + total;
         }
         self.stats.ops += ops;
         self.stats.memory_ops += memory_ops;
         self.stats.cache_misses += misses;
         self.stats.busy_ns = busy;
         total
+    }
+
+    /// Decide `ops` operations, handing `f` up to 64 positions at a time as
+    /// three masks, in operation order: where an operation ends (a compute
+    /// operation or a drawless miss decision at its one word, a memory
+    /// operation otherwise at its miss word), and which of those ends are memory
+    /// operations and misses. A probability of 0 or 1 draws no word, exactly as
+    /// `bernoulli` draws none for it.
+    fn decide(&mut self, ops: u64, mut f: impl FnMut(u64, u64, u64)) {
+        let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
+        let miss = BernoulliThreshold::new(self.config.p_miss);
+        match (mem.fixed(), miss.fixed()) {
+            (None, None) => {
+                let (mut left, mut carry) = (ops, false);
+                while left > 0 {
+                    self.stream.raw_window(|words| {
+                        // No operation reads more than two words, so the last
+                        // `left` end within the next `2 · left`.
+                        let words =
+                            &words[..(words.len() as u64).min(left.saturating_mul(2)) as usize];
+                        let within = low_bits(words.len());
+                        let is_mem = mem.mask(words);
+                        let (escaped, overflow) = miss_words(is_mem, carry);
+                        carry = match words.len() {
+                            64 => overflow,
+                            len => escaped >> len & 1 == 1,
+                        };
+                        let escaped = escaped & within;
+                        let done = !escaped & !is_mem & within | escaped;
+                        let found = u64::from(done.count_ones());
+                        // The window holds the last operation: stop at its end.
+                        let used = if found < left {
+                            words.len()
+                        } else {
+                            nth_set_bit(done, left - 1) + 1
+                        };
+                        let within = low_bits(used);
+                        let missed = escaped & miss.mask(words) & within;
+                        f(done & within, escaped & within, missed);
+                        left -= found.min(left);
+                        used
+                    });
+                }
+            }
+            // Every operation is a memory operation that reads only its miss word.
+            (Some(true), None) => self.stream.hit_masks(miss, ops, |is_miss, len| {
+                f(low_bits(len), low_bits(len), is_miss)
+            }),
+            // The miss decision draws nothing (or is never reached): one word per
+            // operation at most.
+            (_, miss_fixed) => {
+                let always = if miss_fixed == Some(true) {
+                    u64::MAX
+                } else {
+                    0
+                };
+                self.stream.hit_masks(mem, ops, |is_mem, len| {
+                    f(low_bits(len), is_mem, is_mem & always)
+                });
+            }
+        }
     }
 
     /// Counters accumulated so far.
@@ -235,7 +323,19 @@ mod tests {
             mix: pim_workload::InstructionMix::with_memory_fraction(0.61),
             ..SystemConfig::table1()
         };
-        let mut configs = vec![SystemConfig::table1(), fractional];
+        // Either side of the exactness predicate: a dyadic but fractional clock
+        // (2³⁰ + 2⁻²⁰ ns), whose residues round away once sums pass 2³³, and a
+        // whole clock (2⁴³ + 1 ns) whose worst-case total passes 2⁵³ within a
+        // dozen operations.
+        let dyadic = SystemConfig {
+            hwp_cycle_ns: 2f64.powi(30) + 2f64.powi(-20),
+            ..SystemConfig::table1()
+        };
+        let huge = SystemConfig {
+            hwp_cycle_ns: 2f64.powi(43) + 1.0,
+            ..SystemConfig::table1()
+        };
+        let mut configs = vec![SystemConfig::table1(), fractional, dyadic, huge];
         for mix in [0.0, 0.3, 1.0] {
             for p_miss in [0.0, 0.1, 1.0] {
                 configs.push(SystemConfig {
@@ -264,6 +364,73 @@ mod tests {
             let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
             for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
                 assert_run_ops_matches(&mut bulk, &mut seq, ops);
+            }
+        }
+        // Every alignment of a phase of up to 130 operations against the 64-word
+        // buffer: phases that end inside a window, and phases whose last
+        // operation is a memory operation with its mix word last in one buffer
+        // and its miss word, still pending, first in the next.
+        for c in [SystemConfig::table1(), fractional, huge] {
+            let (mut inside, mut pending) = (0, 0);
+            for prior in 0..64 {
+                // A stream per alignment: on one stream the parses from
+                // different starts soon agree on where operations begin.
+                let stream = || RandomStream::new(7, prior);
+                let mut probe = HwpExecution::new(c, stream());
+                for _ in 0..prior {
+                    probe.stream.uniform01();
+                }
+                for ops in 1..=130 {
+                    let before = probe.stream.draws();
+                    probe.sample_op_time_ns();
+                    let after = probe.stream.draws();
+                    inside += usize::from(!after.is_multiple_of(64));
+                    pending += usize::from(after - before == 2 && after % 64 == 1);
+                    let mut bulk = HwpExecution::new(c, stream());
+                    let mut seq = HwpExecution::new(c, stream());
+                    for _ in 0..prior {
+                        bulk.stream.uniform01();
+                        seq.stream.uniform01();
+                    }
+                    assert_run_ops_matches(&mut bulk, &mut seq, ops);
+                }
+            }
+            assert!(
+                inside > 0 && pending > 0,
+                "{inside} inside, {pending} pending"
+            );
+        }
+    }
+
+    #[test]
+    fn miss_words_match_a_word_by_word_parse() {
+        // The reference: walk the words, an operation's memory decision making
+        // the next word its miss word.
+        let parse = |mem: u64, carry: bool| {
+            let (mut escaped, mut next) = (0u64, carry);
+            for i in 0..64 {
+                let here = next;
+                escaped |= u64::from(here) << i;
+                next = !here && mem >> i & 1 == 1;
+            }
+            (escaped, next)
+        };
+        let mut s = RandomStream::new(3, 3);
+        let mut masks = vec![
+            0,
+            u64::MAX,
+            0x5555_5555_5555_5555,
+            0xAAAA_AAAA_AAAA_AAAA,
+            1 << 63,
+        ];
+        masks.extend((0..2000).map(|_| s.below(u64::MAX) & s.below(u64::MAX)));
+        for mem in masks {
+            for carry in [false, true] {
+                assert_eq!(
+                    miss_words(mem, carry),
+                    parse(mem, carry),
+                    "{mem:#x} {carry}"
+                );
             }
         }
     }

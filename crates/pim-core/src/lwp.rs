@@ -5,10 +5,13 @@
 //! (`TMH` = 90 cycles), at the price of a slower clock (`TLcycle` = 5 ns). Every
 //! operation costs one LWP cycle; load/store operations cost a local memory access
 //! instead.
+//!
+//! [`LwpExecution::run_ops`] takes its memory decisions as hit masks of up to 64
+//! operations and counts them; it adds the operations' times one by one only where
+//! counts times op times could round differently ([`sums_exactly`]).
 
 use crate::config::SystemConfig;
-use crate::hwp::WINDOW_OPS;
-use desim::random::{BernoulliThreshold, RandomStream};
+use desim::random::{counted_sum, sums_exactly, BernoulliThreshold, RandomStream};
 use serde::{Deserialize, Serialize};
 
 /// Counters describing what one LWP node executed.
@@ -71,34 +74,39 @@ impl LwpExecution {
         t
     }
 
+    /// The time (ns) of a compute operation and of a memory operation.
+    pub(crate) fn op_ns(&self) -> [f64; 2] {
+        [
+            self.config.lwp_cycle_ns,
+            self.config.lwp_memory_cycles * self.config.hwp_cycle_ns,
+        ]
+    }
+
     /// Execute `ops` operations back-to-back and return the total busy time (ns).
     ///
     /// Batched form of calling [`Self::sample_op_time_ns`] `ops` times, with the
-    /// identical draw sequence and the identical left-to-right float
-    /// accumulation, so results are bit-for-bit the same. Like
-    /// [`crate::hwp::HwpExecution::run_ops`] it decides a chunk of operations
-    /// into outcome codes, then sums each code's time from a table.
+    /// identical draw sequence and, bit for bit, the identical left-to-right
+    /// float sums: counts times op times where [`sums_exactly`] holds for the op
+    /// times and the busy time so far, each operation's time in order elsewhere.
     pub fn run_ops(&mut self, ops: u64) -> f64 {
         let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
-        let op_ns = [
-            self.config.lwp_cycle_ns,
-            self.config.lwp_memory_cycles * self.config.hwp_cycle_ns,
-        ];
-        let mut busy = self.stats.busy_ns;
-        let mut total = 0.0;
-        let mut memory_ops = 0u64;
-        let mut codes = [0u8; WINDOW_OPS];
-        let mut left = ops;
-        while left > 0 {
-            let n = left.min(WINDOW_OPS as u64) as usize;
-            self.stream.fill_bernoulli(mem, &mut codes[..n]);
-            for &code in &codes[..n] {
-                let t = op_ns[code as usize];
-                busy += t;
-                total += t;
-                memory_ops += code as u64;
+        let op_ns = self.op_ns();
+        let start = self.stats.busy_ns;
+        let exact = sums_exactly(start, &op_ns, ops);
+        let (mut busy, mut total, mut memory_ops) = (start, 0.0, 0u64);
+        self.stream.hit_masks(mem, ops, |is_mem, len| {
+            memory_ops += u64::from(is_mem.count_ones());
+            if !exact {
+                for i in 0..len {
+                    let t = op_ns[(is_mem >> i & 1) as usize];
+                    busy += t;
+                    total += t;
+                }
             }
-            left -= n as u64;
+        });
+        if exact {
+            total = counted_sum(&[ops - memory_ops, memory_ops], &op_ns);
+            busy = start + total;
         }
         self.stats.ops += ops;
         self.stats.memory_ops += memory_ops;
@@ -177,7 +185,20 @@ mod tests {
             mix: pim_workload::InstructionMix::with_memory_fraction(0.61),
             ..SystemConfig::table1()
         };
-        let mut configs = vec![SystemConfig::table1(), fractional];
+        // Either side of the exactness predicate: a dyadic but fractional LWP
+        // cycle (2³⁰ + 2⁻²⁰ ns), whose residues round away once sums pass 2³³,
+        // and whole op times (2⁴³ + 1 ns and 30 × 2⁴³ ns) whose worst-case total
+        // passes 2⁵³ within three dozen operations.
+        let dyadic = SystemConfig {
+            lwp_cycle_ns: 2f64.powi(30) + 2f64.powi(-20),
+            ..SystemConfig::table1()
+        };
+        let huge = SystemConfig {
+            hwp_cycle_ns: 2f64.powi(43),
+            lwp_cycle_ns: 2f64.powi(43) + 1.0,
+            ..SystemConfig::table1()
+        };
+        let mut configs = vec![SystemConfig::table1(), fractional, dyadic, huge];
         for mix in [0.0, 1.0] {
             configs.push(SystemConfig {
                 mix: pim_workload::InstructionMix::with_memory_fraction(mix),
@@ -203,6 +224,23 @@ mod tests {
             let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
             for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
                 assert_run_ops_matches(&mut bulk, &mut seq, ops);
+            }
+        }
+        // Every alignment of a phase of up to 130 operations against the 64-word
+        // buffer: phases that end inside a window and phases that end exactly on
+        // its edge, each followed by one more operation.
+        for c in [SystemConfig::table1(), fractional, huge] {
+            for prior in 0..64 {
+                for ops in 1..=130 {
+                    let mut bulk = LwpExecution::new(c, RandomStream::new(7, prior));
+                    let mut seq = LwpExecution::new(c, RandomStream::new(7, prior));
+                    for _ in 0..prior {
+                        bulk.stream.uniform01();
+                        seq.stream.uniform01();
+                    }
+                    assert_run_ops_matches(&mut bulk, &mut seq, ops);
+                    assert_run_ops_matches(&mut bulk, &mut seq, 1);
+                }
             }
         }
     }

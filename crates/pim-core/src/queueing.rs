@@ -22,6 +22,13 @@
 //! tractable for the full 10^8-operation workload; it does not change the sampled
 //! operations, because a batch executes back-to-back on one processor.
 //!
+//! When a processor's op times are whole nanoseconds and even its worst-case phase
+//! stays below 2⁵³ ticks, that quantization folds: every batch total is an exact
+//! whole number of nanoseconds, `from_ns_f64` turns it into ticks without rounding,
+//! and the batches' ticks add up to those of the whole phase. The phase then runs as
+//! one `run_ops` call, counted rather than summed op by op, and its event count is
+//! `⌈ops / ops_per_event⌉` as before.
+//!
 //! [`run_queueing`] is a phase kernel rather than an event loop: the HWP batches, then
 //! each node's batches. That is exact: every node draws from its own stream
 //! (`100 + i`, the HWP `1`), no event of one processor ever touches another, and a
@@ -34,6 +41,8 @@ use crate::config::SystemConfig;
 use crate::hwp::{HwpExecution, HwpStats};
 use crate::lwp::{LwpExecution, LwpStats};
 use desim::prelude::*;
+use desim::random::sums_exactly;
+use desim::time::TICKS_PER_NS;
 use pim_workload::{ThreadBalance, ThreadPartition, WorkPartition};
 use serde::{Deserialize, Serialize};
 
@@ -73,13 +82,20 @@ pub struct QueueingResult {
 
 /// Run `ops` operations in batches of `ops_per_event` and return the phase length:
 /// the sum of the batch durations, each quantized to whole ticks. Counts the batches
-/// into `events`.
+/// into `events`. `op_ns` are the processor's op times, which decide whether the
+/// batches' quantization folds into the phase's.
 fn run_batches(
     ops: u64,
     ops_per_event: u64,
+    op_ns: &[f64],
     events: &mut u64,
     mut run_ops: impl FnMut(u64) -> f64,
 ) -> SimDuration {
+    // The worst case in ticks is `ops · TICKS_PER_NS · max(op_ns)`.
+    if sums_exactly(0.0, op_ns, ops.saturating_mul(TICKS_PER_NS)) {
+        *events += ops.div_ceil(ops_per_event);
+        return SimDuration::from_ns_f64(run_ops(ops));
+    }
     let mut elapsed = SimDuration::ZERO;
     let mut left = ops;
     while left > 0 {
@@ -114,15 +130,24 @@ pub fn run_queueing(
     };
     let mut events = 0;
     let mut hwp = HwpExecution::new(config, RandomStream::new(seed, 1));
-    let hwp_end =
-        SimTime::ZERO + run_batches(hwp_ops, ops_per_event, &mut events, |b| hwp.run_ops(b));
+    let hwp_ns = hwp.op_ns();
+    let hwp_end = SimTime::ZERO
+        + run_batches(hwp_ops, ops_per_event, &hwp_ns, &mut events, |b| {
+            hwp.run_ops(b)
+        });
     // A node with no work ends with the HWP phase; the run ends with the last node.
     let mut lwp = LwpStats::default();
     let mut busy = Vec::with_capacity(lwp_threads.len());
     let mut node_end = Vec::with_capacity(lwp_threads.len());
     for (i, &ops) in lwp_threads.iter().enumerate() {
         let mut node = LwpExecution::new(config, RandomStream::new(seed, 100 + i as u64));
-        node_end.push(hwp_end + run_batches(ops, ops_per_event, &mut events, |b| node.run_ops(b)));
+        let node_ns = node.op_ns();
+        node_end.push(
+            hwp_end
+                + run_batches(ops, ops_per_event, &node_ns, &mut events, |b| {
+                    node.run_ops(b)
+                }),
+        );
         let stats = node.stats();
         lwp.merge(&stats);
         busy.push(stats.busy_ns);

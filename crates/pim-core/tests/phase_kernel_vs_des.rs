@@ -290,3 +290,23 @@ fn phase_kernel_matches_the_engine_on_paper_points() {
     }
     check(config, 0.0, RunMode::Control, 64, 0x5EED);
 }
+
+/// Whole-nanosecond machines on a 2³² + 1 ns clock. Every 64-operation batch
+/// converts to ticks exactly and even a phase's worst case stays below 2⁵³ ns, but
+/// a phase's total in ticks passes 2⁵³: the kernel must keep quantizing batch by
+/// batch there, not fold the phase into one conversion. Phase ends that large
+/// round again as `f64` nanoseconds; the node idle times, differences of tick
+/// counts, are what shows a tick lost or gained.
+#[test]
+fn phase_kernel_matches_the_engine_past_the_tick_bound() {
+    let clock = 4_294_967_297.0;
+    let config = SystemConfig {
+        total_ops: 20_000,
+        hwp_cycle_ns: clock,
+        lwp_cycle_ns: 5.0 * clock,
+        ..SystemConfig::table1()
+    };
+    for seed in 0..4 {
+        check(config, 0.5, RunMode::Test { nodes: 4 }, 64, seed);
+    }
+}

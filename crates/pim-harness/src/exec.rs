@@ -1037,6 +1037,27 @@ mod tests {
         assert_eq!(warm.report.to_json(), cold.report.to_json());
     }
 
+    #[test]
+    fn non_finite_payloads_stay_out_of_the_warm_map() {
+        // `Some(NaN)` renders as JSON `null`, which reads back as `None`: a warm
+        // copy of this unit would change its report, so it recomputes instead.
+        let plan = || {
+            let key = UnitKeyer::new("nan", &Value::Map(vec![]), 3).key(0, 0);
+            ScenarioPlan::cached_map_reduce(vec![(key, || Some(f64::NAN))], |out| {
+                ScenarioReport::new("nan", "non-finite", 3, Value::Map(vec![]))
+                    .with_metric("present", f64::from(u8::from(out[0].is_some())))
+            })
+        };
+        let run = |pool: &UnitPool| {
+            let outcome = pool.run_plans_cached(vec![plan()], None).unwrap().remove(0);
+            (outcome.report.to_json(), outcome.cache.hits)
+        };
+        let pool = UnitPool::new(2);
+        run(&pool);
+        let (fresh, _) = run(&UnitPool::new(2));
+        assert_eq!(run(&pool), (fresh, 0));
+    }
+
     /// Spin until `cond` holds (the pool exposes occupancy, not wakeups).
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
         for _ in 0..2000 {

@@ -7,9 +7,20 @@
 //! the normal approximation of that sum (mean `k·μ`, variance `k·σ²`) instead of adding
 //! up `k` Bernoulli draws, which keeps the cost of one simulated run O(1) regardless of
 //! how rare remote accesses are.
+//!
+//! A short run's local-memory decisions come as a hit mask that the stream computes
+//! once per buffer of 64 raw words and shares among the runs drawn from it. With a
+//! whole `local_memory_cycles` small enough that no run's sum can round
+//! ([`sums_exactly`]), the run's duration is the count of compute and memory
+//! operations times their cycles; otherwise the cycles are added operation by
+//! operation, in order.
 
 use crate::config::ParcelConfig;
-use desim::random::{ln_one_minus, BernoulliThreshold, RandomStream};
+use desim::random::{counted_sum, ln_one_minus, sums_exactly, BernoulliThreshold, RandomStream};
+
+/// The longest run whose operations [`LocalOpDist::sample_total`] draws one by
+/// one; longer runs take the normal approximation.
+const EXACT_RUN_OPS: u64 = 64;
 
 /// A sampled run of local work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,6 +42,9 @@ pub struct LocalOpDist {
     local_mem: BernoulliThreshold,
     /// Cycles for a local memory access.
     mem_cycles: f64,
+    /// Whether a run of up to `EXACT_RUN_OPS` operations takes counts times
+    /// op cycles ([`sums_exactly`]).
+    counted: bool,
     /// Mean cycles per local operation.
     mean: f64,
     /// Standard deviation of cycles per local operation.
@@ -49,6 +63,7 @@ impl LocalOpDist {
                 p_local_mem: 0.0,
                 local_mem: BernoulliThreshold::new(0.0),
                 mem_cycles: config.local_memory_cycles,
+                counted: false,
                 mean: 0.0,
                 std_dev: 0.0,
             };
@@ -61,6 +76,7 @@ impl LocalOpDist {
             p_local_mem: p,
             local_mem: BernoulliThreshold::new(p),
             mem_cycles: m,
+            counted: sums_exactly(0.0, &[1.0, m], EXACT_RUN_OPS),
             mean,
             std_dev: var.sqrt(),
         }
@@ -82,8 +98,8 @@ impl LocalOpDist {
 
     /// Sample the total duration of `ops` local operations in cycles.
     ///
-    /// Runs of up to 64 operations are summed exactly; longer runs use the normal
-    /// approximation of the sum.
+    /// Runs of up to `EXACT_RUN_OPS` (64) operations are summed exactly; longer runs
+    /// use the normal approximation of the sum.
     pub fn sample_total(&self, ops: u64, stream: &mut RandomStream) -> f64 {
         if ops == 0 {
             return 0.0;
@@ -91,18 +107,21 @@ impl LocalOpDist {
         if self.mean <= 0.0 {
             return 0.0;
         }
-        if ops <= 64 {
+        if ops <= EXACT_RUN_OPS {
             // Bulk form of `(0..ops).map(|_| self.sample_op(stream)).sum()`:
-            // same draws in the same order, same left-to-right summation, so the
-            // result is bit-identical. The decisions come first, as codes, then a
-            // table sums them without a data-dependent branch.
+            // the same draws in the same order and, bit for bit, the same sum.
             let op_cycles = [1.0, self.mem_cycles];
-            let mut codes = [0u8; 64];
-            let codes = &mut codes[..ops as usize];
-            stream.fill_bernoulli(self.local_mem, codes);
-            let mut total = 0.0;
-            for &code in codes.iter() {
-                total += op_cycles[code as usize];
+            let (mut memory, mut total) = (0, 0.0);
+            stream.hit_masks(self.local_mem, ops, |is_mem, len| {
+                memory += u64::from(is_mem.count_ones());
+                if !self.counted {
+                    for i in 0..len {
+                        total += op_cycles[(is_mem >> i & 1) as usize];
+                    }
+                }
+            });
+            if self.counted {
+                total = counted_sum(&[ops - memory, memory], &op_cycles);
             }
             total
         } else {
@@ -248,17 +267,52 @@ mod tests {
             mix: InstructionMix::with_memory_fraction(0.0),
             ..config(0.2)
         };
-        for c in [config(0.2), all_memory, no_memory] {
+        // Either side of the exactness predicate: a dyadic but fractional access
+        // (2⁴⁰ + 2⁻¹⁰ cycles), whose residues round away once sums pass 2⁴³,
+        // and a whole one (2⁵⁰ + 1 cycles) whose 64-operation worst case passes
+        // 2⁵³.
+        let dyadic = ParcelConfig {
+            local_memory_cycles: 2f64.powi(40) + 2f64.powi(-10),
+            ..config(0.2)
+        };
+        let huge = ParcelConfig {
+            local_memory_cycles: 2f64.powi(50) + 1.0,
+            ..config(0.2)
+        };
+        let exact = |d: &LocalOpDist, ops: u64, bulk: &mut RandomStream, seq: &mut RandomStream| {
+            let a = d.sample_total(ops, bulk);
+            let b: f64 = (0..ops).map(|_| d.sample_op(seq)).sum();
+            assert_eq!(a.to_bits(), b.to_bits(), "{d:?} ops={ops}");
+            assert_eq!(bulk.draws(), seq.draws());
+        };
+        for c in [config(0.2), all_memory, no_memory, dyadic, huge] {
             let d = LocalOpDist::from_config(&c);
             let mut bulk = RandomStream::new(11, 1);
             let mut seq = RandomStream::new(11, 1);
             bulk.uniform01();
             seq.uniform01();
             for ops in [1u64, 2, 5, 31, 32, 33, 64] {
-                let a = d.sample_total(ops, &mut bulk);
-                let b: f64 = (0..ops).map(|_| d.sample_op(&mut seq)).sum();
-                assert_eq!(a.to_bits(), b.to_bits(), "ops={ops}");
-                assert_eq!(bulk.draws(), seq.draws());
+                exact(&d, ops, &mut bulk, &mut seq);
+            }
+        }
+        // Every alignment of a run against the 64-word buffer: runs that end
+        // inside a window, runs that end exactly on its edge and runs that span
+        // two buffers, each followed by a run length's draw and one more run
+        // that reuses the buffer's hit mask.
+        for c in [config(0.2), huge] {
+            let d = LocalOpDist::from_config(&c);
+            for prior in 0..64 {
+                for ops in 1..=64 {
+                    let mut bulk = RandomStream::new(7, prior);
+                    let mut seq = RandomStream::new(7, prior);
+                    for _ in 0..prior {
+                        bulk.uniform01();
+                        seq.uniform01();
+                    }
+                    exact(&d, ops, &mut bulk, &mut seq);
+                    assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
+                    exact(&d, 3, &mut bulk, &mut seq);
+                }
             }
         }
     }
