@@ -23,6 +23,10 @@ use rand::{RngCore, SeedableRng, Standard};
 /// hit mask, so a buffer's decisions fit one `u64`.
 const RAW_BUF_LEN: usize = 64;
 
+/// Fewest words [`RandomStream::raw_window`] ever lends: enough for one
+/// decision that needs two draws.
+const MIN_WINDOW: usize = 2;
+
 /// A mask of the low `len` bits (`len` at most 64): the positions of a window
 /// of `len` decisions.
 #[inline]
@@ -195,17 +199,16 @@ impl RandomStream {
         }
     }
 
-    /// Refill the consumed prefetch buffer from the underlying generator.
+    /// Refill the prefetch buffer from the underlying generator, keeping the
+    /// unconsumed words at its front.
     fn refill(&mut self) {
-        debug_assert_eq!(
-            self.buf_pos, RAW_BUF_LEN,
-            "refill of a buffer with words left"
-        );
+        let kept = RAW_BUF_LEN - self.buf_pos;
+        self.buf.copy_within(self.buf_pos.., 0);
         self.hits.0 = 0;
         // A local copy of the generator state stays in registers across the
         // loop instead of being reloaded and stored for every word.
         let mut rng = self.rng.clone();
-        for slot in &mut self.buf {
+        for slot in &mut self.buf[kept..] {
             *slot = rng.next_u64();
         }
         self.rng = rng;
@@ -223,7 +226,7 @@ impl RandomStream {
         x
     }
 
-    /// Lend `f` the buffered raw generator words — always at least one, at
+    /// Lend `f` the buffered raw generator words — always at least two, at
     /// most 64 — and consume the first `n` of them, where `n` is what `f`
     /// returns.
     ///
@@ -234,7 +237,7 @@ impl RandomStream {
     /// decision that spans two words may find them in two windows.
     #[inline]
     pub fn raw_window(&mut self, f: impl FnOnce(&[u64]) -> usize) {
-        if self.buf_pos == RAW_BUF_LEN {
+        if RAW_BUF_LEN - self.buf_pos < MIN_WINDOW {
             self.refill();
         }
         let window = &self.buf[self.buf_pos..];
@@ -490,7 +493,8 @@ mod tests {
             let mut taken = Vec::new();
             while taken.len() < len {
                 bulk.raw_window(|words| {
-                    assert!(!words.is_empty());
+                    assert!(words.len() >= MIN_WINDOW);
+                    assert!(words.len() <= RAW_BUF_LEN);
                     let n = words.len().min(len - taken.len());
                     taken.extend_from_slice(&words[..n]);
                     n

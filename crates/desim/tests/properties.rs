@@ -169,7 +169,8 @@ proptest! {
                     let mut taken = Vec::new();
                     while taken.len() < len {
                         bulk.raw_window(|words| {
-                            prop_assert!(!words.is_empty() && words.len() <= 64);
+                            prop_assert!(words.len() >= 2);
+                            prop_assert!(words.len() <= 64);
                             let n = words.len().min(len - taken.len());
                             taken.extend_from_slice(&words[..n]);
                             n

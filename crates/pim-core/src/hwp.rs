@@ -346,11 +346,14 @@ mod tests {
             }
         }
         for c in configs {
-            // Batches straddling the 32-word buffer, each on fresh streams after
-            // an odd number of prior draws (so windows start unaligned), then
-            // all of them back to back on one pair of streams.
+            // Batches from a few operations to several 64-word buffers, each on
+            // fresh streams after an odd number of prior draws (so windows start
+            // unaligned), then all of them back to back on one pair of streams.
+            // A memory operation reads two words, so where a batch ends in the
+            // buffer depends on its draws: the alignment loop below places a
+            // phase's end at every position.
             for prior in [1, 33] {
-                for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                for ops in [0u64, 1, 7, 31, 32, 33, 63, 64, 65, 1000] {
                     let mut bulk = HwpExecution::new(c, RandomStream::new(42, 9));
                     let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
                     for _ in 0..prior {
@@ -362,7 +365,7 @@ mod tests {
             }
             let mut bulk = HwpExecution::new(c, RandomStream::new(42, 9));
             let mut seq = HwpExecution::new(c, RandomStream::new(42, 9));
-            for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+            for ops in [0u64, 1, 7, 31, 32, 33, 63, 64, 65, 1000] {
                 assert_run_ops_matches(&mut bulk, &mut seq, ops);
             }
         }

@@ -206,11 +206,13 @@ mod tests {
             });
         }
         for c in configs {
-            // Batches straddling the 32-word buffer, each on fresh streams after
-            // an odd number of prior draws (so windows start unaligned), then
-            // all of them back to back on one pair of streams.
+            // Batches that end just before, on and just past the 64-word
+            // buffer's edge (1 prior draw and 63, 64 or 65 operations; 33 and
+            // 31, 32 or 33), each on fresh streams after an odd number of prior
+            // draws (so windows start unaligned), then all of them back to back
+            // on one pair of streams.
             for prior in [1, 33] {
-                for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+                for ops in [0u64, 1, 7, 31, 32, 33, 63, 64, 65, 1000] {
                     let mut bulk = LwpExecution::new(c, RandomStream::new(42, 8));
                     let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
                     for _ in 0..prior {
@@ -222,7 +224,7 @@ mod tests {
             }
             let mut bulk = LwpExecution::new(c, RandomStream::new(42, 8));
             let mut seq = LwpExecution::new(c, RandomStream::new(42, 8));
-            for ops in [0u64, 1, 7, 31, 32, 33, 65, 1000] {
+            for ops in [0u64, 1, 7, 31, 32, 33, 63, 64, 65, 1000] {
                 assert_run_ops_matches(&mut bulk, &mut seq, ops);
             }
         }
