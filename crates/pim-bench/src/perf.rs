@@ -216,7 +216,7 @@ fn bench_scenarios(opts: &PerfOptions) -> Value {
             let units = plan.unit_count();
             let start = Instant::now();
             let outcome = UnitPool::new(opts.jobs)
-                .run_plans_cached(vec![plan], None)
+                .run(vec![plan], None, &RunHooks::default())
                 .ok()
                 .and_then(|mut outcomes| outcomes.pop());
             // audit:allow(unwrap-in-library): a benchmark trajectory aborts on the first failed batch by design

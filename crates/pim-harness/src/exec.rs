@@ -14,13 +14,29 @@
 //! any `jobs` value, including `1`.
 //!
 //! Incremental execution: given a persistent [`UnitCache`],
-//! [`UnitPool::run_plans_cached`] consults it *before* a worker runs a claimed unit
+//! [`UnitPool::run`] consults it *before* a worker runs a claimed unit
 //! and writes the result back on completion. Because a unit's cache key is derived
 //! entirely from plan-time values and each entry is one appended frame that readers
 //! index only once it is complete, hit/miss behaviour is independent of claim order
 //! and worker count — a warm batch produces byte-identical artifacts at any
 //! `--jobs`, only faster. Each call that has units left to look up first asks the
 //! cache to index what other processes appended since ([`UnitCache::refresh`]).
+//!
+//! # One call
+//!
+//! [`UnitPool::run`] is the one way to execute plans. Its [`RunHooks`] carry the
+//! caller's progress observer and cancellation probe; batches pass the default,
+//! which holds neither. A sharded batch ([`crate::runner`]) keeps the units its
+//! shard owns and runs them through the same crate-private core, without
+//! assembling reports. Every failure is a [`RunError`].
+//! [`UnitPool::run_plans_cached`] renders that error as a `String` for the
+//! tracer's replay in `perfbench/tracer`, its only caller outside tests.
+//!
+//! A unit whose closure panics fails its call with [`RunError::UnitPanicked`]:
+//! its flight resolves as failed, so waiters re-contest it, and its compute
+//! permit returns. Caller hooks never run under one of the pool's locks, and
+//! the pool's `Drop` impls never panic, so a panicking unit or hook costs only
+//! its own call.
 //!
 //! # The persistent pool
 //!
@@ -37,23 +53,24 @@
 //!   thread, takes the map's lock once and probes its cancellation hook once).
 //!   With a disk cache, a unit joins the map when it is loaded from disk, not
 //!   when it is computed, so one-off units stay out of memory;
-//! * **single-flight deduplication** per [`UnitKey`](crate::cache::UnitKey) digest —
-//!   when two clients need the same unit concurrently, exactly one computes it and
-//!   the other blocks until the result is published, then decodes it as a hit.
+//! * **single-flight deduplication** per [`UnitKey`] digest — when two clients
+//!   need the same unit concurrently, exactly one computes it and the other
+//!   blocks until the result is published, then decodes it as a hit.
 //!
 //! Unit results are pure functions of their key, so a deduplicated or memory-served
 //! payload is byte-identical to a recomputed one; the pool changes *when* work
 //! happens, never *what* is produced.
 
-use crate::cache::{CacheCounts, CacheEvent, CacheLookup, UnitCache};
+use crate::cache::{CacheCounts, CacheEvent, CacheLookup, UnitCache, UnitKey};
 use crate::report::ScenarioReport;
 use crate::scenario::{PlanUnit, ScenarioPlan, UnitCodec, UnitOutput};
-use crate::shard::{ExecutedUnit, ShardSpec};
 use desim::par::unpoisoned;
 use serde::Value;
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, LockResult, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Resolve a user-facing `jobs` knob: `0` means one worker per available core.
@@ -84,6 +101,17 @@ pub type Progress<'p> = &'p (dyn Fn(usize, usize) + Sync);
 /// ownership, and results already published to the pool's caches stay valid.
 pub type Cancel<'c> = &'c (dyn Fn() -> bool + Sync);
 
+/// The caller's hooks on one [`UnitPool::run`] call. The default holds
+/// neither: no progress reports and no cancellation.
+#[derive(Default)]
+pub struct RunHooks<'h> {
+    /// Called after every completed unit (see [`Progress`]).
+    pub progress: Option<Progress<'h>>,
+    /// Polled at the call's scheduling edges; `true` cancels it (see
+    /// [`Cancel`]).
+    pub cancel: Option<Cancel<'h>>,
+}
+
 /// Why an executor call failed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -93,6 +121,18 @@ pub enum RunError {
     /// operation and the path. An unwritable cache mid-run is an environment
     /// error the user must see, not a silent performance cliff.
     Store(String),
+    /// A unit's closure panicked. Its flight resolved as failed and its compute
+    /// permit returned, so the pool serves later calls as before.
+    UnitPanicked {
+        /// The unit's scenario.
+        scenario: String,
+        /// The unit's flattened grid-point index within its scenario's plan.
+        grid_index: u64,
+        /// The unit's replication index within its grid point.
+        replication_index: u64,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -100,29 +140,74 @@ impl fmt::Display for RunError {
         match self {
             RunError::Cancelled => f.write_str("execution cancelled by caller"),
             RunError::Store(message) => f.write_str(message),
+            RunError::UnitPanicked {
+                scenario,
+                grid_index,
+                replication_index,
+                message,
+            } => write!(
+                f,
+                "scenario '{scenario}' unit (grid index {grid_index}, replication \
+                 {replication_index}) panicked: {message}"
+            ),
         }
     }
+}
+
+/// The text of a caught panic: its payload when that is a string, as `panic!`
+/// and failed assertions produce.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|text| (*text).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
 }
 
 /// How often blocked waits (gate queue, foreign flights) poll a cancellation
 /// probe. Uncancellable waits (no probe) never wake early.
 const CANCEL_POLL: Duration = Duration::from_millis(25);
 
-/// One step of a blocking wait on `cond`: without a probe, until notified; with
-/// one, for at most [`CANCEL_POLL`], failing with [`RunError::Cancelled`] instead
-/// if the probe has fired. Callers loop until their condition holds.
-fn wait_step<'g, T>(
+/// Block on `cond` until `take` gets what the caller waits for out of the
+/// state behind `lock`. Without a probe only that ends the wait. With one,
+/// the probe is polled before each wait of at most [`CANCEL_POLL`], and the
+/// wait fails with [`RunError::Cancelled`] once it fires. The probe is the
+/// caller's code, so it runs with the lock released: a probe that panics
+/// unwinds its own caller and cannot poison the lock for anyone else.
+fn wait_for<T, R>(
+    lock: &Mutex<T>,
     cond: &Condvar,
-    guard: MutexGuard<'g, T>,
     cancel: Option<Cancel<'_>>,
-) -> Result<MutexGuard<'g, T>, RunError> {
-    let Some(probe) = cancel else {
-        return Ok(unpoisoned(cond.wait(guard)));
-    };
-    if probe() {
-        return Err(RunError::Cancelled);
+    mut take: impl FnMut(&mut T) -> Option<R>,
+) -> Result<R, RunError> {
+    let mut state = unpoisoned(lock.lock());
+    loop {
+        if let Some(taken) = take(&mut state) {
+            return Ok(taken);
+        }
+        let Some(probe) = cancel else {
+            state = unpoisoned(cond.wait(state));
+            continue;
+        };
+        drop(state);
+        if probe() {
+            return Err(RunError::Cancelled);
+        }
+        state = unpoisoned(lock.lock());
+        if let Some(taken) = take(&mut state) {
+            return Ok(taken);
+        }
+        state = unpoisoned(cond.wait_timeout(state, CANCEL_POLL)).0;
     }
-    Ok(unpoisoned(cond.wait_timeout(guard, CANCEL_POLL)).0)
+}
+
+/// A lock's guard even when a panic poisoned the lock. The pool's `Drop` impls
+/// and [`Flight::resolve`] take their locks through it, because a panic in
+/// `Drop` while another panic unwinds aborts the process. Every critical
+/// section on those locks is one step (a counter update, a table insert or
+/// removal, a state assignment), so a poisoned lock still guards valid data.
+fn recovered<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Decode one warm-map entry: its JSON, then the unit's codec. `None` when
@@ -138,19 +223,6 @@ pub struct PlanOutcome {
     /// How the plan's units interacted with the unit cache (memory-served and
     /// flight-deduplicated units count as hits).
     pub cache: CacheCounts,
-}
-
-/// The per-plan result of a sharded execution pass
-/// ([`UnitPool::run_plans_shard`]): no report — foreign units have no outputs, so
-/// nothing can assemble — just the partition accounting the shard's manifest and
-/// partial artifacts record.
-pub struct ShardPlanOutcome {
-    /// Cache accounting over the plan's *owned* units only.
-    pub cache: CacheCounts,
-    /// Total units in the plan, across all shards.
-    pub units_total: u64,
-    /// The owned (executed) units, in plan order.
-    pub executed: Vec<ExecutedUnit>,
 }
 
 /// The state of one in-flight unit computation, keyed by digest in
@@ -177,18 +249,15 @@ impl Flight {
     /// `Err(Cancelled)` when the caller's probe fired while waiting (the
     /// flight itself is untouched — its owner and other waiters are foreign).
     fn wait(&self, cancel: Option<Cancel<'_>>) -> Result<Option<Value>, RunError> {
-        let mut state = unpoisoned(self.state.lock());
-        loop {
-            match &*state {
-                FlightState::Done(payload) => return Ok(Some(payload.clone())),
-                FlightState::Failed => return Ok(None),
-                FlightState::Pending => state = wait_step(&self.done, state, cancel)?,
-            }
-        }
+        wait_for(&self.state, &self.done, cancel, |state| match state {
+            FlightState::Pending => None,
+            FlightState::Done(payload) => Some(Some(payload.clone())),
+            FlightState::Failed => Some(None),
+        })
     }
 
     fn resolve(&self, state: FlightState) {
-        *unpoisoned(self.state.lock()) = state;
+        *recovered(self.state.lock()) = state;
         self.done.notify_all();
     }
 }
@@ -216,7 +285,7 @@ impl Drop for FlightGuard<'_> {
         if !self.completed {
             self.flight.resolve(FlightState::Failed);
         }
-        unpoisoned(self.pool.flights.lock()).remove(&self.digest);
+        recovered(self.pool.flights.lock()).remove(&self.digest);
     }
 }
 
@@ -243,11 +312,9 @@ impl Gate {
     /// the queued wait gives up with `Err(Cancelled)` instead of computing for
     /// a caller that is gone.
     fn acquire(&self, cancel: Option<Cancel<'_>>) -> Result<GatePermit<'_>, RunError> {
-        let mut permits = unpoisoned(self.permits.lock());
-        while *permits == 0 {
-            permits = wait_step(&self.freed, permits, cancel)?;
-        }
-        *permits -= 1;
+        wait_for(&self.permits, &self.freed, cancel, |free| {
+            (*free > 0).then(|| *free -= 1)
+        })?;
         Ok(GatePermit { gate: self })
     }
 
@@ -265,7 +332,7 @@ struct GatePermit<'g> {
 
 impl Drop for GatePermit<'_> {
     fn drop(&mut self) {
-        *unpoisoned(self.gate.permits.lock()) += 1;
+        *recovered(self.gate.permits.lock()) += 1;
         self.gate.freed.notify_one();
     }
 }
@@ -334,33 +401,24 @@ impl UnitPool {
     }
 
     /// Execute every plan's units and assemble one report per plan, in input
-    /// order. Workers consult `cache` before running a claimed unit and store
-    /// results back on completion.
+    /// order: the one way to run plans. Workers consult `cache` before running
+    /// a claimed unit and store results back on completion.
     ///
-    /// Cache *reads* never fail the batch (a corrupt entry is evicted and
-    /// recomputed); cache *writes* do, with the store's message.
-    pub fn run_plans_cached(
-        &self,
-        plans: Vec<ScenarioPlan<'_>>,
-        cache: Option<&UnitCache>,
-    ) -> Result<Vec<PlanOutcome>, String> {
-        self.run_plans_cancellable(plans, cache, None, None)
-            .map_err(|err| err.to_string())
-    }
-
-    /// [`UnitPool::run_plans_cached`] with an optional per-unit progress
-    /// observer and an optional cancellation probe (both used by the serve
-    /// layer). When the probe fires the call stops claiming units, abandons
-    /// any gate/flight queue position it holds, and fails with
+    /// `hooks` carries the caller's progress observer and cancellation probe.
+    /// When the probe fires the call stops claiming units, abandons any
+    /// gate/flight queue position it holds, and fails with
     /// [`RunError::Cancelled`]; flights this call owned resolve as failed so
     /// foreign waiters re-contest ownership, and everything already published
     /// to the pool's caches stays valid for future callers.
-    pub fn run_plans_cancellable(
+    ///
+    /// Cache *reads* never fail the call (a corrupt entry is evicted and
+    /// recomputed); cache *writes* do, with [`RunError::Store`]. A unit that
+    /// panics fails it with [`RunError::UnitPanicked`].
+    pub fn run(
         &self,
         plans: Vec<ScenarioPlan<'_>>,
         cache: Option<&UnitCache>,
-        progress: Option<Progress<'_>>,
-        cancel: Option<Cancel<'_>>,
+        hooks: &RunHooks<'_>,
     ) -> Result<Vec<PlanOutcome>, RunError> {
         let mut units = Vec::new();
         let mut assembles = Vec::with_capacity(plans.len());
@@ -369,7 +427,7 @@ impl UnitPool {
             assembles.push((plan_units.len(), assemble));
             units.extend(plan_units);
         }
-        let mut executed = self.execute(units, cache, progress, cancel)?.into_iter();
+        let mut executed = self.execute(units, cache, hooks)?.into_iter();
         Ok(assembles
             .into_iter()
             .map(|(len, assemble)| {
@@ -390,54 +448,16 @@ impl UnitPool {
             .collect())
     }
 
-    /// Execute only the units of each plan that `shard` owns under the
-    /// deterministic [`UnitKey`](crate::cache::UnitKey)-digest partition,
-    /// discarding their in-memory outputs (a shard's product is its cache
-    /// entries, not a report). Returns one [`ShardPlanOutcome`] per plan, in
-    /// input order.
-    ///
-    /// Owned units still consult `cache` before running — a warm shard run is
-    /// all-hits, exactly like a warm unsharded one.
-    pub fn run_plans_shard(
+    /// [`UnitPool::run`] without hooks, its error rendered as a `String`. The
+    /// tracer's replay in `perfbench/tracer` calls it; other callers use
+    /// `run`, and the wrapper goes once the tracer does too.
+    pub fn run_plans_cached(
         &self,
         plans: Vec<ScenarioPlan<'_>>,
         cache: Option<&UnitCache>,
-        shard: &ShardSpec,
-    ) -> Result<Vec<ShardPlanOutcome>, String> {
-        let mut owned: Vec<PlanUnit<'_>> = Vec::new();
-        let mut outcomes: Vec<ShardPlanOutcome> = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let (units, _assemble) = plan.into_parts();
-            let mut executed = Vec::new();
-            let units_total = units.len() as u64;
-            for unit in units {
-                if shard.owns(&unit.key) {
-                    executed.push(ExecutedUnit {
-                        grid_index: unit.key.grid_index,
-                        replication_index: unit.key.replication_index,
-                        digest: unit.key.digest(),
-                    });
-                    owned.push(unit);
-                }
-            }
-            outcomes.push(ShardPlanOutcome {
-                cache: CacheCounts::default(),
-                units_total,
-                executed,
-            });
-        }
-
-        let mut events = self
-            .execute(owned, cache, None, None)
-            .map_err(|err| err.to_string())?
-            .into_iter()
-            .map(|(_output, event)| event);
-        for outcome in &mut outcomes {
-            for event in events.by_ref().take(outcome.executed.len()) {
-                outcome.cache.record(event);
-            }
-        }
-        Ok(outcomes)
+    ) -> Result<Vec<PlanOutcome>, String> {
+        self.run(plans, cache, &RunHooks::default())
+            .map_err(|err| err.to_string())
     }
 
     /// A payload from the warm map, decoded; `None` on absence (or on a decode
@@ -482,8 +502,9 @@ impl UnitPool {
     /// gated computation, returning its output and cache event. Fails with
     /// [`RunError::Cancelled`] when the caller's probe fired while queued (a
     /// flight this worker owned resolves as failed via its guard, waking foreign
-    /// waiters to re-contest) and with [`RunError::Store`] when the disk cache
-    /// refused the computed payload.
+    /// waiters to re-contest), with [`RunError::Store`] when the disk cache
+    /// refused the computed payload, and with [`RunError::UnitPanicked`] when
+    /// the unit's closure panicked.
     fn run_unit(
         &self,
         unit: PlanUnit<'_>,
@@ -514,8 +535,8 @@ impl UnitPool {
                         // across incompatible unit types — not constructible
                         // from well-formed scenarios). Compute it directly.
                         None => {
-                            let _permit = self.gate.acquire(cancel)?;
-                            return Ok(((unit.run)(), base_event));
+                            let output = self.compute(unit.run, key, cancel)?;
+                            return Ok((output, base_event));
                         }
                     },
                     // The owner failed; contest ownership again.
@@ -544,12 +565,9 @@ impl UnitPool {
                 CacheLookup::Miss => {}
             }
         }
-        let output = {
-            // A cancelled gate wait drops `guard` un-completed: the flight
-            // resolves Failed and waiters re-contest.
-            let _permit = self.gate.acquire(cancel)?;
-            (unit.run)()
-        };
+        // A cancelled gate wait or a panicking unit drops `guard` un-completed:
+        // the flight resolves Failed and waiters re-contest.
+        let output = self.compute(unit.run, key, cancel)?;
         let payload = (codec.encode)(&*output);
         // With a disk cache the payload goes to disk only: it becomes
         // memory-warm when a later call loads it back (the disk-hit branch
@@ -566,22 +584,43 @@ impl UnitPool {
         Ok((output, event))
     }
 
+    /// Run one unit's closure under a compute permit. A panic in the closure is
+    /// caught and returned as [`RunError::UnitPanicked`]; the permit returns
+    /// either way.
+    fn compute(
+        &self,
+        run: impl FnOnce() -> UnitOutput,
+        key: &UnitKey,
+        cancel: Option<Cancel<'_>>,
+    ) -> Result<UnitOutput, RunError> {
+        let _permit = self.gate.acquire(cancel)?;
+        // A unit only reads its plan's data and its output is dropped with the
+        // panic, so nothing it left half done is seen again.
+        std::panic::catch_unwind(AssertUnwindSafe(run)).map_err(|payload| RunError::UnitPanicked {
+            scenario: key.scenario.clone(),
+            grid_index: key.grid_index,
+            replication_index: key.replication_index,
+            message: panic_message(&*payload),
+        })
+    }
+
     /// Run a flattened unit list, returning each unit's output and cache event
-    /// in unit order.
+    /// in unit order. The crate's one execution core: [`UnitPool::run`] and a
+    /// sharded batch ([`crate::runner::run_batch`]) both call it.
     ///
     /// Memory-warm units resolve first, on the calling thread: one probe of
-    /// `cancel`, one `mem` lock for the whole list, payload decodes outside
-    /// the lock. Only the rest go to `desim::par`'s claim loop, where up to
-    /// `jobs` workers claim them and probe `cancel` once per claim; the pool's
-    /// gate additionally bounds *computation* across every concurrent call. An
-    /// all-warm call therefore spawns no thread.
-    fn execute(
+    /// the cancel hook, one `mem` lock for the whole list, payload decodes
+    /// outside the lock. Only the rest go to `desim::par`'s claim loop, where
+    /// up to `jobs` workers claim them and probe the hook once per claim; the
+    /// pool's gate additionally bounds *computation* across every concurrent
+    /// call. An all-warm call therefore spawns no thread.
+    pub(crate) fn execute(
         &self,
         units: Vec<PlanUnit<'_>>,
         cache: Option<&UnitCache>,
-        progress: Option<Progress<'_>>,
-        cancel: Option<Cancel<'_>>,
+        hooks: &RunHooks<'_>,
     ) -> Result<Vec<(UnitOutput, CacheEvent)>, RunError> {
+        let RunHooks { progress, cancel } = *hooks;
         if cancel.is_some_and(|probe| probe()) {
             return Err(RunError::Cancelled);
         }
@@ -716,6 +755,14 @@ mod tests {
             }
             report
         })
+    }
+
+    /// Hooks holding only the cancellation probe `probe`.
+    fn cancelled_by<'c>(probe: Cancel<'c>) -> RunHooks<'c> {
+        RunHooks {
+            cancel: Some(probe),
+            ..RunHooks::default()
+        }
     }
 
     /// Run plans on a fresh pool without a disk cache, keeping only the reports.
@@ -874,11 +921,10 @@ mod tests {
         std::fs::write(&units, "x").unwrap();
         let pool = UnitPool::new(2);
         let runs = AtomicUsize::new(0);
-        let Err(RunError::Store(message)) = pool.run_plans_cancellable(
+        let Err(RunError::Store(message)) = pool.run(
             vec![plan_squaring_cached("sq", 6, &runs)],
             Some(&cache),
-            None,
-            None,
+            &RunHooks::default(),
         ) else {
             panic!("a failed store did not fail the call");
         };
@@ -1104,11 +1150,10 @@ mod tests {
         let pool = UnitPool::new(2);
         let runs = AtomicUsize::new(0);
         let probe = || true;
-        let Err(err) = pool.run_plans_cancellable(
+        let Err(err) = pool.run(
             vec![plan_squaring_cached("sq", 8, &runs)],
             None,
-            None,
-            Some(&probe),
+            &cancelled_by(&probe),
         ) else {
             panic!("cancelled call succeeded");
         };
@@ -1141,11 +1186,10 @@ mod tests {
             false
         };
         let warm = pool
-            .run_plans_cancellable(
+            .run(
                 vec![plan_squaring_cached("sq", 16, &runs)],
                 None,
-                None,
-                Some(&probe),
+                &cancelled_by(&probe),
             )
             .unwrap()
             .pop()
@@ -1163,11 +1207,10 @@ mod tests {
         pool.run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], None)
             .unwrap();
         let probe = || true;
-        let Err(err) = pool.run_plans_cancellable(
+        let Err(err) = pool.run(
             vec![plan_squaring_cached("sq", 6, &runs)],
             None,
-            None,
-            Some(&probe),
+            &cancelled_by(&probe),
         ) else {
             panic!("a cancelled warm call succeeded");
         };
@@ -1192,13 +1235,12 @@ mod tests {
                 assert_eq!(total, UNITS);
                 ticks.lock().unwrap().push(done);
             };
+            let hooks = RunHooks {
+                progress: Some(&progress),
+                ..RunHooks::default()
+            };
             let outcome = pool
-                .run_plans_cancellable(
-                    vec![plan_squaring_cached("sq", UNITS, &runs)],
-                    None,
-                    Some(&progress),
-                    None,
-                )
+                .run(vec![plan_squaring_cached("sq", UNITS, &runs)], None, &hooks)
                 .unwrap()
                 .pop()
                 .unwrap();
@@ -1237,11 +1279,10 @@ mod tests {
             // A claims U's flight, then blocks on the gate behind X.
             let a = scope.spawn(|| {
                 let probe = || cancel_a.load(Ordering::Relaxed);
-                pool.run_plans_cancellable(
+                pool.run(
                     vec![plan_squaring_cached("u", 1, &runs)],
                     None,
-                    None,
-                    Some(&probe),
+                    &cancelled_by(&probe),
                 )
             });
             // X's flight plus A's.
@@ -1275,6 +1316,142 @@ mod tests {
         });
         assert_eq!(pool.flights_in_progress(), 0);
         assert_eq!(pool.permits_in_use(), 0);
+    }
+
+    #[test]
+    fn a_panicking_unit_fails_its_call_and_the_pool_keeps_serving() {
+        let plan = || {
+            let keyer = UnitKeyer::new("boom", &Value::Map(vec![]), 5);
+            let units: Vec<_> = (0..4usize)
+                .map(|i| {
+                    (keyer.key(i, 0), move || {
+                        if i == 2 {
+                            panic!("unit {i} failed");
+                        }
+                        i
+                    })
+                })
+                .collect();
+            ScenarioPlan::cached_map_reduce(units, |_: Vec<usize>| {
+                ScenarioReport::new("boom", "d", 0, Value::Map(vec![]))
+            })
+        };
+        let pool = UnitPool::new(2);
+        let Err(err) = pool.run(vec![plan()], None, &RunHooks::default()) else {
+            panic!("a panicking unit did not fail the call");
+        };
+        let RunError::UnitPanicked {
+            scenario,
+            grid_index,
+            replication_index,
+            message,
+        } = &err
+        else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(
+            (scenario.as_str(), *grid_index, *replication_index),
+            ("boom", 2, 0)
+        );
+        assert!(message.contains("unit 2 failed"), "{message}");
+        assert_eq!(pool.permits_in_use(), 0);
+        assert_eq!(pool.flights_in_progress(), 0);
+        // The wrapper renders the same error as its `String`.
+        assert_eq!(
+            pool.run_plans_cached(vec![plan()], None).err(),
+            Some(err.to_string())
+        );
+
+        let runs = AtomicUsize::new(0);
+        let outcome = pool
+            .run(
+                vec![plan_squaring_cached("sq", 8, &runs)],
+                None,
+                &RunHooks::default(),
+            )
+            .unwrap()
+            .remove(0);
+        assert_eq!(outcome.report.metrics.len(), 8);
+        assert_eq!(pool.permits_in_use(), 0);
+        assert_eq!(pool.flights_in_progress(), 0);
+    }
+
+    /// A one-unit plan keyed like `plan_squaring_cached(name, 1, _)` whose unit
+    /// blocks until `release` yields.
+    fn plan_blocked<'s>(name: &'s str, release: std::sync::mpsc::Receiver<()>) -> ScenarioPlan<'s> {
+        let key = UnitKeyer::new(name, &Value::Map(vec![]), 1).key(0, 0);
+        let unit = move || {
+            release.recv().unwrap();
+            0usize
+        };
+        ScenarioPlan::cached_map_reduce(vec![(key, unit)], move |_: Vec<usize>| {
+            ScenarioReport::new(name, "blocked", 0, Value::Map(vec![]))
+        })
+    }
+
+    /// X holds the pool's only permit while it computes unit 0 of `blocker`.
+    /// B, then A, run unit 0 of `b_unit` and `a_unit` and queue behind X: on
+    /// the gate, or on X's flight when their unit is X's. B's probe only counts
+    /// its polls; A's panics on its third, the first one while queued (after
+    /// the call's start and its claim). X and B must still finish, and the pool
+    /// must serve later calls.
+    fn a_queued_probe_panic_costs_only_its_own_call(blocker: &str, a_unit: &str, b_unit: &str) {
+        let pool = UnitPool::new(1);
+        let runs = AtomicUsize::new(0);
+        let (a_polls, b_polls) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let a_probe = || {
+            if a_polls.fetch_add(1, Ordering::SeqCst) == 2 {
+                panic!("probe failed");
+            }
+            false
+        };
+        let b_probe = || {
+            b_polls.fetch_add(1, Ordering::SeqCst);
+            false
+        };
+        let run = |unit: &str, hooks: &RunHooks<'_>| {
+            pool.run(vec![plan_squaring_cached(unit, 1, &runs)], None, hooks)
+        };
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let x = scope.spawn(|| {
+                pool.run(
+                    vec![plan_blocked(blocker, blocked)],
+                    None,
+                    &RunHooks::default(),
+                )
+            });
+            wait_for("X holds the only permit", || pool.permits_in_use() == 1);
+            let b = scope.spawn(|| run(b_unit, &cancelled_by(&b_probe)));
+            wait_for("B is queued", || b_polls.load(Ordering::SeqCst) >= 3);
+            let a = scope.spawn(|| run(a_unit, &cancelled_by(&a_probe)));
+            assert!(
+                a.join().is_err(),
+                "the probe's panic did not reach its caller"
+            );
+            assert_eq!(a_polls.load(Ordering::SeqCst), 3);
+            release.send(()).unwrap();
+            assert!(x.join().unwrap().is_ok(), "X failed with A");
+            assert!(b.join().unwrap().is_ok(), "B failed with A");
+        });
+        assert_eq!(pool.permits_in_use(), 0);
+        assert_eq!(pool.flights_in_progress(), 0);
+        for _ in 0..2 {
+            let outcome = run(a_unit, &RunHooks::default()).unwrap().remove(0);
+            assert_eq!(outcome.report.metric("sq0"), Some(0.0));
+        }
+        assert_eq!(pool.permits_in_use(), 0);
+        assert_eq!(pool.flights_in_progress(), 0);
+    }
+
+    #[test]
+    fn a_probe_panicking_on_the_gate_leaves_other_callers_running() {
+        a_queued_probe_panic_costs_only_its_own_call("x", "a", "b");
+    }
+
+    #[test]
+    fn a_probe_panicking_on_a_foreign_flight_leaves_other_callers_running() {
+        a_queued_probe_panic_costs_only_its_own_call("x", "x", "x");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod prelude {
         cache_clear, cache_entries, cache_gc, cache_merge, cache_stats, CacheCounts, CacheEntry,
         MergeOutcome, UnitCache, UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
     };
-    pub use crate::exec::{resolve_jobs, PlanOutcome, ShardPlanOutcome, UnitPool};
+    pub use crate::exec::{resolve_jobs, PlanOutcome, RunError, RunHooks, UnitPool};
     pub use crate::golden::{diff_json, Tolerance};
     pub use crate::measure::{measure_stream, MeasureConfig, MeasuredStats};
     pub use crate::registry::Registry;

@@ -21,15 +21,19 @@
 //! With [`BatchOptions::shard`] set, the batch runs **sharded**: only the units the
 //! shard owns under the [`crate::shard`] partition execute, no reports assemble, and
 //! the manifest's `shard` block plus per-scenario `<scenario>.shard.json` partial
-//! artifacts record exactly which units this process computed. After `cache merge`
-//! reunites the shard caches, an unsharded run over the merged cache is all-hits and
-//! emits the complete artifacts, byte-identical to a single-process run.
+//! artifacts record exactly which units this process computed. The runner does the
+//! partitioning itself: it keeps the owned units, builds each scenario's ledger from
+//! their keys and runs them through the executor's core, which knows nothing of
+//! shards. After `cache merge` reunites the shard caches, an unsharded run over the
+//! merged cache is all-hits and emits the complete artifacts, byte-identical to a
+//! single-process run.
 
 use crate::cache::{ensure_writable_dir, io_err, CacheCounts, UnitCache};
+use crate::exec::{RunError, RunHooks, UnitPool};
 use crate::registry::Registry;
 use crate::report::ScenarioReport;
-use crate::scenario::SeedPolicy;
-use crate::shard::{ShardScenario, ShardSpec};
+use crate::scenario::{ScenarioPlan, SeedPolicy};
+use crate::shard::{ExecutedUnit, ShardScenario, ShardSpec};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
@@ -148,60 +152,91 @@ pub fn run_batch<S: AsRef<str>>(
     // A batch is one client of the unit scheduler: it constructs a pool, runs its
     // plans, and lets the pool die with the call. The `serve` daemon is the other
     // client — same scheduler, but kept alive across requests.
-    let pool = crate::exec::UnitPool::new(opts.jobs);
-    if let Some(shard) = opts.shard {
-        let outcomes = pool.run_plans_shard(plans, cache.as_ref(), &shard)?;
-        let mut cache_counts = Vec::with_capacity(outcomes.len());
-        let mut shard_scenarios = Vec::with_capacity(outcomes.len());
-        for (name, outcome) in names.iter().zip(outcomes) {
-            cache_counts.push(outcome.cache);
-            shard_scenarios.push(ShardScenario {
-                scenario: (*name).to_string(),
-                units_total: outcome.units_total,
-                executed: outcome.executed,
-            });
+    let pool = UnitPool::new(opts.jobs);
+    let (reports, cache_counts, shard_scenarios) = match &opts.shard {
+        Some(shard) => run_shard(&pool, &names, plans, cache.as_ref(), shard)
+            .map(|(counts, scenarios)| (Vec::new(), counts, scenarios)),
+        None => pool
+            .run(plans, cache.as_ref(), &RunHooks::default())
+            .map(|outcomes| {
+                let (reports, counts) = outcomes
+                    .into_iter()
+                    .map(|outcome| (outcome.report, outcome.cache))
+                    .unzip();
+                (reports, counts, Vec::new())
+            }),
+    }
+    .map_err(|err| err.to_string())?;
+
+    let written = match (&opts.out_dir, &opts.shard) {
+        (None, _) => Vec::new(),
+        (Some(dir), None) => {
+            write_artifacts(dir, &opts.seeds, &reports, cache.is_some(), &cache_counts)?
         }
-        let written = match &opts.out_dir {
-            Some(dir) => write_shard_artifacts(
-                dir,
-                &opts.seeds,
-                &shard,
-                &shard_scenarios,
-                cache.is_some(),
-                &cache_counts,
-            )?,
-            None => Vec::new(),
-        };
-        return Ok(BatchOutcome {
-            reports: Vec::new(),
-            cache_counts,
-            cache_enabled: cache.is_some(),
-            written,
-            shard: Some(shard),
-            shard_scenarios,
-        });
-    }
-
-    let outcomes = pool.run_plans_cached(plans, cache.as_ref())?;
-    let mut reports = Vec::with_capacity(outcomes.len());
-    let mut cache_counts = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        reports.push(outcome.report);
-        cache_counts.push(outcome.cache);
-    }
-
-    let written = match &opts.out_dir {
-        Some(dir) => write_artifacts(dir, &opts.seeds, &reports, cache.is_some(), &cache_counts)?,
-        None => Vec::new(),
+        (Some(dir), Some(shard)) => write_shard_artifacts(
+            dir,
+            &opts.seeds,
+            shard,
+            &shard_scenarios,
+            cache.is_some(),
+            &cache_counts,
+        )?,
     };
     Ok(BatchOutcome {
         reports,
         cache_counts,
         cache_enabled: cache.is_some(),
         written,
-        shard: None,
-        shard_scenarios: Vec::new(),
+        shard: opts.shard,
+        shard_scenarios,
     })
+}
+
+/// Execute only the units `shard` owns, without assembling reports (foreign
+/// units have no outputs). Returns, in `names` order, each scenario's cache
+/// accounting over its owned units and its partition ledger.
+fn run_shard(
+    pool: &UnitPool,
+    names: &[&str],
+    plans: Vec<ScenarioPlan<'_>>,
+    cache: Option<&UnitCache>,
+    shard: &ShardSpec,
+) -> Result<(Vec<CacheCounts>, Vec<ShardScenario>), RunError> {
+    let mut owned = Vec::new();
+    let mut scenarios = Vec::with_capacity(plans.len());
+    for (name, plan) in names.iter().zip(plans) {
+        let (units, _assemble) = plan.into_parts();
+        let units_total = units.len() as u64;
+        let mut executed = Vec::new();
+        for unit in units.into_iter().filter(|unit| shard.owns(&unit.key)) {
+            executed.push(ExecutedUnit {
+                grid_index: unit.key.grid_index,
+                replication_index: unit.key.replication_index,
+                digest: unit.key.digest(),
+            });
+            owned.push(unit);
+        }
+        scenarios.push(ShardScenario {
+            scenario: (*name).to_string(),
+            units_total,
+            executed,
+        });
+    }
+    let mut events = pool
+        .execute(owned, cache, &RunHooks::default())?
+        .into_iter()
+        .map(|(_output, event)| event);
+    let counts = scenarios
+        .iter()
+        .map(|scenario| {
+            let mut counts = CacheCounts::default();
+            for event in events.by_ref().take(scenario.executed.len()) {
+                counts.record(event);
+            }
+            counts
+        })
+        .collect();
+    Ok((counts, scenarios))
 }
 
 /// Render the manifest (schema v3) for an unsharded batch: batch identity, a
@@ -250,11 +285,10 @@ pub fn shard_manifest_json(
             ])
         })
         .collect();
-    let block = Value::Map(vec![
-        ("index".into(), Value::U64(u64::from(shard.index()))),
-        ("count".into(), Value::U64(u64::from(shard.count()))),
-        ("per_scenario".into(), Value::Seq(per_scenario)),
-    ]);
+    let mut block = shard.to_manifest_value();
+    if let Value::Map(fields) = &mut block {
+        fields.push(("per_scenario".into(), Value::Seq(per_scenario)));
+    }
     let names: Vec<String> = scenarios.iter().map(|s| s.scenario.clone()).collect();
     render_manifest(seeds, &names, block, cache_enabled, cache_counts)
 }

@@ -2,6 +2,7 @@
 //! deterministic per-scenario seed derivation.
 
 use crate::cache::UnitKey;
+use crate::exec::{RunHooks, UnitPool};
 use crate::report::ScenarioReport;
 use crate::DEFAULT_SEED;
 use serde::{Deserialize, Serialize, Value};
@@ -202,11 +203,11 @@ pub trait Scenario: Send + Sync {
     /// across the available cores. The report is identical to executing the plan on
     /// any other worker count.
     fn run(&self, seeds: &SeedPolicy) -> ScenarioReport {
-        let outcome = crate::exec::UnitPool::new(0)
-            .run_plans_cached(vec![self.plan(seeds)], None)
+        let outcome = UnitPool::new(0)
+            .run(vec![self.plan(seeds)], None, &RunHooks::default())
             .ok()
             .and_then(|mut outcomes| outcomes.pop());
-        // audit:allow(unwrap-in-library): without a cache there is no store I/O, and one plan yields one outcome
+        // audit:allow(unwrap-in-library): uncached and unhooked, only a panicking unit fails the run, and one plan yields one outcome
         outcome.expect("uncached plan runs").report
     }
 }

@@ -54,8 +54,9 @@
 //! mid-request is detected (socket probe between units in artifact mode, dead
 //! progress stream in `?progress=1` mode) and its waits are cancelled — but only
 //! the waits it uniquely owns: single-flight computations with other interested
-//! clients fail over to those waiters (see
-//! [`UnitPool::run_plans_cancellable`]).
+//! clients fail over to those waiters (see [`UnitPool::run`]). A unit that panics
+//! is answered like a failed cache store — `500` with the error's text, or an
+//! `error` event in progress mode — and the worker and the pool keep serving.
 //!
 //! # Endpoints
 //!
@@ -82,7 +83,7 @@
 //! report renderer the CLI uses.
 
 use crate::cache::{CacheCounts, UnitCache};
-use crate::exec::{resolve_jobs, RunError, UnitPool};
+use crate::exec::{resolve_jobs, RunError, RunHooks, UnitPool};
 use crate::registry::Registry;
 use crate::scenario::SeedPolicy;
 use crate::spec::parse_spec;
@@ -1022,17 +1023,18 @@ fn handle_run(
             }
             false
         };
-        let outcome =
-            state
-                .pool
-                .run_plans_cancellable(vec![plan], state.cache.as_ref(), None, Some(&cancel));
+        let hooks = RunHooks {
+            cancel: Some(&cancel),
+            ..RunHooks::default()
+        };
+        let outcome = state.pool.run(vec![plan], state.cache.as_ref(), &hooks);
         return match outcome {
             Err(RunError::Cancelled) => {
                 // The client is gone; there is nobody to answer.
                 Ok(STATUS_CLIENT_GONE)
             }
-            Err(RunError::Store(message)) => {
-                text_response(500, &format!("{message}\n")).write_to(stream)?;
+            Err(err @ (RunError::Store(_) | RunError::UnitPanicked { .. })) => {
+                text_response(500, &format!("{err}\n")).write_to(stream)?;
                 Ok(500)
             }
             Ok(mut outcomes) => {
@@ -1096,23 +1098,22 @@ fn handle_run(
         );
     };
     let cancel = || sink.dead.load(Ordering::SeqCst);
-    let outcome = state.pool.run_plans_cancellable(
-        vec![plan],
-        state.cache.as_ref(),
-        Some(&on_unit),
-        Some(&cancel),
-    );
+    let hooks = RunHooks {
+        progress: Some(&on_unit),
+        cancel: Some(&cancel),
+    };
+    let outcome = state.pool.run(vec![plan], state.cache.as_ref(), &hooks);
     match outcome {
         Err(RunError::Cancelled) => {
             // The progress client hung up; nothing to finish.
             return Ok(STATUS_CLIENT_GONE);
         }
-        Err(RunError::Store(message)) => {
+        Err(err @ (RunError::Store(_) | RunError::UnitPanicked { .. })) => {
             emit(
                 &sink,
                 &[
                     ("event", Value::Str("error".into())),
-                    ("message", Value::Str(message)),
+                    ("message", Value::Str(err.to_string())),
                 ],
             );
         }

@@ -386,6 +386,24 @@ fn error_surface_is_stable() {
     let bad = client::request(&addr, "POST", "/run", &[], b"{\"schema_version\": 1}").expect("bad");
     assert_eq!(bad.status, 400);
     assert!(!bad.body.is_empty());
+    // A parcels horizon past the simulated clock's 2^64 ticks is a 400 that
+    // names the field; just inside the range the same spec runs.
+    let horizon = |cycles: &str| {
+        format!(
+            r#"{{"schema_version": 1, "name": "horizon", "description": "d",
+                "model": "parcels", "config": {{"horizon_cycles": {cycles}}},
+                "grid": {{"node_counts": [2], "parallelisms": [1], "latencies": [0.0],
+                          "remote_fractions": [0.0]}}}}"#
+        )
+    };
+    let past = client::request(&addr, "POST", "/run", &[], horizon("1.9e16").as_bytes())
+        .expect("horizon past the clock");
+    assert_eq!(past.status, 400);
+    let body = String::from_utf8_lossy(&past.body);
+    assert!(body.contains("horizon_cycles"), "{body}");
+    let inside = client::request(&addr, "POST", "/run", &[], horizon("1.8e16").as_bytes())
+        .expect("horizon inside the clock");
+    assert_eq!(inside.status, 200);
     // Bad query parameters are 400s that name the parameter.
     for target in ["/run?seed=banana", "/run?progress=2"] {
         let resp = client::request(&addr, "POST", target, &[], SPEC.as_bytes()).expect("query");

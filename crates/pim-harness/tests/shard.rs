@@ -131,6 +131,32 @@ fn check_sharded_protocol(registry: &Registry, names: &[&str], base: &Path, shar
         assert_eq!(block.get("index"), Some(&Value::U64(u64::from(index))));
         assert_eq!(block.get("count"), Some(&Value::U64(u64::from(count))));
         assert_eq!(manifest_total(&manifest, "misses"), misses);
+        // The same ledger per scenario: each scenario's cold misses are its
+        // executed units, in the outcome and in both manifest blocks.
+        let Some(Value::Seq(cache_rows)) =
+            manifest.get("cache").and_then(|c| c.get("per_scenario"))
+        else {
+            panic!("manifest has no cache.per_scenario block");
+        };
+        let Some(Value::Seq(shard_rows)) = block.get("per_scenario") else {
+            panic!("manifest has no shard.per_scenario block");
+        };
+        assert_eq!(outcome.shard_scenarios.len(), names.len());
+        assert_eq!(outcome.cache_counts.len(), names.len());
+        assert_eq!(cache_rows.len(), names.len());
+        assert_eq!(shard_rows.len(), names.len());
+        for (i, scenario) in outcome.shard_scenarios.iter().enumerate() {
+            let executed = scenario.executed.len() as u64;
+            let what = format!("shard {index}/{count}, scenario '{}'", scenario.scenario);
+            assert_eq!(outcome.cache_counts[i].misses, executed, "{what}");
+            let executed = Some(Value::U64(executed));
+            assert_eq!(cache_rows[i].get("misses"), executed.as_ref(), "{what}");
+            assert_eq!(
+                shard_rows[i].get("units_executed"),
+                executed.as_ref(),
+                "{what}"
+            );
+        }
         // The shard's cache holds exactly what it executed.
         assert_eq!(
             cache_digests(&base.join(format!("shard-{index}/cache"))),

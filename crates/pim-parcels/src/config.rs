@@ -7,6 +7,7 @@
 //! (average number of active parcels per processor) and the per-parcel handling
 //! overhead.
 
+use desim::time::TICKS_PER_NS;
 use pim_workload::InstructionMix;
 use serde::{Deserialize, Serialize};
 
@@ -99,6 +100,17 @@ impl ParcelConfig {
         }
         if self.horizon_cycles <= 0.0 {
             return Err("horizon must be positive".into());
+        }
+        // The simulated clock counts `u64` ticks and saturates at the last one.
+        // A horizon that converts to that tick would pin the clock while cycles
+        // remain, and the control system's loop would never reach its exit.
+        if self.horizon_ns() * TICKS_PER_NS as f64 >= u64::MAX as f64 {
+            return Err(format!(
+                "horizon_cycles × cycle_ns must stay below {:e} ns, the simulated \
+                 clock's range; got {:e} ns",
+                u64::MAX as f64 / TICKS_PER_NS as f64,
+                self.horizon_ns()
+            ));
         }
         if self.local_memory_cycles < 1.0 {
             return Err("local memory access must take at least one cycle".into());
@@ -249,6 +261,27 @@ mod tests {
         ] {
             let err = c.validate().unwrap_err();
             assert!(err.starts_with(field), "{err}");
+        }
+        // The horizon must end inside the simulated clock's 2^64 ticks of 1 ps,
+        // about 1.8447e16 ns, whatever the cycle time.
+        for (horizon_cycles, cycle_ns, fits) in [
+            (1.8e16, 1.0, true),
+            (1.9e16, 1.0, false),
+            (9.0e15, 2.0, true),
+            (9.5e15, 2.0, false),
+        ] {
+            let c = ParcelConfig {
+                horizon_cycles,
+                cycle_ns,
+                ..Default::default()
+            };
+            match c.validate() {
+                Ok(()) => assert!(fits, "{horizon_cycles} cycles of {cycle_ns} ns passed"),
+                Err(err) => {
+                    assert!(!fits, "{horizon_cycles} cycles of {cycle_ns} ns: {err}");
+                    assert!(err.starts_with("horizon_cycles"), "{err}");
+                }
+            }
         }
     }
 
