@@ -39,7 +39,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
     pub use crate::event::{BinaryHeapQueue, EventQueue, FifoBandQueue};
-    pub use crate::par::{available_threads, resolve_threads, work_steal_map};
+    pub use crate::par::{available_threads, work_steal_map};
     pub use crate::random::RandomStream;
     pub use crate::replication::{replicate, ReplicationSummary};
     pub use crate::stats::{ConfidenceLevel, Tally};

@@ -37,7 +37,7 @@ pub fn available_threads() -> usize {
 /// Resolve a user-facing `jobs`/`threads` knob against a work-list length: `0` means
 /// [`available_threads`], and the result is clamped to `[1, len.max(1)]` so short
 /// lists do not spawn idle workers.
-pub fn resolve_threads(requested: usize, len: usize) -> usize {
+pub(crate) fn resolve_threads(requested: usize, len: usize) -> usize {
     let threads = if requested == 0 {
         available_threads()
     } else {

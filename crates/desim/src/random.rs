@@ -51,7 +51,6 @@ pub fn low_bits(len: usize) -> u64 {
 pub struct RandomStream {
     rng: StdRng,
     seed: u64,
-    stream_id: u64,
     draws: u64,
     /// Invariant: `buf[buf_pos..]` are exactly the next outputs of `rng`'s
     /// pre-buffering word sequence, in order.
@@ -191,7 +190,6 @@ impl RandomStream {
         RandomStream {
             rng: StdRng::seed_from_u64(mix_seed(seed, stream_id)),
             seed,
-            stream_id,
             draws: 0,
             buf: [0; RAW_BUF_LEN],
             buf_pos: RAW_BUF_LEN,
@@ -291,11 +289,6 @@ impl RandomStream {
         self.seed
     }
 
-    /// The stream identifier.
-    pub fn stream_id(&self) -> u64 {
-        self.stream_id
-    }
-
     /// Number of primitive draws made so far (diagnostic).
     pub fn draws(&self) -> u64 {
         self.draws
@@ -359,7 +352,7 @@ impl RandomStream {
     }
 
     /// Standard-normal variate (Marsaglia polar method).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         loop {
             let x = 2.0 * self.uniform01() - 1.0;
             let y = 2.0 * self.uniform01() - 1.0;

@@ -48,7 +48,7 @@ impl StableHasher {
     }
 
     /// Absorb raw bytes (no framing — callers compose framed helpers below).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u128::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);

@@ -113,7 +113,7 @@ impl Tally {
 
     /// Half-width of the `level` confidence interval on the mean, using a Student-t
     /// critical value. Returns 0 for fewer than two observations.
-    pub fn confidence_half_width(&self, level: ConfidenceLevel) -> f64 {
+    pub(crate) fn confidence_half_width(&self, level: ConfidenceLevel) -> f64 {
         if self.count < 2 {
             return 0.0;
         }
@@ -137,7 +137,7 @@ pub enum ConfidenceLevel {
 ///
 /// Exact for the tabulated degrees of freedom; interpolates linearly between table
 /// rows and converges to the normal quantile for large samples.
-pub fn student_t_critical(dof: u64, level: ConfidenceLevel) -> f64 {
+pub(crate) fn student_t_critical(dof: u64, level: ConfidenceLevel) -> f64 {
     // (dof, t_90, t_95, t_99)
     const TABLE: &[(u64, f64, f64, f64)] = &[
         (1, 6.314, 12.706, 63.657),

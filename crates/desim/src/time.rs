@@ -11,13 +11,13 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 use serde::{Deserialize, Serialize};
 
 /// Number of ticks per picosecond under the convention used by the PIM models.
-pub const TICKS_PER_PS: u64 = 1;
+pub(crate) const TICKS_PER_PS: u64 = 1;
 /// Number of ticks per nanosecond under the convention used by the PIM models.
 pub const TICKS_PER_NS: u64 = 1_000;
 /// Number of ticks per microsecond under the convention used by the PIM models.
-pub const TICKS_PER_US: u64 = 1_000_000;
+pub(crate) const TICKS_PER_US: u64 = 1_000_000;
 /// Number of ticks per millisecond under the convention used by the PIM models.
-pub const TICKS_PER_MS: u64 = 1_000_000_000;
+pub(crate) const TICKS_PER_MS: u64 = 1_000_000_000;
 
 /// An absolute point in simulated time, measured in ticks from the start of the run.
 #[derive(
@@ -90,12 +90,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 }
 
@@ -372,14 +366,5 @@ mod tests {
         assert!(SimTime::ZERO < SimTime::MAX);
         let s = format!("{}", SimTime::from_ns(2));
         assert!(s.contains("ns"));
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_ticks(1)), None);
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_ns(1)),
-            Some(SimTime::from_ns(1))
-        );
     }
 }

@@ -44,7 +44,7 @@ impl ParcelAnalyticModel {
     }
 
     /// Utilization of a blocking control processor.
-    pub fn control_utilization(&self) -> f64 {
+    pub(crate) fn control_utilization(&self) -> f64 {
         let busy = self.busy_per_cycle_control();
         if !busy.is_finite() {
             return 1.0;
@@ -53,7 +53,7 @@ impl ParcelAnalyticModel {
     }
 
     /// Utilization of a split-transaction processor with the configured parallelism.
-    pub fn test_utilization(&self) -> f64 {
+    pub(crate) fn test_utilization(&self) -> f64 {
         let busy = self.busy_per_cycle_test();
         if !busy.is_finite() {
             return 1.0;

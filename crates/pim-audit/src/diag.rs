@@ -1,9 +1,9 @@
 //! Diagnostics: the finding type, the human renderer, and the JSON renderer.
 //!
-//! This module is the *shared* diagnostics pipeline: the `pim-audit` binary,
-//! the `pim-tradeoffs audit` subcommand and `pim-tradeoffs spec check` all
-//! print through [`render_human`]/[`summary_line`], so every checker in the
-//! workspace reports spans, severities and summaries in one format.
+//! This module is the *shared* diagnostics pipeline: the `pim-audit` binary and
+//! `pim-tradeoffs spec check` both print through [`render_human`]/[`summary_line`],
+//! so every checker in the workspace reports spans, severities and summaries in
+//! one format.
 
 /// How serious a diagnostic is. Every audit finding is currently an error
 /// (`--deny` gates on any finding); `Warning` exists so future advisory rules
@@ -98,7 +98,7 @@ pub fn summary_line(checked: &str, findings: usize, suppressed: usize) -> String
 }
 
 /// Schema version of the JSON rendering ([`render_json`]).
-pub const JSON_SCHEMA_VERSION: u32 = 1;
+pub(crate) const JSON_SCHEMA_VERSION: u32 = 1;
 
 /// Render a machine-readable report: pretty JSON, stable field order, findings
 /// in input order (callers sort by span first), trailing newline. Hand-rolled
@@ -133,7 +133,7 @@ pub fn render_json(diags: &[Diagnostic], files_scanned: usize, suppressed: usize
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

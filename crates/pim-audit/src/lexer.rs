@@ -11,7 +11,7 @@
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// Identifier or keyword (`fn`, `unsafe`, `Instant`, `r#type`, …).
     Ident,
     /// Single punctuation character (`:`, `(`, `{`, `#`, …).
@@ -32,7 +32,7 @@ pub enum Kind {
 
 /// One lexed token with its source position (1-based line and column).
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: Kind,
     pub text: String,
     pub line: u32,
@@ -41,7 +41,7 @@ pub struct Token {
 
 impl Token {
     /// True for comment tokens of either flavour.
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, Kind::LineComment | Kind::BlockComment)
     }
 }
@@ -141,7 +141,7 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Lex `src` into a token stream, comments included.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut lx = Lexer {
         chars: src.chars().collect(),
         i: 0,

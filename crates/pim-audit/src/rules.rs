@@ -29,7 +29,7 @@ use crate::walk::{Role, SourceFile};
 /// Wall clocks, ambient entropy and hash-ordered iteration are contract
 /// violations *here*; `pim-bench` and the bin targets are the measurement/CLI
 /// layer where timing is the point.
-pub const UNIT_PATH_CRATES: &[&str] = &[
+pub(crate) const UNIT_PATH_CRATES: &[&str] = &[
     "desim",
     "pim-core",
     "pim-analytic",
@@ -83,7 +83,7 @@ const HASH_ITER_METHODS: &[&str] = &[
 ];
 
 /// The audit result for one file.
-pub struct FileAudit {
+pub(crate) struct FileAudit {
     /// Diagnostics, sorted by (line, col, rule).
     pub findings: Vec<Diagnostic>,
     /// Findings suppressed by a well-formed `audit:allow`.
@@ -156,7 +156,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Audit one file's source, returning findings with `file.rel` spans.
-pub fn audit_file(file: &SourceFile, src: &str) -> FileAudit {
+pub(crate) fn audit_file(file: &SourceFile, src: &str) -> FileAudit {
     let toks = lex(src);
     let code: Vec<&Token> = toks.iter().filter(|t| !t.is_comment()).collect();
     let comments: Vec<&Token> = toks.iter().filter(|t| t.is_comment()).collect();

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 /// What kind of Cargo target a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// `src/**` of a crate (excluding `src/bin/` and `src/main.rs`).
     Library,
     /// `src/bin/**` or `src/main.rs`: a binary's CLI layer.
@@ -25,7 +25,7 @@ pub enum Role {
 
 /// One source file scheduled for auditing.
 #[derive(Debug, Clone)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Absolute (or root-joined) path for reading.
     pub path: PathBuf,
     /// Workspace-root-relative path with forward slashes — the reporting identity.
@@ -46,7 +46,7 @@ const ROOT_CRATE: &str = "pim-repro";
 
 /// Recursively collect and classify every auditable `.rs` file under `root`,
 /// in deterministic (sorted-path) order.
-pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
+pub(crate) fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort_by(|a, b| a.rel.cmp(&b.rel));

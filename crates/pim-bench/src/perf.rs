@@ -52,7 +52,7 @@ use std::time::Instant;
 /// (shard/merge/warm walls) and the `serve` section (daemon request throughput)
 /// are additive — [`compare_payloads`] skips metrics absent from either
 /// payload — so they did not bump the version.
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
+pub(crate) const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Options for one suite run.
 #[derive(Debug, Clone)]

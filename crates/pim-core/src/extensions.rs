@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 /// Options for the phased/imbalanced execution model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhasedOptions {
+pub(crate) struct PhasedOptions {
     /// Number of HWP-phase / LWP-phase alternations (Figure 4 rounds). Must be ≥ 1.
     pub rounds: usize,
     /// How the LWP work of each round is spread over the nodes.
@@ -48,7 +48,7 @@ impl Default for PhasedOptions {
 
 /// Result of a phased run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PhasedResult {
+pub(crate) struct PhasedResult {
     /// Total time to solution (ns).
     pub makespan_ns: f64,
     /// Total time spent in HWP phases (ns).
@@ -79,7 +79,7 @@ impl PhasedResult {
 /// cross-phase resource contention, so phase lengths simply add) without its
 /// per-batch tick quantization; it is separate so that rounds and non-uniform thread
 /// partitions can be expressed without growing the core model.
-pub fn run_phased(
+pub(crate) fn run_phased(
     config: SystemConfig,
     partition: WorkPartition,
     nodes: usize,

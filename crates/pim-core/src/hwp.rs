@@ -7,7 +7,7 @@
 //! per-operation times the queuing simulation uses, which reproduce the same mean
 //! with sampling noise.
 //!
-//! [`HwpExecution::run_ops`] decides a window of up to 64 raw words at a time
+//! `HwpExecution::run_ops` decides a window of up to 64 raw words at a time
 //! instead of one operation at a time. A memory operation reads two words, its mix
 //! decision and then its miss decision, so which words start operations depends on
 //! the decisions before them, just as a backslash in a JSON string escapes the
@@ -81,7 +81,8 @@ impl HwpStats {
     }
 
     /// Mean time per operation in nanoseconds.
-    pub fn mean_op_time_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_op_time_ns(&self) -> f64 {
         if self.ops == 0 {
             0.0
         } else {
@@ -150,7 +151,7 @@ impl HwpExecution {
     /// left-to-right float sums. When [`sums_exactly`] holds for the op times
     /// and the busy time so far, the sums are counts times op times; otherwise
     /// each operation's time is added in order.
-    pub fn run_ops(&mut self, ops: u64) -> f64 {
+    pub(crate) fn run_ops(&mut self, ops: u64) -> f64 {
         let op_ns = self.op_ns();
         let start = self.stats.busy_ns;
         let exact = sums_exactly(start, &op_ns, ops);

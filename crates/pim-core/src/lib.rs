@@ -31,7 +31,7 @@
 
 pub mod config;
 pub mod experiment;
-pub mod extensions;
+pub(crate) mod extensions;
 pub mod hwp;
 pub mod lwp;
 pub mod queueing;
@@ -42,10 +42,7 @@ pub mod system;
 pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{point_eval_mode, run_sweep, SweepResult, SweepSpec};
-    pub use crate::extensions::{
-        imbalance_sensitivity, replicated_gain, run_phased, ImbalanceRow, PhasedOptions,
-        PhasedResult,
-    };
+    pub use crate::extensions::{imbalance_sensitivity, replicated_gain, ImbalanceRow};
     pub use crate::hwp::{HwpExecution, HwpStats};
     pub use crate::lwp::{LwpExecution, LwpStats};
     pub use crate::queueing::{run_queueing, QueueingResult, RunMode};

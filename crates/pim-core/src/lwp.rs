@@ -6,7 +6,7 @@
 //! operation costs one LWP cycle; load/store operations cost a local memory access
 //! instead.
 //!
-//! [`LwpExecution::run_ops`] takes its memory decisions as hit masks of up to 64
+//! `LwpExecution::run_ops` takes its memory decisions as hit masks of up to 64
 //! operations and counts them; it adds the operations' times one by one only where
 //! counts times op times could round differently ([`sums_exactly`]).
 
@@ -27,7 +27,8 @@ pub struct LwpStats {
 
 impl LwpStats {
     /// Mean time per operation in nanoseconds.
-    pub fn mean_op_time_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_op_time_ns(&self) -> f64 {
         if self.ops == 0 {
             0.0
         } else {
@@ -88,7 +89,7 @@ impl LwpExecution {
     /// identical draw sequence and, bit for bit, the identical left-to-right
     /// float sums: counts times op times where [`sums_exactly`] holds for the op
     /// times and the busy time so far, each operation's time in order elsewhere.
-    pub fn run_ops(&mut self, ops: u64) -> f64 {
+    pub(crate) fn run_ops(&mut self, ops: u64) -> f64 {
         let mem = BernoulliThreshold::new(self.config.mix.memory_fraction());
         let op_ns = self.op_ns();
         let start = self.stats.busy_ns;

@@ -1,7 +1,7 @@
 //! Report formatting: turning sweep results into the rows behind each figure.
 //!
-//! `pim-tradeoffs sweep` and the `design_space` example print the Figure 5 table as
-//! Markdown; ARCHITECTURE.md maps each figure to the scenario that regenerates it.
+//! The `design_space` example prints the Figure 5 table as Markdown; ARCHITECTURE.md
+//! maps each figure to the scenario that regenerates it.
 
 use crate::experiment::SweepResult;
 use std::fmt::Write as _;

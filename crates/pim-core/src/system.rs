@@ -98,7 +98,12 @@ impl PartitionStudy {
     }
 
     /// Simulate the control system; returns the (rescaled) time in ns.
-    pub fn simulate_control_ns(&self, sim_ops: Option<u64>, ops_per_event: u64, seed: u64) -> f64 {
+    pub(crate) fn simulate_control_ns(
+        &self,
+        sim_ops: Option<u64>,
+        ops_per_event: u64,
+        seed: u64,
+    ) -> f64 {
         let (ops, scale) = self.scaled_ops(sim_ops);
         let cfg = SystemConfig {
             total_ops: ops,
@@ -109,7 +114,7 @@ impl PartitionStudy {
     }
 
     /// Simulate the test system; returns the (rescaled) time in ns.
-    pub fn simulate_test_ns(
+    pub(crate) fn simulate_test_ns(
         &self,
         nodes: usize,
         wl: f64,

@@ -27,10 +27,10 @@
 //! `write`. A frame is a 24-byte header (magic `PIMF`, little-endian `u128` digest
 //! and `u32` length) and the JSON document `{cache_schema, key, checksum, payload}`,
 //! `checksum` hashing the payload's canonical JSON. Handles find frames through an
-//! in-memory index built at open and extended by [`UnitCache::refresh`], so
-//! processes sharing a directory see each other's units. Reads verify schema, key
-//! echo and checksum; a complete frame failing one is corrupt, and its unit is
-//! recomputed and appended again. A frame cut short by a crash and a vanished
+//! in-memory index built at open and extended by a refresh before each executor
+//! call's lookups, so processes sharing a directory see each other's units. Reads
+//! verify schema, key echo and checksum; a complete frame failing one is corrupt,
+//! and its unit is recomputed and appended again. A frame cut short by a crash and a vanished
 //! segment read as absent. Later frames for a digest supersede earlier ones.
 
 use crate::scenario::SeedPolicy;
@@ -74,7 +74,7 @@ pub fn io_err(op: &str, path: &Path, e: &io::Error) -> String {
 /// Probe that `dir` exists (creating it if needed) and is writable, by writing and
 /// removing a marker file. Called before a batch touches any unit so an unwritable
 /// `--out`/`--cache` directory fails fast instead of erroring mid-run.
-pub fn ensure_writable_dir(dir: &Path) -> Result<(), String> {
+pub(crate) fn ensure_writable_dir(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| io_err("create directory", dir, &e))?;
     let probe = dir.join(format!(".pim-probe-{}", std::process::id()));
     std::fs::write(&probe, b"probe").map_err(|e| io_err("write to directory", dir, &e))?;
@@ -150,7 +150,10 @@ impl UnitKeyer {
 
     /// Convenience constructor for builtins: fingerprint the scenario's `params()`
     /// and resolve the seed from the batch policy.
-    pub fn for_scenario(scenario: &dyn crate::scenario::Scenario, seeds: &SeedPolicy) -> UnitKeyer {
+    pub(crate) fn for_scenario(
+        scenario: &dyn crate::scenario::Scenario,
+        seeds: &SeedPolicy,
+    ) -> UnitKeyer {
         UnitKeyer::new(
             scenario.name(),
             &scenario.params(),
@@ -172,7 +175,7 @@ impl UnitKeyer {
 }
 
 /// Fingerprint a config tree: the stable hash of its canonical (compact) JSON.
-pub fn fingerprint_value(config: &Value) -> String {
+pub(crate) fn fingerprint_value(config: &Value) -> String {
     // audit:allow(unwrap-in-library): the vendored JSON writer is total — to_string returns Ok unconditionally
     let json = serde_json::to_string(config).expect("value serialization is infallible");
     stable_hash_hex(&json)
@@ -404,7 +407,7 @@ impl UnitCache {
     /// Index the segments other writers created or grew since this handle last
     /// looked. [`crate::exec::UnitPool`] calls this once per call with units to
     /// look up, so a daemon and a CLI sharing a directory see each other's units.
-    pub fn refresh(&self) {
+    pub(crate) fn refresh(&self) {
         let mut guard = unpoisoned(self.state.lock());
         let state = &mut *guard;
         // An unreadable directory reads as empty. A segment no longer listed was

@@ -20,7 +20,7 @@
 //! index only once it is complete, hit/miss behaviour is independent of claim order
 //! and worker count — a warm batch produces byte-identical artifacts at any
 //! `--jobs`, only faster. Each call that has units left to look up first asks the
-//! cache to index what other processes appended since ([`UnitCache::refresh`]).
+//! cache to index what other processes appended since.
 //!
 //! # One call
 //!

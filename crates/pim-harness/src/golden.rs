@@ -116,7 +116,7 @@ impl Tolerance {
 /// Compare two JSON trees, returning one human-readable line per mismatch (empty when
 /// the trees agree within `tol`). Maps compare by key (order-insensitive), sequences
 /// by position, numbers under `tol`, everything else exactly.
-pub fn diff_json(expected: &Value, actual: &Value, tol: Tolerance) -> Vec<String> {
+pub(crate) fn diff_json(expected: &Value, actual: &Value, tol: Tolerance) -> Vec<String> {
     let mut out = Vec::new();
     diff_at("$", expected, actual, tol, &mut out);
     out

@@ -53,7 +53,7 @@ pub mod spec;
 
 /// Shared, documented base seed so every default run is reproducible. The value is
 /// carried over from the legacy `pim_bench::REPORT_SEED`, but scenarios derive their
-/// streams via [`scenario::SeedPolicy::scenario_seed`] (base seed mixed with the
+/// streams via their [`scenario::SeedPolicy`] (base seed mixed with the
 /// scenario name), so the numeric outputs are *not* bit-identical to the historical
 /// binaries' runs — the golden files pin the harness's own streams.
 pub const DEFAULT_SEED: u64 = 0x5C_2004;
@@ -65,7 +65,7 @@ pub mod prelude {
         MergeOutcome, UnitCache, UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
     };
     pub use crate::exec::{resolve_jobs, PlanOutcome, RunError, RunHooks, UnitPool};
-    pub use crate::golden::{diff_json, Tolerance};
+    pub use crate::golden::Tolerance;
     pub use crate::measure::{measure_stream, MeasureConfig, MeasuredStats};
     pub use crate::registry::Registry;
     pub use crate::report::{
@@ -74,10 +74,10 @@ pub mod prelude {
     pub use crate::runner::{run_batch, BatchOptions, BatchOutcome};
     pub use crate::scenario::{Scenario, ScenarioPlan, SeedPolicy};
     pub use crate::serve::{DrainHandle, DrainSummary, ServeOptions, SweepServer};
-    pub use crate::shard::{ExecutedUnit, ShardScenario, ShardSpec, SHARD_ARTIFACT_SCHEMA_VERSION};
+    pub use crate::shard::{ExecutedUnit, ShardScenario, ShardSpec};
     pub use crate::spec::{
         load_spec_file, load_specs, parse_spec, register_spec_files, register_specs, spec_files,
-        ScenarioSpec, SPEC_SCHEMA_VERSION,
+        ScenarioSpec,
     };
     pub use crate::DEFAULT_SEED;
 }

@@ -100,7 +100,7 @@ impl MeasureConfig {
 }
 
 /// Range-check an [`AddressPattern`] (the workload crate itself accepts anything).
-pub fn validate_pattern(pattern: &AddressPattern) -> Result<(), String> {
+pub(crate) fn validate_pattern(pattern: &AddressPattern) -> Result<(), String> {
     match pattern {
         AddressPattern::Sequential { stride } => {
             if *stride == 0 {
@@ -148,7 +148,7 @@ pub fn validate_pattern(pattern: &AddressPattern) -> Result<(), String> {
 }
 
 /// A compact, stable label for an address pattern (used as a table cell).
-pub fn pattern_label(pattern: &AddressPattern) -> String {
+pub(crate) fn pattern_label(pattern: &AddressPattern) -> String {
     match pattern {
         AddressPattern::Sequential { stride } => format!("seq_s{stride}"),
         AddressPattern::UniformRandom { footprint, line } => {

@@ -78,7 +78,7 @@ impl ScenarioReport {
     }
 
     /// Append a headline metric (builder style).
-    pub fn with_metric(mut self, name: &str, value: f64) -> ScenarioReport {
+    pub(crate) fn with_metric(mut self, name: &str, value: f64) -> ScenarioReport {
         self.metrics.push(Metric {
             name: name.to_string(),
             value,
@@ -87,7 +87,7 @@ impl ScenarioReport {
     }
 
     /// Append a result table (builder style).
-    pub fn with_table(mut self, table: Table) -> ScenarioReport {
+    pub(crate) fn with_table(mut self, table: Table) -> ScenarioReport {
         self.tables.push(table);
         self
     }

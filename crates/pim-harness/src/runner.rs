@@ -7,7 +7,7 @@
 //! [`crate::exec`]. A batch therefore finishes when the global point list drains,
 //! not when the slowest whole scenario happens to complete on one worker.
 //!
-//! Every scenario's seed comes from [`SeedPolicy::scenario_seed`] (a pure function of
+//! Every scenario's seed comes from its [`SeedPolicy`] (a pure function of
 //! base seed + name), each unit's stream is derived from that seed plus the unit's
 //! grid index, and outputs are assembled by input position — so the artifacts are
 //! byte-identical whatever the job count or completion order.
@@ -83,7 +83,7 @@ pub struct BatchOutcome {
 
 /// Resolve requested scenario names against the registry, preserving request order
 /// and rejecting unknowns and duplicates with a helpful message.
-pub fn resolve_names<'r, S: AsRef<str>>(
+pub(crate) fn resolve_names<'r, S: AsRef<str>>(
     registry: &'r Registry,
     requested: &[S],
 ) -> Result<Vec<&'r str>, String> {
@@ -108,7 +108,8 @@ pub fn resolve_names<'r, S: AsRef<str>>(
     Ok(out)
 }
 
-/// Run `names` (already validated, e.g. via [`resolve_names`]) under `opts`.
+/// Run `names` under `opts`; an unknown or repeated name fails the batch before
+/// any unit runs.
 ///
 /// Every scenario is decomposed into its plan's units, and the flattened unit list
 /// executes across up to `opts.jobs` work-stealing workers; reports come back in the
@@ -263,7 +264,7 @@ pub fn manifest_json(
 /// but the `shard` block carries the partition (`index`, `count`) and each
 /// scenario's total vs executed unit counts — the accounting the cross-shard
 /// conformance suite sums to prove every unit ran exactly once.
-pub fn shard_manifest_json(
+pub(crate) fn shard_manifest_json(
     seeds: &SeedPolicy,
     shard: &ShardSpec,
     scenarios: &[ShardScenario],
@@ -375,7 +376,7 @@ pub fn write_artifacts(
 /// records the partition. The `.shard` infix keeps partial artifacts from ever
 /// colliding with (or being mistaken for) the complete `<scenario>.json` reports
 /// an unsharded run writes.
-pub fn write_shard_artifacts(
+pub(crate) fn write_shard_artifacts(
     dir: &Path,
     seeds: &SeedPolicy,
     shard: &ShardSpec,

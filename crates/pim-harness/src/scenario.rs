@@ -36,7 +36,7 @@ impl SeedPolicy {
     /// The seed for one scenario: FNV-1a over the name, mixed with the base seed
     /// through the workspace's shared SplitMix64 mixer so nearby base seeds still
     /// decorrelate.
-    pub fn scenario_seed(&self, name: &str) -> u64 {
+    pub(crate) fn scenario_seed(&self, name: &str) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
             h ^= u64::from(b);
@@ -47,7 +47,7 @@ impl SeedPolicy {
 }
 
 /// Type-erased output of one [`ScenarioPlan`] work unit.
-pub type UnitOutput = Box<dyn Any + Send>;
+pub(crate) type UnitOutput = Box<dyn Any + Send>;
 
 type UnitFn<'s> = Box<dyn FnOnce() -> UnitOutput + Send + 's>;
 type AssembleFn<'s> = Box<dyn FnOnce(Vec<UnitOutput>) -> ScenarioReport + Send + 's>;
@@ -112,7 +112,7 @@ impl<'s> ScenarioPlan<'s> {
     /// A plan with one unit: the whole scenario runs as a single task whose
     /// report is persistable in the unit-result cache under `key`. The right
     /// choice for scenarios that finish in milliseconds (closed forms, tables).
-    pub fn cached_single(
+    pub(crate) fn cached_single(
         key: UnitKey,
         run: impl FnOnce() -> ScenarioReport + Send + 's,
     ) -> ScenarioPlan<'s> {
@@ -131,7 +131,10 @@ impl<'s> ScenarioPlan<'s> {
     /// everything the unit's output depends on — build it with
     /// [`crate::cache::UnitKeyer`] so the scenario config fingerprint, resolved seed
     /// and grid/replication indices are all folded in.
-    pub fn cached_map_reduce<U, F, A>(units: Vec<(UnitKey, F)>, assemble: A) -> ScenarioPlan<'s>
+    pub(crate) fn cached_map_reduce<U, F, A>(
+        units: Vec<(UnitKey, F)>,
+        assemble: A,
+    ) -> ScenarioPlan<'s>
     where
         U: Serialize + Deserialize + Send + 'static,
         F: FnOnce() -> U + Send + 's,
@@ -196,7 +199,7 @@ pub trait Scenario: Send + Sync {
     ///
     /// Sweep-style scenarios should return one unit per grid point so batch workers
     /// can interleave them with other scenarios' points; trivially cheap scenarios
-    /// return a [`ScenarioPlan::cached_single`].
+    /// return a plan of one cached unit.
     fn plan<'s>(&'s self, seeds: &SeedPolicy) -> ScenarioPlan<'s>;
 
     /// Run the experiment under the given seed policy, executing the plan's units

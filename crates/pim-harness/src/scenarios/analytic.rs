@@ -8,7 +8,7 @@ use serde::Value;
 
 /// Figure 7: the analytical model's normalized runtime versus node count, one curve
 /// per %WL, exposing the coincidence point at `N = NB`.
-pub struct Figure7;
+pub(crate) struct Figure7;
 
 /// Node counts along Figure 7's x-axis.
 const F7_NODES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -68,7 +68,7 @@ impl Figure7 {
 
 /// E-X1: sensitivity of the break-even parameter `NB` to each machine constant, one
 /// table per swept parameter.
-pub struct AblationNb;
+pub(crate) struct AblationNb;
 
 /// The sweeps: parameter, table name, values (the legacy binary's grids).
 fn nb_sweeps() -> [(SweepParameter, &'static str, Vec<f64>); 5] {

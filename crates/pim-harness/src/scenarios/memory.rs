@@ -11,7 +11,7 @@ use serde::Value;
 
 /// E-X3: "a single on-chip DRAM macro could sustain a bandwidth of over 50 Gbit/s …
 /// an on-chip peak memory bandwidth of greater than 1 Tbit/s is possible per chip."
-pub struct BandwidthClaims;
+pub(crate) struct BandwidthClaims;
 
 /// Node counts for the per-chip aggregate bandwidth rows.
 const CHIP_NODES: [usize; 5] = [8, 16, 32, 64, 128];

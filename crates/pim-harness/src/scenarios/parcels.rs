@@ -14,7 +14,7 @@ use serde::{Serialize, Value};
 
 /// Figure 11: latency hiding with parcels — the test/control work ratio as the
 /// system-wide latency sweeps, per (parallelism, remote%) curve.
-pub struct Figure11;
+pub(crate) struct Figure11;
 
 fn figure11_spec(seed: u64) -> LatencyHidingSpec {
     LatencyHidingSpec {
@@ -94,7 +94,7 @@ impl Scenario for Figure11 {
 
 /// Figure 12: idle time of the test and control systems versus the degree of
 /// parallelism, for system sizes 1–256 (the paper's 16-node set was never completed).
-pub struct Figure12;
+pub(crate) struct Figure12;
 
 fn figure12_spec(seed: u64) -> IdleTimeSpec {
     IdleTimeSpec {
@@ -176,7 +176,7 @@ impl Scenario for Figure12 {
 
 /// E-X2: repeats a slice of the Figure 11 sweep under mesh/torus hop-count networks
 /// (mean latency matched to the flat value) and message-driven remote servicing.
-pub struct AblationNetwork;
+pub(crate) struct AblationNetwork;
 
 impl Scenario for AblationNetwork {
     fn name(&self) -> &str {
@@ -288,7 +288,7 @@ fn network_cell_rows(parallelism: usize, latency: f64, seed: u64) -> Vec<Vec<Val
 
 /// E-X5: sweeps the per-parcel handling overhead, showing where the split-transaction
 /// advantage erodes and reverses ("efficient parcel handling mechanisms are required").
-pub struct AblationOverhead;
+pub(crate) struct AblationOverhead;
 
 impl Scenario for AblationOverhead {
     fn name(&self) -> &str {

@@ -133,7 +133,7 @@ fn figure6_table(name: &str, spec: &SweepSpec, test_ns: &[f64]) -> Table {
 
 /// Figure 5: performance gain of the PIM-augmented test system over the host-only
 /// control system versus the lightweight-work fraction, for 1–256 nodes.
-pub struct Figure5;
+pub(crate) struct Figure5;
 
 impl Scenario for Figure5 {
     fn name(&self) -> &str {
@@ -169,7 +169,7 @@ impl Scenario for Figure5 {
 
 /// Figure 6: unnormalized single-thread/node response time versus the number of smart
 /// memory nodes, one curve per lightweight-work percentage.
-pub struct Figure6;
+pub(crate) struct Figure6;
 
 impl Scenario for Figure6 {
     fn name(&self) -> &str {
@@ -210,7 +210,7 @@ impl Scenario for Figure6 {
 
 /// Table 1: the parametric assumptions, plus the derived per-operation expectations
 /// and the break-even parameter `NB` as metrics.
-pub struct Table1;
+pub(crate) struct Table1;
 
 impl Scenario for Table1 {
     fn name(&self) -> &str {
@@ -312,7 +312,7 @@ impl Scenario for Validation {
 
 /// E-X6: confidence intervals on the headline simulated gains via independent
 /// replications (output-analysis methodology the paper's figures omit).
-pub struct ReplicationCi;
+pub(crate) struct ReplicationCi;
 
 /// The `(nodes, %WL)` corners whose gains get replicated confidence intervals.
 const CI_CORNERS: [(usize, f64); 5] = [(4, 0.5), (8, 0.8), (32, 0.9), (32, 1.0), (64, 1.0)];
@@ -405,7 +405,7 @@ impl Scenario for ReplicationCi {
 
 /// E-X4: sensitivity of the study-1 gains to load imbalance across the LWP threads
 /// (the paper assumes perfectly uniform thread lengths).
-pub struct AblationImbalance;
+pub(crate) struct AblationImbalance;
 
 /// Skew factors applied to the per-node thread lengths.
 const SKEWS: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 0.95];

@@ -44,7 +44,7 @@ use desim::stablehash::shard_index;
 use serde::{Deserialize, Serialize, Value};
 
 /// Version of the per-scenario `<scenario>.shard.json` partial-artifact schema.
-pub const SHARD_ARTIFACT_SCHEMA_VERSION: u32 = 1;
+pub(crate) const SHARD_ARTIFACT_SCHEMA_VERSION: u32 = 1;
 
 /// One shard of an N-way sweep partition: `index` is 1-based (as written on the
 /// command line: `--shard 2/3`), `count` is the total number of shards.
@@ -100,7 +100,7 @@ impl ShardSpec {
     }
 
     /// The manifest rendering of the partition: `{"index": I, "count": N}`.
-    pub fn to_manifest_value(&self) -> Value {
+    pub(crate) fn to_manifest_value(self) -> Value {
         Value::Map(vec![
             ("index".into(), Value::U64(u64::from(self.index))),
             ("count".into(), Value::U64(u64::from(self.count))),
@@ -143,7 +143,7 @@ impl ShardScenario {
     /// shard identity plus the executed units' indices and digests. `Err` only on
     /// a serialization failure, which the vendored writer never produces; callers
     /// propagate it like every other artifact writer.
-    pub fn artifact_json(&self, shard: &ShardSpec) -> Result<String, String> {
+    pub(crate) fn artifact_json(&self, shard: &ShardSpec) -> Result<String, String> {
         let executed = self
             .executed
             .iter()

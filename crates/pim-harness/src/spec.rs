@@ -62,7 +62,7 @@
 //! # Seed policy
 //!
 //! `"seed": "derived"` (the default) gives the scenario the same name-derived stream
-//! every builtin gets ([`SeedPolicy::scenario_seed`]), so `--seed` moves spec
+//! every builtin gets from its [`SeedPolicy`], so `--seed` moves spec
 //! scenarios and builtins together. `"seed": {"fixed": N}` pins the scenario seed to
 //! `N` regardless of the batch's base seed. Either way each unit's stream is a pure
 //! function of the scenario seed and the unit's flattened index (grid point ×
@@ -82,19 +82,19 @@ use std::path::{Path, PathBuf};
 
 /// Version of the spec schema this build understands. Bump on incompatible format
 /// changes; parsing rejects any other value.
-pub const SPEC_SCHEMA_VERSION: u32 = 1;
+pub(crate) const SPEC_SCHEMA_VERSION: u32 = 1;
 
 /// Ceiling on `grid points × replications` per spec: a typo like an extra grid axis
 /// should fail at parse time, not swamp the batch runner.
-pub const MAX_UNITS: usize = 10_000;
+pub(crate) const MAX_UNITS: usize = 10_000;
 
 /// Ceiling on every value of a count axis (`node_counts` in both families and
 /// `parallelisms`): 2^20, 4,096 times the paper's largest system of 256 nodes.
 /// A unit allocates per count up front (32 B per parcel node outcome, 16 B of
 /// reply queue per parcel context, 8 B per simulated analytic node's share of
 /// the work), so a larger count from an untrusted spec could ask for terabytes
-/// and abort the process. The CLI's model subcommands bound their count flags
-/// with it too.
+/// and abort the process. Specs are the CLI's and the daemon's only way into the
+/// models, so this bound covers both.
 pub const MAX_COUNT: usize = 1 << 20;
 
 /// How a spec-defined scenario derives its seed from the batch seed policy.

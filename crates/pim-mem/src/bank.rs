@@ -35,12 +35,12 @@ impl Bank {
     }
 
     /// Capacity of the bank in bits.
-    pub fn capacity_bits(&self) -> u64 {
+    pub(crate) fn capacity_bits(&self) -> u64 {
         self.rows * self.timing.row_bits
     }
 
     /// Row index that holds byte address `addr` (row-major, page-interleaved within row).
-    pub fn row_of(&self, addr: u64) -> u64 {
+    pub(crate) fn row_of(&self, addr: u64) -> u64 {
         let row_bytes = self.timing.row_bits / 8;
         (addr / row_bytes) % self.rows
     }
@@ -87,7 +87,7 @@ impl Bank {
     }
 
     /// Immutable view of the row buffer.
-    pub fn row_buffer(&self) -> &RowBuffer {
+    pub(crate) fn row_buffer(&self) -> &RowBuffer {
         &self.row_buffer
     }
 }

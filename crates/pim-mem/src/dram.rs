@@ -42,24 +42,13 @@ impl DramMacro {
         }
     }
 
-    /// Single-bank macro with the paper's default geometry (16 Mbit).
-    pub fn paper_default() -> Self {
-        // 2048-bit rows; 8192 rows ≈ 16 Mbit, a typical embedded-DRAM macro of the era.
-        DramMacro::new(DramTiming::default(), 1, 8192, Interleave::Blocked)
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.banks.iter().map(|b| b.capacity_bits() / 8).sum()
     }
 
     /// Which bank serves byte address `addr`.
-    pub fn bank_of(&self, addr: u64) -> usize {
+    pub(crate) fn bank_of(&self, addr: u64) -> usize {
         let row_bytes = self.timing.row_bits / 8;
         match self.interleave {
             Interleave::RowInterleaved => ((addr / row_bytes) % self.banks.len() as u64) as usize,
@@ -133,9 +122,14 @@ mod tests {
 
     #[test]
     fn paper_default_geometry() {
-        let m = DramMacro::paper_default();
-        assert_eq!(m.banks(), 1);
+        // One bank of 8192 2048-bit rows: 16 Mbit, a typical embedded-DRAM macro
+        // of the era.
+        let m = DramMacro::new(DramTiming::default(), 1, 8192, Interleave::Blocked);
         assert_eq!(m.capacity_bytes(), 8192 * 2048 / 8);
+        assert_eq!(
+            m.peak_bandwidth_gbit_per_s(),
+            DramTiming::default().peak_bandwidth_gbit_per_s()
+        );
         assert!(m.peak_bandwidth_gbit_per_s() > 50.0);
     }
 

@@ -29,5 +29,4 @@ pub use bank::Bank;
 pub use cache::{CacheModel, CacheOutcome, SetAssociativeCache, StatisticalCache};
 pub use dram::{DramMacro, Interleave};
 pub use pim_chip::{PimChip, PimNode};
-pub use row_buffer::{RowBuffer, RowOutcome};
 pub use timing::{DramTiming, ProcessorTiming};

@@ -24,13 +24,14 @@ pub struct PimNode {
 
 impl PimNode {
     /// Perform a local page access; returns latency in ns.
-    pub fn access_local(&mut self, addr: u64) -> f64 {
+    pub(crate) fn access_local(&mut self, addr: u64) -> f64 {
         self.memory.access(addr).1
     }
 
     /// The node's nominal local memory latency in ns as seen by the paper's queuing
     /// model (TML × TLcycle), independent of row-buffer state.
-    pub fn nominal_local_latency_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn nominal_local_latency_ns(&self) -> f64 {
         self.processor.memory_access_ns()
     }
 }

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Outcome of presenting an access to a row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowOutcome {
+pub(crate) enum RowOutcome {
     /// The addressed row was already open: page access only.
     Hit,
     /// A different (or no) row was open: the row must be activated first.
@@ -19,7 +19,7 @@ pub enum RowOutcome {
 
 /// Open-page row buffer for a single bank.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RowBuffer {
+pub(crate) struct RowBuffer {
     open_row: Option<u64>,
     hits: u64,
     misses: u64,
@@ -29,11 +29,6 @@ impl RowBuffer {
     /// A row buffer with no open row.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
     }
 
     /// Present an access to `row`; updates the open row under an open-page policy.
@@ -59,7 +54,7 @@ impl RowBuffer {
     }
 
     /// Hit fraction over all accesses (0 when no accesses were made).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -79,7 +74,6 @@ mod tests {
         assert_eq!(rb.access(7), RowOutcome::Miss);
         assert_eq!(rb.access(7), RowOutcome::Hit);
         assert_eq!(rb.access(7), RowOutcome::Hit);
-        assert_eq!(rb.open_row(), Some(7));
         assert_eq!(rb.hits(), 2);
         assert_eq!(rb.misses(), 1);
     }

@@ -33,7 +33,7 @@ impl Default for DramTiming {
 
 impl DramTiming {
     /// Number of page accesses that drain one full row buffer.
-    pub fn pages_per_row(&self) -> u64 {
+    pub(crate) fn pages_per_row(&self) -> u64 {
         (self.row_bits / self.page_bits).max(1)
     }
 
@@ -42,7 +42,7 @@ impl DramTiming {
     ///
     /// With the default (paper) parameters this exceeds 50 Gbit/s, reproducing the
     /// Section 2.1 claim.
-    pub fn peak_bandwidth_bits_per_s(&self) -> f64 {
+    pub(crate) fn peak_bandwidth_bits_per_s(&self) -> f64 {
         let pages = self.pages_per_row() as f64;
         let time_per_row_ns = self.row_access_ns + pages * self.page_access_ns;
         let bits_per_row = self.row_bits as f64;
@@ -92,12 +92,14 @@ impl ProcessorTiming {
     }
 
     /// Cache access latency in nanoseconds.
-    pub fn cache_access_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn cache_access_ns(&self) -> f64 {
         self.cache_access_cycles as f64 * self.cycle_ns
     }
 
     /// Memory access latency in nanoseconds.
-    pub fn memory_access_ns(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn memory_access_ns(&self) -> f64 {
         self.memory_access_cycles as f64 * self.cycle_ns
     }
 }

@@ -133,7 +133,7 @@ impl ParcelConfig {
 
     /// Expected time of one *local* operation in cycles (compute or local memory,
     /// conditioned on it not being remote).
-    pub fn expected_local_op_cycles(&self) -> f64 {
+    pub(crate) fn expected_local_op_cycles(&self) -> f64 {
         let mix = self.mix.memory_fraction();
         let p_local_mem = mix * (1.0 - self.remote_fraction);
         let p_compute = 1.0 - mix;

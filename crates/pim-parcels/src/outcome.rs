@@ -76,7 +76,7 @@ pub struct SystemOutcome {
 
 impl SystemOutcome {
     /// Aggregate per-node records.
-    pub fn from_nodes(horizon_cycles: f64, nodes: Vec<NodeOutcome>) -> Self {
+    pub(crate) fn from_nodes(horizon_cycles: f64, nodes: Vec<NodeOutcome>) -> Self {
         let total_work_ops = nodes.iter().map(|n| n.work_ops).sum();
         let total_remote_accesses = nodes.iter().map(|n| n.remote_accesses).sum();
         SystemOutcome {
@@ -111,12 +111,13 @@ impl SystemOutcome {
     }
 
     /// Total idle cycles across nodes (the raw quantity plotted in Figure 12).
-    pub fn total_idle_cycles(&self) -> f64 {
+    pub(crate) fn total_idle_cycles(&self) -> f64 {
         self.nodes.iter().map(|n| n.idle_cycles).sum()
     }
 
     /// Work completed per node per cycle (a throughput measure).
-    pub fn work_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn work_rate(&self) -> f64 {
         if self.nodes.is_empty() || self.horizon_cycles <= 0.0 {
             return 0.0;
         }

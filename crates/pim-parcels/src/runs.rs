@@ -53,7 +53,7 @@ pub struct LocalOpDist {
 
 impl LocalOpDist {
     /// Derive the conditional local-operation distribution from the study configuration.
-    pub fn from_config(config: &ParcelConfig) -> Self {
+    pub(crate) fn from_config(config: &ParcelConfig) -> Self {
         let mix = config.mix.memory_fraction();
         let p_compute = 1.0 - mix;
         let p_local_mem = mix * (1.0 - config.remote_fraction);
@@ -83,7 +83,8 @@ impl LocalOpDist {
     }
 
     /// Mean cycles per local operation.
-    pub fn mean_cycles(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_cycles(&self) -> f64 {
         self.mean
     }
 
@@ -100,7 +101,7 @@ impl LocalOpDist {
     ///
     /// Runs of up to `EXACT_RUN_OPS` (64) operations are summed exactly; longer runs
     /// use the normal approximation of the sum.
-    pub fn sample_total(&self, ops: u64, stream: &mut RandomStream) -> f64 {
+    pub(crate) fn sample_total(&self, ops: u64, stream: &mut RandomStream) -> f64 {
         if ops == 0 {
             return 0.0;
         }
@@ -152,11 +153,6 @@ impl RunSampler {
         }
     }
 
-    /// Probability that an operation is a remote access.
-    pub fn p_remote(&self) -> f64 {
-        self.p_remote
-    }
-
     /// Expected run duration in cycles (`R` of the multithreading model).
     pub fn expected_run_cycles(&self) -> f64 {
         if self.p_remote <= 0.0 {
@@ -168,7 +164,7 @@ impl RunSampler {
     /// Sample one run, capped so its duration never exceeds `max_cycles` (the remaining
     /// horizon). When the cap bites, the operation count is prorated and the run is
     /// marked as not ending in a remote access.
-    pub fn sample_run(&self, max_cycles: f64, stream: &mut RandomStream) -> (Run, bool) {
+    pub(crate) fn sample_run(&self, max_cycles: f64, stream: &mut RandomStream) -> (Run, bool) {
         if max_cycles <= 0.0 {
             return (
                 Run {
@@ -322,7 +318,6 @@ mod tests {
         let c = config(0.3);
         let r = RunSampler::new(&c);
         assert!((r.expected_run_cycles() - c.expected_run_cycles()).abs() < 1e-9);
-        assert!((r.p_remote() - c.remote_prob_per_op()).abs() < 1e-12);
     }
 
     #[test]

@@ -91,13 +91,8 @@ impl ReuseProfile {
         }
     }
 
-    /// Configured reuse probability.
-    pub fn reuse_prob(&self) -> f64 {
-        self.reuse_prob
-    }
-
     /// Generate the next byte address in the stream.
-    pub fn next_address(&mut self) -> u64 {
+    pub(crate) fn next_address(&mut self) -> u64 {
         let reuse = !self.recent.is_empty() && self.stream.bernoulli(self.reuse_prob);
         let addr = if reuse {
             // Prefer recently used lines (geometric over the LRU stack, clamped).

@@ -60,7 +60,7 @@ impl InstructionMix {
     }
 
     /// Fraction of operations that are pure compute.
-    pub fn compute_fraction(&self) -> f64 {
+    pub(crate) fn compute_fraction(&self) -> f64 {
         1.0 - self.memory_fraction()
     }
 

@@ -54,7 +54,6 @@ pub struct OperationStream {
     stream: RandomStream,
     zipf: Option<ZipfTable>,
     next_sequential: u64,
-    emitted: u64,
 }
 
 impl OperationStream {
@@ -74,18 +73,12 @@ impl OperationStream {
             stream,
             zipf,
             next_sequential: 0,
-            emitted: 0,
         }
     }
 
     /// The configured mix.
     pub fn mix(&self) -> InstructionMix {
         self.mix
-    }
-
-    /// Number of operations emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     fn next_address(&mut self) -> u64 {
@@ -111,7 +104,6 @@ impl OperationStream {
 
     /// Generate the next operation.
     pub fn next_op(&mut self) -> Operation {
-        self.emitted += 1;
         let u = self.stream.uniform01();
         let kind = if u < self.mix.load_fraction {
             OpKind::Load
@@ -157,7 +149,6 @@ mod tests {
         let loads = ops.iter().filter(|o| o.kind == OpKind::Load).count() as f64;
         assert!((mem / 100_000.0 - 0.30).abs() < 0.01);
         assert!((loads / 100_000.0 - 0.20).abs() < 0.01);
-        assert_eq!(s.emitted(), 100_000);
     }
 
     #[test]

@@ -1,47 +1,20 @@
 //! `pim-tradeoffs` — command-line front end to the PIM design-tradeoff models.
 //!
-//! ```text
-//! pim-tradeoffs list    [--spec FILE|DIR]
-//! pim-tradeoffs run     figure5 table1 [--jobs N] [--out artifacts/] [--seed S]
-//! pim-tradeoffs run     --all [--spec FILE|DIR] [--jobs N] [--out artifacts/] [--seed S]
-//!                       [--cache DIR] [--no-cache] [--shard I/N]
-//! pim-tradeoffs serve   [--addr HOST:PORT] [--cache DIR] [--jobs N] [--seed S]
-//!                       [--workers N] [--timeout-ms MS] [--drain-ms MS]
-//! pim-tradeoffs cache   stats|gc|clear DIR [--max-mib N]
-//! pim-tradeoffs cache   merge DEST SRC... | pull DEST SRC
-//! pim-tradeoffs spec    check FILE|DIR...
-//! pim-tradeoffs audit   [--root DIR] [--format human|json]
-//! pim-tradeoffs point   --nodes 32 --wl 0.8 [--pmiss 0.1] [--mix 0.3] [--simulate]
-//! pim-tradeoffs sweep   [--max-nodes 64] [--simulate]
-//! pim-tradeoffs nb      [--pmiss 0.1] [--mix 0.3] [--lwp-cycle 5] [--tml 30] [--tmh 90]
-//! pim-tradeoffs parcels --parallelism 16 --latency 1000 --remote 0.4 [--nodes 8] [--overhead 4]
-//! ```
-//!
-//! `list` and `run` front the scenario registry in `pim-harness`: `run --all --out
-//! artifacts/` regenerates every paper figure/table/ablation as versioned JSON in one
-//! deterministic batch. `--cache DIR` makes the batch incremental: unit results are
-//! served from and stored to the content-addressed cache (see `pim_harness::cache`),
-//! so a warm re-run recomputes only what a spec or seed edit actually changed, and
-//! `cache stats|gc|clear` maintains the directory. `--shard I/N` executes only the
-//! I-th of N deterministic unit partitions (see `pim_harness::shard`), so N
-//! processes — or N machines — can split one sweep; `cache merge` reunites their
-//! caches, after which an unsharded run is all-hits and writes the complete
-//! artifacts byte-identically. `--spec` loads declarative
-//! scenario specs (schema v1 JSON, see `pim_harness::spec` and `examples/specs/`)
-//! into the registry beside the builtins; `spec check` validates spec files without
-//! running them. Argument parsing is intentionally hand-rolled (no CLI dependency):
-//! every flag is `--name value`, unknown flags are an error, and `--help` prints the
-//! grammar above.
+//! Five commands: `list` and `run` front the scenario registry in `pim-harness`
+//! (builtins plus declarative specs, see `pim_harness::spec`), `serve` runs the same
+//! sweep as an HTTP service (`pim_harness::serve`), `cache` maintains and assembles
+//! unit-result cache directories (`pim_harness::cache`), and `spec check` validates
+//! spec files without running them. Every model is reached through a scenario or a
+//! spec, so the spec validator is the one input gate. `pim-tradeoffs --help` prints
+//! the grammar (`USAGE` below is its only copy). Argument parsing is intentionally
+//! hand-rolled (no CLI dependency): every flag is `--name value` and unknown flags
+//! are an error.
 
-use pim_repro::pim_analytic::{AnalyticModel, ParcelAnalyticModel};
-use pim_repro::pim_audit::{self, diag, diag::Diagnostic};
-use pim_repro::pim_core::prelude::*;
+use pim_repro::pim_audit::diag::{self, Diagnostic};
 use pim_repro::pim_harness::prelude::*;
-use pim_repro::pim_harness::spec::MAX_COUNT;
-use pim_repro::pim_parcels::prelude::*;
-use pim_repro::pim_workload::InstructionMix;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 pim-tradeoffs — PIM architecture design-tradeoff models (SC 2004 reproduction)
@@ -52,17 +25,11 @@ USAGE:
   pim-tradeoffs run     --all [--spec FILE|DIR] [--jobs N] [--out DIR] [--seed S]
   pim-tradeoffs run     --spec FILE|DIR [--jobs N] [--out DIR] [--seed S]
   pim-tradeoffs run     ... [--cache DIR] [--no-cache] [--shard I/N]
-  pim-tradeoffs serve   [--addr HOST:PORT] [--cache DIR] [--jobs N] [--seed S] [--quiet 1]
+  pim-tradeoffs serve   [--addr HOST:PORT] [--cache DIR] [--jobs N] [--seed S] [--quiet 0|1]
                         [--workers N] [--timeout-ms MS] [--drain-ms MS]
   pim-tradeoffs cache   stats DIR | gc DIR [--max-mib N] | clear DIR
   pim-tradeoffs cache   merge DEST SRC... | pull DEST SRC
   pim-tradeoffs spec    check FILE|DIR...
-  pim-tradeoffs audit   [--root DIR] [--format human|json]
-  pim-tradeoffs point   --nodes N --wl FRACTION [--pmiss P] [--mix M] [--simulate]
-  pim-tradeoffs sweep   [--max-nodes N] [--simulate]
-  pim-tradeoffs nb      [--pmiss P] [--mix M] [--lwp-cycle NS] [--tml CYCLES] [--tmh CYCLES]
-  pim-tradeoffs parcels --parallelism P --latency CYCLES --remote FRACTION
-                        [--nodes N] [--overhead CYCLES]
 
 `list` names every registered scenario. `run` executes scenarios in parallel worker
 threads and either prints their JSON reports (no --out) or writes one artifact per
@@ -84,18 +51,18 @@ ndjson progress) and get back the report, byte-identical to the CLI's output for
 same spec and seed. All requests share one persistent scheduler — warm results are
 served from memory and the `--cache` directory, and concurrent submissions that
 overlap deduplicate per unit, computing each grid point exactly once (--quiet 1
-silences the per-request stderr log). Connections are handled by a bounded pool of
---workers threads over a bounded pending queue: at saturation new connections get
-503 + Retry-After instead of stacking threads, silent clients are reaped after
---timeout-ms, GET /metrics exposes the service counters, and SIGTERM/SIGINT drains
-gracefully (stop accepting, finish in-flight work up to --drain-ms, exit 0 with a
-summary on stderr; /healthz reports 503 draining meanwhile).
+silences the per-request stderr log; --quiet 0, the default, keeps it). Connections
+are handled by a bounded pool of --workers threads over a bounded pending queue: at
+saturation new connections get 503 + Retry-After instead of stacking threads, silent
+clients are reaped after --timeout-ms, GET /metrics exposes the service counters,
+and SIGTERM/SIGINT drains gracefully (stop accepting, finish in-flight work up to
+--drain-ms, exit 0 with a summary on stderr; /healthz reports 503 draining
+meanwhile).
 `--spec` loads user-defined scenario specs (schema v1 JSON; see examples/specs/) into the
 registry beside the 13 builtins; `run --spec DIR` with no scenario names runs exactly
 the spec-defined scenarios, and `spec check` validates spec files without running
-anything. `audit` runs the determinism & purity lint pass over the workspace sources
-(the same checks CI gates on; see the pim-audit crate) and fails on any finding.
-Run a model subcommand with no arguments to use the paper's Table 1 defaults.";
+anything. A single design point is a one-point spec: `run --spec FILE` with one value
+per grid axis (the `analytic` and `parcels` families; see examples/specs/).";
 
 /// Parsed `--flag value` arguments.
 struct Args {
@@ -116,7 +83,7 @@ impl Args {
             // A repeated flag is always a mistake (a typo'd sweep script, a stale
             // alias): reject it by name instead of silently letting the last
             // occurrence win.
-            if name == "simulate" || name == "help" || name == "all" || name == "no-cache" {
+            if name == "help" || name == "all" || name == "no-cache" {
                 if flags.insert(name.to_string(), "true".to_string()).is_some() {
                     return Err(format!("flag --{name} given more than once"));
                 }
@@ -132,35 +99,8 @@ impl Args {
         Ok((positionals, Args { flags }))
     }
 
-    fn get_f64(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-        }
-    }
-
-    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects an integer, got '{v}'")),
-        }
-    }
-
-    /// A count flag (nodes, parallelism) in `1..=MAX_COUNT`, the bound specs use:
-    /// a count too large to allocate is an error naming the flag, not an abort.
-    fn get_count(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get_usize(name, default)? {
-            0 => Err(format!("--{name} must be at least 1")),
-            n if n > MAX_COUNT => Err(format!("--{name} must be at most {MAX_COUNT}, got {n}")),
-            n => Ok(n),
-        }
-    }
-
-    fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// An integer flag's value, or `default` when the flag is absent.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.flags.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -196,7 +136,8 @@ fn registry_with_specs(args: &Args) -> Result<(Registry, Vec<String>), String> {
     Ok((registry, spec_names))
 }
 
-fn cmd_list(args: &Args) -> Result<(), String> {
+fn cmd_list(positionals: &[String], args: &Args) -> Result<(), String> {
+    no_positionals(positionals)?;
     args.reject_unknown(&["spec"])?;
     let (registry, _) = registry_with_specs(args)?;
     for scenario in registry.iter() {
@@ -236,8 +177,8 @@ fn cmd_run(scenarios: &[String], args: &Args) -> Result<(), String> {
         None => None,
     };
     let opts = BatchOptions {
-        jobs: args.get_usize("jobs", 0)?,
-        seeds: SeedPolicy::new(args.get_u64("seed", DEFAULT_SEED)?),
+        jobs: args.get("jobs", 0)?,
+        seeds: SeedPolicy::new(args.get("seed", DEFAULT_SEED)?),
         out_dir: args.flags.get("out").map(std::path::PathBuf::from),
         cache_dir,
         shard,
@@ -308,6 +249,11 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
                 .into(),
         );
     };
+    if args.has("max-mib") && sub != "gc" {
+        return Err(format!(
+            "--max-mib applies only to `cache gc`, not `cache {sub}`"
+        ));
+    }
     // The assembly verbs take multiple directories; handle them before the
     // single-directory maintenance verbs below.
     match sub.as_str() {
@@ -356,7 +302,7 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             // into a tiny budget that silently evicts everything.
             let budget = match args.flags.get("max-mib") {
                 Some(_) => {
-                    let mib = args.get_u64("max-mib", 0)?;
+                    let mib: u64 = args.get("max-mib", 0)?;
                     Some(
                         mib.checked_mul(1024 * 1024)
                             .ok_or_else(|| format!("--max-mib {mib} overflows the byte budget"))?,
@@ -394,7 +340,8 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
 /// single-flight deduplication shared across every client (see
 /// `pim_harness::serve`). Prints the bound address (the way to learn the port
 /// after `--addr host:0`) and then serves until killed.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(positionals: &[String], args: &Args) -> Result<(), String> {
+    no_positionals(positionals)?;
     args.reject_unknown(&[
         "addr",
         "cache",
@@ -412,12 +359,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:8787".to_string()),
         cache_dir: args.flags.get("cache").map(std::path::PathBuf::from),
-        jobs: args.get_usize("jobs", 0)?,
-        seed: args.get_u64("seed", DEFAULT_SEED)?,
-        log: args.flags.get("quiet").map(String::as_str) != Some("1"),
-        workers: args.get_usize("workers", 0)?,
-        timeout_ms: args.get_u64("timeout-ms", 30_000)?,
-        drain_ms: args.get_u64("drain-ms", 5_000)?,
+        jobs: args.get("jobs", 0)?,
+        seed: args.get("seed", DEFAULT_SEED)?,
+        log: match args.flags.get("quiet").map(String::as_str) {
+            None | Some("0") => true,
+            Some("1") => false,
+            Some(v) => return Err(format!("--quiet expects 0 or 1, got '{v}'")),
+        },
+        workers: args.get("workers", 0)?,
+        timeout_ms: args.get("timeout-ms", 30_000)?,
+        drain_ms: args.get("drain-ms", 5_000)?,
         // The CLI owns the process, so SIGTERM/SIGINT become a graceful
         // drain (stop accepting, finish in-flight work, exit 0).
         handle_signals: true,
@@ -467,7 +418,7 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
     }
     let mut registry = Registry::builtin();
     // Failures accumulate as diagnostics and print through the shared pipeline
-    // (pim_audit::diag), so `spec check` and `audit` report in one format.
+    // (pim_audit::diag), so `spec check` and `pim-audit` report in one format.
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut checked = 0usize;
     for path in paths {
@@ -521,213 +472,40 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
     }
 }
 
-/// `audit`: run the determinism & purity lint pass over the workspace sources —
-/// the same pass the `pim-audit` binary and the gating CI job run (see the
-/// pim-audit crate for the rule set and the allow grammar).
-fn cmd_audit(args: &Args) -> Result<(), String> {
-    let root = args
-        .flags
-        .get("root")
-        .cloned()
-        .unwrap_or_else(|| ".".into());
-    let format = args
-        .flags
-        .get("format")
-        .cloned()
-        .unwrap_or_else(|| "human".into());
-    args.reject_unknown(&["root", "format"])?;
-    let report = pim_audit::audit_workspace(std::path::Path::new(&root))?;
-    match format.as_str() {
-        "json" => print!(
-            "{}",
-            diag::render_json(&report.diagnostics, report.files_scanned, report.suppressed)
-        ),
-        "human" => {
-            print!("{}", diag::render_human(&report.diagnostics));
-            println!("{}", report.summary());
-        }
-        other => return Err(format!("unknown --format '{other}' (human | json)")),
+/// Reject bare arguments for the commands that take none.
+fn no_positionals(positionals: &[String]) -> Result<(), String> {
+    match positionals.first() {
+        Some(arg) => Err(format!(
+            "unexpected argument '{arg}' (flags are --name value)"
+        )),
+        None => Ok(()),
     }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(report.summary())
-    }
-}
-
-fn study_config(args: &Args) -> Result<SystemConfig, String> {
-    let mut config = SystemConfig::table1();
-    config.p_miss = args.get_f64("pmiss", config.p_miss)?;
-    config.lwp_cycle_ns = args.get_f64("lwp-cycle", config.lwp_cycle_ns)?;
-    config.lwp_memory_cycles = args.get_f64("tml", config.lwp_memory_cycles)?;
-    config.hwp_memory_cycles = args.get_f64("tmh", config.hwp_memory_cycles)?;
-    let mix = args.get_f64("mix", config.mix.memory_fraction())?;
-    if !(0.0..=1.0).contains(&mix) {
-        return Err(format!("--mix must lie in [0,1], got {mix}"));
-    }
-    config.mix = InstructionMix::with_memory_fraction(mix);
-    config.validate()?;
-    Ok(config)
-}
-
-fn cmd_point(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "nodes",
-        "wl",
-        "pmiss",
-        "mix",
-        "lwp-cycle",
-        "tml",
-        "tmh",
-        "simulate",
-    ])?;
-    let nodes = args.get_count("nodes", 32)?;
-    let wl = args.get_f64("wl", 0.8)?;
-    if !(0.0..=1.0).contains(&wl) {
-        return Err(format!("--wl must lie in [0,1], got {wl}"));
-    }
-    let config = study_config(args)?;
-    let study = PartitionStudy::new(config);
-    let mode = if args.has("simulate") {
-        EvalMode::sampled(1)
-    } else {
-        EvalMode::Expected
-    };
-    let point = study.evaluate(nodes, wl, mode);
-    println!("nodes            : {nodes}");
-    println!("%WL              : {:.0}%", wl * 100.0);
-    println!("control time     : {:.3e} ns", point.control_ns);
-    println!("test time        : {:.3e} ns", point.test_ns);
-    println!("gain             : {:.3}x", point.gain);
-    println!("relative time    : {:.4}", point.relative_time);
-    println!("break-even NB    : {:.3}", config.nb());
-    Ok(())
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "max-nodes",
-        "pmiss",
-        "mix",
-        "lwp-cycle",
-        "tml",
-        "tmh",
-        "simulate",
-    ])?;
-    let max_nodes = args.get_count("max-nodes", 64)?;
-    let config = study_config(args)?;
-    let mut node_counts = vec![];
-    let mut n = 1;
-    while n <= max_nodes {
-        node_counts.push(n);
-        n *= 2;
-    }
-    let spec = SweepSpec {
-        node_counts,
-        lwp_fractions: (0..=10).map(|i| i as f64 / 10.0).collect(),
-    };
-    let mode = if args.has("simulate") {
-        EvalMode::sampled(1)
-    } else {
-        EvalMode::Expected
-    };
-    let sweep = run_sweep(config, &spec, mode, 4);
-    print!("{}", csv_to_markdown(&figure5_gain_table(&sweep)));
-    Ok(())
-}
-
-fn cmd_nb(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["pmiss", "mix", "lwp-cycle", "tml", "tmh"])?;
-    let config = study_config(args)?;
-    let model = AnalyticModel::new(config);
-    println!("HWP time per op : {:.3} ns", config.hwp_op_time_ns());
-    println!("LWP time per op : {:.3} ns", config.lwp_op_time_ns());
-    println!("NB              : {:.3}", model.nb());
-    println!("break-even nodes: {}", model.break_even_nodes());
-    println!("gain @ 32 nodes, 100% WL: {:.2}x", model.gain(32.0, 1.0));
-    Ok(())
-}
-
-fn cmd_parcels(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "parallelism",
-        "latency",
-        "remote",
-        "nodes",
-        "overhead",
-        "mix",
-    ])?;
-    let config = ParcelConfig {
-        nodes: args.get_count("nodes", 8)?,
-        parallelism: args.get_count("parallelism", 16)?,
-        latency_cycles: args.get_f64("latency", 1_000.0)?,
-        remote_fraction: args.get_f64("remote", 0.4)?,
-        parcel_overhead_cycles: args.get_f64("overhead", 4.0)?,
-        mix: InstructionMix::with_memory_fraction(args.get_f64("mix", 0.3)?),
-        horizon_cycles: 500_000.0,
-        ..Default::default()
-    };
-    config.validate()?;
-    let point = evaluate_point(config, 1);
-    let analytic = ParcelAnalyticModel::new(config);
-    println!(
-        "nodes / parallelism      : {} / {}",
-        config.nodes, config.parallelism
-    );
-    println!(
-        "latency / remote fraction: {:.0} cycles / {:.0}%",
-        config.latency_cycles,
-        config.remote_fraction * 100.0
-    );
-    println!("work ratio (simulated)   : {:.3}x", point.ops_ratio);
-    println!("work ratio (analytic)    : {:.3}x", analytic.ops_ratio());
-    println!("test idle fraction       : {:.3}", point.test_idle_fraction);
-    println!(
-        "control idle fraction    : {:.3}",
-        point.control_idle_fraction
-    );
-    println!(
-        "saturation parallelism P*: {:.1}",
-        analytic.saturation_parallelism()
-    );
-    Ok(())
 }
 
 fn run() -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first() else {
+    let Some((command, rest)) = raw.split_first() else {
         println!("{USAGE}");
         return Ok(());
     };
-    let (positionals, args) = Args::parse_mixed(&raw[1..])?;
+    let handler: fn(&[String], &Args) -> Result<(), String> = match command.as_str() {
+        "list" => cmd_list,
+        "run" => cmd_run,
+        "spec" => cmd_spec,
+        "serve" => cmd_serve,
+        "cache" => cmd_cache,
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        other => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    };
+    let (positionals, args) = Args::parse_mixed(rest)?;
     if args.has("help") {
         println!("{USAGE}");
         return Ok(());
     }
-    if command != "run" && command != "spec" && command != "cache" {
-        if let Some(arg) = positionals.first() {
-            return Err(format!(
-                "unexpected argument '{arg}' (flags are --name value)"
-            ));
-        }
-    }
-    match command.as_str() {
-        "list" => cmd_list(&args),
-        "run" => cmd_run(&positionals, &args),
-        "spec" => cmd_spec(&positionals, &args),
-        "serve" => cmd_serve(&args),
-        "audit" => cmd_audit(&args),
-        "cache" => cmd_cache(&positionals, &args),
-        "point" => cmd_point(&args),
-        "sweep" => cmd_sweep(&args),
-        "nb" => cmd_nb(&args),
-        "parcels" => cmd_parcels(&args),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    }
+    handler(&positionals, &args)
 }
 
 fn main() -> ExitCode {

@@ -17,10 +17,11 @@
 //!   regenerates every paper artifact as versioned JSON (`pim-tradeoffs list|run`);
 //! * [`pim_audit`] — the determinism & purity lint pass that statically enforces the
 //!   unit-result cache's purity contract over this workspace's own sources
-//!   (`pim-tradeoffs audit`, the `pim-audit` binary, and a gating CI job).
+//!   (the `pim-audit` binary, which a CI job gates on).
 //!
 //! See the `examples/` directory for runnable walkthroughs, and `pim-tradeoffs run`
-//! for regenerating every table and figure in the paper.
+//! for regenerating every table and figure in the paper; a single design point is a
+//! one-point spec run through `pim-tradeoffs run --spec FILE`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

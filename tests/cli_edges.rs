@@ -1,10 +1,11 @@
 //! CLI edge-case conformance through the real binary: `run NAME` reports one
-//! scenario or fails cleanly on an unknown name, duplicated flags are rejected
-//! by name (not silently last-wins), count flags too large to allocate are
-//! rejected by name, `cache gc --max-mib 0` is a well-defined full-eviction pass
-//! with exact accounting, a disk filling up mid-batch fails the run cleanly and
-//! keeps what was stored, and a scenario-name collision between two spec files
-//! names both offending paths.
+//! scenario or fails cleanly on an unknown name, the retired model and audit
+//! commands are unknown commands, duplicated flags are rejected by name (not
+//! silently last-wins), a flag a command accepts but would ignore is rejected by
+//! name, spec count axes too large to allocate are rejected by axis, `cache gc
+//! --max-mib 0` is a well-defined full-eviction pass with exact accounting, a disk
+//! filling up mid-batch fails the run cleanly and keeps what was stored, and a
+//! scenario-name collision between two spec files names both offending paths.
 
 use pim_harness::report::ScenarioReport;
 use std::path::{Path, PathBuf};
@@ -85,71 +86,169 @@ fn fast_scenario_succeeds() {
 // ---------------------------------------------------------------------------
 
 #[test]
+fn retired_model_and_audit_commands_are_unknown() {
+    // Design points go through one-point specs (`run --spec`), the break-even
+    // numbers through `run table1`, and the lint pass through `pim-audit`.
+    for name in ["point", "sweep", "nb", "parcels", "audit"] {
+        for args in [&[name][..], &[name, "--nodes", "32"]] {
+            let out = run_args(args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with(&format!("error: unknown command '{name}'")),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
+    }
+    let (help, _) = expect_ok(&["--help"]);
+    let commands: Vec<&str> = help
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("  pim-tradeoffs ")?
+                .split_whitespace()
+                .next()
+        })
+        .collect();
+    assert_eq!(
+        commands,
+        ["list", "run", "run", "run", "run", "serve", "cache", "cache", "spec"]
+    );
+}
+
+#[test]
 fn repeated_valued_flag_is_rejected_by_name() {
     // Before the fix the second --seed silently won; a typo'd sweep script
     // could run every scenario under the wrong seed without a whisper.
     let err = expect_error(&["run", "table1", "--seed", "1", "--seed", "2"]);
     assert!(err.contains("--seed given more than once"), "{err}");
-    let err = expect_error(&["point", "--nodes", "4", "--nodes", "8", "--wl", "0.5"]);
-    assert!(err.contains("--nodes given more than once"), "{err}");
 }
 
 #[test]
 fn repeated_boolean_flag_is_rejected_by_name() {
     let err = expect_error(&["run", "--all", "--all"]);
     assert!(err.contains("--all given more than once"), "{err}");
-    let err = expect_error(&["point", "--simulate", "--simulate"]);
-    assert!(err.contains("--simulate given more than once"), "{err}");
 }
 
 #[test]
 fn distinct_flags_still_combine() {
     // Regression guard: the duplicate check must not break ordinary multi-flag
     // invocations.
-    let (stdout, _) = expect_ok(&["point", "--nodes", "8", "--wl", "0.5", "--pmiss", "0.2"]);
-    assert!(stdout.contains("gain"), "{stdout}");
+    let (stdout, _) = expect_ok(&["run", "table1", "--seed", "7", "--jobs", "1"]);
+    let report: ScenarioReport = serde_json::from_str(&stdout).expect("stdout is a report");
+    assert_eq!(report.metric("nb"), Some(3.125));
 }
+
+// ---------------------------------------------------------------------------
+// Flags a command would accept and then ignore are rejected by name
+// ---------------------------------------------------------------------------
+
+#[test]
+fn max_mib_outside_cache_gc_is_rejected_and_changes_nothing() {
+    let base = temp_base("max-mib");
+    let cache = base.join("cache");
+    let other = base.join("other");
+    expect_ok(&["run", "table1", "--cache", &p(&cache)]);
+    expect_ok(&["run", "table1", "--cache", &p(&other)]);
+    let (stats, _) = expect_ok(&["cache", "stats", &p(&cache)]);
+    for args in [
+        &["cache", "stats", &p(&cache), "--max-mib", "5"][..],
+        &["cache", "clear", &p(&cache), "--max-mib", "0"],
+        &["cache", "merge", &p(&cache), &p(&other), "--max-mib", "1"],
+        &["cache", "pull", &p(&cache), &p(&other), "--max-mib", "1"],
+    ] {
+        let out = run_args(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --max-mib applies only to `cache gc`"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let (after, _) = expect_ok(&["cache", "stats", &p(&cache)]);
+    assert_eq!(after, stats, "a rejected command touched the cache");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn quiet_takes_only_0_or_1() {
+    // Any other value used to start a daemon that still logged. A build that
+    // accepts the value serves until killed, so wait with a deadline.
+    for value in ["true", "yes", "2", ""] {
+        let mut child = bin()
+            .args(["serve", "--addr", "127.0.0.1:0", "--quiet", value])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary starts");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().expect("wait").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("`serve --quiet {value:?}` was accepted and served");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{value:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: --quiet expects 0 or 1, got '{value}'\n"),
+            "{value:?}"
+        );
+        assert!(out.stdout.is_empty(), "{value:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Count axes too large to allocate are rejected before any unit runs
+// ---------------------------------------------------------------------------
 
 #[test]
 fn count_flags_too_large_to_allocate_are_rejected_by_name() {
     // Each of these once asked for terabytes (parcel reply queues and node
     // outcomes, simulated thread shares) and aborted; the address-space limit
     // makes such a request fail whatever the host's overcommit policy.
-    for (flag, args) in [
-        (
-            "--parallelism",
-            &["parcels", "--parallelism", "1000000000000"][..],
-        ),
-        ("--nodes", &["parcels", "--nodes", "1000000000000"]),
-        (
-            "--nodes",
-            &[
-                "point",
-                "--nodes",
-                "1000000000000",
-                "--wl",
-                "1",
-                "--simulate",
-            ],
-        ),
-        (
-            "--max-nodes",
-            &["sweep", "--max-nodes", "1000000000000", "--simulate"],
-        ),
-    ] {
+    let base = temp_base("counts");
+    let parcels = |nodes: &str, parallelism: &str| {
+        format!(
+            r#"{{"schema_version": 1, "name": "oversized", "description": "d",
+                "model": "parcels",
+                "grid": {{"node_counts": [{nodes}], "parallelisms": [{parallelism}],
+                          "latencies": [1000.0], "remote_fractions": [0.2]}}}}"#
+        )
+    };
+    let analytic = r#"{"schema_version": 1, "name": "oversized", "description": "d",
+        "model": "analytic", "config": {"mode": {"simulated": {}}},
+        "grid": {"node_counts": [1000000000000], "lwp_fractions": [0.5]}}"#;
+    for (i, (axis, body)) in [
+        ("parallelisms", parcels("1", "1000000000000")),
+        ("node_counts", parcels("1000000000000", "1")),
+        ("node_counts", analytic.to_string()),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let file = base.join(format!("oversized_{i}.json"));
+        std::fs::write(&file, body).unwrap();
         let out = Command::new("sh")
             .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
             .arg(env!("CARGO_BIN_EXE_pim-tradeoffs"))
-            .args(args)
+            .args(["run", "--spec", &p(&file), "--no-cache"])
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{axis}: {stderr}");
         assert!(
-            stderr.contains(&format!("error: {flag} must be at most")),
-            "{args:?}: {stderr}"
+            stderr.contains(&format!("grid.{axis} values must be at most")),
+            "{axis}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{axis}");
     }
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 // ---------------------------------------------------------------------------
