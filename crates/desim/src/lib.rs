@@ -10,16 +10,15 @@
 //!   [`event::BinaryHeapQueue`]),
 //! * reproducible random variate streams ([`random`]),
 //! * observation statistics with Student-t confidence intervals ([`stats`]) and
-//!   independent replications ([`replication`]),
+//!   the seed and summary of independent replications ([`replication`]),
 //! * simulated time in integer ticks ([`time`]) and a platform-stable content hash
 //!   for cache keys ([`stablehash`]).
 //!
-//! The engine is deliberately single-threaded per simulation instance (discrete-event
-//! causality is inherently sequential); throughput for the paper's parameter sweeps
-//! comes from running many independent simulations in parallel. The [`par`] module is
-//! the shared substrate for that: a work-stealing map over a flattened work list
-//! (shared atomic index) used by the `pim-core`/`pim-parcels` sweeps and by the
-//! `pim-harness` batch runner.
+//! The crate is single-threaded: discrete-event causality is inherently sequential,
+//! and nothing here spawns a thread. Throughput for the paper's parameter sweeps
+//! comes from running many independent simulations at once, which the `pim-harness`
+//! executor schedules; every seed a point needs is a pure function of plan-time
+//! values, so the schedule never changes a result.
 //!
 //! The [`engine`] module docs walk through a small model.
 
@@ -28,7 +27,6 @@
 
 pub mod engine;
 pub mod event;
-pub mod par;
 pub mod random;
 pub mod replication;
 pub mod stablehash;
@@ -39,9 +37,8 @@ pub mod time;
 pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
     pub use crate::event::{BinaryHeapQueue, EventQueue, FifoBandQueue};
-    pub use crate::par::{available_threads, work_steal_map};
     pub use crate::random::RandomStream;
-    pub use crate::replication::{replicate, ReplicationSummary};
+    pub use crate::replication::ReplicationSummary;
     pub use crate::stats::{ConfidenceLevel, Tally};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -2,10 +2,11 @@
 //! steady-state simulations.
 //!
 //! A statistical simulation result from a single run is a point estimate with unknown
-//! error. The replication runner executes the same experiment `n` times with
-//! decorrelated seeds, optionally discards a warm-up prefix of each run's output, and
-//! reports the mean with a Student-t confidence interval — the methodology queueing
-//! studies (including the paper's) rely on when quoting a number.
+//! error. Running the same experiment `n` times with decorrelated seeds
+//! ([`replication_seed`]) and reporting the mean with a Student-t confidence interval
+//! ([`ReplicationSummary::from_samples`]) is the methodology queueing studies
+//! (including the paper's) rely on when quoting a number. The replications
+//! themselves run wherever the caller schedules them.
 
 use crate::stats::{ConfidenceLevel, Tally};
 use serde::{Deserialize, Serialize};
@@ -31,9 +32,7 @@ pub struct ReplicationSummary {
 
 impl ReplicationSummary {
     /// Summarize already-collected replication outputs (one scalar per replication,
-    /// in replication order). This is the assembly half of [`replicate`], split out so
-    /// callers that evaluate replications elsewhere (e.g. a work-stealing scheduler
-    /// running one replication per unit) can still produce the standard summary.
+    /// in replication order).
     ///
     /// # Panics
     /// Panics when fewer than two samples are given — a confidence interval needs an
@@ -87,32 +86,23 @@ pub fn replication_seed(base_seed: u64, index: u64) -> u64 {
     base_seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Run `replications` independent replications of `experiment` (seeded with
-/// `0, 1, …, replications-1` offsets from `base_seed`) and summarize the scalar each
-/// replication returns.
-pub fn replicate<F>(
-    replications: u64,
-    base_seed: u64,
-    level: ConfidenceLevel,
-    mut experiment: F,
-) -> ReplicationSummary
-where
-    F: FnMut(u64) -> f64,
-{
-    assert!(
-        replications >= 2,
-        "need at least two replications for an interval"
-    );
-    let samples: Vec<f64> = (0..replications)
-        .map(|r| experiment(replication_seed(base_seed, r)))
-        .collect();
-    ReplicationSummary::from_samples(&samples, level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::RandomStream;
+
+    /// Replications `0..n` of `experiment`, seeded from `base_seed`, in order.
+    fn replicate(
+        n: u64,
+        base_seed: u64,
+        level: ConfidenceLevel,
+        experiment: impl Fn(u64) -> f64,
+    ) -> ReplicationSummary {
+        let samples: Vec<f64> = (0..n)
+            .map(|r| experiment(replication_seed(base_seed, r)))
+            .collect();
+        ReplicationSummary::from_samples(&samples, level)
+    }
 
     #[test]
     fn replication_mean_recovers_known_value() {

@@ -31,4 +31,4 @@ pub mod validation;
 pub use hwp_lwp::AnalyticModel;
 pub use parcels::ParcelAnalyticModel;
 pub use sweep::{nb_sensitivity, SensitivityRow, SweepParameter};
-pub use validation::{validate, validation_from_sweep, ValidationReport, ValidationRow};
+pub use validation::{validation_from_sweep, ValidationReport, ValidationRow};

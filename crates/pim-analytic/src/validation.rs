@@ -4,13 +4,14 @@
 //! accuracy of between 5% and 18%". Our queuing simulation and analytical model share
 //! their parameter definitions exactly (the paper's two tools — SES/Workbench and
 //! MATLAB — did not), so the residual error here is sampling noise and the
-//! max-of-parallel-threads effect, typically a few percent. [`validate`] reproduces the
-//! comparison and reports per-point and aggregate errors.
+//! max-of-parallel-threads effect, typically a few percent. [`validation_from_sweep`]
+//! scores the simulated times of a sweep's points against the closed form and reports
+//! per-point and aggregate errors; the `pim-harness` `validation` scenario simulates
+//! the points.
 
 use crate::hwp_lwp::AnalyticModel;
 use pim_core::config::SystemConfig;
-use pim_core::experiment::{run_sweep, SweepSpec};
-use pim_core::system::EvalMode;
+use pim_core::experiment::SweepSpec;
 use serde::{Deserialize, Serialize};
 
 /// One compared design point.
@@ -39,27 +40,9 @@ pub struct ValidationReport {
     pub max_relative_error: f64,
 }
 
-/// Compare the analytical model with the queuing simulation over `spec`.
-///
-/// `sim_mode` should be a [`EvalMode::Simulated`] variant; passing
-/// [`EvalMode::Expected`] degenerates to comparing the formula with itself (zero error),
-/// which is still useful as a consistency check.
-pub fn validate(
-    config: SystemConfig,
-    spec: &SweepSpec,
-    sim_mode: EvalMode,
-    threads: usize,
-) -> ValidationReport {
-    let sweep = run_sweep(config, spec, sim_mode, threads);
-    let simulated: Vec<f64> = sweep.points.iter().map(|p| p.test_ns).collect();
-    validation_from_sweep(config, spec, &simulated)
-}
-
-/// The comparison half of [`validate`]: score simulated test-system times, one per
-/// point of `spec` in [`SweepSpec::points`] order, against the closed form. Split
-/// out so callers that schedule the sweep's points themselves (e.g. the
-/// `pim-harness` batch runner, which simulates only the test system) can reuse the
-/// identical error computation.
+/// Compare the analytical model with the queuing simulation over `spec`: score
+/// simulated test-system times, one per point of `spec` in [`SweepSpec::points`]
+/// order, against the closed form.
 pub fn validation_from_sweep(
     config: SystemConfig,
     spec: &SweepSpec,
@@ -103,6 +86,21 @@ pub fn validation_from_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_core::experiment::point_eval_mode;
+    use pim_core::system::{EvalMode, PartitionStudy};
+
+    /// Simulate the test system at every point of `spec` under `mode` and score the
+    /// times against the closed form.
+    fn validate(config: SystemConfig, spec: &SweepSpec, mode: EvalMode) -> ValidationReport {
+        let study = PartitionStudy::new(config);
+        let simulated: Vec<f64> = spec
+            .points()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (n, wl))| study.evaluate_test_ns(n, wl, point_eval_mode(mode, i)))
+            .collect();
+        validation_from_sweep(config, spec, &simulated)
+    }
 
     fn small_spec() -> SweepSpec {
         SweepSpec {
@@ -113,7 +111,7 @@ mod tests {
 
     #[test]
     fn expected_mode_gives_zero_error() {
-        let r = validate(SystemConfig::table1(), &small_spec(), EvalMode::Expected, 2);
+        let r = validate(SystemConfig::table1(), &small_spec(), EvalMode::Expected);
         assert_eq!(r.rows.len(), 16);
         assert!(
             r.max_relative_error < 1e-9,
@@ -126,12 +124,7 @@ mod tests {
     fn simulated_mode_error_is_small_and_well_within_the_papers_band() {
         // The paper saw 5-18% between its two independently built models; ours share
         // parameter definitions, so the residual (sampling noise) must be well under 5%.
-        let r = validate(
-            SystemConfig::table1(),
-            &small_spec(),
-            EvalMode::sampled(7),
-            4,
-        );
+        let r = validate(SystemConfig::table1(), &small_spec(), EvalMode::sampled(7));
         assert!(
             r.max_relative_error < 0.05,
             "max error {}",

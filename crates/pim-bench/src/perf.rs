@@ -577,7 +577,7 @@ pub fn run_suite(opts: &PerfOptions) -> Value {
             "host",
             map(vec![(
                 "available_parallelism",
-                Value::U64(desim::par::available_threads() as u64),
+                Value::U64(resolve_jobs(0) as u64),
             )]),
         ),
         ("event_queues", bench_event_queues(scale)),

@@ -1,16 +1,13 @@
-//! Parameter sweeps for the partitioning study (Figures 5, 6 and 7).
+//! The design grid of the partitioning study (Figures 5, 6 and 7).
 //!
-//! A [`SweepSpec`] names the node counts and lightweight-work fractions to evaluate;
-//! [`run_sweep`] evaluates every `(N, %WL)` point, spreading the work across OS threads
-//! via the shared work-stealing map in [`desim::par`] (each point is an independent
-//! simulation, so the sweep is embarrassingly parallel — this is where the workspace
-//! gets its multi-core speedup, not inside a single simulated run). Callers that
-//! schedule points themselves (e.g. the `pim-harness` batch runner, which flattens
-//! every scenario's points into one global work list) use [`point_eval_mode`] to
-//! reproduce the per-point seed stream exactly.
+//! A [`SweepSpec`] names the node counts and lightweight-work fractions to evaluate.
+//! Each `(N, %WL)` point is an independent simulation, evaluated with
+//! [`PartitionStudy::evaluate`](crate::system::PartitionStudy::evaluate) under
+//! [`point_eval_mode`], which derives the point's seed stream from its index alone.
+//! The `pim-harness` executor runs the points of every scenario as one work list;
+//! [`SweepResult`] collects them back in grid order.
 
-use crate::config::SystemConfig;
-use crate::system::{EvalMode, PartitionStudy, TradeoffPoint};
+use crate::system::{EvalMode, TradeoffPoint};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// The grid of design points to evaluate.
@@ -132,34 +129,10 @@ impl SweepResult {
     }
 }
 
-/// Evaluate every point of `spec` under `mode`, using up to `threads` worker threads
-/// (`0` = one per core) pulling points from a shared work-stealing index.
-///
-/// Results are identical for every thread count: each point's evaluation mode (and
-/// therefore its seed stream) is a pure function of the point's index via
-/// [`point_eval_mode`], and results are collected by index.
-pub fn run_sweep(
-    config: SystemConfig,
-    spec: &SweepSpec,
-    mode: EvalMode,
-    threads: usize,
-) -> SweepResult {
-    let study = PartitionStudy::new(config);
-    let points = spec.points();
-    let results = desim::par::work_steal_map(&points, threads, |i, &(n, wl)| {
-        study.evaluate(n, wl, point_eval_mode(mode, i))
-    });
-    SweepResult {
-        spec: spec.clone(),
-        points: results,
-    }
-}
-
 /// The evaluation mode of sweep point `index` (row-major position in
 /// [`SweepSpec::points`]): simulated points get decorrelated per-point seeds derived
-/// purely from the sweep's base mode and the index, so any scheduler — the internal
-/// one in [`run_sweep`] or an external point-granular one — reproduces the same
-/// streams.
+/// purely from the sweep's base mode and the index, so the points can run in any
+/// order, on any worker, and reproduce the same streams.
 pub fn point_eval_mode(mode: EvalMode, index: usize) -> EvalMode {
     match mode {
         EvalMode::Expected => EvalMode::Expected,
@@ -178,6 +151,23 @@ pub fn point_eval_mode(mode: EvalMode, index: usize) -> EvalMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use crate::system::PartitionStudy;
+
+    /// Every point of `spec` under `mode` on the Table 1 study, in grid order.
+    fn sweep(spec: &SweepSpec, mode: EvalMode) -> SweepResult {
+        let study = PartitionStudy::new(SystemConfig::table1());
+        let points = spec
+            .points()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (n, wl))| study.evaluate(n, wl, point_eval_mode(mode, i)))
+            .collect();
+        SweepResult {
+            spec: spec.clone(),
+            points,
+        }
+    }
 
     #[test]
     fn spec_round_trips_through_json() {
@@ -239,7 +229,7 @@ mod tests {
     #[test]
     fn expected_sweep_reproduces_figure5_shape() {
         let spec = SweepSpec::figure5_6();
-        let r = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 4);
+        let r = sweep(&spec, EvalMode::Expected);
         assert_eq!(r.points.len(), 77);
 
         // Gain grows with %WL for a fixed (large) node count...
@@ -260,7 +250,7 @@ mod tests {
     #[test]
     fn extended_sweep_approaches_the_100x_claim() {
         let spec = SweepSpec::extended();
-        let r = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 4);
+        let r = sweep(&spec, EvalMode::Expected);
         // 256 nodes, 100% LWP work: gain = 256 / 3.125 = 81.9x — the same order of
         // magnitude as the text's "factor of 100X" extreme case.
         let g = r.point(256, 1.0).unwrap().gain;
@@ -271,24 +261,10 @@ mod tests {
     #[test]
     fn series_selectors_filter_correctly() {
         let spec = SweepSpec::figure5_6();
-        let r = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 2);
+        let r = sweep(&spec, EvalMode::Expected);
         assert_eq!(r.series_for_nodes(8).len(), 11);
         assert!(r.point(8, 0.5).is_some());
         assert!(r.point(3, 0.5).is_none());
-    }
-
-    #[test]
-    fn parallel_and_serial_sweeps_agree() {
-        let spec = SweepSpec {
-            node_counts: vec![1, 4, 16],
-            lwp_fractions: vec![0.0, 0.5, 1.0],
-        };
-        let serial = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 1);
-        let parallel = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 8);
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a.nodes, b.nodes);
-            assert!((a.gain - b.gain).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -297,8 +273,8 @@ mod tests {
             node_counts: vec![2, 16, 64],
             lwp_fractions: vec![0.2, 0.8],
         };
-        let expected = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 4);
-        let simulated = run_sweep(SystemConfig::table1(), &spec, EvalMode::sampled(17), 4);
+        let expected = sweep(&spec, EvalMode::Expected);
+        let simulated = sweep(&spec, EvalMode::sampled(17));
         for (e, s) in expected.points.iter().zip(&simulated.points) {
             assert!(
                 (e.gain - s.gain).abs() / e.gain < 0.08,

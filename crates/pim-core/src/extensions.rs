@@ -1,65 +1,32 @@
-//! Extensions beyond the paper's baseline model.
+//! An extension beyond the paper's baseline model: load imbalance.
 //!
 //! The paper's workload assumptions are deliberately simple: a single HWP phase followed
-//! by a single, perfectly balanced LWP phase. Two of those assumptions are relaxed here
-//! so their impact can be quantified (they are the "future work" knobs a Cascade-era
-//! designer would ask about first):
-//!
-//! * **Phased execution** ([`PhasedOptions::rounds`]): the Figure 4 timeline actually
-//!   shows the machine *alternating* between host and PIM phases; this module executes
-//!   `rounds` such alternations. Because neither processor class is shared across
-//!   phases, the expected total time is unchanged — the extension demonstrates (and the
-//!   tests verify) that the single-phase simplification is harmless.
-//! * **Load imbalance** ([`PhasedOptions::balance`]): the per-node LWP threads need not
-//!   be uniform. The parallel phase ends at the slowest node, so skew directly stretches
-//!   the LWP phase and erodes the gain; [`imbalance_sensitivity`] sweeps that effect.
-//!
-//! A third helper, [`replicated_gain`], wraps the stochastic evaluation in independent
-//! replications (via `desim::replication`) so a gain can be quoted with a confidence
-//! interval rather than as a single draw.
+//! by a single, perfectly balanced LWP phase. Here the per-node LWP threads need not be
+//! uniform ([`ThreadBalance`]). The parallel phase ends at the slowest node, so skew
+//! directly stretches the LWP phase and erodes the gain; [`imbalance_sensitivity`]
+//! quantifies that effect at one skew, the "future work" knob a Cascade-era designer
+//! would ask about first.
 
 use crate::config::SystemConfig;
 use crate::hwp::HwpExecution;
 use crate::lwp::LwpExecution;
-use crate::system::{EvalMode, PartitionStudy};
+use crate::system::PartitionStudy;
 use desim::random::RandomStream;
-use desim::replication::{replicate, ReplicationSummary};
-use desim::stats::ConfidenceLevel;
 use pim_workload::{ThreadBalance, ThreadPartition, WorkPartition};
 use serde::{Deserialize, Serialize};
-
-/// Options for the phased/imbalanced execution model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct PhasedOptions {
-    /// Number of HWP-phase / LWP-phase alternations (Figure 4 rounds). Must be ≥ 1.
-    pub rounds: usize,
-    /// How the LWP work of each round is spread over the nodes.
-    pub balance: ThreadBalance,
-}
-
-impl Default for PhasedOptions {
-    fn default() -> Self {
-        PhasedOptions {
-            rounds: 1,
-            balance: ThreadBalance::Uniform,
-        }
-    }
-}
 
 /// Result of a phased run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PhasedResult {
     /// Total time to solution (ns).
     pub makespan_ns: f64,
-    /// Total time spent in HWP phases (ns).
+    /// Time spent in the HWP phase (ns).
     pub hwp_ns: f64,
-    /// Total time spent in LWP phases (ns).
+    /// Time spent in the LWP phase (ns).
     pub lwp_ns: f64,
-    /// Time the *average* LWP node spent idle inside LWP phases while waiting for the
-    /// slowest node (ns) — the price of imbalance.
+    /// Time the *average* LWP node spent idle inside the LWP phase while waiting for
+    /// the slowest node (ns) — the price of imbalance.
     pub mean_node_idle_ns: f64,
-    /// Number of rounds executed.
-    pub rounds: usize,
 }
 
 impl PhasedResult {
@@ -73,61 +40,44 @@ impl PhasedResult {
     }
 }
 
-/// Execute `partition` on `nodes` LWPs under `options`, sampling every operation.
+/// Execute `partition` on `nodes` LWPs, the LWP work spread over the nodes as
+/// `balance` says, sampling every operation.
 ///
 /// The computation follows the queuing model of [`crate::queueing`] (there is no
 /// cross-phase resource contention, so phase lengths simply add) without its
-/// per-batch tick quantization; it is separate so that rounds and non-uniform thread
-/// partitions can be expressed without growing the core model.
+/// per-batch tick quantization; it is separate so that non-uniform thread partitions
+/// can be expressed without growing the core model.
 pub(crate) fn run_phased(
     config: SystemConfig,
     partition: WorkPartition,
     nodes: usize,
-    options: PhasedOptions,
+    balance: ThreadBalance,
     seed: u64,
 ) -> PhasedResult {
     assert!(nodes > 0, "need at least one LWP node");
-    assert!(options.rounds >= 1, "need at least one round");
     config.assert_valid();
 
     let mut hwp = HwpExecution::new(config, RandomStream::new(seed, 1));
-    let mut lwps: Vec<LwpExecution> = (0..nodes)
-        .map(|i| LwpExecution::new(config, RandomStream::new(seed, 100 + i as u64)))
+    let hwp_ns = hwp.run_ops(partition.hwp_ops());
+    let busy: Vec<f64> = ThreadPartition::new(partition.lwp_ops(), nodes, balance)
+        .ops_per_node()
+        .iter()
+        .enumerate()
+        .map(|(i, &ops)| {
+            LwpExecution::new(config, RandomStream::new(seed, 100 + i as u64)).run_ops(ops)
+        })
         .collect();
-
-    // Split both work pools as evenly as possible across rounds.
-    let hwp_rounds =
-        ThreadPartition::new(partition.hwp_ops(), options.rounds, ThreadBalance::Uniform);
-    let lwp_rounds =
-        ThreadPartition::new(partition.lwp_ops(), options.rounds, ThreadBalance::Uniform);
-
-    let mut hwp_ns = 0.0;
-    let mut lwp_ns = 0.0;
-    let mut idle_ns = 0.0;
-    for round in 0..options.rounds {
-        hwp_ns += hwp.run_ops(hwp_rounds.ops_per_node()[round]);
-        let node_share =
-            ThreadPartition::new(lwp_rounds.ops_per_node()[round], nodes, options.balance);
-        let busy: Vec<f64> = node_share
-            .ops_per_node()
-            .iter()
-            .zip(lwps.iter_mut())
-            .map(|(&ops, lwp)| lwp.run_ops(ops))
-            .collect();
-        let phase = busy.iter().copied().fold(0.0, f64::max);
-        lwp_ns += phase;
-        idle_ns += busy.iter().map(|b| phase - b).sum::<f64>() / nodes as f64;
-    }
+    let lwp_ns = busy.iter().copied().fold(0.0, f64::max);
+    let idle_ns = busy.iter().map(|b| lwp_ns - b).sum::<f64>() / nodes as f64;
     PhasedResult {
         makespan_ns: hwp_ns + lwp_ns,
         hwp_ns,
         lwp_ns,
         mean_node_idle_ns: idle_ns,
-        rounds: options.rounds,
     }
 }
 
-/// One row of the imbalance-sensitivity sweep.
+/// The gain at one thread-length skew.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ImbalanceRow {
     /// The skew factor applied to the per-node thread lengths.
@@ -138,69 +88,42 @@ pub struct ImbalanceRow {
     pub idle_fraction: f64,
 }
 
-/// Sweep the thread-length skew and report how the gain degrades.
+/// The gain of `nodes` LWPs at lightweight-work fraction `wl` when the per-node
+/// thread lengths are skewed by `skew` (`0` is uniform), against the expected
+/// host-only control time.
 pub fn imbalance_sensitivity(
     config: SystemConfig,
     nodes: usize,
     wl: f64,
-    skews: &[f64],
+    skew: f64,
     seed: u64,
-) -> Vec<ImbalanceRow> {
-    let study = PartitionStudy::new(config);
-    let control = study.expected_control_ns();
-    skews
-        .iter()
-        .map(|&skew| {
-            let balance = if skew <= 0.0 {
-                ThreadBalance::Uniform
-            } else {
-                ThreadBalance::Skewed { skew }
-            };
-            let result = run_phased(
-                config,
-                WorkPartition::new(config.total_ops, wl),
-                nodes,
-                PhasedOptions { rounds: 1, balance },
-                seed,
-            );
-            ImbalanceRow {
-                skew,
-                gain: control / result.makespan_ns,
-                idle_fraction: result.idle_fraction(),
-            }
-        })
-        .collect()
-}
-
-/// Evaluate the simulated gain of one `(nodes, wl)` point across independent
-/// replications and return its confidence interval.
-pub fn replicated_gain(
-    config: SystemConfig,
-    nodes: usize,
-    wl: f64,
-    replications: u64,
-    sim_ops: u64,
-    base_seed: u64,
-) -> ReplicationSummary {
-    let study = PartitionStudy::new(config);
-    replicate(replications, base_seed, ConfidenceLevel::P95, |seed| {
-        study
-            .evaluate(
-                nodes,
-                wl,
-                EvalMode::Simulated {
-                    sim_ops: Some(sim_ops),
-                    ops_per_event: 64,
-                    seed,
-                },
-            )
-            .gain
-    })
+) -> ImbalanceRow {
+    let control = PartitionStudy::new(config).expected_control_ns();
+    let balance = if skew <= 0.0 {
+        ThreadBalance::Uniform
+    } else {
+        ThreadBalance::Skewed { skew }
+    };
+    let result = run_phased(
+        config,
+        WorkPartition::new(config.total_ops, wl),
+        nodes,
+        balance,
+        seed,
+    );
+    ImbalanceRow {
+        skew,
+        gain: control / result.makespan_ns,
+        idle_fraction: result.idle_fraction(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::EvalMode;
+    use desim::replication::{replication_seed, ReplicationSummary};
+    use desim::stats::ConfidenceLevel;
 
     fn small_config() -> SystemConfig {
         SystemConfig {
@@ -213,7 +136,7 @@ mod tests {
     fn single_round_matches_the_queuing_model() {
         let config = small_config();
         let partition = WorkPartition::new(config.total_ops, 0.6);
-        let phased = run_phased(config, partition, 8, PhasedOptions::default(), 5);
+        let phased = run_phased(config, partition, 8, ThreadBalance::Uniform, 5);
         let des = crate::queueing::run_queueing(
             config,
             partition,
@@ -231,52 +154,15 @@ mod tests {
     }
 
     #[test]
-    fn splitting_into_rounds_does_not_change_the_total_time() {
-        let config = small_config();
-        let partition = WorkPartition::new(config.total_ops, 0.7);
-        let one = run_phased(
-            config,
-            partition,
-            16,
-            PhasedOptions {
-                rounds: 1,
-                ..Default::default()
-            },
-            9,
-        );
-        let many = run_phased(
-            config,
-            partition,
-            16,
-            PhasedOptions {
-                rounds: 10,
-                ..Default::default()
-            },
-            9,
-        );
-        let err = (one.makespan_ns - many.makespan_ns).abs() / one.makespan_ns;
-        assert!(
-            err < 0.02,
-            "1 round {} vs 10 rounds {}",
-            one.makespan_ns,
-            many.makespan_ns
-        );
-        assert_eq!(many.rounds, 10);
-    }
-
-    #[test]
     fn skew_stretches_the_lwp_phase_and_creates_idle_time() {
         let config = small_config();
         let partition = WorkPartition::new(config.total_ops, 1.0);
-        let uniform = run_phased(config, partition, 16, PhasedOptions::default(), 3);
+        let uniform = run_phased(config, partition, 16, ThreadBalance::Uniform, 3);
         let skewed = run_phased(
             config,
             partition,
             16,
-            PhasedOptions {
-                rounds: 1,
-                balance: ThreadBalance::Skewed { skew: 0.5 },
-            },
+            ThreadBalance::Skewed { skew: 0.5 },
             3,
         );
         assert!(skewed.makespan_ns > 1.3 * uniform.makespan_ns);
@@ -290,8 +176,10 @@ mod tests {
 
     #[test]
     fn imbalance_sweep_degrades_gain_monotonically() {
-        let rows = imbalance_sensitivity(small_config(), 32, 0.9, &[0.0, 0.2, 0.4, 0.6, 0.8], 7);
-        assert_eq!(rows.len(), 5);
+        let rows: Vec<ImbalanceRow> = [0.0, 0.2, 0.4, 0.6, 0.8]
+            .into_iter()
+            .map(|skew| imbalance_sensitivity(small_config(), 32, 0.9, skew, 7))
+            .collect();
         assert!(
             rows.windows(2).all(|w| w[1].gain <= w[0].gain + 0.02),
             "{rows:?}"
@@ -305,10 +193,21 @@ mod tests {
         // The simulated parallel phase ends at the *slowest* of the 32 nodes, so the
         // simulated gain sits a few percent below the closed form (which uses the mean
         // thread length) — the same kind of gap the paper reports between its two
-        // models. The replication machinery should resolve that bias: a tight interval
+        // models. Independent replications should resolve that bias: a tight interval
         // lying just below the analytic value.
         let config = small_config();
-        let summary = replicated_gain(config, 32, 1.0, 16, 50_000, 13);
+        let study = PartitionStudy::new(config);
+        let gains: Vec<f64> = (0..16)
+            .map(|r| {
+                let mode = EvalMode::Simulated {
+                    sim_ops: Some(50_000),
+                    ops_per_event: 64,
+                    seed: replication_seed(13, r),
+                };
+                study.evaluate(32, 1.0, mode).gain
+            })
+            .collect();
+        let summary = ReplicationSummary::from_samples(&gains, ConfidenceLevel::P95);
         let analytic = 32.0 / config.nb();
         assert!(summary.relative_precision() < 0.05);
         assert!(
@@ -331,10 +230,7 @@ mod tests {
             config,
             WorkPartition::new(config.total_ops, 0.0),
             8,
-            PhasedOptions {
-                rounds: 4,
-                balance: ThreadBalance::Skewed { skew: 0.9 },
-            },
+            ThreadBalance::Skewed { skew: 0.9 },
             1,
         );
         assert!(result.lwp_ns < 1e-9);

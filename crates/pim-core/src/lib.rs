@@ -12,8 +12,9 @@
 //!   phase timeline, run as a per-phase kernel over quantized operation batches.
 //! * [`system::PartitionStudy`] evaluates one `(N, %WL)` design point in either
 //!   expected-value or simulated mode.
-//! * [`experiment`] sweeps the design grid behind Figures 5, 6 and 7, and
-//!   [`results`] renders the corresponding tables.
+//! * [`experiment`] names the design grid behind Figures 5, 6 and 7 and the seed
+//!   of each of its points; the `pim-harness` scenarios run the points and render
+//!   the tables.
 //!
 //! ```
 //! use pim_core::prelude::*;
@@ -35,17 +36,15 @@ pub(crate) mod extensions;
 pub mod hwp;
 pub mod lwp;
 pub mod queueing;
-pub mod results;
 pub mod system;
 
 /// Convenient glob import for the study-1 API.
 pub mod prelude {
     pub use crate::config::SystemConfig;
-    pub use crate::experiment::{point_eval_mode, run_sweep, SweepResult, SweepSpec};
-    pub use crate::extensions::{imbalance_sensitivity, replicated_gain, ImbalanceRow};
+    pub use crate::experiment::{point_eval_mode, SweepResult, SweepSpec};
+    pub use crate::extensions::{imbalance_sensitivity, ImbalanceRow};
     pub use crate::hwp::{HwpExecution, HwpStats};
     pub use crate::lwp::{LwpExecution, LwpStats};
     pub use crate::queueing::{run_queueing, QueueingResult, RunMode};
-    pub use crate::results::{csv_to_markdown, figure5_gain_table};
     pub use crate::system::{EvalMode, PartitionStudy, TradeoffPoint};
 }

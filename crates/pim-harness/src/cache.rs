@@ -33,8 +33,8 @@
 //! and its unit is recomputed and appended again. A frame cut short by a crash and a vanished
 //! segment read as absent. Later frames for a digest supersede earlier ones.
 
+use crate::exec::unpoisoned;
 use crate::scenario::SeedPolicy;
-use desim::par::unpoisoned;
 use desim::stablehash::{stable_hash_hex, StableHasher};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};

@@ -2,11 +2,12 @@
 //!
 //! A [`UnitPool`] runs plans: it flattens the units of every requested
 //! [`ScenarioPlan`] into one global work list and lets up to `jobs` workers claim
-//! units from `desim::par`'s shared atomic index. Scheduling *units* (grid points)
-//! rather than whole scenarios is what keeps every worker busy to the end of a
-//! batch: under the old scenario-granular runner the slowest scenario (Figure 12's
-//! 56-point grid) serialized the batch tail on a single worker while the rest sat
-//! idle.
+//! units from one shared queue, in list order, until it drains. Scheduling *units*
+//! (grid points) rather than whole scenarios is what keeps every worker busy to the
+//! end of a batch: under the old scenario-granular runner the slowest scenario
+//! (Figure 12's 56-point grid) serialized the batch tail on a single worker while
+//! the rest sat idle. This is the workspace's one scheduler: the model crates
+//! evaluate single points and leave their grids to it.
 //!
 //! Determinism: unit outputs are written back by flattened index and handed to each
 //! plan's assembly step in unit order, and every unit derives its randomness from
@@ -64,7 +65,6 @@
 use crate::cache::{CacheCounts, CacheEvent, CacheLookup, UnitCache, UnitKey};
 use crate::report::ScenarioReport;
 use crate::scenario::{PlanUnit, ScenarioPlan, UnitCodec, UnitOutput};
-use desim::par::unpoisoned;
 use serde::Value;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -73,10 +73,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, LockResult, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Resolve a user-facing `jobs` knob: `0` means one worker per available core.
+/// Resolve a user-facing `jobs` knob: `0` means one worker per available core
+/// (4 when the core count cannot be queried).
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {
-        desim::par::available_threads()
+        std::thread::available_parallelism().map_or(4, |n| n.get())
     } else {
         jobs
     }
@@ -199,6 +200,15 @@ fn wait_for<T, R>(
         }
         state = unpoisoned(cond.wait_timeout(state, CANCEL_POLL)).0;
     }
+}
+
+/// The guard (or value) of a lock or condition-variable wait. A poisoned lock
+/// means a thread already panicked while holding it; that panic is propagated
+/// here rather than recovered from. This is the workspace's one lock rule; only
+/// the pool's `Drop` paths use [`recovered`] instead.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+    result.expect("no worker panicked")
 }
 
 /// A lock's guard even when a panic poisoned the lock. The pool's `Drop` impls
@@ -342,9 +352,8 @@ impl Drop for GatePermit<'_> {
 /// for the pool's lifetime. One-shot batches construct one per call; a daemon
 /// keeps one for its whole life.
 pub struct UnitPool {
-    /// The raw `jobs` knob (0 = one per core), resolved per call against the
-    /// actual unit count by `desim::par`'s claim loop.
-    jobs: usize,
+    /// Its permit total is also the most workers one call spreads its units
+    /// over.
     gate: Gate,
     /// Digest → compact JSON of an encoded payload (one that survives a JSON
     /// round trip). A call without a disk cache admits every unit it
@@ -367,7 +376,6 @@ impl UnitPool {
     pub fn new(jobs: usize) -> UnitPool {
         let total = resolve_jobs(jobs).max(1);
         UnitPool {
-            jobs,
             gate: Gate {
                 permits: Mutex::new(total),
                 freed: Condvar::new(),
@@ -610,10 +618,12 @@ impl UnitPool {
     ///
     /// Memory-warm units resolve first, on the calling thread: one probe of
     /// the cancel hook, one `mem` lock for the whole list, payload decodes
-    /// outside the lock. Only the rest go to `desim::par`'s claim loop, where
-    /// up to `jobs` workers claim them and probe the hook once per claim; the
-    /// pool's gate additionally bounds *computation* across every concurrent
-    /// call. An all-warm call therefore spawns no thread.
+    /// outside the lock. The rest go to one queue, which up to `jobs` workers
+    /// drain in unit order, probing the hook once per claim; the pool's gate
+    /// additionally bounds *computation* across every concurrent call. With
+    /// one worker, or one unit to run, the calling thread drains the queue
+    /// itself, so an all-warm call spawns no thread. After the call's first
+    /// failure, workers stop claiming.
     pub(crate) fn execute(
         &self,
         units: Vec<PlanUnit<'_>>,
@@ -642,63 +652,78 @@ impl UnitPool {
                 .map(|unit| mem.get(&unit.key.digest_u128()).cloned())
                 .collect()
         };
-        // `None` marks a unit left for the claim loop. A payload its codec
+        // `None` marks a unit left for the workers. A payload its codec
         // cannot read takes `run_unit`'s path like any other miss.
         let mut results: Vec<Option<(UnitOutput, CacheEvent)>> = Vec::with_capacity(total);
-        // The claim loop lends each worker a shared reference; the slot lets the
-        // claiming worker take its `FnOnce` unit by value.
-        let mut slots: Vec<Mutex<Option<PlanUnit<'_>>>> = Vec::new();
-        for (unit, payload) in units.into_iter().zip(payloads) {
+        let mut cold = Vec::new();
+        for (index, (unit, payload)) in units.into_iter().zip(payloads).enumerate() {
             let hit = payload.and_then(|text| decode_warm(&text, &unit.codec));
-            if let Some(output) = hit {
-                tick();
-                results.push(Some((output, CacheEvent::Hit)));
+            if hit.is_none() {
+                cold.push((index, unit));
             } else {
-                results.push(None);
-                slots.push(Mutex::new(Some(unit)));
+                tick();
             }
+            results.push(hit.map(|output| (output, CacheEvent::Hit)));
         }
 
         // Units not warm in memory may sit in segments another process appended
         // since the cache was opened; an all-warm call never touches the disk.
-        if let (Some(cache), false) = (cache, slots.is_empty()) {
+        if let (Some(cache), false) = (cache, cold.is_empty()) {
             cache.refresh();
         }
 
+        let workers = self.gate.total.min(cold.len());
+        // Claiming takes a unit out of the queue by value, so each runs once.
+        let queue = Mutex::new(cold.into_iter());
         // The call's first failure; once set, its outputs are discarded, so
-        // later claims return at once.
+        // workers stop claiming.
         let failure = OnceLock::new();
-        let computed = desim::par::work_steal_map(&slots, self.jobs, |_, slot| {
-            if failure.get().is_some() {
-                return None;
-            }
-            if cancel.is_some_and(|probe| probe()) {
-                let _ = failure.set(RunError::Cancelled);
-                return None;
-            }
-            let unit = unpoisoned(slot.lock()).take();
-            // audit:allow(unwrap-in-library): the claim loop hands each index to exactly one worker
-            match self.run_unit(unit.expect("each unit claimed once"), cache, cancel) {
-                Ok(done) => {
-                    tick();
-                    Some(done)
+        let drain = || {
+            let mut done = Vec::new();
+            while failure.get().is_none() {
+                let Some((index, unit)) = unpoisoned(queue.lock()).next() else {
+                    break;
+                };
+                if cancel.is_some_and(|probe| probe()) {
+                    let _ = failure.set(RunError::Cancelled);
+                    break;
                 }
-                Err(err) => {
-                    let _ = failure.set(err);
-                    None
+                match self.run_unit(unit, cache, cancel) {
+                    Ok(output) => {
+                        tick();
+                        done.push((index, output));
+                    }
+                    Err(err) => {
+                        let _ = failure.set(err);
+                    }
                 }
             }
-        });
+            done
+        };
+        let computed = if workers <= 1 {
+            drain()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                // A hook that panicked on a worker fails the call with its own
+                // panic; the scope still joins every other worker first.
+                handles
+                    .into_iter()
+                    .flat_map(|h| {
+                        h.join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            })
+        };
         if let Some(err) = failure.into_inner() {
             return Err(err);
         }
-        // Without a failure no claim returned early: every slot has an output,
-        // and the slots are the `None`s of `results`, in order.
-        let mut computed = computed.into_iter().flatten();
-        Ok(results
-            .into_iter()
-            .filter_map(|warm| warm.or_else(|| computed.next()))
-            .collect())
+        // Without a failure every queued unit was claimed and computed.
+        for (index, output) in computed {
+            results[index] = Some(output);
+        }
+        Ok(results.into_iter().flatten().collect())
     }
 }
 
@@ -813,8 +838,68 @@ mod tests {
 
     #[test]
     fn resolve_jobs_maps_zero_to_available_parallelism() {
-        assert_eq!(resolve_jobs(0), desim::par::available_threads());
+        assert_eq!(
+            resolve_jobs(0),
+            std::thread::available_parallelism().map_or(4, |n| n.get())
+        );
         assert_eq!(resolve_jobs(3), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no worker panicked")]
+    fn a_poisoned_lock_propagates_the_panic() {
+        let lock = Mutex::new(0u32);
+        let worker = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = lock.lock();
+                    panic!("worker died holding the lock");
+                })
+                .join()
+        });
+        assert!(worker.is_err());
+        let _guard = unpoisoned(lock.lock());
+    }
+
+    #[test]
+    fn one_worker_or_one_cold_unit_runs_on_the_calling_thread() {
+        let threads = Mutex::new(Vec::new());
+        // A plan over grid points `0..n` whose units record the thread they run on.
+        let plan = |n: usize| {
+            let keyer = UnitKeyer::new("threads", &Value::Map(vec![]), 0);
+            let threads = &threads;
+            let units: Vec<_> = (0..n)
+                .map(|i| {
+                    (keyer.key(i, 0), move || {
+                        threads.lock().unwrap().push(std::thread::current().id());
+                        i
+                    })
+                })
+                .collect();
+            ScenarioPlan::cached_map_reduce(units, |_: Vec<usize>| {
+                ScenarioReport::new("threads", "threads", 0, Value::Map(vec![]))
+            })
+        };
+        let ran_on = |pool: &UnitPool, n: usize| {
+            pool.run(vec![plan(n)], None, &RunHooks::default()).unwrap();
+            std::mem::take(&mut *threads.lock().unwrap())
+        };
+        let caller = std::thread::current().id();
+
+        // One worker, many cold units: all of them run here.
+        let on = ran_on(&UnitPool::new(1), 24);
+        assert_eq!(on.len(), 24);
+        assert!(on.iter().all(|&id| id == caller), "{on:?}");
+
+        // Eight workers and several cold units: workers run them all.
+        let pool = UnitPool::new(8);
+        let on = ran_on(&pool, 6);
+        assert_eq!(on.len(), 6);
+        assert!(on.iter().all(|&id| id != caller), "{on:?}");
+
+        // Eight workers, but six of the seven units are warm: the one cold
+        // unit runs here.
+        assert_eq!(ran_on(&pool, 7), vec![caller]);
     }
 
     #[test]

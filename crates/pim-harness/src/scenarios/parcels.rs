@@ -1,10 +1,9 @@
 //! Study-2 scenarios: parcel latency hiding (Figures 11 and 12) and the network and
 //! parcel-overhead ablations.
 //!
-//! The two figure scenarios decompose into one work unit per grid point, seeded
-//! exactly as `pim_parcels::run_latency_hiding`/`run_idle_time` seed their internal
-//! sweeps (via [`pim_parcels::experiment::point_seed`]); the ablations decompose per
-//! grid cell.
+//! The two figure scenarios decompose into one work unit per grid point, each seeded
+//! by [`pim_parcels::experiment::point_seed`] from the scenario seed and the point's
+//! grid index; the ablations decompose per grid cell.
 
 use crate::cache::UnitKeyer;
 use crate::report::{ScenarioReport, Table};

@@ -2,9 +2,9 @@
 //! replication confidence intervals and the load-imbalance ablation.
 //!
 //! The simulation-heavy scenarios decompose into one work unit per grid point (or per
-//! replication), reproducing exactly the seed streams the in-crate sweeps
-//! (`pim_core::run_sweep`, `desim::replication::replicate`) would use — the golden
-//! files pin this equivalence.
+//! replication), seeded from plan-time values only: a sweep point by
+//! [`point_eval_mode`], a replication by [`replication_seed`]. The golden files pin
+//! the resulting streams.
 //!
 //! A unit simulates only what its report reads. Figure 5's gain needs the control and
 //! the test system (`PartitionStudy::evaluate`); Figure 6 and the validation compare
@@ -34,11 +34,10 @@ fn simulated_mode(seed: u64) -> EvalMode {
 }
 
 /// Build a per-point plan for a simulated `(N, %WL)` sweep: one unit per grid point
-/// running `eval` on the Table 1 study (seeded exactly as `run_sweep` would via
-/// [`point_eval_mode`]), with `finish` turning the grid and the unit outputs, in
-/// [`SweepSpec::points`] order, into the scenario's report. Units are keyed by grid
-/// index under `keyer`, so batches with a `--cache` serve unchanged points from the
-/// unit-result cache.
+/// running `eval` on the Table 1 study (seeded by [`point_eval_mode`]), with `finish`
+/// turning the grid and the unit outputs, in [`SweepSpec::points`] order, into the
+/// scenario's report. Units are keyed by grid index under `keyer`, so batches with a
+/// `--cache` serve unchanged points from the unit-result cache.
 fn sweep_plan<'s, U, E, F>(
     keyer: UnitKeyer,
     seed: u64,
@@ -351,8 +350,8 @@ impl Scenario for ReplicationCi {
             total_ops: 1_000_000,
             ..SystemConfig::table1()
         };
-        // One unit per (corner, replication), seeded exactly as `replicated_gain`
-        // (i.e. `desim::replication::replicate`) seeds its sequential replications.
+        // One unit per (corner, replication), replication `r` seeded by
+        // `replication_seed(seed, r)`.
         let keyer = UnitKeyer::for_scenario(self, seeds);
         let mut units = Vec::with_capacity(CI_CORNERS.len() * REPLICATIONS as usize);
         for (c, &(nodes, wl)) in CI_CORNERS.iter().enumerate() {
@@ -446,19 +445,17 @@ impl Scenario for AblationImbalance {
             total_ops: 2_000_000,
             ..SystemConfig::table1()
         };
-        // One unit per (corner, skew). Each row of `imbalance_sensitivity` is an
-        // independent run at the same seed, so a single-skew slice reproduces the
-        // full-sweep row exactly.
+        // One unit per (corner, skew), each an independent run at the scenario seed.
         let keyer = UnitKeyer::for_scenario(self, seeds);
         let mut units = Vec::with_capacity(IMBALANCE_CORNERS.len() * SKEWS.len());
         for (c, &(nodes, wl)) in IMBALANCE_CORNERS.iter().enumerate() {
             for (s, &skew) in SKEWS.iter().enumerate() {
                 units.push((keyer.key(c * SKEWS.len() + s, 0), move || {
-                    let row = imbalance_sensitivity(config, nodes, wl, &[skew], seed)
-                        .pop()
-                        // audit:allow(unwrap-in-library): imbalance_sensitivity returns one row per skew and one skew was passed
-                        .expect("one skew yields one row");
-                    (nodes, wl, row)
+                    (
+                        nodes,
+                        wl,
+                        imbalance_sensitivity(config, nodes, wl, skew, seed),
+                    )
                 }));
             }
         }

@@ -83,11 +83,10 @@
 //! report renderer the CLI uses.
 
 use crate::cache::{CacheCounts, UnitCache};
-use crate::exec::{resolve_jobs, RunError, RunHooks, UnitPool};
+use crate::exec::{resolve_jobs, unpoisoned, RunError, RunHooks, UnitPool};
 use crate::registry::Registry;
 use crate::scenario::SeedPolicy;
 use crate::spec::parse_spec;
-use desim::par::unpoisoned;
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};

@@ -53,10 +53,16 @@ fn simulated_path_agrees_with_analytic_within_the_papers_band() {
         ops_per_event: 64,
         seed: DEFAULT_SEED,
     };
-    let sweep = run_sweep(SystemConfig::table1(), &spec, mode, 4);
+    let study = PartitionStudy::table1();
+    let points: Vec<TradeoffPoint> = spec
+        .points()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (n, wl))| study.evaluate(n, wl, point_eval_mode(mode, i)))
+        .collect();
     let model = AnalyticModel::table1();
-    let mut errors = Vec::with_capacity(sweep.points.len());
-    for p in &sweep.points {
+    let mut errors = Vec::with_capacity(points.len());
+    for p in &points {
         let analytic_ns = model.test_time_ns(p.nodes as f64, p.lwp_fraction);
         let err = (analytic_ns - p.test_ns).abs() / analytic_ns;
         assert!(

@@ -1,12 +1,11 @@
 //! Cache models for the heavyweight host processor.
 //!
 //! The paper's queuing model treats the host cache *statistically*: each load/store
-//! misses with fixed probability `Pmiss = 0.1` (Table 1). That model is provided by
-//! [`StatisticalCache`]. To let users calibrate `Pmiss` from an address trace instead
-//! of assuming it, a structural model is also provided: a conventional
+//! misses with fixed probability `Pmiss = 0.1` (Table 1), which `pim-core`'s HWP
+//! sampler draws directly. To let users calibrate `Pmiss` from an address trace
+//! instead of assuming it, this module provides a structural model: a conventional
 //! set-associative LRU cache ([`SetAssociativeCache`]).
 
-use desim::random::RandomStream;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a cache lookup.
@@ -34,56 +33,6 @@ pub trait CacheModel {
         } else {
             self.misses() as f64 / total as f64
         }
-    }
-}
-
-/// The paper's statistical cache: every access misses with fixed probability.
-#[derive(Debug)]
-pub struct StatisticalCache {
-    p_miss: f64,
-    stream: RandomStream,
-    hits: u64,
-    misses: u64,
-}
-
-impl StatisticalCache {
-    /// Create a statistical cache with miss probability `p_miss`, drawing from `stream`.
-    pub fn new(p_miss: f64, stream: RandomStream) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_miss),
-            "miss probability out of range: {p_miss}"
-        );
-        StatisticalCache {
-            p_miss,
-            stream,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Configured miss probability.
-    pub fn p_miss(&self) -> f64 {
-        self.p_miss
-    }
-}
-
-impl CacheModel for StatisticalCache {
-    fn access(&mut self, _addr: u64) -> CacheOutcome {
-        if self.stream.bernoulli(self.p_miss) {
-            self.misses += 1;
-            CacheOutcome::Miss
-        } else {
-            self.hits += 1;
-            CacheOutcome::Hit
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -172,31 +121,6 @@ impl CacheModel for SetAssociativeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn statistical_cache_converges_to_p_miss() {
-        let mut c = StatisticalCache::new(0.1, RandomStream::new(1, 1));
-        for a in 0..50_000u64 {
-            c.access(a);
-        }
-        assert!(
-            (c.miss_rate() - 0.1).abs() < 0.01,
-            "miss rate {}",
-            c.miss_rate()
-        );
-        assert_eq!(c.hits() + c.misses(), 50_000);
-        assert!((c.p_miss() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn statistical_cache_extremes() {
-        let mut never = StatisticalCache::new(0.0, RandomStream::new(1, 2));
-        let mut always = StatisticalCache::new(1.0, RandomStream::new(1, 3));
-        for a in 0..100u64 {
-            assert_eq!(never.access(a), CacheOutcome::Hit);
-            assert_eq!(always.access(a), CacheOutcome::Miss);
-        }
-    }
 
     #[test]
     fn set_associative_geometry() {

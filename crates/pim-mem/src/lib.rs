@@ -2,8 +2,8 @@
 //!
 //! Structural models of the memory hardware the paper's statistical studies abstract
 //! over: DRAM macros with 2048-bit rows and 256-bit pages out of the row buffer
-//! ([`dram`], [`row_buffer`], [`bank`]), host-side cache models including the paper's
-//! fixed-miss-probability statistical cache ([`cache`]), and PIM chips that aggregate
+//! ([`dram`], [`row_buffer`], [`bank`]), a set-associative host cache that measures
+//! the miss rate the paper assumes ([`cache`]), and PIM chips that aggregate
 //! many (bank + lightweight processor) nodes ([`pim_chip`]).
 //!
 //! These models serve two purposes in the workspace:
@@ -26,7 +26,7 @@ pub mod row_buffer;
 pub mod timing;
 
 pub use bank::Bank;
-pub use cache::{CacheModel, CacheOutcome, SetAssociativeCache, StatisticalCache};
+pub use cache::{CacheModel, CacheOutcome, SetAssociativeCache};
 pub use dram::{DramMacro, Interleave};
 pub use pim_chip::{PimChip, PimNode};
 pub use timing::{DramTiming, ProcessorTiming};

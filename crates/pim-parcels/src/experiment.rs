@@ -6,7 +6,8 @@
 //! parallelism, reporting the idle time of both systems. Each point runs the two
 //! independent discrete-event simulations for the same simulated horizon, exactly as
 //! the paper describes ("the experiments of both systems are run for the same amount of
-//! simulated time").
+//! simulated time"). The grids enumerate their points; [`point_seed`] seeds each one,
+//! and [`evaluate_point`]/[`evaluate_idle_point`] run it.
 
 use crate::config::ParcelConfig;
 use crate::control::run_control;
@@ -173,9 +174,8 @@ impl IdleTimeSpec {
 }
 
 /// The seed of grid point `index` in either study-2 sweep: a pure function of the
-/// spec's base seed and the point's position in `configs()`, so an external
-/// point-granular scheduler (the `pim-harness` batch runner) reproduces the sweep
-/// streams exactly.
+/// spec's base seed and the point's position in `configs()`, so the points can run
+/// in any order, on any worker, and reproduce the same streams.
 pub fn point_seed(base_seed: u64, index: usize) -> u64 {
     base_seed.wrapping_add(index as u64 * 131)
 }
@@ -193,24 +193,6 @@ pub fn evaluate_idle_point(config: ParcelConfig, seed: u64) -> IdleTimePoint {
         test_idle_fraction: test.idle_fraction(),
         control_idle_fraction: control.idle_fraction(),
     }
-}
-
-/// Run the Figure 11 sweep across up to `threads` work-stealing workers (`0` = one
-/// per core); results are in grid order and independent of the thread count.
-pub fn run_latency_hiding(spec: &LatencyHidingSpec, threads: usize) -> Vec<LatencyHidingPoint> {
-    let configs = spec.configs();
-    desim::par::work_steal_map(&configs, threads, |i, &c| {
-        evaluate_point(c, point_seed(spec.seed, i))
-    })
-}
-
-/// Run the Figure 12 sweep across up to `threads` work-stealing workers (`0` = one
-/// per core); results are in grid order and independent of the thread count.
-pub fn run_idle_time(spec: &IdleTimeSpec, threads: usize) -> Vec<IdleTimePoint> {
-    let configs = spec.configs();
-    desim::par::work_steal_map(&configs, threads, |i, &c| {
-        evaluate_idle_point(c, point_seed(spec.seed, i))
-    })
 }
 
 #[cfg(test)]
@@ -247,7 +229,12 @@ mod tests {
             latencies: vec![10.0, 2_000.0],
             seed: 42,
         };
-        let points = run_latency_hiding(&spec, 4);
+        let points: Vec<LatencyHidingPoint> = spec
+            .configs()
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| evaluate_point(c, point_seed(spec.seed, i)))
+            .collect();
         assert_eq!(points.len(), 6);
         let get = |p: usize, l: f64| {
             *points
@@ -277,7 +264,12 @@ mod tests {
             parallelism: vec![1, 64],
             seed: 42,
         };
-        let points = run_idle_time(&spec, 2);
+        let points: Vec<IdleTimePoint> = spec
+            .configs()
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| evaluate_idle_point(c, point_seed(spec.seed, i)))
+            .collect();
         assert_eq!(points.len(), 4);
         for p in &points {
             // The control system is always mostly idle at this latency.
@@ -306,22 +298,5 @@ mod tests {
         let b = evaluate_point(c, 7);
         assert_eq!(a.test_work, b.test_work);
         assert_eq!(a.control_work, b.control_work);
-    }
-
-    #[test]
-    fn parallel_and_serial_sweeps_agree() {
-        let spec = LatencyHidingSpec {
-            base: small_base(),
-            parallelism: vec![2, 4],
-            remote_fractions: vec![0.3],
-            latencies: vec![100.0],
-            seed: 9,
-        };
-        let serial = run_latency_hiding(&spec, 1);
-        let parallel = run_latency_hiding(&spec, 4);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.test_work, b.test_work);
-            assert_eq!(a.control_work, b.control_work);
-        }
     }
 }

@@ -11,8 +11,9 @@
 //!   overhead, and an optional message-driven remote-servicing mode (Figure 9).
 //!   Under a flat network (memory-side servicing, for the test system) both run on
 //!   a per-node kernel that is bit-identical to their discrete-event models.
-//! * [`experiment`] sweeps the Figure 11 and Figure 12 grids; the harness's
-//!   `figure11`/`figure12` scenarios render them.
+//! * [`experiment`] names the Figure 11 and Figure 12 grids, the seed of each
+//!   point and the evaluation of one point; the harness's `figure11`/`figure12`
+//!   scenarios run the points and render them.
 //!
 //! ```
 //! use pim_parcels::prelude::*;
@@ -48,10 +49,10 @@ pub mod prelude {
     pub use crate::config::ParcelConfig;
     pub use crate::control::{run_control, run_control_with_network, ControlSystem};
     pub use crate::experiment::{
-        evaluate_idle_point, evaluate_point, point_seed, run_idle_time, run_latency_hiding,
-        IdleTimePoint, IdleTimeSpec, LatencyHidingPoint, LatencyHidingSpec,
+        evaluate_idle_point, evaluate_point, point_seed, IdleTimePoint, IdleTimeSpec,
+        LatencyHidingPoint, LatencyHidingSpec,
     };
-    pub use crate::network::{FlatLatency, MeshNetwork, NetworkKind, NetworkModel, TorusNetwork};
+    pub use crate::network::{FlatLatency, MeshNetwork, NetworkModel, TorusNetwork};
     pub use crate::outcome::{NodeOutcome, SystemOutcome};
     pub use crate::runs::{LocalOpDist, Run, RunSampler};
     pub use crate::test_system::{run_test, run_test_with_options, RemoteService, TestSystem};

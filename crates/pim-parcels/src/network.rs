@@ -172,47 +172,6 @@ impl NetworkModel for TorusNetwork {
     }
 }
 
-/// Enumerable network choice, for configuration files and the ablation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum NetworkKind {
-    /// Flat fixed delay (the paper's assumption).
-    Flat {
-        /// One-way latency in cycles.
-        cycles: f64,
-    },
-    /// 2-D mesh with the given base and per-hop costs.
-    Mesh {
-        /// Router/NIC overhead per message in cycles.
-        base_cycles: f64,
-        /// Cycles per hop.
-        per_hop_cycles: f64,
-    },
-    /// 2-D torus with the given base and per-hop costs.
-    Torus {
-        /// Router/NIC overhead per message in cycles.
-        base_cycles: f64,
-        /// Cycles per hop.
-        per_hop_cycles: f64,
-    },
-}
-
-impl NetworkKind {
-    /// Instantiate the model for a system of `nodes` nodes.
-    pub fn build(&self, nodes: usize) -> Box<dyn NetworkModel + Send + Sync> {
-        match *self {
-            NetworkKind::Flat { cycles } => Box::new(FlatLatency::new(cycles)),
-            NetworkKind::Mesh {
-                base_cycles,
-                per_hop_cycles,
-            } => Box::new(MeshNetwork::for_nodes(nodes, base_cycles, per_hop_cycles)),
-            NetworkKind::Torus {
-                base_cycles,
-                per_hop_cycles,
-            } => Box::new(TorusNetwork::for_nodes(nodes, base_cycles, per_hop_cycles)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,25 +227,6 @@ mod tests {
         let torus = TorusNetwork::for_nodes(nodes, 0.0, 1.0);
         assert!(torus.mean_latency_cycles(nodes) < mesh.mean_latency_cycles(nodes));
         assert!((flat.mean_latency_cycles(nodes) - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn network_kind_builds_working_models() {
-        for kind in [
-            NetworkKind::Flat { cycles: 100.0 },
-            NetworkKind::Mesh {
-                base_cycles: 5.0,
-                per_hop_cycles: 2.0,
-            },
-            NetworkKind::Torus {
-                base_cycles: 5.0,
-                per_hop_cycles: 2.0,
-            },
-        ] {
-            let model = kind.build(16);
-            assert_eq!(model.latency_cycles(3, 3), 0.0);
-            assert!(model.latency_cycles(0, 9) > 0.0);
-        }
     }
 
     #[test]

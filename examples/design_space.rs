@@ -1,60 +1,61 @@
-//! Design-space exploration: reproduce the Figure 5/6/7 sweep at the command line and
-//! locate the break-even region.
+//! Design-space exploration: reproduce the Figure 5 sweep and the model validation at
+//! the command line, and locate the break-even region.
+//!
+//! Both are builtin scenarios; one executor call runs their grid points together, and
+//! everything printed comes from their reports.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example design_space
 //! ```
 
-use pim_repro::pim_analytic::{validate, AnalyticModel};
-use pim_repro::pim_core::prelude::*;
+use pim_repro::pim_analytic::AnalyticModel;
+use pim_repro::pim_harness::prelude::*;
 
 fn main() {
-    let config = SystemConfig::table1();
-    let spec = SweepSpec::figure5_6();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let registry = Registry::builtin();
+    let seeds = SeedPolicy::default();
+    let plans = ["figure5", "validation"]
+        .into_iter()
+        .map(|name| registry.get(name).expect("a builtin scenario").plan(&seeds))
+        .collect();
+    let outcomes = UnitPool::new(0)
+        .run(plans, None, &RunHooks::default())
+        .expect("uncached builtin scenarios run");
+    let (figure5, validation) = (&outcomes[0].report, &outcomes[1].report);
 
-    // Simulated sweep (what the paper's Workbench model produced).
-    let mode = EvalMode::Simulated {
-        sim_ops: Some(200_000),
-        ops_per_event: 64,
-        seed: 2,
-    };
-    let sweep = run_sweep(config, &spec, mode, threads);
-
+    // Figure 5: one row per %LWP work, one `gain_nN` column per node count.
+    let table = &figure5.tables[0];
     println!("Performance gain (simulation), rows = %LWP work, columns = node count");
-    print!("{}", csv_to_markdown(&figure5_gain_table(&sweep)));
+    println!("| {} |", table.columns.join(" | "));
+    println!("|{}", "---|".repeat(table.columns.len()));
+    let mut points = Vec::new();
+    for row in &table.rows {
+        let row: Vec<f64> = row.iter().map(|v| v.as_f64().unwrap_or(f64::NAN)).collect();
+        let gains: Vec<String> = row[1..].iter().map(|g| format!("{g:.4}")).collect();
+        println!("| {:.0} | {} |", row[0], gains.join(" | "));
+        for (column, &gain) in table.columns[1..].iter().zip(&row[1..]) {
+            points.push((row[0], column.trim_start_matches("gain_n"), gain));
+        }
+    }
 
     // Landmarks the paper calls out in the text.
-    let double = sweep
-        .points
+    let double = points
         .iter()
-        .filter(|p| p.gain >= 2.0)
-        .min_by(|a, b| a.lwp_fraction.partial_cmp(&b.lwp_fraction).unwrap());
-    if let Some(p) = double {
+        .filter(|(_, _, gain)| *gain >= 2.0)
+        .min_by(|a, b| a.0.total_cmp(&b.0));
+    if let Some((pct, nodes, gain)) = double {
         println!(
-            "\nEven modest offload doubles performance: gain {:.2}x at {}% LWP work on {} nodes",
-            p.gain,
-            (p.lwp_fraction * 100.0).round(),
-            p.nodes
+            "\nEven modest offload doubles performance: gain {gain:.2}x at {pct:.0}% LWP work \
+             on {nodes} nodes"
         );
     }
-    let best = sweep
-        .points
-        .iter()
-        .max_by(|a, b| a.gain.partial_cmp(&b.gain).unwrap())
-        .unwrap();
-    println!(
-        "Best point in this grid: {:.1}x at {}% LWP work on {} nodes",
-        best.gain,
-        (best.lwp_fraction * 100.0).round(),
-        best.nodes
-    );
+    if let Some((pct, nodes, gain)) = points.iter().max_by(|a, b| a.2.total_cmp(&b.2)) {
+        println!("Best point in this grid: {gain:.1}x at {pct:.0}% LWP work on {nodes} nodes");
+    }
 
     // The analytical model and its break-even parameter.
-    let model = AnalyticModel::new(config);
+    let model = AnalyticModel::table1();
     println!(
         "\nAnalytical break-even: NB = {:.3} nodes (ceil = {})",
         model.nb(),
@@ -62,11 +63,11 @@ fn main() {
     );
 
     // How well does the closed form track the simulation? (Paper: 5-18%.)
-    let report = validate(config, &spec, mode, threads);
+    let metric = |name| validation.metric(name).unwrap_or(f64::NAN) * 100.0;
     println!(
         "Analytic vs simulation: mean error {:.2}%, max error {:.2}% over {} points",
-        report.mean_relative_error * 100.0,
-        report.max_relative_error * 100.0,
-        report.rows.len()
+        metric("mean_relative_error"),
+        metric("max_relative_error"),
+        validation.tables[0].rows.len()
     );
 }

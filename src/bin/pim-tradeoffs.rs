@@ -28,7 +28,7 @@ USAGE:
   pim-tradeoffs serve   [--addr HOST:PORT] [--cache DIR] [--jobs N] [--seed S] [--quiet 0|1]
                         [--workers N] [--timeout-ms MS] [--drain-ms MS]
   pim-tradeoffs cache   stats DIR | gc DIR [--max-mib N] | clear DIR
-  pim-tradeoffs cache   merge DEST SRC... | pull DEST SRC
+  pim-tradeoffs cache   merge DEST SRC...
   pim-tradeoffs spec    check FILE|DIR...
 
 `list` names every registered scenario. `run` executes scenarios in parallel worker
@@ -40,9 +40,9 @@ what changed (the manifest records per-scenario hits/misses); `--no-cache` force
 full recompute, and `cache stats|gc|clear` maintains a cache directory. `--shard
 I/N` runs only the I-th of N deterministic unit partitions (1-based; requires
 --cache or --out): N shard invocations split one sweep across processes or
-machines, `cache merge DEST SRC...` copies their cache entries into DEST (`cache
-pull DEST SRC` is the one-source form), and a final unsharded run over the merged
-cache is all-hits and writes artifacts byte-identical to a single-process run.
+machines, `cache merge DEST SRC...` copies their cache entries into DEST, and a
+final unsharded run over the merged cache is all-hits and writes artifacts
+byte-identical to a single-process run.
 `gc --max-mib 0` is a deliberate full-eviction pass: a zero-byte budget puts every
 entry over budget.
 `serve` turns the sweep into a service: POST a spec document to /run (the same JSON
@@ -238,14 +238,13 @@ fn cmd_run(scenarios: &[String], args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `cache stats|gc|clear DIR` / `cache merge DEST SRC...` / `cache pull DEST SRC`:
-/// inspect, maintain and assemble unit-result cache directories.
+/// `cache stats|gc|clear DIR` / `cache merge DEST SRC...`: inspect, maintain and
+/// assemble unit-result cache directories.
 fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
     args.reject_unknown(&["max-mib"])?;
     let Some((sub, rest)) = positionals.split_first() else {
         return Err(
-            "cache needs a subcommand: `cache stats|gc|clear DIR`, `cache merge DEST SRC...` \
-             or `cache pull DEST SRC`"
+            "cache needs a subcommand: `cache stats|gc|clear DIR` or `cache merge DEST SRC...`"
                 .into(),
         );
     };
@@ -254,8 +253,11 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             "--max-mib applies only to `cache gc`, not `cache {sub}`"
         ));
     }
-    // The assembly verbs take multiple directories; handle them before the
-    // single-directory maintenance verbs below.
+    // The maintenance verbs take exactly one directory.
+    let dir = || match rest {
+        [dir] => Ok(std::path::Path::new(dir)),
+        _ => Err(format!("cache {sub} needs exactly one cache directory")),
+    };
     match sub.as_str() {
         "merge" => {
             let Some((dest, sources)) = rest.split_first() else {
@@ -268,27 +270,10 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             }
             let sources: Vec<std::path::PathBuf> =
                 sources.iter().map(std::path::PathBuf::from).collect();
-            return print_merge(cache_merge(std::path::Path::new(dest), &sources)?);
+            print_merge(cache_merge(std::path::Path::new(dest), &sources)?)
         }
-        "pull" => {
-            let [dest, src] = rest else {
-                return Err(
-                    "cache pull needs exactly a destination and one source: `cache pull DEST SRC`"
-                        .into(),
-                );
-            };
-            let sources = vec![std::path::PathBuf::from(src)];
-            return print_merge(cache_merge(std::path::Path::new(dest), &sources)?);
-        }
-        _ => {}
-    }
-    let [dir] = rest else {
-        return Err(format!("cache {sub} needs exactly one cache directory"));
-    };
-    let dir = std::path::Path::new(dir);
-    match sub.as_str() {
         "stats" => {
-            let stats = pim_repro::pim_harness::cache::cache_stats(dir)?;
+            let stats = pim_repro::pim_harness::cache::cache_stats(dir()?)?;
             println!("entries : {}", stats.entries);
             println!("bytes   : {}", stats.bytes);
             for (scenario, n) in &stats.per_scenario {
@@ -297,6 +282,7 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             Ok(())
         }
         "gc" => {
+            let dir = dir()?;
             // `--max-mib 0` is a deliberate full-eviction pass (budget of zero
             // bytes: every entry is over budget), and huge values must not wrap
             // into a tiny budget that silently evicts everything.
@@ -322,7 +308,7 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             Ok(())
         }
         "clear" => {
-            let removed = pim_repro::pim_harness::cache::cache_clear(dir)?;
+            let removed = pim_repro::pim_harness::cache::cache_clear(dir()?)?;
             println!(
                 "removed {removed} entr{}",
                 if removed == 1 { "y" } else { "ies" }
@@ -330,7 +316,7 @@ fn cmd_cache(positionals: &[String], args: &Args) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!(
-            "unknown cache subcommand '{other}' (expected stats, gc, clear, merge or pull)"
+            "unknown cache subcommand '{other}' (expected stats, gc, clear or merge)"
         )),
     }
 }
@@ -384,7 +370,7 @@ fn cmd_serve(positionals: &[String], args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Print a [`MergeOutcome`] summary line (shared by `cache merge` and `cache pull`).
+/// Print the summary line of a `cache merge`.
 fn print_merge(out: MergeOutcome) -> Result<(), String> {
     println!(
         "merged {} source(s): {} entr{} copied, {} already present, {} invalid skipped; \

@@ -117,6 +117,29 @@ fn retired_model_and_audit_commands_are_unknown() {
 }
 
 #[test]
+fn retired_cache_pull_is_an_unknown_subcommand() {
+    // A one-source merge is `cache merge DEST SRC`.
+    let base = temp_base("pull");
+    let (dest, src) = (base.join("dest"), base.join("src"));
+    expect_ok(&["run", "table1", "--cache", &p(&src)]);
+    let out = run_args(&["cache", "pull", &p(&dest), &p(&src)]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: unknown cache subcommand 'pull'"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    assert!(
+        !dest.exists(),
+        "a retired subcommand created its destination"
+    );
+    let (help, _) = expect_ok(&["--help"]);
+    assert!(!help.contains("pull"), "{help}");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
 fn repeated_valued_flag_is_rejected_by_name() {
     // Before the fix the second --seed silently won; a typo'd sweep script
     // could run every scenario under the wrong seed without a whisper.
@@ -155,7 +178,6 @@ fn max_mib_outside_cache_gc_is_rejected_and_changes_nothing() {
         &["cache", "stats", &p(&cache), "--max-mib", "5"][..],
         &["cache", "clear", &p(&cache), "--max-mib", "0"],
         &["cache", "merge", &p(&cache), &p(&other), "--max-mib", "1"],
-        &["cache", "pull", &p(&cache), &p(&other), "--max-mib", "1"],
     ] {
         let out = run_args(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,4 +1,4 @@
-//! CLI-level conformance for `run --shard` and `cache merge|pull`: flag
+//! CLI-level conformance for `run --shard` and `cache merge`: flag
 //! validation fails fast with named errors, and the end-to-end two-shard
 //! protocol (shard, merge, warm unsharded run) reproduces the single-process
 //! artifacts byte-for-byte through the real binary.
@@ -109,11 +109,6 @@ fn cache_merge_validates_its_arguments_and_sources() {
     assert!(err.contains("destination and at least one source"), "{err}");
     let err = expect_error(&["cache", "merge", &p(&base.join("dest"))]);
     assert!(err.contains("at least one source"), "{err}");
-    let err = expect_error(&["cache", "pull", &p(&base.join("dest"))]);
-    assert!(
-        err.contains("exactly a destination and one source"),
-        "{err}"
-    );
     // A source with a foreign cache_schema marker is refused.
     let stale = base.join("stale");
     std::fs::create_dir_all(stale.join("units")).unwrap();

@@ -1,9 +1,26 @@
 //! End-to-end integration of study 1: workload models → queuing simulation →
 //! analytical model → report tables, across crate boundaries.
 
-use pim_repro::pim_analytic::{validate, AnalyticModel};
+use pim_repro::pim_analytic::{validation_from_sweep, AnalyticModel};
 use pim_repro::pim_core::prelude::*;
+use pim_repro::pim_harness::prelude::{Registry, SeedPolicy};
 use pim_repro::pim_workload::{Kernel, WorkPartition};
+
+/// Every point of `spec` under `mode` on the Table 1 study, each seeded by its grid
+/// index as the harness seeds its units.
+fn sweep(spec: &SweepSpec, mode: EvalMode) -> SweepResult {
+    let study = PartitionStudy::table1();
+    let points = spec
+        .points()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (n, wl))| study.evaluate(n, wl, point_eval_mode(mode, i)))
+        .collect();
+    SweepResult {
+        spec: spec.clone(),
+        points,
+    }
+}
 
 #[test]
 fn figure5_landmarks_from_simulation() {
@@ -15,7 +32,7 @@ fn figure5_landmarks_from_simulation() {
         ops_per_event: 64,
         seed: 99,
     };
-    let sweep = run_sweep(SystemConfig::table1(), &spec, mode, 4);
+    let sweep = sweep(&spec, mode);
 
     // "even for a small amount of LWP work including PIMs in the system may double the
     // performance" — at 64 nodes, 50-60% LWP work is enough for ~2x.
@@ -65,7 +82,12 @@ fn analytic_model_validates_against_simulation_within_paper_band() {
         ops_per_event: 64,
         seed: 3,
     };
-    let report = validate(SystemConfig::table1(), &spec, mode, 4);
+    let simulated: Vec<f64> = sweep(&spec, mode)
+        .points
+        .iter()
+        .map(|p| p.test_ns)
+        .collect();
+    let report = validation_from_sweep(SystemConfig::table1(), &spec, &simulated);
     // The paper's two independently built models agreed within 5-18%; ours share
     // parameter definitions so the residual is sampling noise only.
     assert!(
@@ -113,16 +135,22 @@ fn kernel_profiles_drive_the_partitioning_model() {
 #[test]
 fn report_tables_are_well_formed_and_consistent() {
     let spec = SweepSpec::figure5_6();
-    let sweep = run_sweep(SystemConfig::table1(), &spec, EvalMode::Expected, 4);
-    let fig5 = figure5_gain_table(&sweep);
-    assert_eq!(fig5.lines().count(), 1 + spec.lwp_fractions.len());
-    // Cross-check one cell: gain x relative_time == 1 for every point.
+    let sweep = sweep(&spec, EvalMode::Expected);
+    // Cross-check every point: gain x relative_time == 1.
     for p in &sweep.points {
         assert!((p.gain * p.relative_time - 1.0).abs() < 1e-9);
     }
-    // Markdown rendering keeps all rows.
-    assert_eq!(
-        csv_to_markdown(&fig5).lines().count(),
-        fig5.lines().count() + 1
-    );
+    // The Figure 5 report has one row per %WL and one gain column per node count.
+    let report = Registry::builtin()
+        .get("figure5")
+        .expect("figure5 is a builtin scenario")
+        .run(&SeedPolicy::default());
+    let grid = SweepSpec::extended();
+    let table = &report.tables[0];
+    assert_eq!(table.columns.len(), 1 + grid.node_counts.len());
+    assert_eq!(table.rows.len(), grid.lwp_fractions.len());
+    assert!(table
+        .rows
+        .iter()
+        .all(|row| row.len() == table.columns.len()));
 }

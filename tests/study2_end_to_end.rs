@@ -56,7 +56,12 @@ fn figure12_prose_claims_hold() {
         parallelism: vec![1, 64],
         seed: 7,
     };
-    let points = run_idle_time(&spec, 4);
+    let points: Vec<IdleTimePoint> = spec
+        .configs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| evaluate_idle_point(c, point_seed(spec.seed, i)))
+        .collect();
     for p in &points {
         assert!(
             p.control_idle_fraction > 0.5,
