@@ -27,8 +27,8 @@ use crate::walk::{Role, SourceFile};
 /// Crates on the unit-execution path: everything that runs between a
 /// `UnitKey`'s derivation and the unit result that gets cached under it.
 /// Wall clocks, ambient entropy and hash-ordered iteration are contract
-/// violations *here*; `pim-bench` and the bin targets are the measurement/CLI
-/// layer where timing is the point.
+/// violations *here*; the bin targets (the CLI), the daemon's request handling
+/// ([`OFF_UNIT_PATH_MODULES`]) and `perfbench/` are where timing is the point.
 pub(crate) const UNIT_PATH_CRATES: &[&str] = &[
     "desim",
     "pim-core",
@@ -359,7 +359,7 @@ fn rule_wall_clock(ctx: &Ctx<'_>, out: &mut Vec<RawFinding>) {
                 i,
                 format!(
                     "`{ty}::now()` on the unit-execution path: unit results must be pure \
-                     functions of their UnitKey; timing belongs in pim-bench or the CLI layer"
+                     functions of their UnitKey; timing belongs in the CLI, the daemon or perfbench/"
                 ),
             );
         }

@@ -1,8 +1,7 @@
 //! # pim-harness — scenario registry and parallel batch harness
 //!
 //! Every paper artifact (Figures 5–7, 11, 12, Table 1, the validation study and the
-//! ablations) used to live in its own `pim-bench` binary with hand-rolled stdout
-//! formatting. This crate unifies them behind one interface:
+//! ablations) runs behind one interface:
 //!
 //! * [`scenario::Scenario`] — a named, seedable experiment producing a structured
 //!   [`report::ScenarioReport`];
@@ -51,11 +50,9 @@ pub mod serve;
 pub mod shard;
 pub mod spec;
 
-/// Shared, documented base seed so every default run is reproducible. The value is
-/// carried over from the legacy `pim_bench::REPORT_SEED`, but scenarios derive their
-/// streams via their [`scenario::SeedPolicy`] (base seed mixed with the
-/// scenario name), so the numeric outputs are *not* bit-identical to the historical
-/// binaries' runs — the golden files pin the harness's own streams.
+/// Shared, documented base seed so every default run is reproducible. Scenarios
+/// derive their streams from it via their [`scenario::SeedPolicy`] (base seed mixed
+/// with the scenario name), and the golden files pin those streams.
 pub const DEFAULT_SEED: u64 = 0x5C_2004;
 
 /// Convenient glob import for the harness API.

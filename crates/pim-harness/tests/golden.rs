@@ -230,3 +230,38 @@ fn golden_table1() {
 fn golden_validation() {
     check_golden("validation");
 }
+
+#[test]
+fn golden_figure7() {
+    check_golden("figure7");
+}
+
+#[test]
+fn golden_ablation_nb() {
+    check_golden("ablation_nb");
+}
+
+#[test]
+fn golden_bandwidth_claims() {
+    check_golden("bandwidth_claims");
+}
+
+#[test]
+fn golden_replication_ci() {
+    check_golden("replication_ci");
+}
+
+#[test]
+fn golden_ablation_imbalance() {
+    check_golden("ablation_imbalance");
+}
+
+#[test]
+fn golden_ablation_network() {
+    check_golden("ablation_network");
+}
+
+#[test]
+fn golden_ablation_overhead() {
+    check_golden("ablation_overhead");
+}

@@ -12,7 +12,6 @@
 //! consuming its processor.
 
 use crate::config::ParcelConfig;
-use crate::network::NetworkModel;
 use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
 use crate::runs::RunSampler;
 use desim::prelude::*;
@@ -51,33 +50,16 @@ struct ControlNode {
 pub struct ControlSystem {
     config: ParcelConfig,
     sampler: RunSampler,
-    network: Box<dyn NetworkModel + Send>,
     nodes: Vec<ControlNode>,
     streams: Vec<RandomStream>,
-    dest_stream: RandomStream,
 }
 
 impl ControlSystem {
     /// Build the model with the paper's flat-latency network.
     pub fn new(config: ParcelConfig, seed: u64) -> Self {
-        let latency = config.latency_cycles;
-        Self::with_network(
-            config,
-            Box::new(crate::network::FlatLatency::new(latency)),
-            seed,
-        )
-    }
-
-    /// Build the model with an explicit network model.
-    pub fn with_network(
-        config: ParcelConfig,
-        network: Box<dyn NetworkModel + Send>,
-        seed: u64,
-    ) -> Self {
         config.assert_valid();
         ControlSystem {
             sampler: RunSampler::new(&config),
-            network,
             nodes: (0..config.nodes)
                 .map(|_| ControlNode {
                     phase: Phase::Done,
@@ -89,7 +71,6 @@ impl ControlSystem {
             streams: (0..config.nodes)
                 .map(|i| RandomStream::new(seed, 0x1000 + i as u64))
                 .collect(),
-            dest_stream: RandomStream::new(seed, 0xDE57),
             config,
         }
     }
@@ -100,22 +81,6 @@ impl ControlSystem {
 
     fn remaining_cycles(&self, now_cycles: f64) -> f64 {
         (self.config.horizon_cycles - now_cycles).max(0.0)
-    }
-
-    /// One-way latency of the remote access issued by `src`. In a single-node system a
-    /// "remote" access targets memory outside the modeled array (the remote fraction
-    /// and latency are independent parameters in the paper), so the configured latency
-    /// still applies.
-    fn one_way_latency(&mut self, src: usize) -> f64 {
-        let n = self.config.nodes;
-        if n <= 1 {
-            return self.config.latency_cycles;
-        }
-        let mut d = self.dest_stream.below(n as u64 - 1) as usize;
-        if d >= src {
-            d += 1;
-        }
-        self.network.latency_cycles(src, d)
     }
 
     fn start_run(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<ControlEvent>) {
@@ -189,7 +154,7 @@ impl Model for ControlSystem {
                 // Issue the remote request: one busy cycle, then block for the round trip.
                 self.nodes[node].remote_accesses += 1;
                 self.nodes[node].busy_cycles += 1.0;
-                let round_trip = 2.0 * self.one_way_latency(node);
+                let round_trip = self.config.round_trip_cycles();
                 self.nodes[node].phase = Phase::Waiting;
                 sched.schedule_in(
                     SimDuration::from_ns_f64((1.0 + round_trip) * self.config.cycle_ns),
@@ -204,34 +169,11 @@ impl Model for ControlSystem {
 }
 
 /// Run the control system to its horizon and return the outcome.
-pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
-    run_control_with_network(
-        config,
-        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-        seed,
-    )
-}
-
-/// Run the control system with an explicit network model.
 ///
-/// Over a flat network no node's behaviour depends on another's, so it runs on
-/// the per-node kernel (bit-identical, no global event queue); other
-/// networks run the discrete-event [`ControlSystem`].
-pub fn run_control_with_network(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    seed: u64,
-) -> SystemOutcome {
-    if let Some(cycles) = network.flat_cycles() {
-        return crate::kernel::run_control(&config, cycles, seed);
-    }
-    let horizon = SimTime::from_ns_f64(config.horizon_ns());
-    let model = ControlSystem::with_network(config, network, seed);
-    let mut sim = Simulation::new(model);
-    sim.set_horizon(horizon);
-    sim.init(|m, sched| m.start(sched));
-    sim.run();
-    sim.model().outcome()
+/// No node's behaviour depends on another's, so it runs on the per-node kernel
+/// (bit-identical to the discrete-event [`ControlSystem`], no global event queue).
+pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
+    crate::kernel::run_control(&config, seed)
 }
 
 #[cfg(test)]
@@ -348,11 +290,10 @@ mod tests {
     #[test]
     fn zero_remote_closed_form_matches_the_engine_bitwise() {
         // A never-remote run is a fixed event pattern; the per-node kernel that
-        // `run_control_with_network` takes for a flat network must reproduce the
-        // DES outcome exactly — including the sub-tick quantization residue
-        // cases — across clock rates, horizons and node counts. Both a zero
-        // remote fraction and a zero memory fraction make the remote
-        // probability zero.
+        // `run_control` runs must reproduce the DES outcome exactly — including
+        // the sub-tick quantization residue cases — across clock rates, horizons
+        // and node counts. Both a zero remote fraction and a zero memory
+        // fraction make the remote probability zero.
         let mut checked = 0;
         for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
             for nodes in [1usize, 4] {
@@ -366,12 +307,8 @@ mod tests {
                         ..Default::default()
                     };
                     assert!(config.remote_prob_per_op() <= 0.0);
-                    let fast = crate::kernel::run_control(&config, config.latency_cycles, 77);
-                    let model = ControlSystem::with_network(
-                        config,
-                        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-                        77,
-                    );
+                    let fast = run_control(config, 77);
+                    let model = ControlSystem::new(config, 77);
                     let mut sim = Simulation::new(model);
                     sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
                     sim.init(|m, sched| m.start(sched));

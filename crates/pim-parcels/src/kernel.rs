@@ -183,15 +183,15 @@ pub(crate) fn run_test(config: &ParcelConfig, flat_cycles: f64, seed: u64) -> Sy
     SystemOutcome::from_nodes(config.horizon_cycles, nodes)
 }
 
-/// The blocking control system over a flat network of `flat_cycles` one-way
-/// latency, run node by node: each node has exactly one pending event at a time, so
-/// it is a straight loop. Bit-identical to the [`crate::control::ControlSystem`]
-/// engine run on the same inputs.
-pub(crate) fn run_control(config: &ParcelConfig, flat_cycles: f64, seed: u64) -> SystemOutcome {
+/// The blocking control system over the flat network of `config.latency_cycles`,
+/// run node by node: each node has exactly one pending event at a time, so it is a
+/// straight loop. Bit-identical to the [`crate::control::ControlSystem`] engine run
+/// on the same inputs.
+pub(crate) fn run_control(config: &ParcelConfig, seed: u64) -> SystemOutcome {
     config.assert_valid();
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
-    let round_trip = 2.0 * one_way_cycles(config, flat_cycles);
-    let reply_delay = SimDuration::from_ns_f64((1.0 + round_trip) * config.cycle_ns);
+    let reply_delay =
+        SimDuration::from_ns_f64((1.0 + config.round_trip_cycles()) * config.cycle_ns);
     let sampler = RunSampler::new(config);
     let nodes = (0..config.nodes)
         .map(|i| {

@@ -47,7 +47,7 @@ pub mod test_system;
 /// Convenient glob import for the study-2 API.
 pub mod prelude {
     pub use crate::config::ParcelConfig;
-    pub use crate::control::{run_control, run_control_with_network, ControlSystem};
+    pub use crate::control::{run_control, ControlSystem};
     pub use crate::experiment::{
         evaluate_idle_point, evaluate_point, point_seed, IdleTimePoint, IdleTimeSpec,
         LatencyHidingPoint, LatencyHidingSpec,

@@ -1,5 +1,5 @@
-//! Differential suite: the per-node kernel that `run_test_with_options` and
-//! `run_control_with_network` use for flat networks must reproduce the
+//! Differential suite: the per-node kernel that `run_test_with_options` uses for
+//! flat networks, and that `run_control` always uses, must reproduce the
 //! discrete-event reference (`TestSystem` / `ControlSystem` driven through
 //! `desim::Simulation`) bit for bit — every `NodeOutcome` field, every f64 by
 //! `to_bits`.
@@ -23,8 +23,8 @@ fn des_test(config: ParcelConfig, flat_cycles: f64, seed: u64) -> SystemOutcome 
     sim.model().outcome()
 }
 
-fn des_control(config: ParcelConfig, flat_cycles: f64, seed: u64) -> SystemOutcome {
-    let model = ControlSystem::with_network(config, Box::new(FlatLatency::new(flat_cycles)), seed);
+fn des_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
+    let model = ControlSystem::new(config, seed);
     let mut sim = Simulation::new(model);
     sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
     sim.init(|m, sched| m.start(sched));
@@ -68,7 +68,9 @@ fn assert_bit_identical(kernel: &SystemOutcome, des: &SystemOutcome, what: &str)
 }
 
 /// Run both systems through the public entry points (which take the kernel for a
-/// flat network) and through the engine, and demand identical outcomes.
+/// flat network) and through the engine, and demand identical outcomes. The
+/// control system's network is always the configured flat latency, so its half
+/// runs at `flat_cycles` by configuration.
 fn check(config: ParcelConfig, flat_cycles: f64, seed: u64) {
     let what = format!("{config:?} flat={flat_cycles} seed={seed}");
     let kernel = run_test_with_options(
@@ -82,10 +84,13 @@ fn check(config: ParcelConfig, flat_cycles: f64, seed: u64) {
         &des_test(config, flat_cycles, seed),
         &format!("test system, {what}"),
     );
-    let kernel = run_control_with_network(config, Box::new(FlatLatency::new(flat_cycles)), seed);
+    let config = ParcelConfig {
+        latency_cycles: flat_cycles,
+        ..config
+    };
     assert_bit_identical(
-        &kernel,
-        &des_control(config, flat_cycles, seed),
+        &run_control(config, seed),
+        &des_control(config, seed),
         &format!("control system, {what}"),
     );
 }
