@@ -280,6 +280,10 @@ mod tests {
     #[test]
     fn fifo_band_agrees_with_heap_on_random_workload() {
         use rand::{Rng, SeedableRng};
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a fixed workload generator for a queue test, outside any unit"
+        )]
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let mut heap = BinaryHeapQueue::new();
         let mut band = FifoBandQueue::new();

@@ -22,9 +22,6 @@
 //!
 //! The [`engine`] module docs walk through a small model.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod engine;
 pub mod event;
 pub mod random;

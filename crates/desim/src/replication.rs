@@ -56,27 +56,6 @@ impl ReplicationSummary {
             max: tally.max().unwrap_or(0.0),
         }
     }
-
-    /// The confidence interval as `(low, high)`.
-    pub fn interval(&self) -> (f64, f64) {
-        (self.mean - self.half_width, self.mean + self.half_width)
-    }
-
-    /// Relative precision of the estimate: half-width divided by |mean|
-    /// (`f64::INFINITY` when the mean is zero).
-    pub fn relative_precision(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-
-    /// True when the interval contains `value`.
-    pub fn covers(&self, value: f64) -> bool {
-        let (lo, hi) = self.interval();
-        value >= lo && value <= hi
-    }
 }
 
 /// The seed of replication `index` of an experiment with the given base seed: a pure
@@ -104,6 +83,20 @@ mod tests {
         ReplicationSummary::from_samples(&samples, level)
     }
 
+    /// The confidence interval as `(low, high)`.
+    fn interval(summary: &ReplicationSummary) -> (f64, f64) {
+        (
+            summary.mean - summary.half_width,
+            summary.mean + summary.half_width,
+        )
+    }
+
+    /// True when the confidence interval contains `value`.
+    fn covers(summary: &ReplicationSummary, value: f64) -> bool {
+        let (lo, hi) = interval(summary);
+        value >= lo && value <= hi
+    }
+
     #[test]
     fn replication_mean_recovers_known_value() {
         let summary = replicate(64, 7, ConfidenceLevel::P95, |seed| {
@@ -112,11 +105,11 @@ mod tests {
         });
         assert_eq!(summary.replications, 64);
         assert!(
-            summary.covers(10.0),
+            covers(&summary, 10.0),
             "interval {:?} should cover 10",
-            summary.interval()
+            interval(&summary)
         );
-        assert!(summary.relative_precision() < 0.02);
+        assert!(summary.half_width / summary.mean < 0.02);
         assert!(summary.min <= summary.mean && summary.mean <= summary.max);
     }
 
@@ -125,8 +118,8 @@ mod tests {
         let summary = replicate(8, 1, ConfidenceLevel::P99, |_seed| 42.0);
         assert_eq!(summary.mean, 42.0);
         assert_eq!(summary.half_width, 0.0);
-        assert!(summary.covers(42.0));
-        assert!(!summary.covers(41.0));
+        assert!(covers(&summary, 42.0));
+        assert!(!covers(&summary, 41.0));
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //! assert!((model.time_relative(model.nb(), 0.7) - 1.0).abs() < 1e-12);
 //! ```
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod hwp_lwp;
 pub mod parcels;
 pub mod sweep;

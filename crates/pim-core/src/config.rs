@@ -88,9 +88,11 @@ impl SystemConfig {
     /// Validate, panicking on an invalid configuration: the constructor contract of
     /// every study-1 model (an invalid config is a caller bug and fails loudly).
     pub fn assert_valid(&self) {
-        self.validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid system configuration");
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract — an invalid config is a caller bug and fails loudly"
+        )]
+        self.validate().expect("invalid system configuration");
     }
 
     /// Expected time for one operation on the heavyweight processor, in nanoseconds:

@@ -111,11 +111,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The points for one node count, ordered by `%WL`.
-    pub fn series_for_nodes(&self, nodes: usize) -> Vec<&TradeoffPoint> {
-        self.points.iter().filter(|p| p.nodes == nodes).collect()
-    }
-
     /// The largest gain anywhere in the sweep.
     pub fn max_gain(&self) -> f64 {
         self.points.iter().map(|p| p.gain).fold(0.0, f64::max)
@@ -233,8 +228,12 @@ mod tests {
         assert_eq!(r.points.len(), 77);
 
         // Gain grows with %WL for a fixed (large) node count...
-        let series = r.series_for_nodes(64);
-        let gains: Vec<f64> = series.iter().map(|p| p.gain).collect();
+        let gains: Vec<f64> = r
+            .points
+            .iter()
+            .filter(|p| p.nodes == 64)
+            .map(|p| p.gain)
+            .collect();
         assert!(gains.windows(2).all(|w| w[1] >= w[0]), "{gains:?}");
 
         // ...reaches ~2x even for moderate PIM work on large arrays...
@@ -262,7 +261,7 @@ mod tests {
     fn series_selectors_filter_correctly() {
         let spec = SweepSpec::figure5_6();
         let r = sweep(&spec, EvalMode::Expected);
-        assert_eq!(r.series_for_nodes(8).len(), 11);
+        assert_eq!(r.points.iter().filter(|p| p.nodes == 8).count(), 11);
         assert!(r.point(8, 0.5).is_some());
         assert!(r.point(3, 0.5).is_none());
     }

@@ -27,9 +27,6 @@
 //! assert!((study.config().nb() - 3.125).abs() < 1e-12);
 //! ```
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod config;
 pub mod experiment;
 pub(crate) mod extensions;

@@ -176,7 +176,10 @@ impl UnitKeyer {
 
 /// Fingerprint a config tree: the stable hash of its canonical (compact) JSON.
 pub(crate) fn fingerprint_value(config: &Value) -> String {
-    // audit:allow(unwrap-in-library): the vendored JSON writer is total — to_string returns Ok unconditionally
+    #[expect(
+        clippy::expect_used,
+        reason = "the vendored JSON writer is total — to_string returns Ok unconditionally"
+    )]
     let json = serde_json::to_string(config).expect("value serialization is infallible");
     stable_hash_hex(&json)
 }

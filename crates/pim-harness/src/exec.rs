@@ -206,8 +206,11 @@ fn wait_for<T, R>(
 /// means a thread already panicked while holding it; that panic is propagated
 /// here rather than recovered from. This is the workspace's one lock rule; only
 /// the pool's `Drop` paths use [`recovered`] instead.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock means a worker already panicked; propagate that panic"
+)]
 pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
-    // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
     result.expect("no worker panicked")
 }
 

@@ -34,9 +34,6 @@
 //! assert!(!report.tables.is_empty());
 //! ```
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod cache;
 pub mod exec;
 pub mod golden;

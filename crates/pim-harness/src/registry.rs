@@ -36,8 +36,11 @@ impl Registry {
             Box::new(memory::BandwidthClaims),
         ];
         for scenario in builtins {
+            #[expect(
+                clippy::expect_used,
+                reason = "the builtin scenario list carries no duplicate names"
+            )]
             r.register(scenario)
-                // audit:allow(unwrap-in-library): the builtin scenario list carries no duplicate names
                 .expect("builtin scenario names are unique");
         }
         r

@@ -94,7 +94,10 @@ impl ScenarioReport {
 
     /// Serialize to the canonical artifact form: pretty JSON with a trailing newline.
     pub fn to_json(&self) -> String {
-        // audit:allow(unwrap-in-library): the vendored JSON writer is total — to_string_pretty returns Ok unconditionally
+        #[expect(
+            clippy::expect_used,
+            reason = "the vendored JSON writer is total — to_string_pretty returns Ok unconditionally"
+        )]
         let mut s = serde_json::to_string_pretty(self).expect("report serialization is infallible");
         s.push('\n');
         s

@@ -139,12 +139,15 @@ pub fn run_batch<S: AsRef<str>>(
             ));
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "resolve_names returned only names this registry contains"
+    )]
     let plans: Vec<_> = names
         .iter()
         .map(|name| {
             registry
                 .get(name)
-                // audit:allow(unwrap-in-library): resolve_names returned only names this registry contains
                 .expect("names were resolved against this registry")
                 .plan(&opts.seeds)
         })

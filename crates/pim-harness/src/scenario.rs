@@ -69,10 +69,14 @@ impl UnitCodec {
     fn for_type<U: Serialize + Deserialize + Send + 'static>() -> UnitCodec {
         UnitCodec {
             encode: Box::new(|any| {
-                any.downcast_ref::<U>()
-                    // audit:allow(unwrap-in-library): the plan pairs every unit with the codec of its own output type
-                    .expect("unit output type matches the plan")
-                    .to_value()
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the plan pairs every unit with the codec of its own output type"
+                )]
+                let output = any
+                    .downcast_ref::<U>()
+                    .expect("unit output type matches the plan");
+                output.to_value()
             }),
             decode: Box::new(|value| U::from_value(value).ok().map(|u| Box::new(u) as UnitOutput)),
         }
@@ -112,12 +116,15 @@ impl<'s> ScenarioPlan<'s> {
     /// A plan with one unit: the whole scenario runs as a single task whose
     /// report is persistable in the unit-result cache under `key`. The right
     /// choice for scenarios that finish in milliseconds (closed forms, tables).
+    #[expect(
+        clippy::expect_used,
+        reason = "a single-unit plan yields exactly one output"
+    )]
     pub(crate) fn cached_single(
         key: UnitKey,
         run: impl FnOnce() -> ScenarioReport + Send + 's,
     ) -> ScenarioPlan<'s> {
         ScenarioPlan::cached_map_reduce(vec![(key, run)], |mut reports: Vec<ScenarioReport>| {
-            // audit:allow(unwrap-in-library): a single-unit plan yields exactly one output
             reports.pop().expect("single-unit plan produced one output")
         })
     }
@@ -150,11 +157,14 @@ impl<'s> ScenarioPlan<'s> {
                 })
                 .collect(),
             assemble: Box::new(move |outputs| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the plan pairs every unit with the codec of its own output type"
+                )]
                 let typed: Vec<U> = outputs
                     .into_iter()
                     .map(|o| {
                         *o.downcast::<U>()
-                            // audit:allow(unwrap-in-library): the plan pairs every unit with the codec of its own output type
                             .expect("unit output type matches the plan")
                     })
                     .collect();
@@ -205,12 +215,15 @@ pub trait Scenario: Send + Sync {
     /// Run the experiment under the given seed policy, executing the plan's units
     /// across the available cores. The report is identical to executing the plan on
     /// any other worker count.
+    #[expect(
+        clippy::expect_used,
+        reason = "uncached and unhooked, only a panicking unit fails the run, and one plan yields one outcome"
+    )]
     fn run(&self, seeds: &SeedPolicy) -> ScenarioReport {
         let outcome = UnitPool::new(0)
             .run(vec![self.plan(seeds)], None, &RunHooks::default())
             .ok()
             .and_then(|mut outcomes| outcomes.pop());
-        // audit:allow(unwrap-in-library): uncached and unhooked, only a panicking unit fails the run, and one plan yields one outcome
         outcome.expect("uncached plan runs").report
     }
 }

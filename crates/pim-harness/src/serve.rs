@@ -75,12 +75,17 @@
 //!
 //! # Where this sits on the determinism map
 //!
-//! This module is deliberately **off the unit path** (see the audit crate's
-//! classification): it may read wall clocks for request logging, metrics and
-//! backpressure estimates, and talk to sockets, because nothing here influences
-//! unit outputs — units are pure functions of their keys, the pool replays them
-//! from content-addressed storage, and the artifact bytes are produced by the same
-//! report renderer the CLI uses.
+//! This module is deliberately **off the unit path**, and says so with the one
+//! module-level `expect` below: it may read wall clocks for request logging,
+//! metrics and backpressure estimates, and talk to sockets, because nothing here
+//! influences unit outputs — units are pure functions of their keys, the pool
+//! replays them from content-addressed storage, and the artifact bytes are produced
+//! by the same report renderer the CLI uses.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the daemon's clocks time requests for logs, metrics and Retry-After; none feeds a unit"
+)]
 
 use crate::cache::{CacheCounts, UnitCache};
 use crate::exec::{resolve_jobs, unpoisoned, RunError, RunHooks, UnitPool};
@@ -88,7 +93,7 @@ use crate::registry::Registry;
 use crate::scenario::SeedPolicy;
 use crate::spec::parse_spec;
 use serde::{Serialize, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -172,8 +177,8 @@ struct Metrics {
     started: Instant,
     /// Completed requests (anything with a recorded status, 499 included).
     total: AtomicU64,
-    /// (endpoint label, status) → count.
-    requests: Mutex<HashMap<(String, u16), u64>>,
+    /// (endpoint label, status) → count, in the order `/metrics` lists them.
+    requests: Mutex<BTreeMap<(String, u16), u64>>,
     /// Sums of the per-request `X-Pim-Cache-*` header accounting, over
     /// successfully answered `/run` requests.
     cache_hits: AtomicU64,
@@ -195,7 +200,7 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             total: AtomicU64::new(0),
-            requests: Mutex::new(HashMap::new()),
+            requests: Mutex::new(BTreeMap::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_recomputed: AtomicU64::new(0),
@@ -815,7 +820,10 @@ fn route(state: &ServeState, request: &Request, stream: &mut TcpStream) -> std::
                     .map(|n| Value::Str(n.to_string()))
                     .collect(),
             );
-            // audit:allow(unwrap-in-library): the vendored JSON writer is total for string sequences
+            #[expect(
+                clippy::expect_used,
+                reason = "the vendored JSON writer is total for string sequences"
+            )]
             let mut body = serde_json::to_string(&names).expect("name list serializes");
             body.push('\n');
             Response::new(200)
@@ -853,20 +861,19 @@ fn route(state: &ServeState, request: &Request, stream: &mut TcpStream) -> std::
 
 /// Render the `GET /metrics` document (schema v1, compact JSON, sorted
 /// per-endpoint keys — byte-stable given equal counters).
+#[expect(
+    clippy::expect_used,
+    reason = "the vendored JSON writer is total for this composed document"
+)]
 fn metrics_json(state: &ServeState) -> String {
     let m = &state.metrics;
-    let mut per_endpoint: Vec<((String, u16), u64)> = {
-        let requests = unpoisoned(m.requests.lock());
-        requests.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    };
-    per_endpoint.sort();
     let (memo_entries, memo_bytes, memo_hits) = state.memo.stats();
     let mut by_endpoint: Vec<(String, Value)> = Vec::new();
-    for ((label, status), count) in per_endpoint {
-        let entry = (status.to_string(), Value::U64(count));
+    for ((label, status), count) in unpoisoned(m.requests.lock()).iter() {
+        let entry = (status.to_string(), Value::U64(*count));
         match by_endpoint.last_mut() {
-            Some((last, Value::Map(statuses))) if *last == label => statuses.push(entry),
-            _ => by_endpoint.push((label, Value::Map(vec![entry]))),
+            Some((last, Value::Map(statuses))) if last == label => statuses.push(entry),
+            _ => by_endpoint.push((label.clone(), Value::Map(vec![entry]))),
         }
     }
     let doc = Value::Map(vec![
@@ -965,7 +972,6 @@ fn metrics_json(state: &ServeState) -> String {
             ]),
         ),
     ]);
-    // audit:allow(unwrap-in-library): the vendored JSON writer is total for this composed document
     serde_json::to_string(&doc).expect("metrics document serializes")
 }
 
@@ -1037,7 +1043,7 @@ fn handle_run(
                 Ok(500)
             }
             Ok(mut outcomes) => {
-                // audit:allow(unwrap-in-library): one plan in, one outcome out
+                #[expect(clippy::expect_used, reason = "one plan in, one outcome out")]
                 let outcome = outcomes.pop().expect("one plan produces one outcome");
                 let units = units as u64;
                 state.metrics.record_run_accounting(units, &outcome.cache);
@@ -1117,7 +1123,7 @@ fn handle_run(
             );
         }
         Ok(mut outcomes) => {
-            // audit:allow(unwrap-in-library): one plan in, one outcome out
+            #[expect(clippy::expect_used, reason = "one plan in, one outcome out")]
             let outcome = outcomes.pop().expect("one plan produces one outcome");
             state
                 .metrics

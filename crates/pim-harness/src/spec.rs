@@ -1146,6 +1146,10 @@ impl Scenario for SpecScenario {
             }
         }
         let columns = self.spec.output_columns();
+        #[expect(
+            clippy::expect_used,
+            reason = "parse validated every requested column against this family"
+        )]
         let selected: Vec<usize> = columns
             .iter()
             .map(|c| {
@@ -1153,7 +1157,6 @@ impl Scenario for SpecScenario {
                     .columns()
                     .iter()
                     .position(|a| a == c)
-                    // audit:allow(unwrap-in-library): parse validated every requested column against this family
                     .expect("columns were validated against the family at parse time")
             })
             .collect();

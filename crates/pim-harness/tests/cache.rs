@@ -7,6 +7,11 @@
 //! to assembly plus I/O (asserted here as ≥5× over the cold run; release builds
 //! measure two to three orders of magnitude).
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::prelude::*;
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -57,6 +62,10 @@ fn warm_runs_are_byte_identical_fully_hit_and_at_least_5x_faster() {
     let cache_dir = base.join("cache");
     let run = |jobs: usize, sub: &str| {
         let out = base.join(sub);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times the cold and warm batches; no unit reads the clock"
+        )]
         let start = Instant::now();
         let outcome = run_batch(
             &registry,

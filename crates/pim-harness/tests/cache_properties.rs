@@ -16,6 +16,11 @@
 //! 4. **Damage tolerance** — a mangled segment never panics a reader or a
 //!    maintenance pass and never serves a wrong payload.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::cache::CacheLookup;
 use pim_harness::prelude::*;
 use pim_harness::spec::parse_spec;

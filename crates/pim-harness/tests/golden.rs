@@ -11,6 +11,11 @@
 //! PIM_BLESS_GOLDENS=1 cargo test -p pim-harness --test golden
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::golden::{bless_requested, verify_or_bless_file, BLESS_ENV};
 use pim_harness::prelude::*;
 use std::path::PathBuf;

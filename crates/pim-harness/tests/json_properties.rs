@@ -14,6 +14,11 @@
 //!    with `Ok` or `Err` — it never panics — and refuses nesting deeper than
 //!    [`MAX_DEPTH`].
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use proptest::prelude::*;
 use serde::Value;
 use serde_json::{to_string, to_string_pretty, value_from_str, MAX_DEPTH};

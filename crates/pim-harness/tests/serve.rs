@@ -6,6 +6,11 @@
 //! -client reaping, `/metrics` reconciliation, graceful drain, and
 //! client-disconnect cancellation.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::prelude::*;
 use serde::Value;
 use std::io::{Read, Write};
@@ -561,6 +566,48 @@ fn metrics_schema_v1_shape_and_counters() {
         1
     );
     assert_eq!(metrics_u64(&doc, &["cache", "units_served"]), 0);
+}
+
+#[test]
+fn metrics_list_endpoints_and_statuses_in_sorted_order() {
+    let addr = start(&ServeOptions::default());
+    for (method, target, status) in [
+        ("POST", "/healthz", 405),
+        ("GET", "/scenarios", 200),
+        ("GET", "/healthz?x=1&x=2", 400),
+        ("GET", "/nope", 404),
+        ("GET", "/healthz", 200),
+    ] {
+        let resp = client::request(&addr, method, target, &[], b"").expect("request");
+        assert_eq!(resp.status, status, "{method} {target}");
+    }
+    wait_for_metrics(&addr, "all five requests counted", |d| {
+        [
+            ["POST /healthz", "405"],
+            ["GET /scenarios", "200"],
+            ["GET /healthz", "400"],
+            ["GET /nope", "404"],
+            ["GET /healthz", "200"],
+        ]
+        .iter()
+        .all(|[label, status]| value_at(d, &["requests", "by_endpoint", label, status]).is_some())
+    });
+    let resp = client::request(&addr, "GET", "/metrics", &[], b"").expect("metrics request");
+    let body = String::from_utf8_lossy(&resp.body);
+    let at = |needle: &str| {
+        body.find(needle)
+            .unwrap_or_else(|| panic!("{needle} missing from {body}"))
+    };
+    let labels = [
+        "\"GET /healthz\":{\"200\"",
+        "\"400\":1}",
+        "\"GET /metrics\"",
+        "\"GET /nope\"",
+        "\"GET /scenarios\"",
+        "\"POST /healthz\"",
+    ];
+    let positions: Vec<usize> = labels.iter().map(|l| at(l)).collect();
+    assert!(positions.windows(2).all(|w| w[0] < w[1]), "{body}");
 }
 
 #[test]

@@ -9,6 +9,12 @@
 //! the single-process cache population), and the merged-cache run recomputed
 //! nothing (100% hits).
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::prelude::*;
 use serde::Value;
 use std::collections::BTreeSet;

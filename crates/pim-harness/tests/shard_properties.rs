@@ -12,6 +12,11 @@
 //! 4. **Approximate uniformity** — for any real sweep (≥64 units) no shard owns
 //!    more than 2× the mean, so an N-way split actually buys ~N-way wall-clock.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_harness::prelude::*;
 use proptest::prelude::*;
 use serde::Value;

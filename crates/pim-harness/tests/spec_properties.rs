@@ -11,6 +11,11 @@
 //!    and runs to a report with one row per unit, without a panic or an abort,
 //!    even at the edges of every axis.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use pim_core::prelude::SystemConfig;
 use pim_harness::scenario::SeedPolicy;
 use pim_harness::spec::{

@@ -99,10 +99,13 @@ impl CacheModel for SetAssociativeCache {
             return CacheOutcome::Hit;
         }
         // Miss: evict the LRU way (or fill an invalid one).
+        #[expect(
+            clippy::expect_used,
+            reason = "associativity is validated positive, so a set always has a way"
+        )]
         let victim = ways
             .iter_mut()
             .min_by_key(|(t, stamp)| if *t == u64::MAX { (0, 0) } else { (1, *stamp) })
-            // audit:allow(unwrap-in-library): associativity is validated positive, so a set always has a way
             .expect("at least one way");
         *victim = (tag, self.stamp);
         self.misses += 1;

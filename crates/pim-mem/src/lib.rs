@@ -15,9 +15,6 @@
 //!    (`Pmiss`, memory latencies) from concrete address streams instead of assuming
 //!    them, which is the calibration path a downstream user of this library would take.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod bank;
 pub mod cache;
 pub mod dram;

@@ -121,9 +121,11 @@ impl ParcelConfig {
     /// Validate, panicking on an invalid configuration: the constructor contract of
     /// every parcel model (an invalid config is a caller bug and fails loudly).
     pub fn assert_valid(&self) {
-        self.validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract — an invalid config is a caller bug and fails loudly"
+        )]
+        self.validate().expect("invalid parcel-study configuration");
     }
 
     /// Probability that one operation triggers a remote access.

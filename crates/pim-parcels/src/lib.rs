@@ -32,9 +32,6 @@
 //! assert!(point.ops_ratio > 3.0);
 //! ```
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod config;
 pub mod control;
 pub mod experiment;

@@ -288,10 +288,13 @@ impl Model for TestSystem {
         match event {
             TestEvent::ServiceDone(node) => {
                 let node = node as usize;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a ServiceDone event is only scheduled while a job occupies the node"
+                )]
                 let finished = self.nodes[node]
                     .running
                     .take()
-                    // audit:allow(unwrap-in-library): a ServiceDone event is only scheduled while a job occupies the node
                     .expect("service-done without a job");
                 self.nodes[node].work_ops += finished.ops;
                 self.nodes[node].busy_cycles += finished.duration_cycles;

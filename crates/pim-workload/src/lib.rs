@@ -7,9 +7,6 @@
 //! operation/address streams so the same parameters can be either *assumed* (as in the
 //! paper) or *measured* against the structural memory models in `pim-mem`.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
-
 pub mod kernels;
 pub mod locality;
 pub mod mix;

@@ -95,7 +95,10 @@ impl OperationStream {
                 self.stream.below(lines) * line
             }
             AddressPattern::Zipf { line, .. } => {
-                // audit:allow(unwrap-in-library): the constructor builds the Zipf table whenever the pattern is Zipf
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the constructor builds the Zipf table whenever the pattern is Zipf"
+                )]
                 let table = self.zipf.as_ref().expect("zipf table built in constructor");
                 table.sample(&mut self.stream) * line
             }

@@ -10,9 +10,8 @@
 //! hand-rolled (no CLI dependency): every flag is `--name value` and unknown flags
 //! are an error.
 
-use pim_repro::pim_audit::diag::{self, Diagnostic};
 use pim_repro::pim_harness::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -64,15 +63,16 @@ the spec-defined scenarios, and `spec check` validates spec files without runnin
 anything. A single design point is a one-point spec: `run --spec FILE` with one value
 per grid axis (the `analytic` and `parcels` families; see examples/specs/).";
 
-/// Parsed `--flag value` arguments.
+/// Parsed `--flag value` arguments, in name order, so an error about them names the
+/// same flag every run.
 struct Args {
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
 }
 
 impl Args {
     /// Parse `--flag value` pairs plus bare positional arguments (scenario names).
     fn parse_mixed(raw: &[String]) -> Result<(Vec<String>, Args), String> {
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut positionals = Vec::new();
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
@@ -403,9 +403,10 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
         return Err("spec check needs at least one file or directory".into());
     }
     let mut registry = Registry::builtin();
-    // Failures accumulate as diagnostics and print through the shared pipeline
-    // (pim_audit::diag), so `spec check` and `pim-audit` report in one format.
-    let mut findings: Vec<Diagnostic> = Vec::new();
+    // Failures accumulate as `path: error[spec-check]: message` lines, printed
+    // after every spec had its say.
+    let mut findings: Vec<String> = Vec::new();
+    let finding = |path: &str, message: &str| format!("{path}: error[spec-check]: {message}");
     let mut checked = 0usize;
     for path in paths {
         // Enumerate files first so one bad spec in a directory still lets every
@@ -414,7 +415,7 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
             Ok(files) => files,
             Err(e) => {
                 checked += 1;
-                findings.push(Diagnostic::file_level("spec-check", path, e));
+                findings.push(finding(path, &e));
                 continue;
             }
         };
@@ -424,12 +425,9 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
             let spec = match load_spec_file(&file) {
                 Ok(spec) => spec,
                 Err(e) => {
-                    // load_spec_file prefixes its own path; the span already says it.
-                    let msg = e
-                        .strip_prefix(&format!("{shown}: "))
-                        .map(str::to_string)
-                        .unwrap_or(e);
-                    findings.push(Diagnostic::file_level("spec-check", &shown, msg));
+                    // load_spec_file prefixes its own path; the line already says it.
+                    let msg = e.strip_prefix(&format!("{shown}: ")).unwrap_or(&e);
+                    findings.push(finding(&shown, msg));
                     continue;
                 }
             };
@@ -444,17 +442,24 @@ fn cmd_spec(positionals: &[String], args: &Args) -> Result<(), String> {
             );
             match register_specs(&mut registry, vec![spec]) {
                 Ok(_) => println!("ok   {line}"),
-                Err(e) => findings.push(Diagnostic::file_level("spec-check", &shown, e)),
+                Err(e) => findings.push(finding(&shown, &e)),
             }
         }
     }
-    eprint!("{}", diag::render_human(&findings));
-    let checked = format!("{checked} spec{}", if checked == 1 { "" } else { "s" });
+    for line in &findings {
+        eprintln!("{line}");
+    }
+    let count = |n: usize, noun: &str| format!("{n} {noun}{}", if n == 1 { "" } else { "s" });
+    let summary = format!(
+        "{}: {}",
+        count(checked, "spec"),
+        count(findings.len(), "finding")
+    );
     if findings.is_empty() {
-        eprintln!("{}", diag::summary_line(&checked, 0, 0));
+        eprintln!("{summary}");
         Ok(())
     } else {
-        Err(diag::summary_line(&checked, findings.len(), 0))
+        Err(summary)
     }
 }
 

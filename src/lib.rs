@@ -14,10 +14,12 @@
 //! * [`pim_analytic`] — the closed-form models (`Time_relative`, `NB`, multithreading
 //!   efficiency) and their validation against the simulations;
 //! * [`pim_harness`] — the scenario registry and parallel batch harness that
-//!   regenerates every paper artifact as versioned JSON (`pim-tradeoffs list|run`);
-//! * [`pim_audit`] — the determinism & purity lint pass that statically enforces the
-//!   unit-result cache's purity contract over this workspace's own sources
-//!   (the `pim-audit` binary, which a CI job gates on).
+//!   regenerates every paper artifact as versioned JSON (`pim-tradeoffs list|run`).
+//!
+//! The determinism contract those crates keep (a unit result is a pure function of
+//! its key) is enforced by the workspace lint table and `crates/clippy.toml`, gated
+//! by the `pim-audit` binary; it is a tool, not a library, so nothing here re-exports
+//! it.
 //!
 //! See the `examples/` directory for runnable walkthroughs, and `pim-tradeoffs run`
 //! for regenerating every table and figure in the paper; a single design point is a
@@ -28,7 +30,6 @@
 
 pub use desim;
 pub use pim_analytic;
-pub use pim_audit;
 pub use pim_core;
 pub use pim_harness;
 pub use pim_mem;

@@ -1,11 +1,13 @@
 //! CLI edge-case conformance through the real binary: `run NAME` reports one
 //! scenario or fails cleanly on an unknown name, the retired model and audit
 //! commands are unknown commands, duplicated flags are rejected by name (not
-//! silently last-wins), a flag a command accepts but would ignore is rejected by
-//! name, spec count axes too large to allocate are rejected by axis, `cache gc
-//! --max-mib 0` is a well-defined full-eviction pass with exact accounting, a disk
-//! filling up mid-batch fails the run cleanly and keeps what was stored, and a
-//! scenario-name collision between two spec files names both offending paths.
+//! silently last-wins), several unknown flags name the same one every run, a
+//! flag a command accepts but would ignore is rejected by name, `spec check`
+//! prints its per-spec lines and summary byte for byte, spec count axes too
+//! large to allocate are rejected by axis, `cache gc --max-mib 0` is a
+//! well-defined full-eviction pass with exact accounting, a disk filling up
+//! mid-batch fails the run cleanly and keeps what was stored, and a scenario-name
+//! collision between two spec files names both offending paths.
 
 use pim_harness::report::ScenarioReport;
 use std::path::{Path, PathBuf};
@@ -88,7 +90,8 @@ fn fast_scenario_succeeds() {
 #[test]
 fn retired_model_and_audit_commands_are_unknown() {
     // Design points go through one-point specs (`run --spec`), the break-even
-    // numbers through `run table1`, and the lint pass through `pim-audit`.
+    // numbers through `run table1`, and the determinism lints through
+    // `cargo run -p pim-audit`, which runs clippy over the workspace.
     for name in ["point", "sweep", "nb", "parcels", "audit"] {
         for args in [&[name][..], &[name, "--nodes", "32"]] {
             let out = run_args(args);
@@ -151,6 +154,22 @@ fn repeated_valued_flag_is_rejected_by_name() {
 fn repeated_boolean_flag_is_rejected_by_name() {
     let err = expect_error(&["run", "--all", "--all"]);
     assert!(err.contains("--all given more than once"), "{err}");
+}
+
+#[test]
+fn several_unknown_flags_name_the_same_one_every_run() {
+    // The flag table once iterated in per-process hash order, so the error named
+    // whichever unknown flag the hash seed put first.
+    let args = ["run", "--zeta", "1", "--alpha", "2", "--mid", "3", "table1"];
+    for _ in 0..8 {
+        let out = run_args(&args);
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: unknown flag --alpha\n"
+        );
+        assert!(out.stdout.is_empty());
+    }
 }
 
 #[test]
@@ -387,6 +406,46 @@ fn gc_budget_overflow_is_rejected_not_wrapped() {
         stdout.contains("removed 0 invalid, 0 over budget"),
         "{stdout}"
     );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+// ---------------------------------------------------------------------------
+// `spec check` output, byte for byte
+// ---------------------------------------------------------------------------
+
+#[test]
+fn spec_check_prints_one_line_per_spec_and_a_summary() {
+    let base = temp_base("spec-check");
+    let node_scaling = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/specs/node_scaling.json"
+    );
+    std::fs::copy(node_scaling, base.join("node_scaling.json")).unwrap();
+    std::fs::write(
+        base.join("bad.json"),
+        r#"{"schema_version": 1, "name": "no_description", "model": "analytic",
+            "grid": {"node_counts": [2], "lwp_fractions": [0.5]}}"#,
+    )
+    .unwrap();
+    let ok_line = "ok   spec_node_scaling        analytic: 110 points x 1 replications \
+                   = 110 units, 4 columns\n";
+
+    let out = run_args(&["spec", "check", &p(&base)]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), ok_line);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "{}: error[spec-check]: spec is missing required field 'description'\n\
+             error: 2 specs: 1 finding\n",
+            p(&base.join("bad.json"))
+        )
+    );
+
+    let out = run_args(&["spec", "check", &p(&base.join("node_scaling.json"))]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), ok_line);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "1 spec: 0 findings\n");
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -48,8 +48,12 @@ fn figure5_landmarks_from_simulation() {
 
     // Gain columns are monotone in %WL for N >= 4 (above break-even).
     for &n in &[4usize, 8, 16, 32, 64] {
-        let series = sweep.series_for_nodes(n);
-        let gains: Vec<f64> = series.iter().map(|p| p.gain).collect();
+        let gains: Vec<f64> = sweep
+            .points
+            .iter()
+            .filter(|p| p.nodes == n)
+            .map(|p| p.gain)
+            .collect();
         assert!(
             gains.windows(2).all(|w| w[1] >= w[0] - 0.02),
             "gains not monotone for N={n}: {gains:?}"
