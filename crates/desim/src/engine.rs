@@ -31,7 +31,7 @@
 //! assert_eq!(sim.now(), SimTime::from_ns(40));
 //! ```
 
-use crate::event::{EventQueue, FifoBandQueue, ScheduledEvent};
+use crate::event::{FifoBandQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 
 /// A simulation model: the owner of all model state and the handler of all events.
@@ -113,8 +113,7 @@ pub struct Simulation<M: Model> {
 
 impl<M: Model> Simulation<M> {
     /// Create a simulation over `model`. Its pending-event set is the two-band
-    /// [`FifoBandQueue`], which dispatches in the same `(time, seq)` order as the
-    /// reference [`crate::event::BinaryHeapQueue`].
+    /// [`FifoBandQueue`], which dispatches in `(time, seq)` order.
     pub fn new(model: M) -> Self {
         Simulation {
             model,
@@ -284,7 +283,7 @@ mod tests {
         impl Model for Bad {
             type Event = ();
             fn handle(&mut self, now: SimTime, _ev: (), sched: &mut Scheduler<()>) {
-                sched.schedule_at(now - SimDuration::from_ticks(1), ());
+                sched.schedule_at(SimTime::from_ticks(now.ticks() - 1), ());
             }
         }
         let mut sim = Simulation::new(Bad);

@@ -1,18 +1,15 @@
-//! Event records and pending-event-set implementations.
+//! Event records and the engine's pending-event set.
 //!
 //! The engine keeps a *pending event set*: a priority queue ordered by
-//! `(time, seq)`, where `seq` counts schedule calls. Two implementations are
-//! provided:
-//!
-//! * [`FifoBandQueue`] — a monotone FIFO band plus a binary-heap overflow band;
-//!   the engine's queue.
-//! * [`BinaryHeapQueue`] — a classic binary-heap future event list; the
-//!   reference the band queue is tested against.
+//! `(time, seq)`, where `seq` counts schedule calls. [`FifoBandQueue`] is that
+//! set: a monotone FIFO band plus a binary-heap overflow band. The property
+//! suite (`tests/properties.rs`) checks its dispatch order against a sorted-set
+//! oracle.
 //!
 //! Ties on time are broken by insertion order, so models get deterministic FIFO
 //! semantics for simultaneous events — the same guarantee SES/Workbench provides.
 //!
-//! Both queues carry payloads inline. Every model's event is at most 16 bytes
+//! The queue carries payloads inline. Every model's event is at most 16 bytes
 //! (the parcel models keep node and context indices as `u32`), so a heap entry
 //! is at most 32 bytes and sifts by value. An earlier slot arena parked
 //! payloads above 24 bytes outside the heap; the parcel test system's 32-byte
@@ -41,22 +38,8 @@ impl<E> ScheduledEvent<E> {
     }
 }
 
-/// Abstraction over pending-event-set implementations.
-pub trait EventQueue<E> {
-    /// Insert a scheduled event.
-    fn push(&mut self, ev: ScheduledEvent<E>);
-    /// Remove and return the event with the smallest `(time, seq)` key.
-    fn pop(&mut self) -> Option<ScheduledEvent<E>>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True when no pending events remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Heap entry shared by BinaryHeapQueue and FifoBandQueue's overflow band
+// Heap entry of FifoBandQueue's overflow band
 // ---------------------------------------------------------------------------
 
 struct HeapEntry<E>(ScheduledEvent<E>);
@@ -76,44 +59,6 @@ impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse so that BinaryHeap (a max-heap) yields the smallest key first.
         other.0.key().cmp(&self.0.key())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary heap implementation
-// ---------------------------------------------------------------------------
-
-/// Binary-heap future event list.
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> EventQueue<E> for BinaryHeapQueue<E> {
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        self.heap.push(HeapEntry(ev));
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop().map(|e| e.0)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -138,10 +83,9 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
 /// only the handful of short-delay service events, so the `O(log n)` sift cost
 /// applies to a tiny `n`.
 /// In the worst case (no monotone structure) every push lands in the heap and the
-/// queue degrades gracefully to [`BinaryHeapQueue`] behaviour.
+/// queue degrades gracefully to a plain binary heap.
 ///
-/// Dispatch order is the total order `(time, seq)`, the same as
-/// [`BinaryHeapQueue`]'s.
+/// Dispatch order is the total order `(time, seq)`.
 pub struct FifoBandQueue<E> {
     /// The monotone band: `push_back`/`pop_front` never sift or move entries.
     fifo: VecDeque<ScheduledEvent<E>>,
@@ -163,10 +107,9 @@ impl<E> FifoBandQueue<E> {
             heap: BinaryHeap::new(),
         }
     }
-}
 
-impl<E> EventQueue<E> for FifoBandQueue<E> {
-    fn push(&mut self, ev: ScheduledEvent<E>) {
+    /// Insert a scheduled event.
+    pub fn push(&mut self, ev: ScheduledEvent<E>) {
         let appendable = self.fifo.back().is_none_or(|back| back.key() <= ev.key());
         if appendable {
             self.fifo.push_back(ev);
@@ -175,7 +118,8 @@ impl<E> EventQueue<E> for FifoBandQueue<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Remove and return the event with the smallest `(time, seq)` key.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let fifo_head_wins = match (self.fifo.front(), self.heap.peek()) {
             (None, None) => return None,
             (Some(_), None) => true,
@@ -189,8 +133,14 @@ impl<E> EventQueue<E> for FifoBandQueue<E> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.fifo.len() + self.heap.len()
+    }
+
+    /// True when no pending events remain.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -206,31 +156,12 @@ mod tests {
         }
     }
 
-    fn drain<Q: EventQueue<u32>>(q: &mut Q) -> Vec<u64> {
+    fn drain(q: &mut FifoBandQueue<u32>) -> Vec<u64> {
         let mut out = Vec::new();
         while let Some(e) = q.pop() {
             out.push(e.time.ticks());
         }
         out
-    }
-
-    #[test]
-    fn heap_orders_by_time() {
-        let mut q = BinaryHeapQueue::new();
-        for (i, t) in [50u64, 10, 30, 20, 40].iter().enumerate() {
-            q.push(ev(*t, i as u64));
-        }
-        assert_eq!(drain(&mut q), vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn heap_fifo_tie_break() {
-        let mut q = BinaryHeapQueue::new();
-        q.push(ev(10, 0));
-        q.push(ev(10, 1));
-        q.push(ev(10, 2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -275,25 +206,5 @@ mod tests {
         let out = drain(&mut q);
         assert_eq!(out.len(), 200);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn fifo_band_agrees_with_heap_on_random_workload() {
-        use rand::{Rng, SeedableRng};
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a fixed workload generator for a queue test, outside any unit"
-        )]
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut heap = BinaryHeapQueue::new();
-        let mut band = FifoBandQueue::new();
-        for seq in 0..2000u64 {
-            let t = rng.gen_range(0..100_000u64);
-            heap.push(ev(t, seq));
-            band.push(ev(t, seq));
-        }
-        let a = drain(&mut heap);
-        let b = drain(&mut band);
-        assert_eq!(a, b);
     }
 }

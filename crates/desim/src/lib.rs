@@ -6,8 +6,7 @@
 //! core the paper's two queuing studies rely on:
 //!
 //! * an event-oriented [`engine::Simulation`] over a deterministic pending-event set
-//!   ([`event::FifoBandQueue`], checked against the reference
-//!   [`event::BinaryHeapQueue`]),
+//!   ([`event::FifoBandQueue`]),
 //! * reproducible random variate streams ([`random`]),
 //! * observation statistics with Student-t confidence intervals ([`stats`]) and
 //!   the seed and summary of independent replications ([`replication`]),
@@ -33,7 +32,7 @@ pub mod time;
 /// Convenient glob import for model authors.
 pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
-    pub use crate::event::{BinaryHeapQueue, EventQueue, FifoBandQueue};
+    pub use crate::event::FifoBandQueue;
     pub use crate::random::RandomStream;
     pub use crate::replication::ReplicationSummary;
     pub use crate::stats::{ConfidenceLevel, Tally};

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Observation-based statistic: count, mean, variance (Welford), min, max, sum.
+/// Observation-based statistic: mean, variance (Welford), min and max.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Tally {
     count: u64,
@@ -16,7 +16,6 @@ pub struct Tally {
     m2: f64,
     min: f64,
     max: f64,
-    sum: f64,
 }
 
 impl Tally {
@@ -28,14 +27,12 @@ impl Tally {
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
@@ -45,16 +42,6 @@ impl Tally {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Sample mean (0 if empty).
@@ -88,27 +75,6 @@ impl Tally {
     /// Largest observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another tally into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Half-width of the `level` confidence interval on the mean, using a Student-t
@@ -208,64 +174,20 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             t.record(x);
         }
-        assert_eq!(t.count(), 8);
         assert!((t.mean() - 5.0).abs() < 1e-12);
         assert!((t.variance() - 32.0 / 7.0).abs() < 1e-9);
         assert_eq!(t.min(), Some(2.0));
         assert_eq!(t.max(), Some(9.0));
-        assert!((t.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
     fn tally_empty_is_sane() {
         let t = Tally::new();
-        assert_eq!(t.count(), 0);
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
         assert_eq!(t.confidence_half_width(ConfidenceLevel::P95), 0.0);
-    }
-
-    #[test]
-    fn tally_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..100)
-            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0)
-            .collect();
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Tally::new();
-        a.record(1.0);
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&Tally::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = Tally::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,17 +7,11 @@
 //! leaving room for runs of 10^8 operations (≈ 10^13 ticks ≪ 2^64).
 
 use core::fmt;
-use core::ops::{Add, AddAssign, Sub, SubAssign};
+use core::ops::{Add, AddAssign};
 use serde::{Deserialize, Serialize};
 
-/// Number of ticks per picosecond under the convention used by the PIM models.
-pub(crate) const TICKS_PER_PS: u64 = 1;
 /// Number of ticks per nanosecond under the convention used by the PIM models.
 pub const TICKS_PER_NS: u64 = 1_000;
-/// Number of ticks per microsecond under the convention used by the PIM models.
-pub(crate) const TICKS_PER_US: u64 = 1_000_000;
-/// Number of ticks per millisecond under the convention used by the PIM models.
-pub(crate) const TICKS_PER_MS: u64 = 1_000_000_000;
 
 /// An absolute point in simulated time, measured in ticks from the start of the run.
 #[derive(
@@ -43,22 +37,10 @@ impl SimTime {
         SimTime(t)
     }
 
-    /// Construct from picoseconds (1 tick = 1 ps).
-    #[inline]
-    pub const fn from_ps(ps: u64) -> Self {
-        SimTime(ps * TICKS_PER_PS)
-    }
-
     /// Construct from nanoseconds.
     #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns * TICKS_PER_NS)
-    }
-
-    /// Construct from microseconds.
-    #[inline]
-    pub const fn from_us(us: u64) -> Self {
-        SimTime(us * TICKS_PER_US)
     }
 
     /// Construct from a fractional number of nanoseconds, rounding to the nearest tick.
@@ -78,12 +60,6 @@ impl SimTime {
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_NS as f64
-    }
-
-    /// Time expressed as (possibly fractional) seconds.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / (TICKS_PER_MS as f64 * 1e3)
     }
 
     /// Saturating difference between two times.
@@ -131,54 +107,17 @@ impl SimDuration {
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_NS as f64
     }
-
-    /// Duration scaled by an integer factor (saturating).
-    #[inline]
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
-    }
 }
 
 /// Additions saturate at `u64::MAX` ticks: a time or duration past the end of
 /// representable time stays there (beyond every horizon) instead of wrapping
-/// back to the start.
+/// back to the start. Time plus a duration, and a duration accumulated in
+/// place, are the two sums the models take.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    #[inline]
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 = self.0.saturating_add(rhs.0);
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    #[inline]
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(self.0 >= rhs.0, "time subtraction underflow");
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
-impl Sub<SimDuration> for SimTime {
-    type Output = SimTime;
-    #[inline]
-    fn sub(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 - rhs.0)
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-    #[inline]
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -189,34 +128,7 @@ impl AddAssign for SimDuration {
     }
 }
 
-impl Sub for SimDuration {
-    type Output = SimDuration;
-    #[inline]
-    fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl SubAssign for SimDuration {
-    #[inline]
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        self.0 = self.0.saturating_sub(rhs.0);
-    }
-}
-
-impl core::iter::Sum for SimDuration {
-    fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> Self {
-        iter.fold(SimDuration::ZERO, |a, b| a + b)
-    }
-}
-
 impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} ns", self.as_ns_f64())
-    }
-}
-
-impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3} ns", self.as_ns_f64())
     }
@@ -246,9 +158,7 @@ mod tests {
     #[test]
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_ns(3).ticks(), 3 * TICKS_PER_NS);
-        assert_eq!(SimTime::from_us(2).ticks(), 2 * TICKS_PER_US);
         assert_eq!(SimDuration::from_ns(7).as_ns_f64(), 7.0);
-        assert_eq!(SimTime::from_ps(10).ticks(), 10);
     }
 
     #[test]
@@ -256,21 +166,11 @@ mod tests {
         let t = SimTime::from_ns(10);
         let d = SimDuration::from_ns(5);
         assert_eq!(t + d, SimTime::from_ns(15));
-        assert_eq!((t + d) - t, d);
-        let mut t2 = t;
-        t2 += d;
-        assert_eq!(t2, SimTime::from_ns(15));
-        assert_eq!(t2 - d, t);
-    }
-
-    #[test]
-    fn duration_sum_and_scale() {
-        let total: SimDuration = (1..=4).map(SimDuration::from_ns).sum();
+        let mut total = SimDuration::ZERO;
+        for ns in 1..=4 {
+            total += SimDuration::from_ns(ns);
+        }
         assert_eq!(total, SimDuration::from_ns(10));
-        assert_eq!(
-            SimDuration::from_ns(3).saturating_mul(4),
-            SimDuration::from_ns(12)
-        );
     }
 
     #[test]
@@ -279,24 +179,16 @@ mod tests {
         let late = SimTime::from_ns(9);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_ns(4));
-        assert_eq!(
-            SimDuration::from_ns(1) - SimDuration::from_ns(2),
-            SimDuration::ZERO
-        );
         // Sums past the top of the range stay there instead of wrapping.
         let near_end = SimTime::from_ticks(u64::MAX - 3);
         let big = SimDuration::from_ticks(u64::MAX - 1);
         assert_eq!(near_end + SimDuration::from_ticks(3), SimTime::MAX);
         assert_eq!(near_end + big, SimTime::MAX);
-        let mut t = near_end;
-        t += big;
-        assert_eq!(t, SimTime::MAX);
-        assert_eq!(big + big, SimDuration::from_ticks(u64::MAX));
         let mut d = big;
         d += SimDuration::from_ticks(2);
         assert_eq!(d, SimDuration::from_ticks(u64::MAX));
-        let total: SimDuration = [big, big, big].into_iter().sum();
-        assert_eq!(total, SimDuration::from_ticks(u64::MAX));
+        d += big;
+        assert_eq!(d, SimDuration::from_ticks(u64::MAX));
     }
 
     #[test]

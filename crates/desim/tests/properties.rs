@@ -5,14 +5,7 @@ use desim::prelude::*;
 use desim::random::{low_bits, BernoulliThreshold};
 use proptest::prelude::*;
 use rand::Standard;
-
-fn drain<Q: EventQueue<u64>>(q: &mut Q) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    while let Some(e) = q.pop() {
-        out.push((e.time.ticks(), e.seq));
-    }
-    out
-}
+use std::collections::BTreeSet;
 
 /// Delays are whole multiples of `GRAIN` ticks, so simultaneous events (ties
 /// broken by `seq`) are common.
@@ -22,6 +15,30 @@ const GRAIN: u64 = 100;
 /// in key order and ride the FIFO band.
 const ROUND_TRIP: u64 = 20 * GRAIN;
 
+/// Push one event into both the queue and its oracle, a sorted set of
+/// `(time, seq)` keys.
+fn push(band: &mut FifoBandQueue<u64>, oracle: &mut BTreeSet<(u64, u64)>, time: u64, seq: u64) {
+    band.push(ScheduledEvent {
+        time: SimTime::from_ticks(time),
+        seq,
+        payload: seq,
+    });
+    oracle.insert((time, seq));
+}
+
+/// Drain the queue: each pop must be the oracle's first key, which is the
+/// event the engine has to dispatch next.
+fn drain_agrees(band: &mut FifoBandQueue<u64>, oracle: &mut BTreeSet<(u64, u64)>) {
+    while let Some(e) = band.pop() {
+        assert_eq!(Some((e.time.ticks(), e.seq)), oracle.pop_first());
+    }
+    assert!(
+        band.is_empty() && oracle.is_empty(),
+        "{} keys left",
+        oracle.len()
+    );
+}
+
 proptest! {
     // Pin the case count and RNG seed so every run (local or CI) generates exactly
     // the same inputs: a failure here always reproduces. The vendored proptest is
@@ -29,68 +46,45 @@ proptest! {
     // future swap to real proptest's `ProptestConfig` env-based seeding.
     #![proptest_config(ProptestConfig::with_cases(64).with_rng_seed(0xDE51_0001))]
 
-    /// The engine's FIFO-band queue dequeues in exactly the order of the binary-heap
-    /// oracle, `(time, seq)`, over any interleaving of pops and pushes. A push lands
-    /// at `now + d`, where `now` is the time of the last pop (the engine's clock) and
-    /// `d` is either the constant round trip, which rides the FIFO band, or a short
-    /// random delay, which lands under its tail in the heap band.
+    /// The engine's FIFO-band queue dequeues in the order of a sorted-set oracle,
+    /// `(time, seq)`, under two workloads:
+    ///
+    /// * the engine's shape: any interleaving of pops and pushes, where a push
+    ///   lands at `now + d`, `now` is the time of the last pop (the engine's
+    ///   clock) and `d` is either the constant round trip, which rides the FIFO
+    ///   band, or a short random delay, which lands under its tail in the heap
+    ///   band;
+    /// * no monotone structure: pushes at random absolute times, then a drain.
     #[test]
-    fn event_queues_agree(ops in proptest::collection::vec((0u32..3, 0u64..ROUND_TRIP / GRAIN), 1..400)) {
-        let mut heap = BinaryHeapQueue::new();
+    fn event_queues_agree(
+        ops in proptest::collection::vec((0u32..3, 0u64..ROUND_TRIP / GRAIN), 1..400),
+        times in proptest::collection::vec(0u64..100_000, 1..2000),
+    ) {
         let mut band = FifoBandQueue::new();
+        let mut oracle = BTreeSet::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         for (op, short) in ops {
             if op == 0 {
-                let a = heap.pop().map(|e| (e.time.ticks(), e.seq));
-                let b = band.pop().map(|e| (e.time.ticks(), e.seq));
-                prop_assert_eq!(a, b);
-                if let Some((t, _)) = a {
+                let popped = band.pop().map(|e| (e.time.ticks(), e.seq));
+                prop_assert_eq!(popped, oracle.pop_first());
+                if let Some((t, _)) = popped {
                     prop_assert!(t >= now, "popped {} before the clock {}", t, now);
                     now = t;
                 }
             } else {
                 let delay = if op == 1 { ROUND_TRIP } else { short * GRAIN };
-                let ev = ScheduledEvent { time: SimTime::from_ticks(now + delay), seq, payload: seq };
+                push(&mut band, &mut oracle, now + delay, seq);
                 seq += 1;
-                heap.push(ev.clone());
-                band.push(ev);
             }
-            prop_assert_eq!(heap.len(), band.len());
+            prop_assert_eq!(band.len(), oracle.len());
         }
-        let a = drain(&mut heap);
-        let b = drain(&mut band);
-        prop_assert_eq!(&a, &b);
-        // And the order is sorted by (time, seq).
-        let mut sorted = a.clone();
-        sorted.sort();
-        prop_assert_eq!(a, sorted);
-        prop_assert!(band.is_empty());
-    }
+        drain_agrees(&mut band, &mut oracle);
 
-    /// Tally::merge gives the same moments as recording everything into one tally.
-    #[test]
-    fn tally_merge_is_associative(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
+        for (seq, &time) in times.iter().enumerate() {
+            push(&mut band, &mut oracle, time, seq as u64);
         }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &xs[..split] {
-            a.record(x);
-        }
-        for &x in &xs[split..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * whole.mean().abs().max(1.0));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-4 * whole.variance().abs().max(1.0));
+        drain_agrees(&mut band, &mut oracle);
     }
 
     /// The engine dispatches every scheduled event exactly once and in time order,

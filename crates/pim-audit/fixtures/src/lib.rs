@@ -1,6 +1,6 @@
 //! Known-bad code for the determinism lints: one module per rule, each with the
 //! cases that must fire and the look-alikes that must stay silent. This package
-//! is a workspace member, so the `[workspace.lints]` table and `crates/clippy.toml`
+//! is a workspace member, so the `[workspace.lints]` table and the root `clippy.toml`
 //! apply to it, but not a default member, so the workspace's own clippy run skips
 //! it. `pim-audit`'s `fixtures_golden` test lints it and pins every finding by
 //! file, line and lint.

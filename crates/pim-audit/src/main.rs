@@ -2,12 +2,13 @@
 //!
 //! A cached unit result must be a pure function of its `UnitKey`: no wall clock,
 //! ambient entropy or hash order on the unit path. The rules live in the root
-//! `Cargo.toml`'s `[workspace.lints]` and in `crates/clippy.toml`, and a reviewed
+//! `Cargo.toml`'s `[workspace.lints]` and in the root `clippy.toml`, and a reviewed
 //! exception is an `#[expect(lint, reason = "…")]` at its site, which the compiler
 //! checks. This binary does the one thing clippy cannot: it fails, naming the
-//! manifest, when a package under `crates/` does not opt into that table. Then it
-//! runs `cargo clippy --all-targets -- -D warnings` over the workspace, and clippy's
-//! exit status is the gate.
+//! manifest, when a first-party package (the root package, or one under `crates/`)
+//! does not opt into that table. Then it runs
+//! `cargo clippy --all-targets -- -D warnings` over the workspace, and clippy's exit
+//! status is the gate.
 //!
 //! ```text
 //! cargo run -p pim-audit
@@ -26,7 +27,7 @@ fn main() -> ExitCode {
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let crates = root.join("crates");
-    let mut manifests = Vec::new();
+    let mut manifests = vec![root.join("Cargo.toml")];
     if let Err(e) = collect_manifests(&crates, &mut manifests) {
         eprintln!("pim-audit: cannot read {}: {e}", crates.display());
         return ExitCode::from(2);

@@ -157,8 +157,8 @@ fn every_rule_fires_at_least_once_in_fixtures() {
             "{lint} has no fixture finding"
         );
     }
-    // ...and every disallowed method in crates/clippy.toml.
-    let config = std::fs::read_to_string(root.join("crates/clippy.toml")).expect("clippy.toml");
+    // ...and every disallowed method in the root clippy.toml.
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
     let paths: Vec<&str> = config
         .split("path = \"")
         .skip(1)

@@ -8,13 +8,10 @@
 //! [`SweepResult`] collects them back in grid order.
 
 use crate::system::{EvalMode, TradeoffPoint};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::Serialize;
 
-/// The grid of design points to evaluate.
-///
-/// `Deserialize` is implemented by hand so malformed grids — empty axes, zero node
-/// counts, non-finite or out-of-range `%WL` values — are rejected when the spec is
-/// parsed (e.g. from a JSON artifact or request) instead of panicking mid-sweep.
+/// The grid of design points to evaluate. `Serialize` renders it into the
+/// `params` of the artifacts that sweep it (figures 5 and 6, the validation study).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepSpec {
     /// Node counts for the test system.
@@ -23,44 +20,7 @@ pub struct SweepSpec {
     pub lwp_fractions: Vec<f64>,
 }
 
-impl Deserialize for SweepSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::msg(format!("missing field `{name}` in SweepSpec")))
-        };
-        let spec = SweepSpec {
-            node_counts: Deserialize::from_value(field("node_counts")?)?,
-            lwp_fractions: Deserialize::from_value(field("lwp_fractions")?)?,
-        };
-        spec.validate().map_err(Error::msg)?;
-        Ok(spec)
-    }
-}
-
 impl SweepSpec {
-    /// Check the grid is non-empty and every point is evaluable: node counts ≥ 1 and
-    /// `%WL` values finite within `[0, 1]`.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.node_counts.is_empty() {
-            return Err("SweepSpec.node_counts must not be empty".into());
-        }
-        if self.lwp_fractions.is_empty() {
-            return Err("SweepSpec.lwp_fractions must not be empty".into());
-        }
-        if self.node_counts.contains(&0) {
-            return Err("SweepSpec.node_counts must all be at least 1".into());
-        }
-        for &wl in &self.lwp_fractions {
-            if !wl.is_finite() || !(0.0..=1.0).contains(&wl) {
-                return Err(format!(
-                    "SweepSpec.lwp_fractions must lie in [0, 1], got {wl}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// The grid used for Figures 5 and 6: N ∈ {1, 2, 4, 8, 16, 32, 64},
     /// %WL ∈ {0%, 10%, …, 100%}.
     pub fn figure5_6() -> Self {
@@ -102,7 +62,7 @@ impl SweepSpec {
 }
 
 /// Results of a sweep, in the same order as [`SweepSpec::points`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// The grid that was evaluated.
     pub spec: SweepSpec,
@@ -162,53 +122,6 @@ mod tests {
             spec: spec.clone(),
             points,
         }
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let spec = SweepSpec::figure5_6();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: SweepSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn deserialization_rejects_malformed_grids() {
-        for (label, json) in [
-            ("empty nodes", r#"{"node_counts":[],"lwp_fractions":[0.5]}"#),
-            (
-                "empty fractions",
-                r#"{"node_counts":[1],"lwp_fractions":[]}"#,
-            ),
-            (
-                "zero node count",
-                r#"{"node_counts":[4,0],"lwp_fractions":[0.5]}"#,
-            ),
-            (
-                "wl above 1",
-                r#"{"node_counts":[1],"lwp_fractions":[0.5,1.5]}"#,
-            ),
-            (
-                "negative wl",
-                r#"{"node_counts":[1],"lwp_fractions":[-0.1]}"#,
-            ),
-            // 1e999 overflows to +inf when parsed; null is how JSON spells NaN.
-            (
-                "infinite wl",
-                r#"{"node_counts":[1],"lwp_fractions":[1e999]}"#,
-            ),
-            ("nan wl", r#"{"node_counts":[1],"lwp_fractions":[null]}"#),
-            ("missing field", r#"{"node_counts":[1]}"#),
-        ] {
-            let r: Result<SweepSpec, _> = serde_json::from_str(json);
-            assert!(r.is_err(), "{label} should be rejected: {json}");
-        }
-    }
-
-    #[test]
-    fn validate_accepts_the_paper_grids() {
-        assert!(SweepSpec::figure5_6().validate().is_ok());
-        assert!(SweepSpec::extended().validate().is_ok());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   `pim-tradeoffs serve`, one persistent [`exec::UnitPool`] (warm results,
 //!   single-flight unit deduplication) shared by every client;
 //! * [`measure`] — the pim-workload → pim-mem bridge behind the `measured` spec
-//!   family (synthetic streams through the cache and DRAM-bank models);
-//! * [`golden`] — tolerance-aware JSON diffing used by the golden-file regression
-//!   tests (`tests/golden/*.json`).
+//!   family (synthetic streams through the cache and DRAM-bank models).
+//!
+//! The golden-file regression suite (`tests/golden.rs`, pinning `tests/golden/*.json`)
+//! keeps its tolerance-aware JSON diff and its bless switch beside its tests.
 //!
 //! Determinism is the core contract: a scenario's seed is derived from the batch's
 //! base seed and the scenario *name* (never from thread order or submission index), so
@@ -36,7 +37,6 @@
 
 pub mod cache;
 pub mod exec;
-pub mod golden;
 pub mod measure;
 pub mod registry;
 pub mod report;
@@ -59,7 +59,6 @@ pub mod prelude {
         MergeOutcome, UnitCache, UnitKey, UnitKeyer, CACHE_SCHEMA_VERSION,
     };
     pub use crate::exec::{resolve_jobs, PlanOutcome, RunError, RunHooks, UnitPool};
-    pub use crate::golden::Tolerance;
     pub use crate::measure::{measure_stream, MeasureConfig, MeasuredStats};
     pub use crate::registry::Registry;
     pub use crate::report::{

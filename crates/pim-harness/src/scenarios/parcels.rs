@@ -247,41 +247,32 @@ fn network_cell_rows(parallelism: usize, latency: f64, seed: u64) -> Vec<Vec<Val
     // The control system is the same flat-network baseline for all four rows.
     let control = run_control(config, seed.wrapping_add(1));
     let mut rows = Vec::with_capacity(4);
-    let mut run_with =
-        |kind: &str, network: Box<dyn NetworkModel + Send>, service: RemoteService| {
-            let test = run_test_with_options(config, network, service, seed);
-            rows.push(vec![
-                Value::Str(kind.to_string()),
-                Value::U64(config.parallelism as u64),
-                Value::F64(config.remote_fraction * 100.0),
-                Value::F64(config.latency_cycles),
-                Value::F64(test.total_work_ops as f64 / control.total_work_ops as f64),
-                Value::F64(test.idle_fraction()),
-            ]);
-        };
+    let mut run_with = |kind: &str, network: Network, service: RemoteService| {
+        let test = run_test_with_options(config, network, service, seed);
+        rows.push(vec![
+            Value::Str(kind.to_string()),
+            Value::U64(config.parallelism as u64),
+            Value::F64(config.remote_fraction * 100.0),
+            Value::F64(config.latency_cycles),
+            Value::F64(test.total_work_ops as f64 / control.total_work_ops as f64),
+            Value::F64(test.idle_fraction()),
+        ]);
+    };
     // Choose per-hop costs so mesh/torus mean latency equals the flat value.
-    let mesh_hops = MeshNetwork::for_nodes(nodes, 0.0, 1.0).mean_latency_cycles(nodes);
-    let torus_hops = TorusNetwork::for_nodes(nodes, 0.0, 1.0).mean_latency_cycles(nodes);
-    run_with(
-        "flat",
-        Box::new(FlatLatency::new(latency)),
-        RemoteService::MemorySide,
-    );
+    let mesh_hops = Network::mesh(nodes, 0.0, 1.0).mean_latency_cycles(&config);
+    let torus_hops = Network::torus(nodes, 0.0, 1.0).mean_latency_cycles(&config);
+    run_with("flat", Network::Flat, RemoteService::MemorySide);
     run_with(
         "mesh",
-        Box::new(MeshNetwork::for_nodes(nodes, 0.0, latency / mesh_hops)),
+        Network::mesh(nodes, 0.0, latency / mesh_hops),
         RemoteService::MemorySide,
     );
     run_with(
         "torus",
-        Box::new(TorusNetwork::for_nodes(nodes, 0.0, latency / torus_hops)),
+        Network::torus(nodes, 0.0, latency / torus_hops),
         RemoteService::MemorySide,
     );
-    run_with(
-        "flat+msg-driven",
-        Box::new(FlatLatency::new(latency)),
-        RemoteService::OnCpu,
-    );
+    run_with("flat+msg-driven", Network::Flat, RemoteService::OnCpu);
     rows
 }
 

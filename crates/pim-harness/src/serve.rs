@@ -177,8 +177,10 @@ struct Metrics {
     started: Instant,
     /// Completed requests (anything with a recorded status, 499 included).
     total: AtomicU64,
-    /// (endpoint label, status) → count, in the order `/metrics` lists them.
-    requests: Mutex<BTreeMap<(String, u16), u64>>,
+    /// (endpoint label, status) → count, in the order `/metrics` lists them. The
+    /// labels are a fixed set ([`endpoint_label`] and the synthetic ones), so a
+    /// client cannot grow the map.
+    requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
     /// Sums of the per-request `X-Pim-Cache-*` header accounting, over
     /// successfully answered `/run` requests.
     cache_hits: AtomicU64,
@@ -211,10 +213,10 @@ impl Metrics {
         }
     }
 
-    fn record(&self, label: &str, status: u16) {
+    fn record(&self, label: &'static str, status: u16) {
         self.total.fetch_add(1, Ordering::SeqCst);
         let mut requests = unpoisoned(self.requests.lock());
-        *requests.entry((label.to_string(), status)).or_insert(0) += 1;
+        *requests.entry((label, status)).or_insert(0) += 1;
     }
 
     fn record_run_accounting(&self, units: u64, counts: &crate::cache::CacheCounts) {
@@ -767,30 +769,55 @@ fn handle_connection(state: &ServeState, mut stream: TcpStream) {
         let mut reader = BufReader::new(&mut stream);
         Request::read_from(&mut reader)
     };
-    let (label, status) = match request {
+    let (label, raw, status) = match request {
         Err(e) if tiny_http::is_timeout(&e) => {
             // The connection idled past --timeout-ms mid-request: reap it
             // with a 408 so the worker is immediately reusable.
             let _ = text_response(408, "request read timed out\n").write_to(&mut stream);
-            ("<timeout>".to_string(), 408)
+            ("<timeout>", None, 408)
         }
         Err(e) => {
             let _ = text_response(400, &format!("malformed request: {e}\n")).write_to(&mut stream);
-            ("<malformed>".to_string(), 400)
+            ("<malformed>", None, 400)
         }
         Ok(request) => {
-            let label = format!("{} {}", request.method, request.path());
             // A write error means the client vanished mid-response (even
             // mid-head): account it like any other abandoned exchange.
             let status = route(state, &request, &mut stream).unwrap_or(STATUS_CLIENT_GONE);
-            (label, status)
+            // The log line keeps the raw method and path.
+            let raw = state
+                .log
+                .then(|| format!("{} {}", request.method, request.path()));
+            (endpoint_label(&request.method, request.path()), raw, status)
         }
     };
-    state.metrics.record(&label, status);
+    state.metrics.record(label, status);
     if state.log {
         let ms = started.elapsed().as_secs_f64() * 1e3;
-        eprintln!("serve: {label} -> {status} ({ms:.1} ms)");
+        let shown = raw.as_deref().unwrap_or(label);
+        eprintln!("serve: {shown} -> {status} ({ms:.1} ms)");
     }
+}
+
+/// The `/metrics` label of a routed request: `"{method} {path}"` for `GET` and
+/// `POST` on the four endpoints, `<unknown>` for any other method or path. The
+/// method and path are client bytes (a request head may be 64 KiB), so they
+/// never become a label of their own.
+fn endpoint_label(method: &str, path: &str) -> &'static str {
+    const LABELS: [&str; 8] = [
+        "GET /healthz",
+        "GET /metrics",
+        "GET /run",
+        "GET /scenarios",
+        "POST /healthz",
+        "POST /metrics",
+        "POST /run",
+        "POST /scenarios",
+    ];
+    LABELS
+        .into_iter()
+        .find(|label| label.split_once(' ') == Some((method, path)))
+        .unwrap_or("<unknown>")
 }
 
 /// Dispatch one parsed request. Returns the response status for logging; an `Err`
@@ -873,7 +900,7 @@ fn metrics_json(state: &ServeState) -> String {
         let entry = (status.to_string(), Value::U64(*count));
         match by_endpoint.last_mut() {
             Some((last, Value::Map(statuses))) if last == label => statuses.push(entry),
-            _ => by_endpoint.push((label.clone(), Value::Map(vec![entry]))),
+            _ => by_endpoint.push((label.to_string(), Value::Map(vec![entry]))),
         }
     }
     let doc = Value::Map(vec![

@@ -57,7 +57,8 @@
 //! counts, counts above 2^20 (node counts and parallelisms: a unit allocates per
 //! count up front), non-finite numbers, out-of-range fractions, unknown model
 //! families and unsupported schema versions are all rejected with a message naming
-//! the offending field, mirroring the `SweepSpec` hardening in `pim-core`.
+//! the offending field. This parser is the one gate for untrusted input: nothing
+//! deserializes the model crates' grid types.
 //!
 //! # Seed policy
 //!

@@ -586,7 +586,7 @@ fn metrics_list_endpoints_and_statuses_in_sorted_order() {
             ["POST /healthz", "405"],
             ["GET /scenarios", "200"],
             ["GET /healthz", "400"],
-            ["GET /nope", "404"],
+            ["<unknown>", "404"],
             ["GET /healthz", "200"],
         ]
         .iter()
@@ -599,15 +599,66 @@ fn metrics_list_endpoints_and_statuses_in_sorted_order() {
             .unwrap_or_else(|| panic!("{needle} missing from {body}"))
     };
     let labels = [
+        "\"<unknown>\":{\"404\"",
         "\"GET /healthz\":{\"200\"",
         "\"400\":1}",
         "\"GET /metrics\"",
-        "\"GET /nope\"",
         "\"GET /scenarios\"",
         "\"POST /healthz\"",
     ];
     let positions: Vec<usize> = labels.iter().map(|l| at(l)).collect();
     assert!(positions.windows(2).all(|w| w[0] < w[1]), "{body}");
+}
+
+/// Methods and paths are client bytes: made-up ones all count under one
+/// `<unknown>` label (split by status), so `/metrics` keeps a fixed set of
+/// labels however many distinct request lines it sees.
+#[test]
+fn metrics_count_made_up_methods_and_paths_under_one_label() {
+    let addr = start(&ServeOptions::default());
+    for i in 0..64 {
+        let (method, target, status) = match i % 4 {
+            0 | 1 => (
+                "GET".to_string(),
+                format!("/nope/{i}/{}", "x".repeat(512)),
+                404,
+            ),
+            2 => (format!("BREW{i}"), "/healthz".to_string(), 405),
+            _ => (format!("PUT{i}"), "/run".to_string(), 405),
+        };
+        let resp = client::request(&addr, &method, &target, &[], b"").expect("request");
+        assert_eq!(resp.status, status, "{method} {target}");
+    }
+    let doc = wait_for_metrics(&addr, "all 64 requests counted", |d| {
+        ["404", "405"]
+            .iter()
+            .map(
+                |status| match value_at(d, &["requests", "by_endpoint", "<unknown>", status]) {
+                    Some(Value::U64(n)) => *n,
+                    _ => 0,
+                },
+            )
+            .sum::<u64>()
+            == 64
+    });
+    assert_eq!(
+        metrics_u64(&doc, &["requests", "by_endpoint", "<unknown>", "404"]),
+        32
+    );
+    assert_eq!(
+        metrics_u64(&doc, &["requests", "by_endpoint", "<unknown>", "405"]),
+        32
+    );
+    let Some(Value::Map(labels)) = value_at(&doc, &["requests", "by_endpoint"]) else {
+        panic!("by_endpoint is not a map: {doc:?}");
+    };
+    let labels: Vec<&str> = labels.iter().map(|(label, _)| label.as_str()).collect();
+    assert!(
+        labels
+            .iter()
+            .all(|l| ["<unknown>", "GET /metrics"].contains(l)),
+        "{labels:?}"
+    );
 }
 
 #[test]

@@ -10,9 +10,25 @@
 //! and [`evaluate_point`]/[`evaluate_idle_point`] run it.
 
 use crate::config::ParcelConfig;
-use crate::control::run_control;
+use crate::outcome::SystemOutcome;
 use crate::test_system::run_test;
 use serde::{Deserialize, Serialize};
+
+/// Run the control system, conventional blocking message-passing processors, to
+/// its horizon and return the outcome.
+///
+/// "Each processor is in one of three states: performing useful operations,
+/// performing local memory access, or waiting for a response to a message it has
+/// sent. In this third state, the processor is considered to be idle." (Section
+/// 4.2.) Each node alternates between a run of local work and a blocked wait of one
+/// network round trip. Issuing the remote access costs one cycle of busy (but
+/// unproductive) time, which also guarantees forward progress on a zero-latency
+/// network. Nodes are independent: the flat network has no contention, and the
+/// destination's memory services a remote request without its processor. So the
+/// system runs on the per-node kernel, with no global event queue.
+pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
+    crate::kernel::run_control(&config, seed)
+}
 
 /// The outcome of one (parallelism, remote-fraction, latency) point.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -298,5 +314,126 @@ mod tests {
         let b = evaluate_point(c, 7);
         assert_eq!(a.test_work, b.test_work);
         assert_eq!(a.control_work, b.control_work);
+    }
+
+    /// The control-system tests' base: four nodes over a 200k-cycle horizon.
+    fn control_base() -> ParcelConfig {
+        ParcelConfig {
+            nodes: 4,
+            horizon_cycles: 200_000.0,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn idle_fraction_matches_run_latency_ratio() {
+        // Utilization of a blocking node is R / (R + 1 + 2L).
+        let config = ParcelConfig {
+            latency_cycles: 500.0,
+            remote_fraction: 0.3,
+            ..control_base()
+        };
+        let out = run_control(config, 11);
+        let r = config.expected_run_cycles();
+        let expect_busy = (r + 1.0) / (r + 1.0 + config.round_trip_cycles());
+        let busy_frac = out.busy_fraction();
+        assert!(
+            (busy_frac - expect_busy).abs() < 0.05,
+            "busy fraction {busy_frac} vs expected {expect_busy}"
+        );
+        assert!((out.idle_fraction() + busy_frac - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_remote_accesses_means_no_idle_time() {
+        let config = ParcelConfig {
+            remote_fraction: 0.0,
+            ..control_base()
+        };
+        let out = run_control(config, 3);
+        assert!(out.idle_fraction() < 1e-9, "idle {}", out.idle_fraction());
+        assert_eq!(out.total_remote_accesses, 0);
+        assert!(out.total_work_ops > 0);
+    }
+
+    #[test]
+    fn higher_latency_means_less_work() {
+        let near = run_control(
+            ParcelConfig {
+                latency_cycles: 10.0,
+                ..control_base()
+            },
+            5,
+        );
+        let far = run_control(
+            ParcelConfig {
+                latency_cycles: 5_000.0,
+                ..control_base()
+            },
+            5,
+        );
+        assert!(
+            far.total_work_ops < near.total_work_ops / 2,
+            "far {} near {}",
+            far.total_work_ops,
+            near.total_work_ops
+        );
+        // A round trip past the end of representable time saturates: each node
+        // blocks on its first remote access for the rest of the run.
+        let beyond = run_control(
+            ParcelConfig {
+                latency_cycles: 1e16,
+                ..control_base()
+            },
+            5,
+        );
+        assert!(
+            beyond.total_work_ops < far.total_work_ops,
+            "beyond {} far {}",
+            beyond.total_work_ops,
+            far.total_work_ops
+        );
+        assert!(beyond.idle_fraction() > 0.99, "{}", beyond.idle_fraction());
+    }
+
+    #[test]
+    fn work_scales_linearly_with_nodes() {
+        // Nodes are independent, so the per-node work rate is the same regardless of
+        // the system size (up to sampling noise). One run+block period is ~2100 cycles
+        // here, so the horizon must be long enough that a single node completes a few
+        // thousand runs — at 500k cycles (~230 runs) the per-node rate still wobbles
+        // by ~7% and the 10% bound below is under-powered.
+        let cfg = ParcelConfig {
+            horizon_cycles: 5_000_000.0,
+            ..control_base()
+        };
+        let one = run_control(ParcelConfig { nodes: 1, ..cfg }, 7);
+        let eight = run_control(ParcelConfig { nodes: 8, ..cfg }, 7);
+        let ratio = eight.work_rate() / one.work_rate();
+        assert!(
+            (ratio - 1.0).abs() < 0.1,
+            "per-node work-rate ratio {ratio}"
+        );
+    }
+
+    #[test]
+    fn busy_plus_idle_equals_horizon_per_node() {
+        let out = run_control(control_base(), 13);
+        for n in &out.nodes {
+            assert!((n.busy_cycles + n.idle_cycles - control_base().horizon_cycles).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn zero_latency_network_still_makes_progress() {
+        let config = ParcelConfig {
+            latency_cycles: 0.0,
+            remote_fraction: 0.5,
+            ..control_base()
+        };
+        let out = run_control(config, 17);
+        assert!(out.total_work_ops > 0);
+        // With zero latency the only non-work time is the 1-cycle issue per remote access.
+        assert!(out.idle_fraction() < 0.05);
     }
 }

@@ -17,28 +17,19 @@
 //! order the node itself scheduled them in: a per-node counter reproduces it
 //! exactly.
 //!
-//! The kernel keeps every arithmetic step of [`crate::test_system::TestSystem`] and
-//! [`crate::control::ControlSystem`] — the same `SimDuration::from_ns_f64`
+//! The kernel keeps every arithmetic step of the discrete-event models —
+//! [`crate::test_system::TestSystem`], and the control system that only the
+//! differential suite still runs on the engine — the same `SimDuration::from_ns_f64`
 //! quantization, the same `> horizon` stop rule, the same RNG draws and the same
-//! horizon proration ([`NodeOutcome::at_horizon`]) — so its outcomes are
-//! bit-identical to the engine's. The differential suite
-//! (`tests/kernel_vs_des.rs`) checks that field by field.
+//! horizon proration ([`NodeOutcome::at_horizon`]), so its outcomes are
+//! bit-identical to the engine's. The differential suite (the `kernel_vs_des`
+//! test module) checks that field by field.
 
 use crate::config::ParcelConfig;
 use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
 use crate::runs::RunSampler;
 use desim::prelude::*;
 use std::collections::VecDeque;
-
-/// The one-way latency of every remote access. A single-node system still issues
-/// remote accesses (to memory outside the modeled array), at the configured latency.
-fn one_way_cycles(config: &ParcelConfig, flat_cycles: f64) -> f64 {
-    if config.nodes <= 1 {
-        config.latency_cycles
-    } else {
-        flat_cycles
-    }
-}
 
 /// A job occupying a test-system node's execution unit.
 #[derive(Clone, Copy)]
@@ -154,14 +145,13 @@ impl TestNode<'_> {
     }
 }
 
-/// The split-transaction test system with memory-side servicing over a flat network
-/// of `flat_cycles` one-way latency, run node by node. Bit-identical to the
+/// The split-transaction test system with memory-side servicing over the flat
+/// network of `config.latency_cycles`, run node by node. Bit-identical to the
 /// [`crate::test_system::TestSystem`] engine run on the same inputs.
-pub(crate) fn run_test(config: &ParcelConfig, flat_cycles: f64, seed: u64) -> SystemOutcome {
+pub(crate) fn run_test(config: &ParcelConfig, seed: u64) -> SystemOutcome {
     config.assert_valid();
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
-    let round_trip =
-        SimDuration::from_ns_f64(2.0 * one_way_cycles(config, flat_cycles) * config.cycle_ns);
+    let round_trip = SimDuration::from_ns_f64(2.0 * config.latency_cycles * config.cycle_ns);
     let sampler = RunSampler::new(config);
     let nodes = (0..config.nodes)
         .map(|i| {
@@ -185,8 +175,8 @@ pub(crate) fn run_test(config: &ParcelConfig, flat_cycles: f64, seed: u64) -> Sy
 
 /// The blocking control system over the flat network of `config.latency_cycles`,
 /// run node by node: each node has exactly one pending event at a time, so it is a
-/// straight loop. Bit-identical to the [`crate::control::ControlSystem`] engine run
-/// on the same inputs.
+/// straight loop. Bit-identical to the discrete-event control system (kept as the
+/// differential suite's reference) run on the same inputs.
 pub(crate) fn run_control(config: &ParcelConfig, seed: u64) -> SystemOutcome {
     config.assert_valid();
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
@@ -200,7 +190,7 @@ pub(crate) fn run_control(config: &ParcelConfig, seed: u64) -> SystemOutcome {
             let mut open = None;
             let mut now = SimTime::ZERO;
             loop {
-                // `ControlSystem::start_run`.
+                // The engine model's `start_run`.
                 let now_cycles = now.as_ns_f64() / config.cycle_ns;
                 let remaining = (config.horizon_cycles - now_cycles).max(0.0);
                 if remaining <= 0.0 {

@@ -6,11 +6,12 @@
 //! compared with a control system of conventional blocking message-passing processors.
 //!
 //! * [`network`] provides the paper's flat-latency network plus mesh/torus ablations.
-//! * [`control`] is the blocking control system; [`test_system`] is the
-//!   split-transaction test system with configurable parallelism, parcel-handling
-//!   overhead, and an optional message-driven remote-servicing mode (Figure 9).
-//!   Under a flat network (memory-side servicing, for the test system) both run on
-//!   a per-node kernel that is bit-identical to their discrete-event models.
+//! * [`test_system`] is the split-transaction test system with configurable
+//!   parallelism, parcel-handling overhead, and an optional message-driven
+//!   remote-servicing mode (Figure 9); [`experiment::run_control`] runs the blocking
+//!   control system. On the flat network (with memory-side servicing, for the test
+//!   system) both run on a per-node kernel that is bit-identical to their
+//!   discrete-event models; mesh, torus and message-driven runs take the engine.
 //! * [`experiment`] names the Figure 11 and Figure 12 grids, the seed of each
 //!   point and the evaluation of one point; the harness's `figure11`/`figure12`
 //!   scenarios run the points and render them.
@@ -33,9 +34,10 @@
 //! ```
 
 pub mod config;
-pub mod control;
 pub mod experiment;
 mod kernel;
+#[cfg(test)]
+mod kernel_vs_des;
 pub mod network;
 pub mod outcome;
 pub mod runs;
@@ -44,12 +46,11 @@ pub mod test_system;
 /// Convenient glob import for the study-2 API.
 pub mod prelude {
     pub use crate::config::ParcelConfig;
-    pub use crate::control::{run_control, ControlSystem};
     pub use crate::experiment::{
-        evaluate_idle_point, evaluate_point, point_seed, IdleTimePoint, IdleTimeSpec,
+        evaluate_idle_point, evaluate_point, point_seed, run_control, IdleTimePoint, IdleTimeSpec,
         LatencyHidingPoint, LatencyHidingSpec,
     };
-    pub use crate::network::{FlatLatency, MeshNetwork, NetworkModel, TorusNetwork};
+    pub use crate::network::Network;
     pub use crate::outcome::{NodeOutcome, SystemOutcome};
     pub use crate::runs::{LocalOpDist, Run, RunSampler};
     pub use crate::test_system::{run_test, run_test_with_options, RemoteService, TestSystem};

@@ -25,7 +25,7 @@
 //!   into a node's own throughput.
 
 use crate::config::ParcelConfig;
-use crate::network::NetworkModel;
+use crate::network::Network;
 use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
 use crate::runs::RunSampler;
 use desim::prelude::*;
@@ -94,7 +94,7 @@ struct TestNode {
 pub struct TestSystem {
     config: ParcelConfig,
     sampler: RunSampler,
-    network: Box<dyn NetworkModel + Send>,
+    network: Network,
     remote_service: RemoteService,
     nodes: Vec<TestNode>,
     streams: Vec<RandomStream>,
@@ -104,19 +104,13 @@ pub struct TestSystem {
 impl TestSystem {
     /// Build the model with the paper's flat-latency network and memory-side servicing.
     pub fn new(config: ParcelConfig, seed: u64) -> Self {
-        let latency = config.latency_cycles;
-        Self::with_options(
-            config,
-            Box::new(crate::network::FlatLatency::new(latency)),
-            RemoteService::MemorySide,
-            seed,
-        )
+        Self::with_options(config, Network::Flat, RemoteService::MemorySide, seed)
     }
 
     /// Build the model with an explicit network and remote-servicing mode.
-    pub fn with_options(
+    pub(crate) fn with_options(
         config: ParcelConfig,
-        network: Box<dyn NetworkModel + Send>,
+        network: Network,
         remote_service: RemoteService,
         seed: u64,
     ) -> Self {
@@ -165,13 +159,13 @@ impl TestSystem {
         d
     }
 
-    /// One-way latency from `src` to `dst`, falling back to the configured flat latency
+    /// One-way latency from `src` to `dst`, falling back to the configured latency
     /// for self-targeted accesses in single-node systems.
     fn one_way_latency(&self, src: usize, dst: usize) -> f64 {
         if src == dst {
             self.config.latency_cycles
         } else {
-            self.network.latency_cycles(src, dst)
+            self.network.latency_cycles(&self.config, src, dst)
         }
     }
 
@@ -354,14 +348,10 @@ impl Model for TestSystem {
     }
 }
 
-/// Run the test system to its horizon with memory-side remote servicing.
+/// Run the test system to its horizon over the flat network with memory-side
+/// remote servicing.
 pub fn run_test(config: ParcelConfig, seed: u64) -> SystemOutcome {
-    run_test_with_options(
-        config,
-        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-        RemoteService::MemorySide,
-        seed,
-    )
+    run_test_with_options(config, Network::Flat, RemoteService::MemorySide, seed)
 }
 
 /// Run the test system with an explicit network and remote-servicing mode.
@@ -371,12 +361,12 @@ pub fn run_test(config: ParcelConfig, seed: u64) -> SystemOutcome {
 /// queue); every other combination runs the discrete-event [`TestSystem`].
 pub fn run_test_with_options(
     config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
+    network: Network,
     remote_service: RemoteService,
     seed: u64,
 ) -> SystemOutcome {
-    if let (Some(cycles), RemoteService::MemorySide) = (network.flat_cycles(), remote_service) {
-        return crate::kernel::run_test(&config, cycles, seed);
+    if let (Network::Flat, RemoteService::MemorySide) = (network, remote_service) {
+        return crate::kernel::run_test(&config, seed);
     }
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
     let model = TestSystem::with_options(config, network, remote_service, seed);
@@ -390,7 +380,7 @@ pub fn run_test_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::run_control;
+    use crate::experiment::run_control;
 
     fn base_config() -> ParcelConfig {
         ParcelConfig {
@@ -518,18 +508,9 @@ mod tests {
             latency_cycles: 200.0,
             ..base_config()
         };
-        let memory_side = run_test_with_options(
-            config,
-            Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-            RemoteService::MemorySide,
-            71,
-        );
-        let on_cpu = run_test_with_options(
-            config,
-            Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-            RemoteService::OnCpu,
-            71,
-        );
+        let memory_side =
+            run_test_with_options(config, Network::Flat, RemoteService::MemorySide, 71);
+        let on_cpu = run_test_with_options(config, Network::Flat, RemoteService::OnCpu, 71);
         // Servicing incoming parcels keeps nodes busier...
         assert!(on_cpu.busy_fraction() >= memory_side.busy_fraction() - 1e-9);
         // ...but that busy time displaces the node's own local runs, so the *local*
@@ -564,13 +545,9 @@ mod tests {
                         };
                         assert!(config.remote_prob_per_op() <= 0.0);
                         for service in [RemoteService::MemorySide, RemoteService::OnCpu] {
-                            let fast = crate::kernel::run_test(&config, config.latency_cycles, 91);
-                            let model = TestSystem::with_options(
-                                config,
-                                Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-                                service,
-                                91,
-                            );
+                            let fast = crate::kernel::run_test(&config, 91);
+                            let model =
+                                TestSystem::with_options(config, Network::Flat, service, 91);
                             let mut sim = Simulation::new(model);
                             sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
                             sim.init(|m, sched| m.start(sched));
@@ -613,11 +590,7 @@ mod tests {
         let flat = run_test(config, 91);
         let mesh = run_test_with_options(
             config,
-            Box::new(crate::network::MeshNetwork::for_nodes(
-                16,
-                config.latency_cycles,
-                10.0,
-            )),
+            Network::mesh(16, config.latency_cycles, 10.0),
             RemoteService::MemorySide,
             91,
         );

@@ -103,22 +103,27 @@ proptest! {
         prop_assert_eq!(a.control_work, b.control_work);
     }
 
-    /// Network models are symmetric, zero on the diagonal and non-negative everywhere.
+    /// Networks are symmetric, zero on the diagonal and non-negative everywhere, and
+    /// the flat one takes the configured latency between any two nodes.
     #[test]
     fn networks_are_metrics(nodes in 1usize..128, latency in 0.0f64..10_000.0) {
-        let models: Vec<Box<dyn NetworkModel>> = vec![
-            Box::new(FlatLatency::new(latency)),
-            Box::new(MeshNetwork::for_nodes(nodes, 3.0, 2.0)),
-            Box::new(TorusNetwork::for_nodes(nodes, 3.0, 2.0)),
+        let config = ParcelConfig { nodes, latency_cycles: latency, ..Default::default() };
+        let networks = [
+            Network::Flat,
+            Network::mesh(nodes, 3.0, 2.0),
+            Network::torus(nodes, 3.0, 2.0),
         ];
-        for m in &models {
+        for n in &networks {
             for s in (0..nodes).step_by((nodes / 8).max(1)) {
-                prop_assert_eq!(m.latency_cycles(s, s), 0.0);
+                prop_assert_eq!(n.latency_cycles(&config, s, s), 0.0);
                 for d in (0..nodes).step_by((nodes / 8).max(1)) {
-                    let a = m.latency_cycles(s, d);
-                    let b = m.latency_cycles(d, s);
+                    let a = n.latency_cycles(&config, s, d);
+                    let b = n.latency_cycles(&config, d, s);
                     prop_assert!(a >= 0.0);
                     prop_assert!((a - b).abs() < 1e-9);
+                    if s != d {
+                        prop_assert_eq!(Network::Flat.latency_cycles(&config, s, d), latency);
+                    }
                 }
             }
         }

@@ -12,16 +12,19 @@
 use pim_repro::pim_analytic::AnalyticModel;
 use pim_repro::pim_harness::prelude::*;
 
-fn main() {
+fn main() -> Result<(), String> {
     let registry = Registry::builtin();
     let seeds = SeedPolicy::default();
     let plans = ["figure5", "validation"]
         .into_iter()
-        .map(|name| registry.get(name).expect("a builtin scenario").plan(&seeds))
-        .collect();
+        .map(|name| {
+            let scenario = registry.get(name).ok_or(format!("no builtin `{name}`"))?;
+            Ok(scenario.plan(&seeds))
+        })
+        .collect::<Result<_, String>>()?;
     let outcomes = UnitPool::new(0)
         .run(plans, None, &RunHooks::default())
-        .expect("uncached builtin scenarios run");
+        .map_err(|e| e.to_string())?;
     let (figure5, validation) = (&outcomes[0].report, &outcomes[1].report);
 
     // Figure 5: one row per %LWP work, one `gain_nN` column per node count.
@@ -70,4 +73,5 @@ fn main() {
         metric("max_relative_error"),
         validation.tables[0].rows.len()
     );
+    Ok(())
 }

@@ -17,16 +17,13 @@
 //!   regenerates every paper artifact as versioned JSON (`pim-tradeoffs list|run`).
 //!
 //! The determinism contract those crates keep (a unit result is a pure function of
-//! its key) is enforced by the workspace lint table and `crates/clippy.toml`, gated
-//! by the `pim-audit` binary; it is a tool, not a library, so nothing here re-exports
-//! it.
+//! its key) is enforced by the workspace lint table and the root `clippy.toml`, which
+//! this package opts into as well, gated by the `pim-audit` binary; it is a tool,
+//! not a library, so nothing here re-exports it.
 //!
 //! See the `examples/` directory for runnable walkthroughs, and `pim-tradeoffs run`
 //! for regenerating every table and figure in the paper; a single design point is a
 //! one-point spec run through `pim-tradeoffs run --spec FILE`.
-
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub use desim;
 pub use pim_analytic;

@@ -9,6 +9,13 @@
 //! mid-batch fails the run cleanly and keeps what was stored, and a scenario-name
 //! collision between two spec files names both offending paths.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test; the deadlines that bound a spawned binary are wall time, outside any unit"
+)]
+
 use pim_harness::report::ScenarioReport;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

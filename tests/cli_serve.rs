@@ -9,6 +9,13 @@
 //! and hostile bodies (deep nesting, huge strings, `measured` geometries and
 //! count axes too large to allocate) get a prompt 400.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test; the deadlines that bound a spawned binary are wall time, outside any unit"
+)]
+
 use std::io::BufRead;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};

@@ -3,6 +3,12 @@
 //! protocol (shard, merge, warm unsharded run) reproduces the single-process
 //! artifacts byte-for-byte through the real binary.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic on a failed setup step, which fails the calling test"
+)]
+
 use std::path::Path;
 use std::process::{Command, Output};
 

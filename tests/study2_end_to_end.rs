@@ -123,26 +123,18 @@ fn network_ablation_keeps_the_qualitative_conclusion() {
         horizon_cycles: 300_000.0,
         ..Default::default()
     };
-    let mesh_hops = MeshNetwork::for_nodes(nodes, 0.0, 1.0).mean_latency_cycles(nodes);
-    let torus_hops = TorusNetwork::for_nodes(nodes, 0.0, 1.0).mean_latency_cycles(nodes);
+    let mesh_hops = Network::mesh(nodes, 0.0, 1.0).mean_latency_cycles(&config);
+    let torus_hops = Network::torus(nodes, 0.0, 1.0).mean_latency_cycles(&config);
     let flat = run_test(config, 3);
     let mesh = run_test_with_options(
         config,
-        Box::new(MeshNetwork::for_nodes(
-            nodes,
-            0.0,
-            config.latency_cycles / mesh_hops,
-        )),
+        Network::mesh(nodes, 0.0, config.latency_cycles / mesh_hops),
         RemoteService::MemorySide,
         3,
     );
     let torus = run_test_with_options(
         config,
-        Box::new(TorusNetwork::for_nodes(
-            nodes,
-            0.0,
-            config.latency_cycles / torus_hops,
-        )),
+        Network::torus(nodes, 0.0, config.latency_cycles / torus_hops),
         RemoteService::MemorySide,
         3,
     );
@@ -185,11 +177,6 @@ fn message_driven_mode_services_parcels_remotely() {
         ..Default::default()
     };
     let memory_side = run_test(config, 9);
-    let on_cpu = run_test_with_options(
-        config,
-        Box::new(FlatLatency::new(config.latency_cycles)),
-        RemoteService::OnCpu,
-        9,
-    );
+    let on_cpu = run_test_with_options(config, Network::Flat, RemoteService::OnCpu, 9);
     assert!(on_cpu.busy_fraction() > memory_side.busy_fraction());
 }
