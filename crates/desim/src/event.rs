@@ -188,6 +188,26 @@ mod tests {
     }
 
     #[test]
+    fn fifo_band_agrees_with_heap_on_random_workload() {
+        // The reference is a plain binary heap on `(time, seq)`.
+        let mut rng = crate::random::RandomStream::new(7, 0);
+        let mut heap = BinaryHeap::new();
+        let mut band = FifoBandQueue::new();
+        for seq in 0..2000u64 {
+            let t = rng.below(100_000);
+            heap.push(std::cmp::Reverse((t, seq)));
+            band.push(ev(t, seq));
+        }
+        let expected: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
+            .map(|std::cmp::Reverse(key)| key)
+            .collect();
+        let got: Vec<(u64, u64)> = std::iter::from_fn(|| band.pop())
+            .map(|e| (e.time.ticks(), e.seq))
+            .collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn monotone_constant_delay_pushes_ride_the_fifo_band() {
         // The parcel-model shape: at each dispatch, schedule one short event (under
         // the tail -> heap) and one constant-latency event (appends to the fifo).

@@ -166,11 +166,21 @@ mod tests {
         let t = SimTime::from_ns(10);
         let d = SimDuration::from_ns(5);
         assert_eq!(t + d, SimTime::from_ns(15));
+    }
+
+    #[test]
+    fn duration_sum_and_scale() {
         let mut total = SimDuration::ZERO;
         for ns in 1..=4 {
             total += SimDuration::from_ns(ns);
         }
         assert_eq!(total, SimDuration::from_ns(10));
+        // A duration taken `n` times is `n` times as long.
+        let mut scaled = SimDuration::ZERO;
+        for _ in 0..4 {
+            scaled += SimDuration::from_ns(3);
+        }
+        assert_eq!(scaled, SimDuration::from_ns(12));
     }
 
     #[test]

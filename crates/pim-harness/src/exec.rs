@@ -474,8 +474,13 @@ impl UnitPool {
     /// A payload from the warm map, decoded; `None` on absence (or on a decode
     /// mismatch, which sends the caller down the normal compute path).
     fn load_mem(&self, digest: u128, codec: &UnitCodec) -> Option<UnitOutput> {
+        (codec.decode)(&self.mem_payload(digest)?)
+    }
+
+    /// A payload from the warm map, parsed; `None` on absence.
+    fn mem_payload(&self, digest: u128) -> Option<Value> {
         let text = unpoisoned(self.mem.lock()).get(&digest).cloned()?;
-        decode_warm(&text, codec)
+        serde_json::value_from_str(&text).ok()
     }
 
     /// Admit a payload to the warm map under the disk cache's round-trip rule.
@@ -555,6 +560,15 @@ impl UnitPool {
                 },
             }
         };
+        // An owner that stored this unit in memory and deregistered its flight
+        // between the lookup above and our claim leaves no flight to wait on:
+        // look again before computing the unit a second time.
+        if let Some(payload) = self.mem_payload(digest) {
+            if let Some(output) = (codec.decode)(&payload) {
+                guard.complete(payload);
+                return Ok((output, CacheEvent::Hit));
+            }
+        }
         let mut event = base_event;
         if let Some(cache) = cache {
             match cache.load(key) {

@@ -1,4 +1,5 @@
-//! The control system: conventional blocking message-passing processors.
+//! The control system's discrete-event model: conventional blocking
+//! message-passing processors, driven through `desim::Simulation`.
 //!
 //! "Each processor is in one of three states: performing useful operations, performing
 //! local memory access, or waiting for a response to a message it has sent. In this
@@ -7,9 +8,13 @@
 //! Each node alternates between a run of local work and a blocked wait of one network
 //! round trip. Issuing the remote access itself costs one cycle of busy (but unproductive)
 //! time, which also guarantees the simulation makes forward progress even with a
-//! zero-latency network. Nodes are independent: the paper's flat-latency network has no
-//! contention, and remote requests are serviced by the destination's memory without
-//! consuming its processor.
+//! zero-latency network.
+//!
+//! Production runs the control system only on the per-node kernel
+//! ([`run_control`](crate::experiment::run_control)); this model is the oracle the
+//! kernel is checked against, here and in the `kernel_vs_des` suite. It needs the
+//! crate-private run sampler and outcome constructors, so it is test code of the
+//! crate rather than an integration test.
 
 use crate::config::ParcelConfig;
 use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
@@ -18,7 +23,7 @@ use desim::prelude::*;
 
 /// Events of the control-system model.
 #[derive(Debug, Clone, Copy)]
-pub enum ControlEvent {
+pub(crate) enum ControlEvent {
     /// Node finished a run of local work and issued a remote request.
     RunDone(usize),
     /// The reply to node's outstanding remote request arrived.
@@ -47,7 +52,7 @@ struct ControlNode {
 }
 
 /// Discrete-event model of the control system.
-pub struct ControlSystem {
+pub(crate) struct ControlSystem {
     config: ParcelConfig,
     sampler: RunSampler,
     nodes: Vec<ControlNode>,
@@ -56,7 +61,7 @@ pub struct ControlSystem {
 
 impl ControlSystem {
     /// Build the model with the paper's flat-latency network.
-    pub fn new(config: ParcelConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: ParcelConfig, seed: u64) -> Self {
         config.assert_valid();
         ControlSystem {
             sampler: RunSampler::new(&config),
@@ -103,14 +108,14 @@ impl ControlSystem {
     }
 
     /// Seed the initial run of every node.
-    pub fn start(&mut self, sched: &mut Scheduler<ControlEvent>) {
+    pub(crate) fn start(&mut self, sched: &mut Scheduler<ControlEvent>) {
         for node in 0..self.config.nodes {
             self.start_run(node, SimTime::ZERO, sched);
         }
     }
 
     /// Collect the outcome, pro-rating any period cut off by the horizon.
-    pub fn outcome(&self) -> SystemOutcome {
+    pub(crate) fn outcome(&self) -> SystemOutcome {
         let horizon = self.config.horizon_cycles;
         let nodes = self
             .nodes
@@ -168,124 +173,9 @@ impl Model for ControlSystem {
     }
 }
 
-/// Run the control system to its horizon and return the outcome.
-///
-/// No node's behaviour depends on another's, so it runs on the per-node kernel
-/// (bit-identical to the discrete-event [`ControlSystem`], no global event queue).
-pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
-    crate::kernel::run_control(&config, seed)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-
-    fn base_config() -> ParcelConfig {
-        ParcelConfig {
-            nodes: 4,
-            horizon_cycles: 200_000.0,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn idle_fraction_matches_run_latency_ratio() {
-        // Utilization of a blocking node is R / (R + 1 + 2L).
-        let config = ParcelConfig {
-            latency_cycles: 500.0,
-            remote_fraction: 0.3,
-            ..base_config()
-        };
-        let out = run_control(config, 11);
-        let r = config.expected_run_cycles();
-        let expect_busy = (r + 1.0) / (r + 1.0 + config.round_trip_cycles());
-        let busy_frac = out.busy_fraction();
-        assert!(
-            (busy_frac - expect_busy).abs() < 0.05,
-            "busy fraction {busy_frac} vs expected {expect_busy}"
-        );
-        assert!((out.idle_fraction() + busy_frac - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn no_remote_accesses_means_no_idle_time() {
-        let config = ParcelConfig {
-            remote_fraction: 0.0,
-            ..base_config()
-        };
-        let out = run_control(config, 3);
-        assert!(out.idle_fraction() < 1e-9, "idle {}", out.idle_fraction());
-        assert_eq!(out.total_remote_accesses, 0);
-        assert!(out.total_work_ops > 0);
-    }
-
-    #[test]
-    fn higher_latency_means_less_work() {
-        let near = run_control(
-            ParcelConfig {
-                latency_cycles: 10.0,
-                ..base_config()
-            },
-            5,
-        );
-        let far = run_control(
-            ParcelConfig {
-                latency_cycles: 5_000.0,
-                ..base_config()
-            },
-            5,
-        );
-        assert!(
-            far.total_work_ops < near.total_work_ops / 2,
-            "far {} near {}",
-            far.total_work_ops,
-            near.total_work_ops
-        );
-        // A round trip past the end of representable time saturates: each node
-        // blocks on its first remote access for the rest of the run.
-        let beyond = run_control(
-            ParcelConfig {
-                latency_cycles: 1e16,
-                ..base_config()
-            },
-            5,
-        );
-        assert!(
-            beyond.total_work_ops < far.total_work_ops,
-            "beyond {} far {}",
-            beyond.total_work_ops,
-            far.total_work_ops
-        );
-        assert!(beyond.idle_fraction() > 0.99, "{}", beyond.idle_fraction());
-    }
-
-    #[test]
-    fn work_scales_linearly_with_nodes() {
-        // Nodes are independent, so the per-node work rate is the same regardless of
-        // the system size (up to sampling noise). One run+block period is ~2100 cycles
-        // here, so the horizon must be long enough that a single node completes a few
-        // thousand runs — at 500k cycles (~230 runs) the per-node rate still wobbles
-        // by ~7% and the 10% bound below is under-powered.
-        let cfg = ParcelConfig {
-            horizon_cycles: 5_000_000.0,
-            ..base_config()
-        };
-        let one = run_control(ParcelConfig { nodes: 1, ..cfg }, 7);
-        let eight = run_control(ParcelConfig { nodes: 8, ..cfg }, 7);
-        let ratio = eight.work_rate() / one.work_rate();
-        assert!(
-            (ratio - 1.0).abs() < 0.1,
-            "per-node work-rate ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn busy_plus_idle_equals_horizon_per_node() {
-        let out = run_control(base_config(), 13);
-        for n in &out.nodes {
-            assert!((n.busy_cycles + n.idle_cycles - base_config().horizon_cycles).abs() < 1e-6);
-        }
-    }
+    use crate::experiment::run_control;
 
     #[test]
     fn zero_remote_closed_form_matches_the_engine_bitwise() {
@@ -324,18 +214,5 @@ mod tests {
             }
         }
         assert_eq!(checked, 3 * 2 * 2);
-    }
-
-    #[test]
-    fn zero_latency_network_still_makes_progress() {
-        let config = ParcelConfig {
-            latency_cycles: 0.0,
-            remote_fraction: 0.5,
-            ..base_config()
-        };
-        let out = run_control(config, 17);
-        assert!(out.total_work_ops > 0);
-        // With zero latency the only non-work time is the 1-cycle issue per remote access.
-        assert!(out.idle_fraction() < 0.05);
     }
 }

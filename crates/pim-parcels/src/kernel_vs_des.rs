@@ -5,175 +5,23 @@
 //! (`run_test` always), and it runs every `run_control`.
 //!
 //! The test system's engine model is the library's [`TestSystem`]. The control
-//! system's engine model, [`ControlSystem`], lives here: production runs that
-//! system only on the kernel. It needs the crate-private run sampler and outcome
-//! constructors, which is why this suite is a module of the crate rather than an
-//! integration test.
+//! system's engine model, [`ControlSystem`], is the test-only `control` module:
+//! production runs that system only on the kernel. It needs the crate-private run
+//! sampler and outcome constructors, which is why this suite is a module of the
+//! crate rather than an integration test.
 //!
 //! ```text
 //! cargo test --release -p pim-parcels --lib kernel_vs_des
 //! ```
 
 use crate::config::ParcelConfig;
+use crate::control::ControlSystem;
 use crate::experiment::run_control;
-use crate::outcome::{NodeOutcome, OpenJob, SystemOutcome};
-use crate::runs::RunSampler;
+use crate::outcome::SystemOutcome;
 use crate::test_system::{run_test, TestSystem};
 use desim::prelude::*;
 use pim_workload::InstructionMix;
 use proptest::prelude::*;
-
-/// Events of the control-system model.
-#[derive(Debug, Clone, Copy)]
-enum ControlEvent {
-    /// Node finished a run of local work and issued a remote request.
-    RunDone(usize),
-    /// The reply to node's outstanding remote request arrived.
-    ReplyArrived(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// Executing a run that will complete `ops` operations over `cycles` cycles.
-    Busy {
-        started_cycles: f64,
-        ops: u64,
-        cycles: f64,
-    },
-    /// Blocked waiting for a remote reply.
-    Waiting,
-    /// Past the horizon / never started.
-    Done,
-}
-
-struct ControlNode {
-    phase: Phase,
-    work_ops: u64,
-    busy_cycles: f64,
-    remote_accesses: u64,
-}
-
-/// Discrete-event model of the control system.
-struct ControlSystem {
-    config: ParcelConfig,
-    sampler: RunSampler,
-    nodes: Vec<ControlNode>,
-    streams: Vec<RandomStream>,
-}
-
-impl ControlSystem {
-    /// Build the model with the paper's flat-latency network.
-    fn new(config: ParcelConfig, seed: u64) -> Self {
-        config.assert_valid();
-        ControlSystem {
-            sampler: RunSampler::new(&config),
-            nodes: (0..config.nodes)
-                .map(|_| ControlNode {
-                    phase: Phase::Done,
-                    work_ops: 0,
-                    busy_cycles: 0.0,
-                    remote_accesses: 0,
-                })
-                .collect(),
-            streams: (0..config.nodes)
-                .map(|i| RandomStream::new(seed, 0x1000 + i as u64))
-                .collect(),
-            config,
-        }
-    }
-
-    fn cycles_of(&self, t: SimTime) -> f64 {
-        t.as_ns_f64() / self.config.cycle_ns
-    }
-
-    fn remaining_cycles(&self, now_cycles: f64) -> f64 {
-        (self.config.horizon_cycles - now_cycles).max(0.0)
-    }
-
-    fn start_run(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<ControlEvent>) {
-        let now_cycles = self.cycles_of(now);
-        let remaining = self.remaining_cycles(now_cycles);
-        if remaining <= 0.0 {
-            self.nodes[node].phase = Phase::Done;
-            return;
-        }
-        let (run, _ends_remote) = self.sampler.sample_run(remaining, &mut self.streams[node]);
-        self.nodes[node].phase = Phase::Busy {
-            started_cycles: now_cycles,
-            ops: run.ops,
-            cycles: run.cycles,
-        };
-        sched.schedule_in(
-            SimDuration::from_ns_f64(run.cycles * self.config.cycle_ns),
-            ControlEvent::RunDone(node),
-        );
-    }
-
-    /// Seed the initial run of every node.
-    fn start(&mut self, sched: &mut Scheduler<ControlEvent>) {
-        for node in 0..self.config.nodes {
-            self.start_run(node, SimTime::ZERO, sched);
-        }
-    }
-
-    /// Collect the outcome, pro-rating any period cut off by the horizon.
-    fn outcome(&self) -> SystemOutcome {
-        let horizon = self.config.horizon_cycles;
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let open = match n.phase {
-                    Phase::Busy {
-                        started_cycles,
-                        ops,
-                        cycles,
-                    } => Some(OpenJob {
-                        started_cycles,
-                        duration_cycles: cycles,
-                        ops,
-                    }),
-                    Phase::Waiting | Phase::Done => None,
-                };
-                NodeOutcome::at_horizon(horizon, n.work_ops, n.busy_cycles, n.remote_accesses, open)
-            })
-            .collect();
-        SystemOutcome::from_nodes(horizon, nodes)
-    }
-}
-
-impl Model for ControlSystem {
-    type Event = ControlEvent;
-
-    fn handle(&mut self, now: SimTime, event: ControlEvent, sched: &mut Scheduler<ControlEvent>) {
-        match event {
-            ControlEvent::RunDone(node) => {
-                let now_cycles = self.cycles_of(now);
-                // Credit the completed run.
-                if let Phase::Busy { ops, cycles, .. } = self.nodes[node].phase {
-                    self.nodes[node].work_ops += ops;
-                    self.nodes[node].busy_cycles += cycles;
-                }
-                if self.remaining_cycles(now_cycles) <= 0.0 {
-                    self.nodes[node].phase = Phase::Done;
-                    return;
-                }
-                // Issue the remote request: one busy cycle, then block for the round trip.
-                self.nodes[node].remote_accesses += 1;
-                self.nodes[node].busy_cycles += 1.0;
-                let round_trip = self.config.round_trip_cycles();
-                self.nodes[node].phase = Phase::Waiting;
-                sched.schedule_in(
-                    SimDuration::from_ns_f64((1.0 + round_trip) * self.config.cycle_ns),
-                    ControlEvent::ReplyArrived(node),
-                );
-            }
-            ControlEvent::ReplyArrived(node) => {
-                self.start_run(node, now, sched);
-            }
-        }
-    }
-}
 
 /// Run `model` through the engine to the horizon of `config`.
 fn run_des<M: Model>(

@@ -34,6 +34,8 @@
 //! ```
 
 pub mod config;
+#[cfg(test)]
+mod control;
 pub mod experiment;
 mod kernel;
 #[cfg(test)]
