@@ -15,6 +15,13 @@
 //! caller that only needs how many operations took each outcome counts the set
 //! bits instead of visiting them; either way the words consumed, and so every
 //! later draw, are those of the per-decision [`RandomStream::bernoulli`] path.
+//!
+//! A geometric draw is `⌊ln u / ln(1 − p)⌋` of a uniform `u`. A [`Geometric`]
+//! precomputes, for each of 4096 buckets of `u` (a raw word's top 12 bits),
+//! the value every `u` in the bucket gets when the bucket lies inside one step
+//! of that floor with a margin. [`RandomStream::geometric`] looks the next
+//! word's bucket up and takes the logarithm only where the table holds no
+//! value, so the values drawn and the words consumed are the logarithm's.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng, Standard};
@@ -50,7 +57,6 @@ pub fn low_bits(len: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct RandomStream {
     rng: StdRng,
-    seed: u64,
     draws: u64,
     /// Invariant: `buf[buf_pos..]` are exactly the next outputs of `rng`'s
     /// pre-buffering word sequence, in order.
@@ -157,16 +163,91 @@ pub fn counted_sum(counts: &[u64], values: &[f64]) -> f64 {
         .fold(0.0, |sum, (&k, &v)| sum + k as f64 * v)
 }
 
-/// `ln(1 − p)`, the argument [`RandomStream::geometric_with_ln`] takes. Where
-/// `1.0 - p` rounds to 1 (`p` ≤ 2⁻⁵⁴) it is `ln_1p(−p)`, so a tiny but nonzero
-/// `p` keeps a nonzero logarithm instead of collapsing every draw to 0; every
-/// other `p` gets `(1.0 - p).ln()` bit for bit.
-pub fn ln_one_minus(p: f64) -> f64 {
+/// `ln(1 − p)`, the divisor of a geometric draw's logarithm. Where `1.0 - p`
+/// rounds to 1 (`p` ≤ 2⁻⁵⁴) it is `ln_1p(−p)`, so a tiny but nonzero `p` keeps
+/// a nonzero logarithm instead of collapsing every draw to 0; every other `p`
+/// gets `(1.0 - p).ln()` bit for bit.
+fn ln_one_minus(p: f64) -> f64 {
     let q = 1.0 - p;
     if q == 1.0 {
         (-p).ln_1p()
     } else {
         q.ln()
+    }
+}
+
+/// Bits of a raw word that pick its [`Geometric`] table bucket: the top 12, so
+/// bucket `b` holds the uniform draws `u ∈ [b·2⁻¹², (b+1)·2⁻¹²)`.
+const TABLE_BITS: u32 = 12;
+
+/// Buckets in a [`Geometric`] table.
+const BUCKETS: usize = 1 << TABLE_BITS;
+
+/// The table entry of a bucket whose draws take the logarithm.
+const UNDECIDED: u8 = u8::MAX;
+
+/// Relative margin between a decided bucket and the points where the
+/// logarithm's floor steps. It is ~10⁵ times the few-ulp error of `ln`, `exp`
+/// and the products `j·ln(1 − p)`, and no bucket reaches below `u = 2⁻¹²`, where
+/// `|ln u|` (so the error relative to the margin) is largest.
+const MARGIN: f64 = 1e-9;
+
+/// A geometric distribution: the number of Bernoulli(`p`) failures before the
+/// first success, drawn by [`RandomStream::geometric`].
+///
+/// The draw is `⌊ln u / L⌋` of a uniform `u ∈ (0, 1)`, with `L = ln(1 − p)`.
+/// That floor is `j` where `e^{(j+1)L} < u ≤ e^{jL}`. A bucket of `u` whose
+/// bounds satisfy `e^{(j+1)L}·(1 + δ) ≤ b·2⁻¹²` and
+/// `(b+1)·2⁻¹² ≤ e^{jL}·(1 − δ)`, with `δ` = `MARGIN`, lies inside one such
+/// step with room to spare for every rounding in `ln`, `exp` and the products
+/// `j·L`, so its table entry is `j`, the floor the logarithm gives every word in
+/// it. The check evaluates `exp` at the steps and never `ln` at the bucket
+/// edges, so it does not rely on `ln` being monotone. Bucket 0 (it holds
+/// `u = 0`, which the logarithm redraws), buckets that straddle a step and
+/// buckets whose floor is 255 or more stay undecided and take the logarithm.
+///
+/// The table is inline (4 KiB, no allocation) and takes at most 255 `exp` calls
+/// to build, so a sampler builds one per distribution, not per draw.
+#[derive(Debug)]
+pub struct Geometric {
+    p: f64,
+    /// `ln(1 − p)` ([`ln_one_minus`]).
+    ln_q: f64,
+    /// The floor every draw in a bucket gets, or `UNDECIDED`.
+    table: [u8; BUCKETS],
+}
+
+impl Geometric {
+    /// The geometric distribution of success probability `p` (must lie in
+    /// `(0, 1]`).
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0 && p <= 1.0, "geometric parameter out of range: {p}");
+        let ln_q = ln_one_minus(p);
+        let mut table = [UNDECIDED; BUCKETS];
+        if p < 1.0 {
+            // Buckets from `u` near 1 down, so the candidate floor `j` only
+            // grows: it is the least `j` whose lower step lies (with margin)
+            // below the bucket, and the bucket is decided when it also lies
+            // below `j`'s upper step.
+            let mut j: u8 = 0;
+            let (mut upper, mut lower) = (1.0, ln_q.exp());
+            'buckets: for b in (1..BUCKETS).rev() {
+                let bottom = b as f64 / BUCKETS as f64;
+                while lower * (1.0 + MARGIN) > bottom {
+                    j += 1;
+                    if j == UNDECIDED {
+                        break 'buckets;
+                    }
+                    upper = lower;
+                    lower = (f64::from(j + 1) * ln_q).exp();
+                }
+                let top = (b + 1) as f64 / BUCKETS as f64;
+                if top <= upper * (1.0 - MARGIN) {
+                    table[b] = j;
+                }
+            }
+        }
+        Geometric { p, ln_q, table }
     }
 }
 
@@ -193,7 +274,6 @@ impl RandomStream {
     pub fn new(seed: u64, stream_id: u64) -> Self {
         RandomStream {
             rng: StdRng::seed_from_u64(mix_seed(seed, stream_id)),
-            seed,
             draws: 0,
             buf: [0; RAW_BUF_LEN],
             buf_pos: RAW_BUF_LEN,
@@ -288,11 +368,6 @@ impl RandomStream {
         }
     }
 
-    /// The experiment seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of primitive draws made so far (diagnostic).
     pub fn draws(&self) -> u64 {
         self.draws
@@ -373,22 +448,33 @@ impl RandomStream {
         mean + std_dev * self.standard_normal()
     }
 
-    /// Geometric variate: number of Bernoulli(p) failures before the first success.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        self.geometric_with_ln(p, ln_one_minus(p))
-    }
-
-    /// [`Self::geometric`] with [`ln_one_minus`]`(p)` precomputed by the caller,
-    /// so hot loops drawing many geometrics with a fixed `p` hoist the `ln`. The
-    /// quotient is evaluated exactly as in the recomputing form, so results are
-    /// bit-identical.
+    /// A geometric variate of `dist`: the number of Bernoulli(`p`) failures
+    /// before the first success. `p = 1` gives 0 without a draw.
+    ///
+    /// Bit-identical to `⌊ln u / ln(1 − p)⌋` of the next nonzero uniform draw,
+    /// words consumed included: a decided bucket consumes the one word it looked
+    /// at, and an undecided one takes the logarithm from that same word.
     #[inline]
-    pub fn geometric_with_ln(&mut self, p: f64, ln_one_minus_p: f64) -> u64 {
-        const TWO_POW_63: f64 = (1u64 << 63) as f64;
-        assert!(p > 0.0 && p <= 1.0, "geometric parameter out of range: {p}");
-        if p >= 1.0 {
+    pub fn geometric(&mut self, dist: &Geometric) -> u64 {
+        if dist.p >= 1.0 {
             return 0;
         }
+        if self.buf_pos == RAW_BUF_LEN {
+            self.refill();
+        }
+        let decided = dist.table[(self.buf[self.buf_pos] >> (64 - TABLE_BITS)) as usize];
+        if decided == UNDECIDED {
+            return self.geometric_with_ln(dist.ln_q);
+        }
+        self.buf_pos += 1;
+        self.draws += 1;
+        u64::from(decided)
+    }
+
+    /// `⌊ln u / ln_one_minus_p⌋` of the next nonzero uniform draw `u`: the
+    /// geometric draw wherever a [`Geometric`] table holds no value.
+    fn geometric_with_ln(&mut self, ln_one_minus_p: f64) -> u64 {
+        const TWO_POW_63: f64 = (1u64 << 63) as f64;
         let u = loop {
             let u = self.uniform01();
             if u > 0.0 {
@@ -405,13 +491,6 @@ impl RandomStream {
         } else {
             x.floor() as u64
         }
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `s` (rejection-free inverse CDF
-    /// over a precomputed table is provided by [`ZipfTable`]; this method is the slow
-    /// path that recomputes the normalizer each call).
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        ZipfTable::new(n, s).sample(self)
     }
 }
 
@@ -555,6 +634,7 @@ mod tests {
             (1e-18, (-1e-18f64).ln_1p()),
             (tiny, 0.0),
         ] {
+            let dist = Geometric::new(p);
             let mut a = RandomStream::new(0x9E0, 1);
             let mut b = RandomStream::new(0x9E0, 1);
             let mut c = RandomStream::new(0x9E0, 1);
@@ -562,9 +642,9 @@ mod tests {
             for _ in 0..500 {
                 let want = oracle(&mut c, ln_q);
                 passed_2_63 += usize::from(want >= 1 << 63);
-                assert_eq!(b.geometric_with_ln(p, ln_q), want, "p = {p:e}");
+                assert_eq!(b.geometric_with_ln(ln_q), want, "p = {p:e}");
                 if ln_q == ln_one_minus(p) {
-                    assert_eq!(a.geometric(p), want, "p = {p:e}");
+                    assert_eq!(a.geometric(&dist), want, "p = {p:e}");
                 }
             }
             assert_eq!(b.draws(), c.draws());
@@ -578,7 +658,8 @@ mod tests {
         // Below 2⁻⁵⁴ a draw is a failure run of about 1/p, not the 0 that
         // `(1.0 - p).ln() == 0` would force.
         let mut s = RandomStream::new(0x9E1, 1);
-        let mean = (0..1000).map(|_| s.geometric(1e-18) as f64).sum::<f64>() / 1000.0;
+        let dist = Geometric::new(1e-18);
+        let mean = (0..1000).map(|_| s.geometric(&dist) as f64).sum::<f64>() / 1000.0;
         assert!((0.8e18..1.2e18).contains(&mean), "mean {mean:e}");
         // Every other p keeps the bits of the old `(1.0 - p).ln()`.
         for p in [0.37, 1e-12, 2f64.powi(-53), one_ulp_below_1, 1.0] {
@@ -659,13 +740,60 @@ mod tests {
         let mut s = stream();
         let p = 0.25;
         let n = 50_000;
-        let mean: f64 = (0..n).map(|_| s.geometric(p) as f64).sum::<f64>() / n as f64;
+        let dist = Geometric::new(p);
+        let mean: f64 = (0..n).map(|_| s.geometric(&dist) as f64).sum::<f64>() / n as f64;
         let expect = (1.0 - p) / p;
         assert!(
             (mean - expect).abs() / expect < 0.05,
             "empirical mean {mean} expect {expect}"
         );
-        assert_eq!(s.geometric(1.0), 0);
+        assert_eq!(s.geometric(&Geometric::new(1.0)), 0);
+    }
+
+    #[test]
+    fn geometric_table_entries_are_the_logarithms_floors() {
+        // Every decided bucket's entry, at the two extreme uniform draws of the
+        // bucket and the draw next to each, against the logarithm's floor. The
+        // `p`: the shipped parcel runs' (Table 1's mix of 0.2 loads and 0.1
+        // stores times the remote fractions of the builtin scenarios and the
+        // preset specs), the LRU-depth draw's 0.5, the corners, then uniform,
+        // log-uniform and `1 − 2⁻ᵏ` ones.
+        let builtin = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8].map(|r| (0.2 + 0.1) * r);
+        let mut gen = RandomStream::new(0x7AB1E, 1);
+        let generated = (0..3000).map(|i| match i % 3 {
+            0 => 1.0 - gen.uniform01(),
+            1 => 2f64.powf(-60.0 * gen.uniform01()),
+            _ => 1.0 - 2f64.powi(-1 - gen.below(53) as i32),
+        });
+        let corners = [0.5, 2f64.powi(-60), 1e-6, 1.0 - 1e-12];
+        let mut checked = 0u64;
+        for p in builtin.into_iter().chain(corners).chain(generated) {
+            let dist = Geometric::new(p);
+            assert_eq!(dist.table[0], UNDECIDED, "p = {p:e}");
+            for (b, &entry) in dist.table.iter().enumerate() {
+                if entry == UNDECIDED {
+                    continue;
+                }
+                // A draw is `(raw >> 11)·2⁻⁵³`; bucket `b` holds the 2⁴¹ draws
+                // `m·2⁻⁵³` with `m >> 41 == b`.
+                let first = (b as u64) << 41;
+                let last = first + (1 << 41) - 1;
+                for m in [first, first + 1, last - 1, last] {
+                    let u = f64::from_raw(m << 11);
+                    let want = (u.ln() / dist.ln_q).floor() as u64;
+                    assert_eq!(u64::from(entry), want, "p = {p:e}, bucket {b}, u = {u:e}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 1_000_000, "only {checked} decided buckets");
+        // The table decides almost every draw of the shipped run lengths (95.3%
+        // at the smallest `p`, 0.03): a bucket holds 1/4096 of the draws.
+        for p in builtin {
+            let dist = Geometric::new(p);
+            let decided = dist.table.iter().filter(|&&e| e != UNDECIDED).count();
+            assert!(decided as f64 / BUCKETS as f64 > 0.95, "p = {p}: {decided}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Observation-based statistic: mean, variance (Welford), min and max.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Tally {
     count: u64,
     mean: f64,

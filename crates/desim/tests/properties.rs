@@ -2,7 +2,7 @@
 
 use desim::event::ScheduledEvent;
 use desim::prelude::*;
-use desim::random::{low_bits, BernoulliThreshold};
+use desim::random::{low_bits, BernoulliThreshold, Geometric};
 use proptest::prelude::*;
 use rand::Standard;
 use std::collections::BTreeSet;
@@ -206,6 +206,53 @@ proptest! {
             prop_assert_eq!(bulk.draws(), seq.draws());
         }
         prop_assert_eq!(bulk.uniform01().to_bits(), seq.uniform01().to_bits());
+    }
+
+    /// A geometric draw through the table is the logarithm's draw, bit for bit:
+    /// over many draws from any buffer offset, the values and the draw count
+    /// equal `⌊ln u / ln(1 − p)⌋` taken on a twin stream, and so does the uniform
+    /// draw after them. `p` is uniform, log-uniform down to 2⁻⁶⁰ (where the table
+    /// decides nothing), or `1 − 2⁻ᵏ` (where `k` = 54 rounds to 1, which draws
+    /// nothing).
+    #[test]
+    fn geometric_table_matches_the_logarithm(
+        seed in any::<u64>(),
+        kind in 0u32..3,
+        x in 0.0f64..1.0,
+        k in 1u32..55,
+        offset in 0usize..64,
+    ) {
+        let p = match kind {
+            0 => 1.0 - x,
+            1 => (-60.0 * x).exp2(),
+            _ => 1.0 - (-f64::from(k)).exp2(),
+        };
+        // The logarithm's draw, from the definition: `ln(1 − p)` takes `ln_1p`
+        // only where `1.0 - p` rounds to 1.
+        let ln_q = if 1.0 - p == 1.0 { (-p).ln_1p() } else { (1.0 - p).ln() };
+        let logarithm = |s: &mut RandomStream| {
+            if p >= 1.0 {
+                return 0;
+            }
+            let u = loop {
+                let u = s.uniform01();
+                if u > 0.0 {
+                    break u;
+                }
+            };
+            (u.ln() / ln_q).floor() as u64
+        };
+        let dist = Geometric::new(p);
+        let mut table = RandomStream::new(seed, 5);
+        let mut twin = RandomStream::new(seed, 5);
+        for _ in 0..offset {
+            prop_assert_eq!(table.uniform01().to_bits(), twin.uniform01().to_bits());
+        }
+        for i in 0..3000 {
+            prop_assert_eq!(table.geometric(&dist), logarithm(&mut twin), "p={} draw {}", p, i);
+            prop_assert_eq!(table.draws(), twin.draws());
+        }
+        prop_assert_eq!(table.uniform01().to_bits(), twin.uniform01().to_bits());
     }
 
     /// Exponential samples are non-negative and their mean converges to the parameter.

@@ -8,6 +8,12 @@
 //! up `k` Bernoulli draws, which keeps the cost of one simulated run O(1) regardless of
 //! how rare remote accesses are.
 //!
+//! The run length is drawn from a [`Geometric`] the sampler builds once: a table
+//! lookup on the next raw word decides 95–99% of the draws at the shipped remote
+//! probabilities, and the rest take the logarithm, so every length and every word
+//! consumed is the logarithm's. The lookup matters because runs chain: a run's
+//! operation words start where its length's word stopped.
+//!
 //! A short run's local-memory decisions come as a hit mask that the stream computes
 //! once per buffer of 64 raw words and shares among the runs drawn from it. With a
 //! whole `local_memory_cycles` small enough that no run's sum can round
@@ -16,7 +22,7 @@
 //! operation, in order.
 
 use crate::config::ParcelConfig;
-use desim::random::{counted_sum, ln_one_minus, sums_exactly, BernoulliThreshold, RandomStream};
+use desim::random::{counted_sum, sums_exactly, BernoulliThreshold, Geometric, RandomStream};
 
 /// The longest run whose operations [`LocalOpDist::sample_total`] draws one by
 /// one; longer runs take the normal approximation.
@@ -137,8 +143,9 @@ impl LocalOpDist {
 #[derive(Debug)]
 pub struct RunSampler {
     p_remote: f64,
-    /// [`ln_one_minus`]`(p_remote)`, hoisted out of the per-run geometric draw.
-    ln_one_minus_p: f64,
+    /// The run-length distribution; `None` when `p_remote` is 0, where a run
+    /// fills the horizon and no length is drawn.
+    length: Option<Geometric>,
     local: LocalOpDist,
 }
 
@@ -148,7 +155,7 @@ impl RunSampler {
         let p_remote = config.remote_prob_per_op();
         RunSampler {
             p_remote,
-            ln_one_minus_p: ln_one_minus(p_remote),
+            length: (p_remote > 0.0).then(|| Geometric::new(p_remote)),
             local: LocalOpDist::from_config(config),
         }
     }
@@ -174,7 +181,7 @@ impl RunSampler {
                 false,
             );
         }
-        if self.p_remote <= 0.0 {
+        let Some(length) = &self.length else {
             // No remote accesses ever: the run fills the remaining horizon.
             let ops = if self.local.mean > 0.0 {
                 (max_cycles / self.local.mean).floor() as u64
@@ -188,8 +195,8 @@ impl RunSampler {
                 },
                 false,
             );
-        }
-        let ops = stream.geometric_with_ln(self.p_remote, self.ln_one_minus_p);
+        };
+        let ops = stream.geometric(length);
         let cycles = self.local.sample_total(ops, stream);
         if cycles >= max_cycles {
             // Truncate at the horizon; prorate the completed operations.

@@ -8,7 +8,7 @@
 //! controllable reuse probability so that a structural cache model (from `pim-mem`)
 //! can be used to *measure* the cache hit rate rather than assume it.
 
-use desim::random::RandomStream;
+use desim::random::{Geometric, RandomStream};
 use serde::{Deserialize, Serialize};
 
 /// Split of the total work into heavyweight (high locality) and lightweight (low
@@ -70,6 +70,8 @@ pub struct ReuseProfile {
     recent: Vec<u64>,
     next_fresh: u64,
     stream: RandomStream,
+    /// The LRU-depth distribution, Geometric(0.5).
+    depth: Geometric,
 }
 
 impl ReuseProfile {
@@ -88,6 +90,7 @@ impl ReuseProfile {
             recent: Vec::with_capacity(working_set),
             next_fresh: 0,
             stream,
+            depth: Geometric::new(0.5),
         }
     }
 
@@ -96,7 +99,7 @@ impl ReuseProfile {
         let reuse = !self.recent.is_empty() && self.stream.bernoulli(self.reuse_prob);
         let addr = if reuse {
             // Prefer recently used lines (geometric over the LRU stack, clamped).
-            let depth = (self.stream.geometric(0.5) as usize).min(self.recent.len() - 1);
+            let depth = (self.stream.geometric(&self.depth) as usize).min(self.recent.len() - 1);
             self.recent[depth]
         } else {
             let a = self.next_fresh * self.line_bytes;
