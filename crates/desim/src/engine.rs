@@ -5,7 +5,13 @@
 //! [`Scheduler`] through which it can schedule future events. This mirrors
 //! the transaction-oriented style of SES/Workbench while remaining borrow-checker
 //! friendly (the model owns all mutable state; the engine owns the clock and the
-//! pending event set).
+//! pending events).
+//!
+//! The pending events sit in one `std::collections::BinaryHeap` ordered by
+//! `(time, seq)`, where `seq` counts schedule calls: the earliest event fires
+//! first, and simultaneous events fire in the order they were scheduled — the
+//! same guarantee SES/Workbench provides. Payloads sit inline in the heap
+//! entries.
 //!
 //! ```
 //! use desim::prelude::*;
@@ -25,14 +31,15 @@
 //!
 //! let mut sim = Simulation::new(Ticker { fired: 0 });
 //! sim.scheduler().schedule_at(SimTime::ZERO, ());
-//! let report = sim.run();
+//! let dispatched = sim.run();
 //! assert_eq!(sim.model().fired, 5);
-//! assert_eq!(report.events_processed, 5);
+//! assert_eq!(dispatched, 5);
 //! assert_eq!(sim.now(), SimTime::from_ns(40));
 //! ```
 
-use crate::event::{FifoBandQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A simulation model: the owner of all model state and the handler of all events.
 pub trait Model {
@@ -43,12 +50,43 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
+/// A pending event. `seq` is unique, so `(time, seq)` orders all of them.
+struct Pending<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> Pending<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<E> PartialEq for Pending<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Pending<E> {}
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Pending<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap, and the smallest key fires first.
+        other.key().cmp(&self.key())
+    }
+}
+
 /// Interface handed to the model for scheduling future events. It owns the clock
-/// and the pending-event set, so a scheduled event goes straight into the queue.
+/// and the pending events, so a scheduled event goes straight into the heap.
 pub struct Scheduler<E> {
     now: SimTime,
     next_seq: u64,
-    queue: FifoBandQueue<E>,
+    pending: BinaryHeap<Pending<E>>,
 }
 
 impl<E> Scheduler<E> {
@@ -56,7 +94,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             next_seq: 0,
-            queue: FifoBandQueue::new(),
+            pending: BinaryHeap::new(),
         }
     }
 
@@ -71,7 +109,7 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(ScheduledEvent {
+        self.pending.push(Pending {
             time: at,
             seq,
             payload: event,
@@ -84,26 +122,8 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Why a run returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The pending event set drained.
-    Exhausted,
-    /// The configured time horizon was reached.
-    HorizonReached,
-}
-
-/// Summary of a completed run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunReport {
-    /// Number of events dispatched to the model.
-    pub events_processed: u64,
-    /// Why the run returned.
-    pub reason: StopReason,
-}
-
 /// The simulation engine: owns the model and, through its [`Scheduler`], the clock
-/// and the pending event set.
+/// and the pending events.
 pub struct Simulation<M: Model> {
     model: M,
     scheduler: Scheduler<M::Event>,
@@ -112,8 +132,7 @@ pub struct Simulation<M: Model> {
 }
 
 impl<M: Model> Simulation<M> {
-    /// Create a simulation over `model`. Its pending-event set is the two-band
-    /// [`FifoBandQueue`], which dispatches in `(time, seq)` order.
+    /// Create a simulation over `model` with no pending events.
     pub fn new(model: M) -> Self {
         Simulation {
             model,
@@ -160,39 +179,32 @@ impl<M: Model> Simulation<M> {
         self.events_processed
     }
 
-    /// Run until the pending set drains or the horizon is hit. May be called
-    /// repeatedly (after moving the horizon out); time never goes backwards.
+    /// Run until no event is pending or the next one lies beyond the horizon, and
+    /// return the number of events this call dispatched. A horizon stop leaves the
+    /// clock at the horizon; the run may be resumed after moving the horizon out,
+    /// and time never goes backwards.
     ///
     /// The loop pops the next event directly and, in the rare case it lies beyond the
     /// horizon, pushes it back intact (same `seq`, so its order is unaffected) rather
     /// than peeking before every pop.
-    pub fn run(&mut self) -> RunReport {
+    pub fn run(&mut self) -> u64 {
         let sched = &mut self.scheduler;
-        let mut dispatched_this_run = 0u64;
-        let reason = loop {
-            let Some(ev) = sched.queue.pop() else {
-                break StopReason::Exhausted;
-            };
+        let mut dispatched = 0u64;
+        while let Some(ev) = sched.pending.pop() {
             if let Some(h) = self.horizon {
                 if ev.time > h {
-                    sched.queue.push(ev);
+                    sched.pending.push(ev);
                     sched.now = h;
-                    break StopReason::HorizonReached;
+                    break;
                 }
             }
-            debug_assert!(
-                ev.time >= sched.now,
-                "event queue returned an event in the past"
-            );
+            debug_assert!(ev.time >= sched.now, "pending event lies in the past");
             sched.now = ev.time;
             self.model.handle(ev.time, ev.payload, sched);
-            dispatched_this_run += 1;
-        };
-        self.events_processed += dispatched_this_run;
-        RunReport {
-            events_processed: dispatched_this_run,
-            reason,
+            dispatched += 1;
         }
+        self.events_processed += dispatched;
+        dispatched
     }
 }
 
@@ -228,10 +240,11 @@ mod tests {
         s.schedule_at(SimTime::from_ticks(30), Ev::Ping(3));
         s.schedule_at(SimTime::from_ticks(10), Ev::Ping(1));
         s.schedule_at(SimTime::from_ticks(20), Ev::Ping(2));
-        let report = sim.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
-        assert_eq!(report.events_processed, 3);
+        assert_eq!(sim.run(), 3);
         assert_eq!(times(&sim), vec![10, 20, 30]);
+        // Nothing is left: another run dispatches nothing and leaves the clock.
+        assert_eq!(sim.run(), 0);
+        assert_eq!(sim.now(), SimTime::from_ticks(30));
     }
 
     #[test]
@@ -241,16 +254,15 @@ mod tests {
         let s = sim.scheduler();
         s.schedule_at(SimTime::from_ticks(10), Ev::Ping(1));
         s.schedule_at(SimTime::from_ticks(20), Ev::Ping(2));
-        let report = sim.run();
-        assert_eq!(report.reason, StopReason::HorizonReached);
-        assert_eq!(report.events_processed, 1);
+        assert_eq!(sim.run(), 1);
         assert_eq!(sim.now(), SimTime::from_ticks(15));
-        // The beyond-horizon event stays pending: a later horizon dispatches it.
+        // The beyond-horizon event stays pending: a later horizon dispatches it,
+        // and a run that drains stops the clock at its last event, not at the
+        // horizon.
         sim.set_horizon(SimTime::from_ticks(100));
-        let report = sim.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
-        assert_eq!(report.events_processed, 1);
+        assert_eq!(sim.run(), 1);
         assert_eq!(times(&sim), vec![10, 20]);
+        assert_eq!(sim.now(), SimTime::from_ticks(20));
         assert_eq!(sim.events_processed(), 2);
     }
 
@@ -293,22 +305,20 @@ mod tests {
 
     #[test]
     fn horizon_push_back_keeps_fifo_band_ordered() {
-        // A beyond-horizon event is popped and pushed back into the (now empty)
-        // FIFO band; an earlier event scheduled later lands under its tail, in
-        // the heap band. The next run must still dispatch in time order.
+        // A beyond-horizon event is popped and pushed back intact; an earlier
+        // event scheduled after the stop, with a later `seq`, must still fire
+        // first.
         let mut sim = Simulation::new(Recorder::default());
         sim.set_horizon(SimTime::from_ticks(100));
         sim.scheduler()
             .schedule_at(SimTime::from_ticks(5_000), Ev::Ping(2));
-        let r1 = sim.run();
-        assert_eq!(r1.reason, StopReason::HorizonReached);
-        assert_eq!(sim.model().seen.len(), 0);
+        assert_eq!(sim.run(), 0);
+        assert_eq!(sim.now(), SimTime::from_ticks(100));
 
         sim.set_horizon(SimTime::from_ticks(10_000));
         sim.scheduler()
             .schedule_at(SimTime::from_ticks(200), Ev::Ping(1));
-        let r2 = sim.run();
-        assert_eq!(r2.events_processed, 2);
+        assert_eq!(sim.run(), 2);
         assert_eq!(times(&sim), vec![200, 5_000]);
     }
 }

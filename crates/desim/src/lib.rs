@@ -5,8 +5,8 @@
 //! Architecture Design Tradeoffs"* (SC 2004). It provides the modeling
 //! core the paper's two queuing studies rely on:
 //!
-//! * an event-oriented [`engine::Simulation`] over a deterministic pending-event set
-//!   ([`event::FifoBandQueue`]),
+//! * an event-oriented [`engine::Simulation`] whose pending events sit in one binary
+//!   heap ordered by `(time, seq)`, so dispatch order is deterministic,
 //! * reproducible random variate streams ([`random`]),
 //! * observation statistics with Student-t confidence intervals ([`stats`]) and
 //!   the seed and summary of independent replications ([`replication`]),
@@ -22,7 +22,6 @@
 //! The [`engine`] module docs walk through a small model.
 
 pub mod engine;
-pub mod event;
 pub mod random;
 pub mod replication;
 pub mod stablehash;
@@ -31,8 +30,7 @@ pub mod time;
 
 /// Convenient glob import for model authors.
 pub mod prelude {
-    pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
-    pub use crate::event::FifoBandQueue;
+    pub use crate::engine::{Model, Scheduler, Simulation};
     pub use crate::random::RandomStream;
     pub use crate::replication::ReplicationSummary;
     pub use crate::stats::{ConfidenceLevel, Tally};

@@ -1,6 +1,5 @@
 //! Property-based tests of the simulation engine's core data structures.
 
-use desim::event::ScheduledEvent;
 use desim::prelude::*;
 use desim::random::{low_bits, BernoulliThreshold, Geometric};
 use proptest::prelude::*;
@@ -12,31 +11,54 @@ use std::collections::BTreeSet;
 const GRAIN: u64 = 100;
 
 /// The constant delay of a parcel round trip: pushes at `now + ROUND_TRIP` arrive
-/// in key order and ride the FIFO band.
+/// in key order.
 const ROUND_TRIP: u64 = 20 * GRAIN;
 
-/// Push one event into both the queue and its oracle, a sorted set of
-/// `(time, seq)` keys.
-fn push(band: &mut FifoBandQueue<u64>, oracle: &mut BTreeSet<(u64, u64)>, time: u64, seq: u64) {
-    band.push(ScheduledEvent {
-        time: SimTime::from_ticks(time),
-        seq,
-        payload: seq,
-    });
-    oracle.insert((time, seq));
+/// A model that schedules from a script and checks every dispatch against its
+/// oracle, a sorted set of `(time, seq)` keys: the oracle's first key is the
+/// event the engine has to dispatch next. An event's payload is its `seq`, the
+/// count of schedule calls before it, which is how the engine breaks ties.
+struct Scripted {
+    /// `(op, short)`: op 0 is a pop (the engine's next dispatch); op 1 pushes at
+    /// `now + ROUND_TRIP`, op 2 at `now + short * GRAIN`.
+    script: std::vec::IntoIter<(u32, u64)>,
+    oracle: BTreeSet<(u64, u64)>,
+    next_seq: u64,
 }
 
-/// Drain the queue: each pop must be the oracle's first key, which is the
-/// event the engine has to dispatch next.
-fn drain_agrees(band: &mut FifoBandQueue<u64>, oracle: &mut BTreeSet<(u64, u64)>) {
-    while let Some(e) = band.pop() {
-        assert_eq!(Some((e.time.ticks(), e.seq)), oracle.pop_first());
+impl Scripted {
+    fn new(script: Vec<(u32, u64)>) -> Self {
+        Scripted {
+            script: script.into_iter(),
+            oracle: BTreeSet::new(),
+            next_seq: 0,
+        }
     }
-    assert!(
-        band.is_empty() && oracle.is_empty(),
-        "{} keys left",
-        oracle.len()
-    );
+
+    fn push(&mut self, time: u64, sched: &mut Scheduler<u64>) {
+        sched.schedule_at(SimTime::from_ticks(time), self.next_seq);
+        self.oracle.insert((time, self.next_seq));
+        self.next_seq += 1;
+    }
+
+    /// Make the script's pushes up to its next pop, at the clock `now`.
+    fn follow_script(&mut self, now: u64, sched: &mut Scheduler<u64>) {
+        while let Some((op, short)) = self.script.next() {
+            if op == 0 {
+                return;
+            }
+            let delay = if op == 1 { ROUND_TRIP } else { short * GRAIN };
+            self.push(now + delay, sched);
+        }
+    }
+}
+
+impl Model for Scripted {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, seq: u64, sched: &mut Scheduler<u64>) {
+        assert_eq!(Some((now.ticks(), seq)), self.oracle.pop_first());
+        self.follow_script(now.ticks(), sched);
+    }
 }
 
 proptest! {
@@ -46,45 +68,38 @@ proptest! {
     // future swap to real proptest's `ProptestConfig` env-based seeding.
     #![proptest_config(ProptestConfig::with_cases(64).with_rng_seed(0xDE51_0001))]
 
-    /// The engine's FIFO-band queue dequeues in the order of a sorted-set oracle,
-    /// `(time, seq)`, under two workloads:
+    /// The engine dispatches in the order of a sorted-set oracle, `(time, seq)`,
+    /// under two workloads:
     ///
     /// * the engine's shape: any interleaving of pops and pushes, where a push
-    ///   lands at `now + d`, `now` is the time of the last pop (the engine's
-    ///   clock) and `d` is either the constant round trip, which rides the FIFO
-    ///   band, or a short random delay, which lands under its tail in the heap
-    ///   band;
+    ///   lands at `now + d`, `now` is the engine's clock and `d` is either the
+    ///   constant round trip or a short random delay. The handler of each
+    ///   dispatch makes the pushes up to the script's next pop; a pop with
+    ///   nothing pending ends a run, and the script resumes from outside at the
+    ///   clock;
     /// * no monotone structure: pushes at random absolute times, then a drain.
     #[test]
     fn event_queues_agree(
         ops in proptest::collection::vec((0u32..3, 0u64..ROUND_TRIP / GRAIN), 1..400),
         times in proptest::collection::vec(0u64..100_000, 1..2000),
     ) {
-        let mut band = FifoBandQueue::new();
-        let mut oracle = BTreeSet::new();
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        for (op, short) in ops {
-            if op == 0 {
-                let popped = band.pop().map(|e| (e.time.ticks(), e.seq));
-                prop_assert_eq!(popped, oracle.pop_first());
-                if let Some((t, _)) = popped {
-                    prop_assert!(t >= now, "popped {} before the clock {}", t, now);
-                    now = t;
-                }
-            } else {
-                let delay = if op == 1 { ROUND_TRIP } else { short * GRAIN };
-                push(&mut band, &mut oracle, now + delay, seq);
-                seq += 1;
-            }
-            prop_assert_eq!(band.len(), oracle.len());
+        let mut sim = Simulation::new(Scripted::new(ops));
+        while !sim.model().script.as_slice().is_empty() {
+            let now = sim.now().ticks();
+            sim.init(|m, sched| m.follow_script(now, sched));
+            sim.run();
         }
-        drain_agrees(&mut band, &mut oracle);
+        prop_assert!(sim.model().oracle.is_empty(), "{} keys left", sim.model().oracle.len());
+        prop_assert_eq!(sim.events_processed(), sim.model().next_seq);
 
-        for (seq, &time) in times.iter().enumerate() {
-            push(&mut band, &mut oracle, time, seq as u64);
-        }
-        drain_agrees(&mut band, &mut oracle);
+        let mut sim = Simulation::new(Scripted::new(Vec::new()));
+        sim.init(|m, sched| {
+            for &time in &times {
+                m.push(time, sched);
+            }
+        });
+        prop_assert_eq!(sim.run(), times.len() as u64);
+        prop_assert!(sim.model().oracle.is_empty(), "{} keys left", sim.model().oracle.len());
     }
 
     /// The engine dispatches every scheduled event exactly once and in time order,
@@ -104,8 +119,7 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             sim.scheduler().schedule_at(SimTime::from_ticks(t), i as u64);
         }
-        let report = sim.run();
-        prop_assert_eq!(report.events_processed as usize, times.len());
+        prop_assert_eq!(sim.run() as usize, times.len());
         let seen = &sim.model().seen;
         prop_assert!(seen.windows(2).all(|w| w[0] <= w[1]));
         let mut sorted = times.clone();

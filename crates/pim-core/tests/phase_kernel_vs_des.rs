@@ -179,7 +179,7 @@ fn des_queueing(
         seed,
     ));
     sim.init(|m, sched| m.start(sched));
-    let events = sim.run().events_processed;
+    let events = sim.run();
     sim.model().result(events)
 }
 

@@ -16,7 +16,7 @@
 //! byte-identical artifacts at any `--jobs` setting.
 
 use desim::random::RandomStream;
-use pim_mem::{Bank, CacheModel, DramTiming, SetAssociativeCache};
+use pim_mem::{Bank, DramTiming, SetAssociativeCache};
 use pim_workload::{AddressPattern, InstructionMix, OperationStream};
 use serde::{Deserialize, Serialize};
 

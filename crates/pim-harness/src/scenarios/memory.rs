@@ -5,7 +5,7 @@ use crate::cache::UnitKeyer;
 use crate::report::{ScenarioReport, Table};
 use crate::scenario::{Scenario, ScenarioPlan, SeedPolicy};
 use desim::random::RandomStream;
-use pim_mem::{CacheModel, DramTiming, PimChip, SetAssociativeCache};
+use pim_mem::{DramTiming, SetAssociativeCache};
 use pim_workload::ReuseProfile;
 use serde::Value;
 
@@ -70,11 +70,12 @@ impl BandwidthClaims {
             timing.worst_case_bandwidth_gbit_per_s(),
             "Gbit/s",
         );
+        // A chip's nodes stream concurrently, each from its own macro, so its
+        // peak is the macro's peak times the node count (Gbit/s → Tbit/s).
         for nodes in CHIP_NODES {
-            let chip = PimChip::with_nodes(nodes);
             push(
                 &format!("chip_peak_bandwidth_n{nodes}"),
-                chip.peak_bandwidth_tbit_per_s(),
+                timing.peak_bandwidth_gbit_per_s() * nodes as f64 / 1e3,
                 "Tbit/s",
             );
         }

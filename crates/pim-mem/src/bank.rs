@@ -2,10 +2,9 @@
 
 use crate::row_buffer::{RowBuffer, RowOutcome};
 use crate::timing::DramTiming;
-use serde::{Deserialize, Serialize};
 
 /// One independently addressable DRAM bank.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bank {
     timing: DramTiming,
     rows: u64,
@@ -29,16 +28,6 @@ impl Bank {
         }
     }
 
-    /// Number of rows in the bank.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Capacity of the bank in bits.
-    pub(crate) fn capacity_bits(&self) -> u64 {
-        self.rows * self.timing.row_bits
-    }
-
     /// Row index that holds byte address `addr` (row-major, page-interleaved within row).
     pub(crate) fn row_of(&self, addr: u64) -> u64 {
         let row_bytes = self.timing.row_bits / 8;
@@ -56,11 +45,6 @@ impl Bank {
         self.total_latency_ns += latency;
         self.bits_transferred += self.timing.page_bits;
         latency
-    }
-
-    /// Number of accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Mean access latency in ns (0 when unused).
@@ -84,11 +68,6 @@ impl Bank {
         } else {
             (self.bits_transferred as f64 / (self.total_latency_ns * 1e-9)) / 1e9
         }
-    }
-
-    /// Immutable view of the row buffer.
-    pub(crate) fn row_buffer(&self) -> &RowBuffer {
-        &self.row_buffer
     }
 }
 
@@ -124,7 +103,7 @@ mod tests {
         assert_eq!(b.row_of(0), 0);
         assert_eq!(b.row_of(row_bytes - 1), 0);
         assert_eq!(b.row_of(row_bytes), 1);
-        assert_eq!(b.row_of(row_bytes * b.rows()), 0);
+        assert_eq!(b.row_of(row_bytes * b.rows), 0);
     }
 
     #[test]
@@ -167,10 +146,9 @@ mod tests {
         b.access(0);
         b.access(32);
         b.access(64);
-        assert_eq!(b.accesses(), 3);
+        assert_eq!(b.accesses, 3);
         let mean = b.mean_latency_ns();
         assert!((mean - (22.0 + 2.0 + 2.0) / 3.0).abs() < 1e-12);
-        assert_eq!(b.capacity_bits(), 1024 * 2048);
     }
 
     #[test]

@@ -17,25 +17,6 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Common interface over cache models.
-pub trait CacheModel {
-    /// Present an access at byte address `addr` and classify it.
-    fn access(&mut self, addr: u64) -> CacheOutcome;
-    /// Hits so far.
-    fn hits(&self) -> u64;
-    /// Misses so far.
-    fn misses(&self) -> u64;
-    /// Miss fraction over all accesses (0 when no accesses were made).
-    fn miss_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / total as f64
-        }
-    }
-}
-
 /// A conventional set-associative cache with true-LRU replacement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssociativeCache {
@@ -84,10 +65,9 @@ impl SetAssociativeCache {
     pub fn capacity_bytes(&self) -> u64 {
         self.sets as u64 * self.ways as u64 * self.line_bytes
     }
-}
 
-impl CacheModel for SetAssociativeCache {
-    fn access(&mut self, addr: u64) -> CacheOutcome {
+    /// Present an access at byte address `addr` and classify it.
+    pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.stamp += 1;
         let line = addr / self.line_bytes;
         let set = (line % self.sets as u64) as usize;
@@ -112,12 +92,24 @@ impl CacheModel for SetAssociativeCache {
         CacheOutcome::Miss
     }
 
-    fn hits(&self) -> u64 {
+    /// Hits so far.
+    pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    fn misses(&self) -> u64 {
+    /// Misses so far.
+    pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Miss fraction over all accesses (0 when no accesses were made).
+    pub fn miss_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.misses as f64 / total as f64
+        }
     }
 }
 

@@ -6,10 +6,8 @@
 //! comes from. This module tracks which row is open and classifies each access as a
 //! row-buffer hit or miss (open-page policy).
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of presenting an access to a row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RowOutcome {
     /// The addressed row was already open: page access only.
     Hit,
@@ -18,7 +16,7 @@ pub(crate) enum RowOutcome {
 }
 
 /// Open-page row buffer for a single bank.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RowBuffer {
     open_row: Option<u64>,
     hits: u64,
@@ -43,16 +41,6 @@ impl RowBuffer {
         }
     }
 
-    /// Number of row-buffer hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of row-buffer misses (activations) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Hit fraction over all accesses (0 when no accesses were made).
     pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -74,8 +62,8 @@ mod tests {
         assert_eq!(rb.access(7), RowOutcome::Miss);
         assert_eq!(rb.access(7), RowOutcome::Hit);
         assert_eq!(rb.access(7), RowOutcome::Hit);
-        assert_eq!(rb.hits(), 2);
-        assert_eq!(rb.misses(), 1);
+        assert_eq!(rb.hits, 2);
+        assert_eq!(rb.misses, 1);
     }
 
     #[test]

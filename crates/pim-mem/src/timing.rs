@@ -1,9 +1,10 @@
-//! Timing parameters for the memory substrate.
+//! Timing parameters of one on-chip DRAM macro.
 //!
-//! The values mirror Section 2.1 and Table 1 of the paper: a DRAM macro with 2048-bit
-//! rows, 256-bit pages out of the row buffer, a conservative 20 ns row access and 2 ns
-//! page access; a heavyweight host with a 2-cycle cache and 90-cycle memory penalty;
-//! and a lightweight PIM node with a 30-cycle (at 5 ns/cycle) local memory access.
+//! The values mirror Section 2.1 of the paper: 2048-bit rows, 256-bit pages out of
+//! the row buffer, a conservative 20 ns row access and 2 ns page access. A chip's
+//! peak bandwidth is the macro's peak times its node count, which is how the
+//! `bandwidth_claims` scenario computes it. The processors' Table 1 timing lives in
+//! `pim_core::config::SystemConfig::table1`.
 
 use serde::{Deserialize, Serialize};
 
@@ -61,49 +62,6 @@ impl DramTiming {
     }
 }
 
-/// Processor-side memory timing in that processor's own cycles, as used by Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProcessorTiming {
-    /// Cycle time in nanoseconds.
-    pub cycle_ns: f64,
-    /// Cache access time in cycles (0 means no cache).
-    pub cache_access_cycles: u64,
-    /// Main-memory access time in cycles.
-    pub memory_access_cycles: u64,
-}
-
-impl ProcessorTiming {
-    /// The paper's heavyweight processor: 1 ns cycle, 2-cycle cache, 90-cycle memory.
-    pub fn heavyweight() -> Self {
-        ProcessorTiming {
-            cycle_ns: 1.0,
-            cache_access_cycles: 2,
-            memory_access_cycles: 90,
-        }
-    }
-
-    /// The paper's lightweight PIM node: 5 ns cycle, no cache, 30-cycle local memory.
-    pub fn lightweight() -> Self {
-        ProcessorTiming {
-            cycle_ns: 5.0,
-            cache_access_cycles: 0,
-            memory_access_cycles: 30,
-        }
-    }
-
-    /// Cache access latency in nanoseconds.
-    #[cfg(test)]
-    fn cache_access_ns(&self) -> f64 {
-        self.cache_access_cycles as f64 * self.cycle_ns
-    }
-
-    /// Memory access latency in nanoseconds.
-    #[cfg(test)]
-    pub(crate) fn memory_access_ns(&self) -> f64 {
-        self.memory_access_cycles as f64 * self.cycle_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,16 +94,6 @@ mod tests {
     fn worst_case_bandwidth_is_much_lower() {
         let t = DramTiming::default();
         assert!(t.worst_case_bandwidth_gbit_per_s() < t.peak_bandwidth_gbit_per_s() / 3.0);
-    }
-
-    #[test]
-    fn processor_timing_presets() {
-        let h = ProcessorTiming::heavyweight();
-        assert!((h.cache_access_ns() - 2.0).abs() < 1e-12);
-        assert!((h.memory_access_ns() - 90.0).abs() < 1e-12);
-        let l = ProcessorTiming::lightweight();
-        assert_eq!(l.cache_access_cycles, 0);
-        assert!((l.memory_access_ns() - 150.0).abs() < 1e-12);
     }
 
     #[test]

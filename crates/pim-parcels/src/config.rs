@@ -62,7 +62,8 @@ impl ParcelConfig {
         if self.nodes == 0 {
             return Err("node count must be positive".into());
         }
-        // The test system's events carry node and context indices as `u32`.
+        // Both counts stay within `u32`; the test system's events carry node
+        // indices as `u32`.
         for (name, count) in [("nodes", self.nodes), ("parallelism", self.parallelism)] {
             if u32::try_from(count).is_err() {
                 return Err(format!("{name} must be at most {}, got {count}", u32::MAX));
@@ -243,7 +244,7 @@ mod tests {
             f(&mut c);
             assert!(c.validate().is_err());
         }
-        // Counts that would truncate in the test system's `u32` event fields.
+        // Counts past the `u32` bound.
         let too_many = u32::MAX as usize + 1;
         for (field, c) in [
             (

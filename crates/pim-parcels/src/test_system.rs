@@ -11,7 +11,8 @@
 //! suspends until the reply returns one network round trip later. While a context is
 //! suspended the node services any other ready context; it idles only when every
 //! context is in flight — this is the split-transaction latency hiding the study
-//! quantifies.
+//! quantifies. A node's contexts are interchangeable (no decision reads which one
+//! runs), so jobs and events carry node indices only, as in the per-node kernel.
 //!
 //! Two remote-servicing modes are provided:
 //!
@@ -41,26 +42,26 @@ pub enum RemoteService {
     OnCpu,
 }
 
-/// Events of the test-system model. Node and context indices are `u32`, which
-/// keeps the event at 16 bytes; `ParcelConfig::validate` bounds both counts by
-/// `u32::MAX`, so the narrowing never truncates.
+/// Events of the test-system model. They name nodes only; node indices are
+/// `u32`, which keeps the event at 12 bytes, and `ParcelConfig::validate` bounds
+/// the node count by `u32::MAX`, so the narrowing never truncates.
 #[derive(Debug, Clone, Copy)]
 pub enum TestEvent {
     /// The execution unit at `node` finished its current job.
     ServiceDone(u32),
-    /// The reply for context `ctx` arrived back at `node`.
-    ParcelReturn(u32, u32),
-    /// A request parcel from (`src`, `ctx`) arrived at `node` (message-driven mode).
-    ParcelArrive(u32, u32, u32),
+    /// The reply to one of `node`'s contexts arrived back at `node`.
+    ParcelReturn(u32),
+    /// A request parcel from `src` arrived at `node` (message-driven mode).
+    ParcelArrive(u32, u32),
 }
 
 /// A job the execution unit can run.
 #[derive(Debug, Clone, Copy)]
 enum Job {
-    /// Run local work for context `ctx`.
-    Local { ctx: usize },
-    /// Service an incoming request parcel and reply to (`reply_node`, `reply_ctx`).
-    Remote { reply_node: usize, reply_ctx: usize },
+    /// Run local work for a context.
+    Local,
+    /// Service an incoming request parcel and reply to `reply_node`.
+    Remote { reply_node: usize },
 }
 
 /// What happens when the running job completes.
@@ -69,9 +70,9 @@ enum Completion {
     /// Nothing further (context exhausted the horizon).
     None,
     /// The context issues a remote parcel and suspends.
-    IssueRemote { ctx: usize },
-    /// Send the reply parcel back.
-    Reply { node: usize, ctx: usize },
+    IssueRemote,
+    /// Send the reply parcel back to `node`.
+    Reply { node: usize },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -186,7 +187,7 @@ impl TestSystem {
             return;
         }
         let running = match job {
-            Job::Local { ctx } => {
+            Job::Local => {
                 let (run, ends_remote) =
                     self.sampler.sample_run(remaining, &mut self.streams[node]);
                 let issue = if ends_remote {
@@ -199,24 +200,18 @@ impl TestSystem {
                     duration_cycles: run.cycles + issue,
                     ops: run.ops,
                     completion: if ends_remote {
-                        Completion::IssueRemote { ctx }
+                        Completion::IssueRemote
                     } else {
                         Completion::None
                     },
                 }
             }
-            Job::Remote {
-                reply_node,
-                reply_ctx,
-            } => RunningJob {
+            Job::Remote { reply_node } => RunningJob {
                 started_cycles: now_cycles,
                 duration_cycles: self.config.local_memory_cycles
                     + self.config.parcel_overhead_cycles,
                 ops: 1,
-                completion: Completion::Reply {
-                    node: reply_node,
-                    ctx: reply_ctx,
-                },
+                completion: Completion::Reply { node: reply_node },
             },
         };
         sched.schedule_in(
@@ -244,8 +239,8 @@ impl TestSystem {
     /// Seed every context of every node as ready at time zero.
     pub fn start(&mut self, sched: &mut Scheduler<TestEvent>) {
         for node in 0..self.config.nodes {
-            for ctx in 0..self.config.parallelism {
-                self.make_ready(node, Job::Local { ctx }, 0.0, sched);
+            for _ in 0..self.config.parallelism {
+                self.make_ready(node, Job::Local, 0.0, sched);
             }
         }
     }
@@ -294,7 +289,7 @@ impl Model for TestSystem {
                 self.nodes[node].busy_cycles += finished.duration_cycles;
                 match finished.completion {
                     Completion::None => {}
-                    Completion::IssueRemote { ctx } => {
+                    Completion::IssueRemote => {
                         self.nodes[node].remote_accesses += 1;
                         let dst = self.pick_destination(node);
                         let one_way = self.one_way_latency(node, dst);
@@ -302,25 +297,22 @@ impl Model for TestSystem {
                             RemoteService::MemorySide => {
                                 sched.schedule_in(
                                     SimDuration::from_ns_f64(2.0 * one_way * self.config.cycle_ns),
-                                    TestEvent::ParcelReturn(node as u32, ctx as u32),
+                                    TestEvent::ParcelReturn(node as u32),
                                 );
                             }
                             RemoteService::OnCpu => {
                                 sched.schedule_in(
                                     SimDuration::from_ns_f64(one_way * self.config.cycle_ns),
-                                    TestEvent::ParcelArrive(dst as u32, node as u32, ctx as u32),
+                                    TestEvent::ParcelArrive(dst as u32, node as u32),
                                 );
                             }
                         }
                     }
-                    Completion::Reply {
-                        node: reply_node,
-                        ctx,
-                    } => {
+                    Completion::Reply { node: reply_node } => {
                         let one_way = self.one_way_latency(node, reply_node);
                         sched.schedule_in(
                             SimDuration::from_ns_f64(one_way * self.config.cycle_ns),
-                            TestEvent::ParcelReturn(reply_node as u32, ctx as u32),
+                            TestEvent::ParcelReturn(reply_node as u32),
                         );
                     }
                 }
@@ -329,16 +321,14 @@ impl Model for TestSystem {
                     self.start_job(node, job, now_cycles, sched);
                 }
             }
-            TestEvent::ParcelReturn(node, ctx) => {
-                let ctx = ctx as usize;
-                self.make_ready(node as usize, Job::Local { ctx }, now_cycles, sched);
+            TestEvent::ParcelReturn(node) => {
+                self.make_ready(node as usize, Job::Local, now_cycles, sched);
             }
-            TestEvent::ParcelArrive(node, src, ctx) => {
+            TestEvent::ParcelArrive(node, src) => {
                 self.make_ready(
                     node as usize,
                     Job::Remote {
                         reply_node: src as usize,
-                        reply_ctx: ctx as usize,
                     },
                     now_cycles,
                     sched,

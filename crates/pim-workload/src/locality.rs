@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn reuse_stream_calibrates_cache_miss_rate() {
-        use pim_mem::{CacheModel, SetAssociativeCache};
+        use pim_mem::SetAssociativeCache;
         // High-locality stream against a modest cache: low miss rate.
         let mut hot = ReuseProfile::new(0.9, 64, 64, RandomStream::new(5, 3));
         let mut cache = SetAssociativeCache::new(64 * 1024, 64, 4);

@@ -15,7 +15,7 @@
 
 use pim_repro::desim::random::RandomStream;
 use pim_repro::pim_core::prelude::*;
-use pim_repro::pim_mem::{CacheModel, SetAssociativeCache};
+use pim_repro::pim_mem::SetAssociativeCache;
 use pim_repro::pim_parcels::prelude::*;
 use pim_repro::pim_workload::{AddressPattern, InstructionMix, Kernel, OperationStream};
 

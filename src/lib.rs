@@ -4,7 +4,7 @@
 //! single crate:
 //!
 //! * [`desim`] — the discrete-event simulation engine (SES/Workbench substitute);
-//! * [`pim_mem`] — DRAM macro / row buffer / bank / cache / PIM-chip models;
+//! * [`pim_mem`] — DRAM macro timing / row buffer / bank / cache models;
 //! * [`pim_workload`] — instruction mixes, temporal-locality and thread partitions,
 //!   and synthetic kernels;
 //! * [`pim_core`] — study 1: the HWP/LWP partitioning queuing model and sweeps

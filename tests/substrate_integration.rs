@@ -2,20 +2,33 @@
 //! Section 2.1 bandwidth claims and against the workload generators.
 
 use pim_repro::desim::random::RandomStream;
-use pim_repro::pim_mem::{CacheModel, DramTiming, PimChip, SetAssociativeCache};
+use pim_repro::pim_harness::prelude::{Registry, ScenarioReport, SeedPolicy};
+use pim_repro::pim_mem::SetAssociativeCache;
 use pim_repro::pim_workload::ReuseProfile;
+
+/// The value of `bandwidth_claims`' row for `quantity`; its rows are
+/// `[quantity, value, unit]`.
+fn claim(report: &ScenarioReport, quantity: &str) -> f64 {
+    let label = format!("\"{quantity}\"");
+    report.tables[0]
+        .rows
+        .iter()
+        .find(|row| serde_json::to_string(&row[0]).is_ok_and(|json| json == label))
+        .and_then(|row| row[1].as_f64())
+        .unwrap_or_else(|| panic!("bandwidth_claims has no {quantity} row"))
+}
 
 #[test]
 fn dram_macro_bandwidth_claims_from_section_2_1() {
-    let timing = DramTiming::default();
-    assert!(timing.peak_bandwidth_gbit_per_s() > 50.0);
-    let chip = PimChip::with_nodes(32);
-    assert!(chip.peak_bandwidth_tbit_per_s() > 1.0);
+    let report = Registry::builtin()
+        .get("bandwidth_claims")
+        .expect("bandwidth_claims is a builtin scenario")
+        .run(&SeedPolicy::default());
+    assert!(claim(&report, "macro_peak_bandwidth") > 50.0);
+    let n32 = claim(&report, "chip_peak_bandwidth_n32");
+    assert!(n32 > 1.0);
     // Bandwidth is proportional to node count (the paper's claim).
-    let chip64 = PimChip::with_nodes(64);
-    assert!(
-        (chip64.peak_bandwidth_tbit_per_s() / chip.peak_bandwidth_tbit_per_s() - 2.0).abs() < 1e-9
-    );
+    assert!((claim(&report, "chip_peak_bandwidth_n64") / n32 - 2.0).abs() < 1e-9);
 }
 
 #[test]
@@ -43,25 +56,4 @@ fn workload_locality_knob_reproduces_table1_miss_rate_regime() {
         "no-reuse miss rate {}",
         cache.miss_rate()
     );
-}
-
-#[test]
-fn pim_chip_streaming_accesses_hit_open_rows() {
-    let mut chip = PimChip::with_nodes(4);
-    let per_node = chip.capacity_bytes() / 4;
-    // Stream within one node's memory: after the first access every page hits the open row.
-    let mut total_latency = 0.0;
-    for i in 0..64u64 {
-        let (node, latency) = chip.access(i * 32);
-        assert_eq!(node, 0);
-        total_latency += latency;
-    }
-    assert!(
-        total_latency < 64.0 * 5.0,
-        "streaming should average close to the 2 ns page access"
-    );
-    // Touch another node: independent row buffer, so it misses once then hits.
-    let (node, first) = chip.access(per_node + 7);
-    assert_eq!(node, 1);
-    assert!(first > 20.0);
 }
